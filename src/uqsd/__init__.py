@@ -43,7 +43,6 @@ from .solver import (
     VerificationReport,
     build_sdp,
     solve,
-    solve_inequality_lp,
     verify_certificate,
     weak_duality_gap,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "solve",
     "verify_certificate",
     "weak_duality_gap",
-    "solve_inequality_lp",
     "EpmVerdict",
     "EpmAnalysis",
     "EpmOptimalityResult",

@@ -52,15 +52,12 @@ EXIT_CERTIFICATE = 4
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        tol_gap=args.tol_gap, tol_feas=args.tol_feas, max_iters=args.max_iters
-    )
+    return SolverOptions(tol_gap=args.tol_gap, max_iters=args.max_iters)
 
 
 def _tolerances(opts: SolverOptions) -> dict:
     return {
         "tol_gap": opts.tol_gap,
-        "tol_feas": opts.tol_feas,
         "max_iters": opts.max_iters,
         "operator_tol": OPERATOR_TOL,
         "scalar_tol": SCALAR_TOL,
@@ -301,7 +298,6 @@ def _run_symmetric(args, kind: str) -> int:
         sol = sym_mod.solve_gu(spec)
     else:
         sol = sym_mod.solve_cgu(spec)
-    recips = reciprocal_states(sol.ensemble)
     doc = {
         "input": _input_summary(sol.ensemble),
         "pipeline": kind,
@@ -311,14 +307,16 @@ def _run_symmetric(args, kind: str) -> int:
     }
     exit_code = EXIT_OK
     if sol.certificate is not None:
-        ver = verify_certificate(sol.ensemble, recips, sol.measurement.probs, sol.certificate)
+        ver = verify_certificate(
+            sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate
+        )
         doc["verification"] = _verification_doc(ver)
         if sol.verdict is epm_mod.EpmVerdict.OPTIMAL and not ver.passed:
             exit_code = EXIT_CERTIFICATE
     if sol.verdict is not epm_mod.EpmVerdict.OPTIMAL:
         # Sufficient conditions are silent; fall back to the SDP solver.
         opts = _solver_options(args)
-        report = solve(build_sdp(sol.ensemble, recips), opts)
+        report = solve(build_sdp(sol.ensemble, sol.recips), opts)
         doc["solve"] = _solve_doc(report)
         if report.status is not SolveStatus.OPTIMAL:
             exit_code = EXIT_SOLVER
@@ -401,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--tol-gap", type=float, default=1e-8,
                               help="relative duality gap tolerance (default 1e-8)")
-    solver_flags.add_argument("--tol-feas", type=float, default=1e-9,
-                              help="feasibility residual tolerance (default 1e-9)")
     solver_flags.add_argument("--max-iters", type=int, default=100,
                               help="iteration cap (default 100)")
     common = argparse.ArgumentParser(add_help=False)

@@ -180,6 +180,8 @@ def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
         m = int(doc["m"])
     except (TypeError, ValueError) as exc:
         raise ValidationError("fields 'r' and 'm' must be integers") from exc
+    if r < 1 or m < 1:
+        raise ValidationError(f"fields 'r' and 'm' must be positive, got r={r}, m={m}")
     cols = doc["states"]
     if not isinstance(cols, list) or len(cols) != m:
         raise ValidationError(f"'states' must list exactly m={m} columns")
@@ -199,7 +201,10 @@ def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
     if doc.get("priors") is None:
         priors = np.full(m, 1.0 / m)
     else:
-        priors = np.asarray(doc["priors"], dtype=float).ravel()
+        try:
+            priors = np.asarray(doc["priors"], dtype=float).ravel()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"'priors' must be a list of numbers: {exc}") from exc
         if priors.shape[0] != m:
             raise ValidationError(f"'priors' must list exactly m={m} probabilities")
     return StateEnsemble(states, priors)

@@ -9,8 +9,10 @@ vectors and the priors:
   is optimal exactly when the squared last row of V* equals the priors
   (an if-and-only-if test);
 * when it is degenerate, optimality is implied by the feasibility of a
-  small nonnegative linear system built from the corresponding rows of V*
-  (a sufficient test, decided here by a phase-I linear program);
+  small nonnegative linear system ``M b = priors, b >= 0`` built from the
+  corresponding rows of V* (a sufficient test). The system is feasible
+  exactly when its nonnegative least-squares residual vanishes (Lawson &
+  Hanson 1974), so it is decided by one NNLS solve;
 * a spectral sufficient test checks whether the moments
   ``<state_i| G^(t/2-1) |state_i>`` of the frame operator G are
   proportional to the priors for every distinct-singular-value index t.
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .ensemble import (
     Measurement,
@@ -38,7 +39,7 @@ from .ensemble import (
     reciprocal_states,
 )
 from .errors import ValidationError
-from .solver import DualCertificate, SolveStatus, SolverOptions, solve_inequality_lp
+from .solver import DualCertificate
 
 MULTIPLICITY_RTOL = 1e-6
 EXACT_TEST_TOL = 1e-8
@@ -143,60 +144,16 @@ def epm_test_nondegenerate(
     return EpmOptimalityResult(verdict=verdict, b=b, last_row=last_row, residual=residual)
 
 
-def _feasibility_phase1(m_sys: np.ndarray, eta: np.ndarray):
-    """Phase-I LP: minimize the sup-norm residual of M b = eta over b >= 0.
-
-    Runs on the scalar-block interior-point engine with explicitly
-    constructed strictly feasible primal and dual starting points.
-    """
-    m, s = m_sys.shape
-    g_mat = np.zeros((2 * m + s, s + 1))
-    g_mat[:m, :s] = m_sys
-    g_mat[:m, s] = -1.0
-    g_mat[m : 2 * m, :s] = -m_sys
-    g_mat[m : 2 * m, s] = -1.0
-    g_mat[2 * m :, :s] = -np.eye(s)
-    h = np.concatenate([eta, -eta, np.zeros(s)])
-    cost = np.zeros(s + 1)
-    cost[s] = 1.0
-
-    b0 = np.full(s, 1.0 / s)
-    t0 = 2.0 * float(np.max(np.abs(m_sys @ b0 - eta))) + 1.0
-    x0 = np.concatenate([b0, [t0]])
-    z_plus = np.full(m, 0.75 / m)
-    z_minus = np.full(m, 0.25 / m)
-    z_b = m_sys.T @ (z_plus - z_minus)
-    if np.min(z_b) <= 0.0:
-        # Columns of the V*-row matrix sum to one, so this cannot trigger
-        # for inputs produced by epm_analysis; guard for direct callers.
-        raise ValidationError("cannot build a strictly feasible dual start")
-    z0 = np.concatenate([z_plus, z_minus, z_b])
-    return solve_inequality_lp(
-        cost, g_mat, h, x0, z0, SolverOptions(tol_gap=1e-10, max_iters=200)
-    )
-
-
-def _min_norm_witness(m_sys: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Minimum-Euclidean-norm nonnegative solution of M b = eta.
-
-    Tikhonov-regularized NNLS; the regularization weight only perturbs the
-    witness at O(weight^2), far below the feasibility tolerance.
-    """
-    s = m_sys.shape[1]
-    a_aug = np.vstack([m_sys, _TIKHONOV * np.eye(s)])
-    rhs = np.concatenate([eta, np.zeros(s)])
-    b, _ = nnls(a_aug, rhs)
-    return b
-
-
 def epm_test_lp(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOptimalityResult:
     """Feasibility test: does a nonnegative b solve ``last_rows.T @ b = priors``?
 
     Sufficient for EPM optimality at any multiplicity; for multiplicity
     one it reduces to the exact test (single-column feasibility is decided
-    in closed form). Infeasibility at multiplicity one proves the EPM
-    suboptimal; at higher multiplicity the test is only sufficient, so the
-    verdict degrades to inconclusive.
+    in closed form). At higher multiplicity the system is feasible when the
+    sup-norm residual of its NNLS solution is within ``LP_FEASIBILITY_TOL``;
+    that residual is reported. Infeasibility at multiplicity one proves the
+    EPM suboptimal; at higher multiplicity the test is only sufficient, so
+    the verdict degrades to inconclusive.
     """
     analysis = epm_analysis(recips)
     if analysis.s == 1:
@@ -209,17 +166,26 @@ def epm_test_lp(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOptimality
             )
         return exact
 
+    # scipy.optimize costs most of the package's import time and only this
+    # case needs it.
+    from scipy.optimize import nnls
+
     m_sys = analysis.last_rows.T
     eta = ensemble.priors
-    report = _feasibility_phase1(m_sys, eta)
-    objective = max(report.objective, 0.0)
-    if report.status is not SolveStatus.OPTIMAL or objective > LP_FEASIBILITY_TOL:
-        return EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=objective)
-    b = _min_norm_witness(m_sys, eta)
+    b, _ = nnls(m_sys, eta)
     residual = float(np.max(np.abs(m_sys @ b - eta)))
     if residual > LP_FEASIBILITY_TOL:
-        b = np.maximum(report.x[:-1], 0.0)
-        residual = float(np.max(np.abs(m_sys @ b - eta)))
+        return EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=residual)
+    # Among feasible witnesses prefer the minimum-Euclidean-norm one, from a
+    # Tikhonov-regularized NNLS; the weight perturbs it at O(weight^2), far
+    # below the feasibility tolerance.
+    s = m_sys.shape[1]
+    b_min, _ = nnls(
+        np.vstack([m_sys, _TIKHONOV * np.eye(s)]), np.concatenate([eta, np.zeros(s)])
+    )
+    residual_min = float(np.max(np.abs(m_sys @ b_min - eta)))
+    if residual_min <= LP_FEASIBILITY_TOL:
+        b, residual = b_min, residual_min
     return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, b=b, residual=residual)
 
 

@@ -91,6 +91,8 @@ def simulate(
     """Simulate ``n_trials`` preparations and measurements."""
     if n_trials < 1:
         raise ValidationError("n_trials must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     table = outcome_probabilities(ensemble, measurement)
     m = ensemble.m
     rng = np.random.Generator(np.random.Philox(seed))

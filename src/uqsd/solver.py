@@ -18,9 +18,11 @@ Because every Q_i is rank one, the Newton step reduces to an m x m
 positive definite system built from ``B = C* W^{-1} C`` where C stacks the
 reciprocal states, so one iteration costs O(r^3 + m r^2 + m^3).
 
-``solve_inequality_lp`` is the same engine restricted to scalar blocks
-(an inequality-form LP); it backs the feasibility tests of the ``epm``
-module.
+The certificate is the cone-projected final dual iterate or, when it
+scores better, a Gauss-Newton polish of the full optimality system on the
+active face. ``solve`` scores both candidates, ``verify_certificate``
+checks a candidate and ``weak_duality_gap`` screens a pair for
+feasibility from one set of residuals of the optimality conditions.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Any
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .ensemble import ReciprocalSet, StateEnsemble, gram_operators
+from .ensemble import ReciprocalSet, StateEnsemble
 from .errors import ValidationError
 
 OPERATOR_TOL = 1e-6
@@ -52,18 +54,15 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Interior-point controls: gap and feasibility tolerances, iteration cap."""
+    """Interior-point controls: gap tolerance, iteration cap, step fraction."""
 
     tol_gap: float = 1e-8
-    tol_feas: float = 1e-9
     max_iters: int = 100
     step_fraction: float = 0.99
 
     def __post_init__(self):
         if not (0.0 < self.tol_gap < 1.0):
             raise ValidationError("tol_gap must lie in (0, 1)")
-        if not (0.0 < self.tol_feas < 1.0):
-            raise ValidationError("tol_feas must lie in (0, 1)")
         if not (1 <= self.max_iters <= 100_000):
             raise ValidationError("max_iters must lie in [1, 100000]")
         if not (0.5 <= self.step_fraction < 1.0):
@@ -97,18 +96,6 @@ class SdpProblem:
     @property
     def m(self) -> int:
         return self.reciprocals.shape[1]
-
-    def f_matrix(self, p: np.ndarray) -> np.ndarray:
-        """Evaluate the full (r+m) x (r+m) block-diagonal constraint matrix."""
-        p = np.asarray(p, dtype=float).ravel()
-        if p.shape[0] != self.m:
-            raise ValidationError(f"expected {self.m} coordinates, got {p.shape[0]}")
-        c = self.reciprocals
-        out = np.zeros((self.r + self.m, self.r + self.m), dtype=complex)
-        block = np.eye(self.r, dtype=complex) - (c * p) @ c.conj().T
-        out[: self.r, : self.r] = (block + block.conj().T) / 2
-        out[self.r :, self.r :] = np.diag(p.astype(complex))
-        return out
 
 
 @dataclass(frozen=True)
@@ -194,81 +181,6 @@ def _clip_psd(x_mat: np.ndarray) -> np.ndarray:
     w, vecs = np.linalg.eigh((x_mat + x_mat.conj().T) / 2)
     w = np.maximum(w, 0.0)
     return (vecs * w) @ vecs.conj().T
-
-
-def _hermitian_basis(k: int) -> np.ndarray:
-    """Orthonormal real basis of k x k Hermitian matrices, shape (k*k, k, k)."""
-    basis = np.zeros((k * k, k, k), dtype=complex)
-    idx = 0
-    for a in range(k):
-        basis[idx, a, a] = 1.0
-        idx += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(k):
-        for b in range(a + 1, k):
-            basis[idx, a, b] = inv_sqrt2
-            basis[idx, b, a] = inv_sqrt2
-            idx += 1
-            basis[idx, a, b] = 1j * inv_sqrt2
-            basis[idx, b, a] = -1j * inv_sqrt2
-            idx += 1
-    return basis
-
-
-def _refine_certificate(
-    c: np.ndarray,
-    p: np.ndarray,
-    x_mat: np.ndarray,
-    eta: np.ndarray,
-    gap: float,
-) -> DualCertificate | None:
-    """Re-fit the dual certificate on the active face of the slack operator.
-
-    Complementary slackness forces the optimal X onto the eigenspace of
-    ``sum p_i Q_i`` at eigenvalue one. The final iterate carries O(mu)
-    cross terms into the inactive subspace, which inflate the product
-    ``X (I - sum p_i Q_i)`` far beyond the gap. Restricting X to the
-    near-active face and solving the trace equalities (z_i = 0 wherever
-    p_i > 0) by least squares removes those terms while preserving the
-    dual objective of the iterate.
-    """
-    r = c.shape[0]
-    s0 = np.eye(r, dtype=complex) - _apply(c, p)
-    w, vecs = np.linalg.eigh(s0)
-    tau = np.sqrt(max(gap, 1e-16))
-    face = w <= tau
-    k = int(np.count_nonzero(face))
-    if k == 0 or k == r:
-        return None
-    v_face = vecs[:, face]
-
-    active = p > max(1e-7, tau)
-    proj = v_face.conj().T @ c
-    rows = []
-    rhs = []
-    basis = _hermitian_basis(k)
-    for i in np.nonzero(active)[0]:
-        g_i = np.outer(proj[:, i], proj[:, i].conj())
-        rows.append(np.einsum("kab,ba->k", basis, g_i).real)
-        rhs.append(eta[i])
-    # Preserve the iterate's dual objective so the refined gap stays at the
-    # converged level.
-    trace_row = np.einsum("kaa->k", basis).real
-    weight = 1e4
-    rows.append(weight * trace_row)
-    rhs.append(weight * float(np.trace(x_mat).real))
-    anchor = v_face.conj().T @ x_mat @ v_face
-    y0 = np.einsum("kab,ba->k", basis, anchor).real
-
-    a_ls = np.array(rows)
-    b_ls = np.array(rhs) - a_ls @ y0
-    delta, *_ = np.linalg.lstsq(a_ls, b_ls, rcond=None)
-    y_mat = np.tensordot(y0 + delta, basis, axes=(0, 0))
-    y_mat = _clip_psd(y_mat)
-    x_ref = v_face @ y_mat @ v_face.conj().T
-    x_ref = (x_ref + x_ref.conj().T) / 2
-    z_ref = np.maximum(_apply_adjoint(c, x_ref) - eta, 0.0)
-    return DualCertificate(X=x_ref, z=z_ref)
 
 
 def _kkt_polish(
@@ -361,33 +273,54 @@ def _kkt_polish(
     return p_new, DualCertificate(X=x_new, z=z_new)
 
 
-def _certificate_score(
-    c: np.ndarray,
-    p: np.ndarray,
-    cert: DualCertificate,
-    eta: np.ndarray,
-) -> tuple[float, dict[str, float]]:
-    """Residuals of a certificate, scored relative to the verify tolerances."""
-    r = c.shape[0]
+def _tolerances(operator_tol: float = OPERATOR_TOL, scalar_tol: float = SCALAR_TOL) -> dict:
+    return {
+        "primal_nonneg": scalar_tol,
+        "primal_operator": operator_tol,
+        "dual_psd": operator_tol,
+        "dual_nonneg": scalar_tol,
+        "dual_equality": scalar_tol,
+        "slack_operator": operator_tol,
+        "slack_scalar": scalar_tol,
+        "gap": scalar_tol,
+    }
+
+
+def _residuals(
+    c: np.ndarray, eta: np.ndarray, p: np.ndarray, cert: DualCertificate
+) -> tuple[dict[str, float], np.ndarray]:
+    """Residuals of every optimality condition for the pair (p, cert).
+
+    Primal feasibility (p >= 0 and the conclusive operators below the
+    identity), dual feasibility (X psd, z >= 0, the trace equalities), the
+    two complementary slackness products, and the relative duality gap;
+    returned with the trace products Tr(Q_i X) they are computed from.
+    """
     q_sum = _apply(c, p)
+    traces = _apply_adjoint(c, cert.X)
+    primal_val = float(-eta @ p)
+    dual_val = float(-np.trace(cert.X).real)
     residuals = {
         "primal_nonneg": float(max(0.0, -np.min(p))),
         "primal_operator": float(max(0.0, np.linalg.eigvalsh(q_sum)[-1] - 1.0)),
-        "dual_equality": float(np.max(np.abs(_apply_adjoint(c, cert.X) - cert.z - eta))),
-        "slack_operator": float(np.linalg.norm(cert.X @ (np.eye(r) - q_sum))),
+        "dual_psd": float(max(0.0, -np.linalg.eigvalsh(cert.X)[0])),
+        "dual_nonneg": float(max(0.0, -np.min(cert.z))),
+        "dual_equality": float(np.max(np.abs(traces - cert.z - eta))),
+        "slack_operator": float(np.linalg.norm(cert.X @ (np.eye(c.shape[0]) - q_sum))),
         "slack_scalar": float(np.max(np.abs(cert.z * p))),
+        "gap": abs(primal_val - dual_val) / (1.0 + abs(primal_val)),
     }
-    scale = {
-        "primal_nonneg": SCALAR_TOL,
-        "primal_operator": OPERATOR_TOL,
-        "dual_equality": SCALAR_TOL,
-        "slack_operator": OPERATOR_TOL,
-        "slack_scalar": SCALAR_TOL,
-    }
-    gap = abs(float(-eta @ p) - float(-np.trace(cert.X).real))
-    score = max(residuals[k] / scale[k] for k in residuals)
-    score = max(score, gap / (SCALAR_TOL * (1.0 + abs(eta @ p))))
-    return score, residuals
+    return residuals, traces
+
+
+def _score(residuals: dict[str, float]) -> float:
+    """Worst residual relative to the verification tolerances."""
+    tolerances = _tolerances()
+    return max(residuals[k] / tolerances[k] for k in residuals)
+
+
+# The residuals a SolveReport carries.
+_REPORTED = ("primal_nonneg", "primal_operator", "dual_equality", "slack_operator", "slack_scalar")
 
 
 def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveReport:
@@ -395,9 +328,10 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
 
     Returns the optimal detection probabilities together with a dual
     certificate read from the final iterate (cone-projected so that the
-    certificate is exactly PSD / nonnegative). The ``trace`` records the
-    objective pair at every iterate; all iterates are primal and dual
-    feasible by construction, so every traced gap is nonnegative.
+    certificate is exactly PSD / nonnegative), or from its Gauss-Newton
+    polish when that meets the verify tolerances better. The ``trace``
+    records the objective pair at every iterate; all iterates are primal
+    and dual feasible by construction, so every traced gap is nonnegative.
     """
     opts = options or SolverOptions()
     c = problem.reciprocals
@@ -431,13 +365,12 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         dual = float(-np.trace(x_mat).real)
         mu = gap / nu
         rel_gap = gap / (1.0 + abs(primal))
-        dual_eq_res = float(np.max(np.abs(_apply_adjoint(c, x_mat) - z - eta)))
         trace.append(IterateTrace(it, primal, dual, gap, mu))
         iterations = it
-        if rel_gap <= opts.tol_gap and dual_eq_res <= opts.tol_feas:
-            # Gap and feasibility are converged. Keep polishing until the
-            # complementarity products also meet the report contract,
-            # retaining the best converged iterate seen so far.
+        if rel_gap <= opts.tol_gap:
+            # The gap is converged (feasibility holds by construction). Keep
+            # polishing until the complementarity products also meet the
+            # report contract, retaining the best converged iterate seen so far.
             slack_op = float(np.linalg.norm(x_mat @ s0))
             slack_sc = float(np.max(np.abs(z * p)))
             score = max(slack_op / SLACK_OPERATOR_TARGET, slack_sc / SLACK_SCALAR_TARGET)
@@ -525,24 +458,18 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         _, p, x_mat, z, iterations = snapshot
         status = SolveStatus.OPTIMAL
 
-    # Certificate from the final dual iterate: cone-projected, then improved
-    # by face restriction and by a Gauss-Newton polish of the optimality
-    # system; the candidate with the smallest verified residuals wins.
+    # Certificate from the final dual iterate, cone-projected; at status
+    # Optimal a Gauss-Newton polish of the optimality system replaces it when
+    # its residuals score better against the verify tolerances.
     certificate = DualCertificate(X=_clip_psd(x_mat), z=np.maximum(z, 0.0))
-    score, residuals = _certificate_score(c, p, certificate, eta)
+    residuals, _ = _residuals(c, eta, p, certificate)
     if status is SolveStatus.OPTIMAL:
         gap_now = float(np.vdot(x_mat, eye_r - _apply(c, p)).real + p @ z)
-        refined = _refine_certificate(c, p, x_mat, eta, gap_now)
-        if refined is not None:
-            ref_score, ref_residuals = _certificate_score(c, p, refined, eta)
-            if ref_score < score:
-                certificate, residuals, score = refined, ref_residuals, ref_score
         polished = _kkt_polish(c, p, x_mat, eta, gap_now)
         if polished is not None:
-            pol_score, pol_residuals = _certificate_score(c, polished[0], polished[1], eta)
-            if pol_score < score:
-                p, certificate = polished
-                residuals, score = pol_residuals, pol_score
+            pol_residuals, _ = _residuals(c, eta, *polished)
+            if _score(pol_residuals) < _score(residuals):
+                (p, certificate), residuals = polished, pol_residuals
 
     primal = float(problem.cost @ p)
     dual = float(-np.trace(certificate.X).real)
@@ -556,7 +483,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         relative_gap=gap / (1.0 + abs(primal)),
         iterations=iterations,
         status=status,
-        residuals=residuals,
+        residuals={k: residuals[k] for k in _REPORTED},
         trace=tuple(trace),
     )
 
@@ -584,37 +511,13 @@ def verify_certificate(
     if certificate.z.shape[0] != ensemble.m:
         raise ValidationError("dual slack vector has the wrong length")
 
-    q_sum = _apply(c, p)
-    traces = _apply_adjoint(c, certificate.X)
-    primal_val = float(-ensemble.priors @ p)
-    dual_val = float(-np.trace(certificate.X).real)
-    residuals = {
-        "primal_nonneg": float(max(0.0, -np.min(p))),
-        "primal_operator": float(max(0.0, np.linalg.eigvalsh(q_sum)[-1] - 1.0)),
-        "dual_psd": float(max(0.0, -np.linalg.eigvalsh(certificate.X)[0])),
-        "dual_nonneg": float(max(0.0, -np.min(certificate.z))),
-        "dual_equality": float(np.max(np.abs(traces - certificate.z - ensemble.priors))),
-        "slack_operator": float(
-            np.linalg.norm(certificate.X @ (np.eye(ensemble.r) - q_sum))
-        ),
-        "slack_scalar": float(np.max(np.abs(certificate.z * p))),
-        "gap": abs(primal_val - dual_val) / (1.0 + abs(primal_val)),
-    }
-    tolerances = {
-        "primal_nonneg": scalar_tol,
-        "primal_operator": operator_tol,
-        "dual_psd": operator_tol,
-        "dual_nonneg": scalar_tol,
-        "dual_equality": scalar_tol,
-        "slack_operator": operator_tol,
-        "slack_scalar": scalar_tol,
-        "gap": scalar_tol,
-    }
+    residuals, traces = _residuals(c, ensemble.priors, p, certificate)
+    tolerances = _tolerances(operator_tol, scalar_tol)
     checks = {k: residuals[k] <= tolerances[k] for k in residuals}
     detail = {
         "trace_products": traces,
-        "primal_value": primal_val,
-        "dual_value": dual_val,
+        "primal_value": float(-ensemble.priors @ p),
+        "dual_value": float(-np.trace(certificate.X).real),
     }
     return VerificationReport(
         residuals=residuals,
@@ -636,113 +539,20 @@ def weak_duality_gap(
     nonnegative.
     """
     p = np.asarray(p, dtype=float).ravel()
-    c = problem.reciprocals
-    eta = -problem.cost
-    if np.min(p) < -1e-9:
+    res, _ = _residuals(problem.reciprocals, -problem.cost, p, certificate)
+    if res["primal_nonneg"] > 1e-9:
         raise ValidationError("primal point infeasible: negative probability")
-    if np.linalg.eigvalsh(_apply(c, p))[-1] > 1.0 + 1e-8:
+    if res["primal_operator"] > 1e-8:
         raise ValidationError("primal point infeasible: operators exceed the identity")
-    if np.linalg.eigvalsh(certificate.X)[0] < -1e-8:
+    if res["dual_psd"] > 1e-8:
         raise ValidationError("dual point infeasible: X is not positive semidefinite")
-    if np.min(certificate.z) < -1e-10:
+    if res["dual_nonneg"] > 1e-10:
         raise ValidationError("dual point infeasible: negative slack")
-    eq_res = np.max(np.abs(_apply_adjoint(c, certificate.X) - certificate.z - eta))
-    if eq_res > 1e-7:
+    if res["dual_equality"] > 1e-7:
         raise ValidationError(
-            f"dual point infeasible: trace equalities violated by {eq_res:.3e}"
+            f"dual point infeasible: trace equalities violated by {res['dual_equality']:.3e}"
         )
     return float(problem.cost @ p + np.trace(certificate.X).real)
-
-
-@dataclass(frozen=True)
-class LpReport:
-    x: np.ndarray
-    slack: np.ndarray
-    dual: np.ndarray
-    objective: float
-    gap: float
-    iterations: int
-    status: SolveStatus
-
-
-def solve_inequality_lp(
-    cost: np.ndarray,
-    g_mat: np.ndarray,
-    h: np.ndarray,
-    x0: np.ndarray,
-    z0: np.ndarray,
-    options: SolverOptions | None = None,
-) -> LpReport:
-    """Minimize ``cost @ x`` subject to ``g_mat @ x <= h``.
-
-    Scalar-block instance of the interior-point engine. Strictly feasible
-    primal and dual starting points must be supplied: ``h - g_mat @ x0 > 0``
-    and ``z0 > 0`` with ``g_mat.T @ z0 = -cost``.
-    """
-    opts = options or SolverOptions()
-    cost = np.asarray(cost, dtype=float).ravel()
-    g_mat = np.asarray(g_mat, dtype=float)
-    h = np.asarray(h, dtype=float).ravel()
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    z = np.asarray(z0, dtype=float).ravel().copy()
-    n, d = g_mat.shape
-
-    s = h - g_mat @ x
-    if np.min(s) <= 0.0 or np.min(z) <= 0.0:
-        raise ValidationError("starting point is not strictly feasible")
-    if np.max(np.abs(g_mat.T @ z + cost)) > 1e-8 * (1.0 + np.abs(cost).max()):
-        raise ValidationError("dual start does not satisfy the equality constraints")
-
-    status = SolveStatus.MAX_ITERATIONS
-    iterations = 0
-    for it in range(opts.max_iters + 1):
-        s = h - g_mat @ x
-        gap = float(s @ z)
-        obj = float(cost @ x)
-        iterations = it
-        if gap / (1.0 + abs(obj)) <= opts.tol_gap:
-            status = SolveStatus.OPTIMAL
-            break
-        if it == opts.max_iters:
-            break
-        mu = gap / n
-        rd = -cost - g_mat.T @ z
-
-        normal = g_mat.T @ (g_mat * (z / s)[:, None])
-        try:
-            normal_chol = cho_factor((normal + normal.T) / 2)
-        except np.linalg.LinAlgError:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-
-        def newton(rc: np.ndarray):
-            dx = cho_solve(normal_chol, rd - g_mat.T @ (rc / s))
-            ds = -g_mat @ dx
-            dz = (rc - z * ds) / s
-            return dx, ds, dz
-
-        dx_a, ds_a, dz_a = newton(-s * z)
-        ap = min(1.0, _max_step_vec(s, ds_a))
-        ad = min(1.0, _max_step_vec(z, dz_a))
-        gap_aff = float((s + ap * ds_a) @ (z + ad * dz_a))
-        sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
-
-        dx, ds, dz = newton(sigma * mu - s * z - ds_a * dz_a)
-        ap = min(1.0, opts.step_fraction * _max_step_vec(s, ds))
-        ad = min(1.0, opts.step_fraction * _max_step_vec(z, dz))
-        x = x + ap * dx
-        z = z + ad * dz
-
-    s = h - g_mat @ x
-    return LpReport(
-        x=x,
-        slack=s,
-        dual=z,
-        objective=float(cost @ x),
-        gap=float(s @ z),
-        iterations=iterations,
-        status=status,
-    )
 
 
 __all__ = [
@@ -753,11 +563,8 @@ __all__ = [
     "IterateTrace",
     "SolveReport",
     "VerificationReport",
-    "LpReport",
     "build_sdp",
     "solve",
     "verify_certificate",
     "weak_duality_gap",
-    "solve_inequality_lp",
-    "gram_operators",
 ]

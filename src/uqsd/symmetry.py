@@ -23,6 +23,7 @@ import numpy as np
 
 from .ensemble import (
     Measurement,
+    ReciprocalSet,
     StateEnsemble,
     measurement_from_probs,
     reciprocal_states,
@@ -125,7 +126,6 @@ class SymmetrySpec:
     group: UnitaryGroup
     generators: np.ndarray
     generator_group: UnitaryGroup | None = None
-    phase_table: np.ndarray | None = None
 
     def __post_init__(self):
         gens = np.asarray(self.generators, dtype=complex)
@@ -165,9 +165,14 @@ class SymmetrySpec:
 
 @dataclass(frozen=True)
 class SymmetricSolution:
-    """Closed-form measurement for a symmetric state set plus its evidence."""
+    """Closed-form measurement for a symmetric state set plus its evidence.
+
+    ``recips`` is the reciprocal set of ``ensemble``, computed once per
+    pipeline and kept for callers that verify the certificate.
+    """
 
     ensemble: StateEnsemble
+    recips: ReciprocalSet
     reciprocal_generators: np.ndarray
     measurement: Measurement
     p: float
@@ -268,7 +273,10 @@ def gu_reciprocal_generator(spec: SymmetrySpec, ensemble: StateEnsemble) -> np.n
 
 def cgu_reciprocal_generators(spec: SymmetrySpec, ensemble: StateEnsemble) -> np.ndarray:
     """Reciprocal generators of a CGU set, one pseudo-inverse per generator."""
-    recips = reciprocal_states(ensemble)
+    return _reciprocal_generators(spec, reciprocal_states(ensemble))
+
+
+def _reciprocal_generators(spec: SymmetrySpec, recips: ReciprocalSet) -> np.ndarray:
     gens = recips.gram_pinv @ spec.generators
     residual = _orbit_residual(spec, gens, recips)
     if residual > ORBIT_TOL:
@@ -326,12 +334,12 @@ def _generator_moment_check(
 def _epm_solution(
     spec: SymmetrySpec,
     ensemble: StateEnsemble,
+    recips: ReciprocalSet,
     verdict: EpmVerdict,
     optimality: EpmOptimalityResult,
     phase: PhaseCommutation | None,
 ) -> SymmetricSolution:
-    recips = reciprocal_states(ensemble)
-    gens = cgu_reciprocal_generators(spec, ensemble)
+    gens = _reciprocal_generators(spec, recips)
     p = float(recips.sigma[-1] ** 2)
     measurement = measurement_from_probs(recips, np.full(ensemble.m, p))
     certificate = None
@@ -348,6 +356,7 @@ def _epm_solution(
             )
     return SymmetricSolution(
         ensemble=ensemble,
+        recips=recips,
         reciprocal_generators=gens,
         measurement=measurement,
         p=p,
@@ -368,7 +377,7 @@ def solve_gu(spec: SymmetrySpec) -> SymmetricSolution:
     optimality = EpmOptimalityResult(
         verdict=EpmVerdict.OPTIMAL, a_t=a_t, residual=residual
     )
-    return _epm_solution(spec, ensemble, EpmVerdict.OPTIMAL, optimality, None)
+    return _epm_solution(spec, ensemble, recips, EpmVerdict.OPTIMAL, optimality, None)
 
 
 def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
@@ -392,7 +401,7 @@ def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
     else:
         verdict = EpmVerdict.INCONCLUSIVE
     optimality = EpmOptimalityResult(verdict=verdict, a_t=a_t, residual=residual)
-    return _epm_solution(spec, ensemble, verdict, optimality, phase)
+    return _epm_solution(spec, ensemble, recips, verdict, optimality, phase)
 
 
 def load_symmetry_spec(source) -> SymmetrySpec:
@@ -404,10 +413,17 @@ def load_symmetry_spec(source) -> SymmetrySpec:
         raise ValidationError("'group' must be a non-empty list of matrices")
     mats = [decode_matrix(mat, where=f"group[{i}]") for i, mat in enumerate(doc["group"])]
     group = UnitaryGroup(np.array(mats))
-    gens = [
-        decode_vector(vec, where=f"generators[{i}]")
-        for i, vec in enumerate(doc["generators"])
-    ]
+    if not isinstance(doc["generators"], list) or not doc["generators"]:
+        raise ValidationError("'generators' must be a non-empty list of vectors")
+    gens = []
+    for i, vec in enumerate(doc["generators"]):
+        gen = decode_vector(vec, where=f"generators[{i}]")
+        if gen.shape[0] != group.dim:
+            raise ValidationError(
+                f"generators[{i}] has {gen.shape[0]} entries, but the group acts "
+                f"on dimension {group.dim}"
+            )
+        gens.append(gen)
     generators = np.column_stack(gens)
     norms = np.linalg.norm(generators, axis=0)
     if np.min(norms) == 0.0 or np.max(np.abs(norms - 1.0)) > 1e-6:

@@ -17,6 +17,18 @@ def three_state_matrix() -> np.ndarray:
     ).astype(complex)
 
 
+def f_matrix(problem, p) -> np.ndarray:
+    """The full (r+m) x (r+m) block-diagonal constraint matrix F(p) of an SdpProblem."""
+    p = np.asarray(p, dtype=float).ravel()
+    c = problem.reciprocals
+    r, m = problem.r, problem.m
+    out = np.zeros((r + m, r + m), dtype=complex)
+    block = np.eye(r, dtype=complex) - (c * p) @ c.conj().T
+    out[:r, :r] = (block + block.conj().T) / 2
+    out[r:, r:] = np.diag(p.astype(complex))
+    return out
+
+
 def sign_group_elements() -> np.ndarray:
     u1 = np.eye(4)
     u2 = np.diag([1.0, -1.0, 1.0, -1.0])

@@ -123,6 +123,38 @@ class TestSolveCommand:
         assert main(["solve", three_states_file]) == 4
 
 
+TWO_STATES = [encode_vector(np.array([1.0, 0.0])), encode_vector(np.array([0.6, 0.8]))]
+SIGN_GROUP = [encode_matrix(u) for u in sign_group_elements()]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": ["a", "b"]}),
+        (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": {"a": 0.5}}),
+        (["solve"], {"r": -2, "m": 2, "states": TWO_STATES}),
+        (["gu"], {"group": SIGN_GROUP, "generators": []}),
+        (["gu"], {"group": SIGN_GROUP, "generators": [
+            encode_vector(sign_group_generator()), encode_vector(np.ones(3) / np.sqrt(3))
+        ]}),
+        (["simulate", "--seed", "-1"], {"r": 2, "m": 2, "states": TWO_STATES}),
+    ],
+    ids=[
+        "non-numeric-priors",
+        "object-priors",
+        "negative-r",
+        "empty-generators",
+        "ragged-generators",
+        "negative-seed",
+    ],
+)
+def test_hostile_documents_exit_2(tmp_path, capsys, argv, doc):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestEpmCommand:
     def test_weighted_verdict(self, weighted_file, capsys):
         code, doc = run_json(capsys, ["epm", weighted_file, "--json"])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +165,39 @@ class TestLpTest:
         result = epm_test_lp(e, rs)
         assert result.verdict is EpmVerdict.INCONCLUSIVE
         assert result.residual > 1e-8
+
+    @pytest.mark.parametrize(
+        "priors, feasible", [((1 / 3, 1 / 3, 1 / 3), True), ((0.1, 0.1, 0.8), False)]
+    )
+    def test_degenerate_hand_built_system(self, priors, feasible):
+        # Frame spectrum (2, 1/2, 1/2) and V* rows (1,1,1)/sqrt(3),
+        # (1,-1,0)/sqrt(2), (1,1,-2)/sqrt(6) give unit columns and a double
+        # smallest singular value. Whatever basis of that eigenspace the SVD
+        # returns, its vectors w are orthogonal to (1,1,1), so |w_i|^2 <= 2/3
+        # and the two squared rows sum to 2/3 entrywise. Uniform priors are
+        # then met with minimum-norm witness b = (1/2, 1/2); for priors with
+        # an entry 0.8 every b >= 0 leaves a sup-norm residual of at least
+        # 2/45 (the bound from (M b)_3 <= 2 sum(b)/3 and sum(M b) = sum(b)).
+        vh = np.array(
+            [
+                np.array([1.0, 1.0, 1.0]) / np.sqrt(3),
+                np.array([1.0, -1.0, 0.0]) / np.sqrt(2),
+                np.array([1.0, 1.0, -2.0]) / np.sqrt(6),
+            ]
+        )
+        states = np.diag([np.sqrt(2.0), np.sqrt(0.5), np.sqrt(0.5)]) @ vh
+        e = StateEnsemble(states.astype(complex), np.array(priors))
+        rs = reciprocal_states(e)
+        assert epm_analysis(rs).s == 2
+        result = epm_test_lp(e, rs)
+        if feasible:
+            assert result.verdict is EpmVerdict.OPTIMAL
+            assert np.max(np.abs(result.b - 0.5)) <= 1e-9
+            assert result.residual <= 1e-8
+        else:
+            assert result.verdict is EpmVerdict.INCONCLUSIVE
+            assert result.b is None
+            assert result.residual >= 2 / 45
 
     def test_nondegenerate_mismatch_is_not_optimal(self, three_states_uniform,
                                                    three_states_reciprocals):
@@ -326,3 +364,18 @@ def test_priors_for_epm_is_probability_vector(seed, raw):
     priors = priors_for_epm(rs, b)
     assert np.min(priors) >= 0.0
     assert abs(priors.sum() - 1.0) <= 1e-10
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported only by the degenerate branch of epm_test_lp.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, uqsd; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

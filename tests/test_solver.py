@@ -12,12 +12,11 @@ from uqsd import (
     gram_operators,
     reciprocal_states,
     solve,
-    solve_inequality_lp,
     verify_certificate,
     weak_duality_gap,
 )
 
-from helpers import random_ensemble
+from helpers import f_matrix, random_ensemble
 from oracles import grid_oracle_best_pd, two_state_grid
 
 
@@ -35,7 +34,7 @@ class TestBuildSdp:
     def test_f_at_zero_is_constant_block(self, three_states_uniform, three_states_reciprocals):
         # F(0) is the identity on the operator block plus zero scalar blocks.
         problem = build_sdp(three_states_uniform, three_states_reciprocals)
-        f0 = problem.f_matrix(np.zeros(3))
+        f0 = f_matrix(problem, np.zeros(3))
         assert np.allclose(f0, block_diag(np.eye(3), np.zeros((3, 3))), atol=1e-14)
         assert np.linalg.eigvalsh(f0)[0] >= 0.0
 
@@ -43,7 +42,7 @@ class TestBuildSdp:
         rs = reciprocal_states(orthonormal_ensemble)
         problem = build_sdp(orthonormal_ensemble, rs)
         p = np.array([0.3, 0.5, 0.7])
-        f = problem.f_matrix(p)
+        f = f_matrix(problem, p)
         expected = block_diag(np.diag(1.0 - p), np.diag(p))
         assert np.allclose(f, expected, atol=1e-12)
 
@@ -54,7 +53,7 @@ class TestBuildSdp:
         q = gram_operators(rs)
         for _ in range(20):
             p = rng.uniform(-0.1, 1.0, 3)
-            f_psd = np.linalg.eigvalsh(problem.f_matrix(p))[0] >= -1e-12
+            f_psd = np.linalg.eigvalsh(f_matrix(problem, p))[0] >= -1e-12
             cone = (p.min() >= -1e-12) and (
                 np.linalg.eigvalsh((q * p[:, None, None]).sum(axis=0))[-1] <= 1 + 1e-12
             )
@@ -238,7 +237,7 @@ class TestWeakDuality:
         _, problem, p, cert = self.feasible_pair(e)
         gap = weak_duality_gap(problem, p, cert)
         z_block = block_diag(cert.X, np.diag(cert.z))
-        alt = np.trace(problem.f_matrix(p) @ z_block).real
+        alt = np.trace(f_matrix(problem, p) @ z_block).real
         assert gap == pytest.approx(alt, abs=1e-10)
 
     def test_small_at_optimum(self, three_states_uniform):
@@ -259,32 +258,3 @@ class TestWeakDuality:
         bad = DualCertificate(X=-np.eye(3), z=np.zeros(3))
         with pytest.raises(ValidationError, match="dual"):
             weak_duality_gap(problem, report.p, bad)
-
-
-class TestScalarBlockLp:
-    def test_known_box_optimum(self):
-        # min -x1 - x2 subject to x <= (1, 2), -x <= 0.
-        cost = np.array([-1.0, -1.0])
-        g_mat = np.vstack([np.eye(2), -np.eye(2)])
-        h = np.array([1.0, 2.0, 0.0, 0.0])
-        x0 = np.array([0.5, 0.5])
-        z0 = np.array([1.0, 1.0, 1e-6, 1e-6])
-        z0[:2] += z0[2:]  # G^T z  = z[:2] - z[2:] = -cost
-        report = solve_inequality_lp(cost, g_mat, h, x0, z0)
-        assert report.status is SolveStatus.OPTIMAL
-        assert np.max(np.abs(report.x - np.array([1.0, 2.0]))) <= 1e-7
-        assert report.objective == pytest.approx(-3.0, abs=1e-7)
-
-    def test_rejects_infeasible_start(self):
-        cost = np.array([-1.0])
-        g_mat = np.array([[1.0], [-1.0]])
-        h = np.array([1.0, 0.0])
-        with pytest.raises(ValidationError, match="strictly feasible"):
-            solve_inequality_lp(cost, g_mat, h, np.array([2.0]), np.array([1.0, 2.0]))
-
-    def test_rejects_wrong_dual_start(self):
-        cost = np.array([-1.0])
-        g_mat = np.array([[1.0], [-1.0]])
-        h = np.array([1.0, 0.0])
-        with pytest.raises(ValidationError, match="dual start"):
-            solve_inequality_lp(cost, g_mat, h, np.array([0.5]), np.array([5.0, 1.0]))
