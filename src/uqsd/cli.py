@@ -31,7 +31,7 @@ from .ensemble import (
     reciprocal_states,
 )
 from .errors import ValidationError
-from .formats import decode_matrix, encode_matrix, encode_real_vector, read_document
+from .formats import encode_complex, encode_real_vector, read_document
 from .simulate import simulate
 from .solver import (
     OPERATOR_TOL,
@@ -77,15 +77,15 @@ def _measurement_doc(ensemble: StateEnsemble, measurement: Measurement) -> dict:
         "p": encode_real_vector(measurement.probs),
         "detection_probability": detection_probability(ensemble, measurement),
         "inconclusive_probability": inconclusive_probability(ensemble, measurement),
-        "operators": [encode_matrix(op) for op in measurement.operators],
-        "inconclusive_operator": encode_matrix(measurement.inconclusive),
+        "operators": encode_complex(measurement.operators),
+        "inconclusive_operator": encode_complex(measurement.inconclusive),
     }
 
 
 def _solve_doc(report: SolveReport) -> dict:
     return {
         "p": encode_real_vector(report.p),
-        "X": encode_matrix(report.certificate.X),
+        "X": encode_complex(report.certificate.X),
         "z": encode_real_vector(report.certificate.z),
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
@@ -278,7 +278,7 @@ def _symmetric_doc(sol: sym_mod.SymmetricSolution) -> dict:
     doc = {
         "verdict": sol.verdict.value,
         "p": sol.p,
-        "reciprocal_generators": encode_matrix(sol.reciprocal_generators),
+        "reciprocal_generators": encode_complex(sol.reciprocal_generators),
     }
     if sol.optimality.a_t is not None:
         doc["a_t"] = encode_real_vector(sol.optimality.a_t)
@@ -326,12 +326,9 @@ def _run_symmetric(args, kind: str) -> int:
 
 def cmd_group_verify(args) -> int:
     doc_in = read_document(args.file)
-    if "group" not in doc_in or not isinstance(doc_in["group"], list):
+    if "group" not in doc_in:
         raise ValidationError("document needs a 'group' field listing matrices")
-    mats = [
-        decode_matrix(mat, where=f"group[{i}]") for i, mat in enumerate(doc_in["group"])
-    ]
-    group = sym_mod.UnitaryGroup(np.array(mats))
+    group = sym_mod.decode_group(doc_in["group"])
     report = sym_mod.verify_group(group)
     doc = {
         "input": {"order": group.order, "dim": group.dim},

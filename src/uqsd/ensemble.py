@@ -22,7 +22,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import LinearDependenceError, ValidationError
-from .formats import decode_vector, read_document
+from .formats import decode_complex, encode_complex, encode_real_vector, read_document
 
 UNIT_NORM_TOL = 1e-9
 RENORMALIZE_TOL = 1e-6
@@ -162,6 +162,15 @@ class Measurement:
         return self.operators.shape[0]
 
 
+def _count(doc: Mapping[str, Any], key: str) -> int:
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"field {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
 def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
     """Load and validate an ensemble document.
 
@@ -175,22 +184,14 @@ def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
     for key in ("r", "m", "states"):
         if key not in doc:
             raise ValidationError(f"ensemble document is missing field {key!r}")
-    try:
-        r = int(doc["r"])
-        m = int(doc["m"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("fields 'r' and 'm' must be integers") from exc
-    if r < 1 or m < 1:
-        raise ValidationError(f"fields 'r' and 'm' must be positive, got r={r}, m={m}")
-    cols = doc["states"]
-    if not isinstance(cols, list) or len(cols) != m:
-        raise ValidationError(f"'states' must list exactly m={m} columns")
-    states = np.zeros((r, m), dtype=complex)
-    for i, col in enumerate(cols):
-        v = decode_vector(col, where=f"states[{i}]")
-        if v.shape[0] != r:
-            raise ValidationError(f"states[{i}] has {v.shape[0]} entries, expected r={r}")
-        states[:, i] = v
+    r, m = _count(doc, "r"), _count(doc, "m")
+    states = decode_complex(doc["states"], 2, "states")
+    if states.shape != (m, r):
+        raise ValidationError(
+            f"'states' lists {states.shape[0]} columns of {states.shape[1]} entries, "
+            f"but the document declares m={m}, r={r}"
+        )
+    states = np.ascontiguousarray(states.T)
     norms = np.linalg.norm(states, axis=0)
     if np.min(norms) == 0.0 or np.max(np.abs(norms - 1.0)) > RENORMALIZE_TOL:
         raise ValidationError(
@@ -212,12 +213,10 @@ def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
 
 def dump_ensemble(ensemble: StateEnsemble) -> dict[str, Any]:
     """Serialize an ensemble back to its document form."""
-    from .formats import encode_real_vector, encode_vector
-
     return {
         "r": ensemble.r,
         "m": ensemble.m,
-        "states": [encode_vector(ensemble.states[:, i]) for i in range(ensemble.m)],
+        "states": encode_complex(ensemble.states.T),
         "priors": encode_real_vector(ensemble.priors),
     }
 

@@ -157,14 +157,7 @@ def epm_test_lp(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOptimality
     """
     analysis = epm_analysis(recips)
     if analysis.s == 1:
-        exact = epm_test_nondegenerate(ensemble, recips)
-        if exact.verdict is EpmVerdict.NOT_OPTIMAL:
-            return EpmOptimalityResult(
-                verdict=EpmVerdict.NOT_OPTIMAL,
-                last_row=exact.last_row,
-                residual=exact.residual,
-            )
-        return exact
+        return epm_test_nondegenerate(ensemble, recips)
 
     # scipy.optimize costs most of the package's import time and only this
     # case needs it.

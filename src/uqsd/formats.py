@@ -1,8 +1,11 @@
-"""JSON-compatible encoding of complex vectors and matrices.
+"""JSON-compatible encoding of complex arrays.
 
 Complex scalars are serialized as ``[re, im]`` pairs so that documents stay
-unambiguous and language neutral. Vectors are lists of pairs; matrices are
-lists of rows of pairs.
+unambiguous and language neutral. An array of any rank is the nested list
+of its entries with one trailing pair axis: a vector of length n is n
+pairs, an (n1, n2) matrix is n1 rows of n2 pairs, and so on. Whole arrays
+are decoded and encoded in one numpy call; bare numbers in place of pairs,
+ragged nesting, empty axes and non-finite entries are rejected.
 """
 
 from __future__ import annotations
@@ -16,46 +19,37 @@ import numpy as np
 from .errors import ValidationError
 
 
-def complex_pair(x: complex) -> list[float]:
-    return [float(np.real(x)), float(np.imag(x))]
-
-
-def encode_vector(v: np.ndarray) -> list[list[float]]:
-    return [complex_pair(x) for x in np.asarray(v).ravel()]
-
-
-def encode_matrix(a: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_pair(x) for x in row] for row in np.asarray(a)]
+def encode_complex(a: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs, one pair per entry of ``a``."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def encode_real_vector(v: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(v, dtype=float).ravel()]
+    return np.asarray(v, dtype=float).ravel().tolist()
 
 
-def decode_scalar(obj: Any, where: str = "scalar") -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        re, im = obj
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
-    raise ValidationError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
+def decode_complex(obj: Any, ndim: int, where: str) -> np.ndarray:
+    """Decode ``[re, im]`` pairs into a complex array with ``ndim`` axes.
 
-
-def decode_vector(obj: Any, where: str = "vector") -> np.ndarray:
-    if not isinstance(obj, (list, tuple)):
-        raise ValidationError(f"{where}: expected a list of [re, im] pairs")
-    return np.array([decode_scalar(x, where) for x in obj], dtype=complex)
-
-
-def decode_matrix(obj: Any, where: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise ValidationError(f"{where}: expected a non-empty list of rows")
-    rows = [decode_vector(row, where) for row in obj]
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise ValidationError(f"{where}: rows have inconsistent lengths {sorted(lengths)}")
-    return np.array(rows, dtype=complex)
+    ``obj`` must be a rectangular nested list of real numbers whose shape is
+    ``ndim`` non-empty data axes followed by a pair axis of length 2, with
+    only finite entries. Anything else raises ``ValidationError`` naming
+    ``where`` and what it got.
+    """
+    expected = f"{where}: expected a {ndim}-axis array of [re, im] pairs"
+    try:
+        a = np.asarray(obj)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{expected}, got a ragged or too deeply nested list") from None
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{expected}, got entries that are not real numbers")
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
+        raise ValidationError(f"{expected}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{where}: entries must be finite")
+    # Each [re, im] pair is exactly one complex128 in memory.
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def read_document(source: str | Path | Mapping[str, Any]) -> dict[str, Any]:
@@ -69,7 +63,7 @@ def read_document(source: str | Path | Mapping[str, Any]) -> dict[str, Any]:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top-level document must be an object")

@@ -45,6 +45,9 @@ SCALAR_TOL = 1e-7
 SLACK_OPERATOR_TARGET = 5e-7
 SLACK_SCALAR_TARGET = 5e-9
 
+# Fraction of the distance to the cone boundary taken by each step.
+STEP_FRACTION = 0.99
+
 
 class SolveStatus(str, Enum):
     OPTIMAL = "Optimal"
@@ -54,19 +57,16 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Interior-point controls: gap tolerance, iteration cap, step fraction."""
+    """Interior-point controls: gap tolerance and iteration cap."""
 
     tol_gap: float = 1e-8
     max_iters: int = 100
-    step_fraction: float = 0.99
 
     def __post_init__(self):
         if not (0.0 < self.tol_gap < 1.0):
             raise ValidationError("tol_gap must lie in (0, 1)")
         if not (1 <= self.max_iters <= 100_000):
             raise ValidationError("max_iters must lie in [1, 100000]")
-        if not (0.5 <= self.step_fraction < 1.0):
-            raise ValidationError("step_fraction must lie in [0.5, 1)")
 
 
 @dataclass(frozen=True)
@@ -442,9 +442,8 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         rc = sigma * mu - p * z - dp_a * dz_a
 
         dp, ds, dx, dz = newton(k_mat, rc)
-        frac = opts.step_fraction
-        ap = min(1.0, frac * min(_max_step_psd(chol_s, ds), _max_step_vec(p, dp)))
-        ad = min(1.0, frac * min(_max_step_psd(chol_x, dx), _max_step_vec(z, dz)))
+        ap = min(1.0, STEP_FRACTION * min(_max_step_psd(chol_s, ds), _max_step_vec(p, dp)))
+        ad = min(1.0, STEP_FRACTION * min(_max_step_psd(chol_x, dx), _max_step_vec(z, dz)))
 
         p = p + ap * dp
         x_mat = x_mat + ad * dx

@@ -17,7 +17,7 @@ checked numerically by nearest-element search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,20 +31,18 @@ from .ensemble import (
 from .epm import (
     EpmOptimalityResult,
     EpmVerdict,
-    epm_analysis,
     epm_certificate,
     epm_test_lp,
-    gram_power,
+    epm_test_spectral,
 )
 from .errors import LinearDependenceError, ValidationError
-from .formats import decode_matrix, decode_vector, read_document
+from .formats import decode_complex, read_document
 from .solver import DualCertificate
 
 UNITARITY_TOL = 1e-10
 GROUP_MATCH_TOL = 1e-8
 PHASE_TOL = 1e-8
 ORBIT_TOL = 1e-8
-GENERATOR_SPREAD_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,10 @@ class UnitaryGroup:
 
     def __post_init__(self):
         el = np.asarray(self.elements, dtype=complex)
-        if el.ndim != 3 or el.shape[1] != el.shape[2]:
-            raise ValidationError("group elements must be square matrices of equal size")
+        if el.ndim != 3 or el.shape[1] != el.shape[2] or 0 in el.shape:
+            raise ValidationError("group must list non-empty square matrices of equal size")
+        if not np.all(np.isfinite(el)):
+            raise ValidationError("group elements contain non-finite entries")
         d = el.shape[1]
         eye = np.eye(d)
         worst = max(
@@ -131,6 +131,8 @@ class SymmetrySpec:
         gens = np.asarray(self.generators, dtype=complex)
         if gens.ndim == 1:
             gens = gens[:, None]
+        if not np.all(np.isfinite(gens)):
+            raise ValidationError("generating vectors contain non-finite entries")
         if gens.shape[0] != self.group.dim:
             raise ValidationError(
                 f"generators live in dimension {gens.shape[0]} but the group "
@@ -309,33 +311,10 @@ def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
     )
 
 
-def _generator_moment_check(
-    spec: SymmetrySpec, ensemble: StateEnsemble, recips
-) -> tuple[bool, np.ndarray | None, float]:
-    """Constancy of frame-operator moments across the generating vectors.
-
-    Checked over generators only; group covariance lifts the identity to
-    every state of the expanded set.
-    """
-    analysis = epm_analysis(recips)
-    gens = spec.generators
-    moments = np.zeros((analysis.q, spec.n_generators))
-    for t in range(1, analysis.q + 1):
-        power = gram_power(recips, t / 2.0 - 1.0)
-        moments[t - 1] = np.einsum("ri,rs,si->i", gens.conj(), power, gens).real
-    spreads = moments.max(axis=1) - moments.min(axis=1)
-    scale = np.maximum(np.max(np.abs(moments), axis=1), 1e-300)
-    residual = float(np.max(spreads / scale))
-    if residual <= GENERATOR_SPREAD_RTOL:
-        return True, moments.mean(axis=1), residual
-    return False, None, residual
-
-
 def _epm_solution(
     spec: SymmetrySpec,
     ensemble: StateEnsemble,
     recips: ReciprocalSet,
-    verdict: EpmVerdict,
     optimality: EpmOptimalityResult,
     phase: PhaseCommutation | None,
 ) -> SymmetricSolution:
@@ -346,21 +325,14 @@ def _epm_solution(
     witness = epm_test_lp(ensemble, recips)
     if witness.b is not None:
         certificate = epm_certificate(recips, witness.b)
-        if optimality.b is None:
-            optimality = EpmOptimalityResult(
-                verdict=optimality.verdict,
-                b=witness.b,
-                a_t=optimality.a_t,
-                last_row=optimality.last_row,
-                residual=optimality.residual,
-            )
+        optimality = replace(optimality, b=witness.b)
     return SymmetricSolution(
         ensemble=ensemble,
         recips=recips,
         reciprocal_generators=gens,
         measurement=measurement,
         p=p,
-        verdict=verdict,
+        verdict=optimality.verdict,
         certificate=certificate,
         optimality=optimality,
         phase=phase,
@@ -373,35 +345,33 @@ def solve_gu(spec: SymmetrySpec) -> SymmetricSolution:
         raise ValidationError("spec has multiple generators; use solve_cgu")
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
-    ok, a_t, residual = _generator_moment_check(spec, ensemble, recips)
-    optimality = EpmOptimalityResult(
-        verdict=EpmVerdict.OPTIMAL, a_t=a_t, residual=residual
-    )
-    return _epm_solution(spec, ensemble, recips, EpmVerdict.OPTIMAL, optimality, None)
+    optimality = replace(epm_test_spectral(ensemble, recips), verdict=EpmVerdict.OPTIMAL)
+    return _epm_solution(spec, ensemble, recips, optimality, None)
 
 
 def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
     """EPM for a CGU set with an optimality verdict.
 
-    Optimal when the generator moments are constant, or when the
-    generators are themselves GU under a group commuting with the outer
-    group up to phases. Otherwise the sufficient machinery is silent and
-    the verdict is inconclusive; callers can fall back to the SDP solver.
+    Optimal when the spectral test (frame-operator moments proportional to
+    the priors) passes, or when the generators are themselves GU under a
+    group commuting with the outer group up to phases. Otherwise the
+    sufficient machinery is silent and the verdict is inconclusive; callers
+    can fall back to the SDP solver.
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
-    ok, a_t, residual = _generator_moment_check(spec, ensemble, recips)
+    optimality = epm_test_spectral(ensemble, recips)
     phase = None
     if spec.generator_group is not None:
         phase = check_commute_phase(spec.group, spec.generator_group)
-    if ok:
-        verdict = EpmVerdict.OPTIMAL
-    elif phase is not None and phase.commutes:
-        verdict = EpmVerdict.OPTIMAL
-    else:
-        verdict = EpmVerdict.INCONCLUSIVE
-    optimality = EpmOptimalityResult(verdict=verdict, a_t=a_t, residual=residual)
-    return _epm_solution(spec, ensemble, recips, verdict, optimality, phase)
+        if phase.commutes:
+            optimality = replace(optimality, verdict=EpmVerdict.OPTIMAL)
+    return _epm_solution(spec, ensemble, recips, optimality, phase)
+
+
+def decode_group(obj, where: str = "group") -> UnitaryGroup:
+    """Decode a document's list of group matrices (l x d x d ``[re, im]`` pairs)."""
+    return UnitaryGroup(decode_complex(obj, 3, where))
 
 
 def load_symmetry_spec(source) -> SymmetrySpec:
@@ -409,33 +379,21 @@ def load_symmetry_spec(source) -> SymmetrySpec:
     doc = read_document(source)
     if "group" not in doc or "generators" not in doc:
         raise ValidationError("symmetry document needs 'group' and 'generators' fields")
-    if not isinstance(doc["group"], list) or not doc["group"]:
-        raise ValidationError("'group' must be a non-empty list of matrices")
-    mats = [decode_matrix(mat, where=f"group[{i}]") for i, mat in enumerate(doc["group"])]
-    group = UnitaryGroup(np.array(mats))
-    if not isinstance(doc["generators"], list) or not doc["generators"]:
-        raise ValidationError("'generators' must be a non-empty list of vectors")
-    gens = []
-    for i, vec in enumerate(doc["generators"]):
-        gen = decode_vector(vec, where=f"generators[{i}]")
-        if gen.shape[0] != group.dim:
-            raise ValidationError(
-                f"generators[{i}] has {gen.shape[0]} entries, but the group acts "
-                f"on dimension {group.dim}"
-            )
-        gens.append(gen)
-    generators = np.column_stack(gens)
+    group = decode_group(doc["group"])
+    gens = decode_complex(doc["generators"], 2, "generators")
+    if gens.shape[1] != group.dim:
+        raise ValidationError(
+            f"generators have {gens.shape[1]} entries, but the group acts "
+            f"on dimension {group.dim}"
+        )
+    generators = np.ascontiguousarray(gens.T)
     norms = np.linalg.norm(generators, axis=0)
     if np.min(norms) == 0.0 or np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValidationError("generator vectors must be unit norm within 1e-6")
     generators = generators / norms
     generator_group = None
     if doc.get("generator_group") is not None:
-        qmats = [
-            decode_matrix(mat, where=f"generator_group[{i}]")
-            for i, mat in enumerate(doc["generator_group"])
-        ]
-        generator_group = UnitaryGroup(np.array(qmats))
+        generator_group = decode_group(doc["generator_group"], "generator_group")
     return SymmetrySpec(
         group=group, generators=generators, generator_group=generator_group
     )
@@ -454,5 +412,6 @@ __all__ = [
     "check_commute_phase",
     "solve_gu",
     "solve_cgu",
+    "decode_group",
     "load_symmetry_spec",
 ]

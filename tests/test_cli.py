@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uqsd.cli import main
-from uqsd.formats import encode_matrix, encode_vector
+from uqsd.formats import encode_complex
 
 from helpers import (
     sign_group_elements,
@@ -19,7 +25,7 @@ def three_states_file(tmp_path):
     doc = {
         "r": 3,
         "m": 3,
-        "states": [encode_vector(states[:, i]) for i in range(3)],
+        "states": [encode_complex(states[:, i]) for i in range(3)],
     }
     path = tmp_path / "three.json"
     path.write_text(json.dumps(doc))
@@ -33,7 +39,7 @@ def weighted_file(tmp_path):
     doc = {
         "r": 3,
         "m": 3,
-        "states": [encode_vector(states[:, i]) for i in range(3)],
+        "states": [encode_complex(states[:, i]) for i in range(3)],
         "priors": list(np.abs(vh[-1, :]) ** 2),
     }
     path = tmp_path / "weighted.json"
@@ -44,8 +50,8 @@ def weighted_file(tmp_path):
 @pytest.fixture()
 def gu_spec_file(tmp_path):
     doc = {
-        "group": [encode_matrix(u) for u in sign_group_elements()],
-        "generators": [encode_vector(sign_group_generator())],
+        "group": [encode_complex(u) for u in sign_group_elements()],
+        "generators": [encode_complex(sign_group_generator())],
     }
     path = tmp_path / "gu.json"
     path.write_text(json.dumps(doc))
@@ -83,8 +89,8 @@ class TestSolveCommand:
         doc = {
             "r": 2,
             "m": 2,
-            "states": [encode_vector(np.array([1.0, 0.0])),
-                       encode_vector(np.array([0.0, 1.0]))],
+            "states": [encode_complex(np.array([1.0, 0.0])),
+                       encode_complex(np.array([0.0, 1.0]))],
         }
         path = tmp_path / "ortho.json"
         path.write_text(json.dumps(doc))
@@ -123,8 +129,9 @@ class TestSolveCommand:
         assert main(["solve", three_states_file]) == 4
 
 
-TWO_STATES = [encode_vector(np.array([1.0, 0.0])), encode_vector(np.array([0.6, 0.8]))]
-SIGN_GROUP = [encode_matrix(u) for u in sign_group_elements()]
+TWO_STATES = [encode_complex(np.array([1.0, 0.0])), encode_complex(np.array([0.6, 0.8]))]
+SIGN_GROUP = [encode_complex(u) for u in sign_group_elements()]
+MIXED_SIZE_GROUP = [encode_complex(np.eye(2)), encode_complex(np.eye(3))]
 
 
 @pytest.mark.parametrize(
@@ -135,9 +142,20 @@ SIGN_GROUP = [encode_matrix(u) for u in sign_group_elements()]
         (["solve"], {"r": -2, "m": 2, "states": TWO_STATES}),
         (["gu"], {"group": SIGN_GROUP, "generators": []}),
         (["gu"], {"group": SIGN_GROUP, "generators": [
-            encode_vector(sign_group_generator()), encode_vector(np.ones(3) / np.sqrt(3))
+            encode_complex(sign_group_generator()), encode_complex(np.ones(3) / np.sqrt(3))
         ]}),
         (["simulate", "--seed", "-1"], {"r": 2, "m": 2, "states": TWO_STATES}),
+        (["gu"], {"group": MIXED_SIZE_GROUP, "generators": [[[1.0, 0.0], [0.0, 0.0]]]}),
+        (["group-verify"], {"group": MIXED_SIZE_GROUP}),
+        (["gu"], {"group": SIGN_GROUP, "generators": [encode_complex(sign_group_generator())],
+                  "generator_group": 5}),
+        (["solve"], {"r": 10**12, "m": 2, "states": TWO_STATES}),
+        (["solve"], {"r": 2.7, "m": 2, "states": TWO_STATES}),
+        (["solve"], {"r": 2, "m": 2, "states": [[1.0, 0.0], [0.6, 0.8]]}),
+        (["solve"], {"r": 2, "m": 2, "states": [[[1.0, 0.0], [0.0, 0.0]],
+                                                 [[0.6, 0.0], [float("nan"), 0.0]]]}),
+        (["gu"], {"group": [encode_complex(np.full((3, 3), np.nan))],
+                  "generators": [encode_complex(sign_group_generator())]}),
     ],
     ids=[
         "non-numeric-priors",
@@ -146,6 +164,14 @@ SIGN_GROUP = [encode_matrix(u) for u in sign_group_elements()]
         "empty-generators",
         "ragged-generators",
         "negative-seed",
+        "mixed-size-group-gu",
+        "mixed-size-group-verify",
+        "scalar-generator-group",
+        "huge-r",
+        "non-integral-r",
+        "bare-number-states",
+        "nan-states",
+        "nan-group",
     ],
 )
 def test_hostile_documents_exit_2(tmp_path, capsys, argv, doc):
@@ -153,6 +179,85 @@ def test_hostile_documents_exit_2(tmp_path, capsys, argv, doc):
     path.write_text(json.dumps(doc))
     assert main([*argv, str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_document_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"r": 2, "m": 2, "states": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["solve", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))}
+SUBCOMMANDS = [
+    ["solve"],
+    ["epm"],
+    ["epm", "--gu"],
+    ["gu"],
+    ["cgu"],
+    ["group-verify"],
+    *(["simulate", "--pipeline", kind, "--trials", "200"] for kind in ("sdp", "epm", "gu", "cgu")),
+]
+FIELDS = ["r", "m", "states", "priors", "group", "generators", "generator_group"]
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=10**13),
+    st.floats(),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+    st.lists(st.floats(min_value=-2, max_value=2), max_size=3),
+)
+
+
+def mutate(data, doc):
+    """Apply one drop/retype/reshape/duplicate edit at a random node of ``doc``."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        break
+    op = data.draw(st.sampled_from(["drop", "retype", "wrap", "unwrap", "duplicate"]))
+    if op == "drop":
+        del node[key]
+    elif op == "retype":
+        node[key] = data.draw(JUNK)
+    elif op == "wrap":
+        node[key] = [child]
+    elif op == "unwrap" and isinstance(child, list) and child:
+        node[key] = child[0]
+    elif op == "duplicate" and isinstance(node, list):
+        node.insert(key, copy.deepcopy(child))
+    elif op == "duplicate":
+        node[data.draw(st.sampled_from(FIELDS))] = copy.deepcopy(child)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_bundled_documents_never_raise(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(BUNDLED)))
+    doc = copy.deepcopy(BUNDLED[name])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        mutate(data, doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    for argv in SUBCOMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, str(path), "--json"])
+        assert code in (0, 2, 3, 4), (argv, doc)
 
 
 class TestEpmCommand:
@@ -207,8 +312,8 @@ class TestSymmetryCommands:
             g = rng.normal(size=4) + 1j * rng.normal(size=4)
             gens.append(g / np.linalg.norm(g))
         doc = {
-            "group": [encode_matrix(np.eye(4)), encode_matrix(outer)],
-            "generators": [encode_vector(g) for g in gens],
+            "group": [encode_complex(np.eye(4)), encode_complex(outer)],
+            "generators": [encode_complex(g) for g in gens],
         }
         path = tmp_path / "cgu.json"
         path.write_text(json.dumps(doc))
@@ -229,8 +334,8 @@ class TestSymmetryCommands:
         rot = np.array(
             [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
         )
-        doc = {"group": [encode_matrix(np.eye(2)), encode_matrix(rot)],
-               "generators": [encode_vector(np.array([1.0, 0.0]))]}
+        doc = {"group": [encode_complex(np.eye(2)), encode_complex(rot)],
+               "generators": [encode_complex(np.array([1.0, 0.0]))]}
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         assert main(["group-verify", str(path)]) == 2

@@ -15,7 +15,7 @@ from uqsd import (
     measurement_from_probs,
     reciprocal_states,
 )
-from uqsd.formats import encode_vector
+from uqsd.formats import encode_complex
 
 from helpers import random_ensemble, three_state_matrix
 
@@ -35,7 +35,7 @@ def ensemble_doc(states, priors=None):
     doc = {
         "r": states.shape[0],
         "m": states.shape[1],
-        "states": [encode_vector(states[:, i]) for i in range(states.shape[1])],
+        "states": [encode_complex(states[:, i]) for i in range(states.shape[1])],
     }
     if priors is not None:
         doc["priors"] = list(priors)

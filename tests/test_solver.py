@@ -179,8 +179,6 @@ class TestSolve:
             SolverOptions(tol_gap=0.0)
         with pytest.raises(ValidationError):
             SolverOptions(max_iters=0)
-        with pytest.raises(ValidationError):
-            SolverOptions(step_fraction=1.5)
 
 
 class TestVerifyCertificate:

@@ -11,6 +11,7 @@ from uqsd import (
     check_commute_phase,
     cgu_reciprocal_generators,
     detection_probability,
+    epm_test_spectral,
     expand,
     gu_reciprocal_generator,
     load_symmetry_spec,
@@ -60,6 +61,14 @@ class TestUnitaryGroup:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError, match="unitary"):
             UnitaryGroup(np.array([np.eye(2), 2 * np.eye(2)], dtype=complex))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            UnitaryGroup(np.zeros((0, 2, 2), dtype=complex))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            UnitaryGroup(np.full((2, 2, 2), np.nan))
 
     def test_cyclic_order_detection(self):
         group = UnitaryGroup.cyclic(cyclic_shift(5))
@@ -203,6 +212,11 @@ class TestSolveGu:
         ver = verify_certificate(sol.ensemble, rs, sol.measurement.probs, sol.certificate)
         assert ver.passed
         assert np.max(np.abs(ver.detail["trace_products"] - 0.25)) <= 1e-6
+
+    def test_moments_match_spectral_test(self, sign_group_spec):
+        sol = solve_gu(sign_group_spec)
+        spectral = epm_test_spectral(expand(sign_group_spec))
+        assert np.array_equal(sol.optimality.a_t, spectral.a_t)
 
     def test_orthonormal_orbit(self):
         group = UnitaryGroup.cyclic(cyclic_shift(4))
@@ -356,11 +370,11 @@ class TestSpecLoading:
     def test_roundtrip_document(self, sign_group_spec, tmp_path):
         import json
 
-        from uqsd.formats import encode_matrix, encode_vector
+        from uqsd.formats import encode_complex
 
         doc = {
-            "group": [encode_matrix(u) for u in sign_group_spec.group.elements],
-            "generators": [encode_vector(sign_group_spec.generators[:, 0])],
+            "group": [encode_complex(u) for u in sign_group_spec.group.elements],
+            "generators": [encode_complex(sign_group_spec.generators[:, 0])],
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
@@ -374,6 +388,11 @@ class TestSpecLoading:
         bad = np.column_stack([base, np.roll(base, 1)])
         with pytest.raises(ValidationError, match="orbit"):
             SymmetrySpec(group=outer, generators=bad, generator_group=inner)
+
+    def test_non_finite_generators_rejected(self):
+        group = UnitaryGroup(np.array([np.eye(2, dtype=complex)]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            SymmetrySpec(group=group, generators=np.array([np.nan, 0.0]))
 
     def test_missing_fields(self):
         with pytest.raises(ValidationError, match="generators"):
