@@ -52,9 +52,7 @@ from .symmetry import (
     SymmetrySpec,
     UnitaryGroup,
     check_commute_phase,
-    cgu_reciprocal_generators,
     expand,
-    gu_reciprocal_generator,
     load_symmetry_spec,
     solve_cgu,
     solve_gu,
@@ -101,8 +99,6 @@ __all__ = [
     "PhaseCommutation",
     "verify_group",
     "expand",
-    "gu_reciprocal_generator",
-    "cgu_reciprocal_generators",
     "check_commute_phase",
     "solve_gu",
     "solve_cgu",

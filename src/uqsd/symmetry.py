@@ -12,7 +12,9 @@ moments, in particular whenever the generators are themselves GU under a
 group that commutes with the outer group up to phases.
 
 Groups are supplied explicitly as matrices; closure and inverses are
-checked numerically by nearest-element search.
+checked numerically by nearest-element search, one row of the
+multiplication table at a time. Every group action on vectors is one
+batched product of the element stack with the vectors.
 """
 
 from __future__ import annotations
@@ -21,16 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import (
-    Measurement,
-    ReciprocalSet,
-    StateEnsemble,
-    measurement_from_probs,
-    reciprocal_states,
-)
+from .ensemble import Measurement, ReciprocalSet, StateEnsemble, reciprocal_states
 from .epm import (
     EpmOptimalityResult,
     EpmVerdict,
+    compute_epm,
     epm_certificate,
     epm_test_lp,
     epm_test_spectral,
@@ -45,6 +42,34 @@ PHASE_TOL = 1e-8
 ORBIT_TOL = 1e-8
 
 
+def _unitarity_residual(el: np.ndarray) -> float:
+    """Largest Frobenius norm of U^H U - I over a stack of matrices."""
+    gram = el.conj().transpose(0, 2, 1) @ el
+    return float(np.max(np.linalg.norm(gram - np.eye(el.shape[1]), axis=(1, 2))))
+
+
+def _nearest_residual(mats: np.ndarray, flat: np.ndarray) -> float:
+    """Largest distance from a stack of matrices to their nearest group elements.
+
+    ``flat`` holds the group elements as rows of length d^2.
+    """
+    mats = mats.reshape(mats.shape[0], -1)
+    # Nearest elements located by inner-product overlap (max overlap is the
+    # min distance for unitaries); the residual itself is then computed
+    # elementwise, since 2d - 2 Re<A,B> cancels catastrophically near zero.
+    nearest = np.argmax((mats @ flat.conj().T).real, axis=1)
+    return float(np.max(np.linalg.norm(mats - flat[nearest], axis=1)))
+
+
+def _orbit(elements: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Images of each column under each element, in generator-major order.
+
+    Column ``k * l + i`` is ``elements[i] @ vectors[:, k]``.
+    """
+    images = elements @ vectors
+    return images.transpose(1, 2, 0).reshape(vectors.shape[0], -1)
+
+
 @dataclass(frozen=True)
 class UnitaryGroup:
     """Explicit list of unitary matrices, conventionally starting with I."""
@@ -57,11 +82,7 @@ class UnitaryGroup:
             raise ValidationError("group must list non-empty square matrices of equal size")
         if not np.all(np.isfinite(el)):
             raise ValidationError("group elements contain non-finite entries")
-        d = el.shape[1]
-        eye = np.eye(d)
-        worst = max(
-            float(np.linalg.norm(u.conj().T @ u - eye)) for u in el
-        )
+        worst = _unitarity_residual(el)
         if worst > UNITARITY_TOL:
             raise ValidationError(
                 f"group elements must be unitary within {UNITARITY_TOL:g} "
@@ -131,6 +152,8 @@ class SymmetrySpec:
         gens = np.asarray(self.generators, dtype=complex)
         if gens.ndim == 1:
             gens = gens[:, None]
+        if gens.ndim != 2 or gens.shape[1] == 0:
+            raise ValidationError("generators must be a non-empty (d, k) array of columns")
         if not np.all(np.isfinite(gens)):
             raise ValidationError("generating vectors contain non-finite entries")
         if gens.shape[0] != self.group.dim:
@@ -148,8 +171,7 @@ class SymmetrySpec:
                     "generator group must act on the same space with one "
                     "element per generator"
                 )
-            orbit = np.column_stack([q.elements[k] @ gens[:, 0] for k in range(q.order)])
-            if np.max(np.abs(orbit - gens)) > ORBIT_TOL:
+            if np.max(np.abs(_orbit(q.elements, gens[:, :1]) - gens)) > ORBIT_TOL:
                 raise ValidationError(
                     "generators are not the orbit of the first generator "
                     "under the generator group"
@@ -171,6 +193,8 @@ class SymmetricSolution:
 
     ``recips`` is the reciprocal set of ``ensemble``, computed once per
     pipeline and kept for callers that verify the certificate.
+    ``reciprocal_generators`` holds one column per generator; their orbit
+    under the group is the reciprocal set.
     """
 
     ensemble: StateEnsemble
@@ -185,27 +209,17 @@ class SymmetricSolution:
 
 
 def verify_group(group: UnitaryGroup) -> GroupReport:
-    """Residuals of the group axioms under nearest-element matching."""
-    el = group.elements
-    l, d = group.order, group.dim
-    eye = np.eye(d)
-    unitarity = max(float(np.linalg.norm(u.conj().T @ u - eye)) for u in el)
-    identity = min(float(np.linalg.norm(u - eye)) for u in el)
+    """Residuals of the group axioms under nearest-element matching.
 
-    # Nearest elements located by inner-product overlap (max overlap is the
-    # min distance for unitaries); the residual itself is then computed
-    # elementwise, since 2d - 2 Re<A,B> cancels catastrophically near zero.
-    flat = el.reshape(l, d * d)
-    prods = np.einsum("iab,jbc->ijac", el, el).reshape(l * l, d * d)
-    nearest = np.argmax((prods @ flat.conj().T).real, axis=1)
-    closure = float(
-        np.max(np.linalg.norm(prods - flat[nearest], axis=1))
-    )
-    inv_flat = el.conj().transpose(0, 2, 1).reshape(l, d * d)
-    nearest_inv = np.argmax((inv_flat @ flat.conj().T).real, axis=1)
-    inverses = float(
-        np.max(np.linalg.norm(inv_flat - flat[nearest_inv], axis=1))
-    )
+    Products are formed one row ``U_i G`` at a time, so memory stays a small
+    multiple of the group itself.
+    """
+    el = group.elements
+    flat = el.reshape(group.order, -1)
+    unitarity = _unitarity_residual(el)
+    identity = _nearest_residual(np.eye(group.dim)[None], flat)
+    closure = max(_nearest_residual(u @ el, flat) for u in el)
+    inverses = _nearest_residual(el.conj().transpose(0, 2, 1), flat)
     passed = (
         unitarity <= UNITARITY_TOL
         and identity <= GROUP_MATCH_TOL
@@ -234,12 +248,7 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
             "group axioms fail (closure residual "
             f"{report.closure:.3e}, inverse residual {report.inverses:.3e})"
         )
-    cols = []
-    for k in range(spec.n_generators):
-        gen = spec.generators[:, k]
-        for u in spec.group.elements:
-            cols.append(u @ gen)
-    states = np.column_stack(cols)
+    states = _orbit(spec.group.elements, spec.generators)
     # Unitary images of unit vectors; rescale away rounding drift.
     states = states / np.linalg.norm(states, axis=0)
     m = states.shape[1]
@@ -252,35 +261,9 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
         ) from None
 
 
-def _orbit_residual(spec: SymmetrySpec, generators: np.ndarray, recips) -> float:
-    cols = []
-    for k in range(generators.shape[1]):
-        for u in spec.group.elements:
-            cols.append(u @ generators[:, k])
-    return float(np.max(np.abs(np.column_stack(cols) - recips.reciprocals)))
-
-
-def gu_reciprocal_generator(spec: SymmetrySpec, ensemble: StateEnsemble) -> np.ndarray:
-    """Reciprocal generating vector of a GU set.
-
-    The frame operator commutes with the group, so the pseudo-inverse of
-    the frame applied to the generator reproduces the whole reciprocal set
-    through the orbit. The orbit property is verified against the direct
-    dual-basis computation.
-    """
-    if not spec.is_gu:
-        raise ValidationError("spec has multiple generators; use cgu_reciprocal_generators")
-    return cgu_reciprocal_generators(spec, ensemble)[:, 0]
-
-
-def cgu_reciprocal_generators(spec: SymmetrySpec, ensemble: StateEnsemble) -> np.ndarray:
-    """Reciprocal generators of a CGU set, one pseudo-inverse per generator."""
-    return _reciprocal_generators(spec, reciprocal_states(ensemble))
-
-
 def _reciprocal_generators(spec: SymmetrySpec, recips: ReciprocalSet) -> np.ndarray:
     gens = recips.gram_pinv @ spec.generators
-    residual = _orbit_residual(spec, gens, recips)
+    residual = float(np.max(np.abs(_orbit(spec.group.elements, gens) - recips.reciprocals)))
     if residual > ORBIT_TOL:
         raise ValidationError(
             f"reciprocal orbit deviates from the dual basis by {residual:.3e}; "
@@ -293,17 +276,17 @@ def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
     """Fit phases theta(i, k) with U_i V_k = V_k U_i e^{i theta} and report residuals."""
     if g.dim != q.dim:
         raise ValidationError("groups act on different dimensions")
-    d = g.dim
     theta = np.zeros((g.order, q.order))
     residual = 0.0
     for i, u in enumerate(g.elements):
-        for k, v in enumerate(q.elements):
-            lhs = u @ v
-            rhs = v @ u
-            overlap = np.trace(rhs.conj().T @ lhs) / d
-            ang = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
-            theta[i, k] = ang
-            residual = max(residual, float(np.linalg.norm(lhs - np.exp(1j * ang) * rhs)))
+        lhs = u @ q.elements
+        rhs = q.elements @ u
+        # Tr(rhs^H lhs) from the matrix product: the sign of a zero imaginary
+        # part, and with it theta = +pi or -pi, depends on the summation.
+        overlap = np.trace(rhs.conj().transpose(0, 2, 1) @ lhs, axis1=1, axis2=2) / g.dim
+        theta[i] = np.where(np.abs(overlap) > 0, np.angle(overlap), 0.0)
+        phased = np.exp(1j * theta[i])[:, None, None] * rhs
+        residual = max(residual, float(np.max(np.linalg.norm(lhs - phased, axis=(1, 2)))))
     commutes = residual <= PHASE_TOL
     phase_free = commutes and bool(np.max(np.abs(np.exp(1j * theta) - 1.0)) <= PHASE_TOL)
     return PhaseCommutation(
@@ -312,15 +295,20 @@ def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
 
 
 def _epm_solution(
-    spec: SymmetrySpec,
-    ensemble: StateEnsemble,
-    recips: ReciprocalSet,
-    optimality: EpmOptimalityResult,
-    phase: PhaseCommutation | None,
+    spec: SymmetrySpec, optimal: bool, phase: PhaseCommutation | None
 ) -> SymmetricSolution:
+    """The EPM of the expanded set, its spectral test and its LP witness.
+
+    ``optimal`` marks the verdict Optimal on symmetry grounds alone;
+    otherwise the spectral test's verdict stands.
+    """
+    ensemble = expand(spec)
+    recips = reciprocal_states(ensemble)
+    optimality = epm_test_spectral(ensemble, recips)
+    if optimal:
+        optimality = replace(optimality, verdict=EpmVerdict.OPTIMAL)
     gens = _reciprocal_generators(spec, recips)
-    p = float(recips.sigma[-1] ** 2)
-    measurement = measurement_from_probs(recips, np.full(ensemble.m, p))
+    measurement = compute_epm(ensemble, recips)
     certificate = None
     witness = epm_test_lp(ensemble, recips)
     if witness.b is not None:
@@ -331,7 +319,7 @@ def _epm_solution(
         recips=recips,
         reciprocal_generators=gens,
         measurement=measurement,
-        p=p,
+        p=float(recips.sigma[-1] ** 2),
         verdict=optimality.verdict,
         certificate=certificate,
         optimality=optimality,
@@ -343,10 +331,7 @@ def solve_gu(spec: SymmetrySpec) -> SymmetricSolution:
     """Optimal measurement for a GU set: always the EPM under uniform priors."""
     if not spec.is_gu:
         raise ValidationError("spec has multiple generators; use solve_cgu")
-    ensemble = expand(spec)
-    recips = reciprocal_states(ensemble)
-    optimality = replace(epm_test_spectral(ensemble, recips), verdict=EpmVerdict.OPTIMAL)
-    return _epm_solution(spec, ensemble, recips, optimality, None)
+    return _epm_solution(spec, True, None)
 
 
 def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
@@ -358,15 +343,10 @@ def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
     sufficient machinery is silent and the verdict is inconclusive; callers
     can fall back to the SDP solver.
     """
-    ensemble = expand(spec)
-    recips = reciprocal_states(ensemble)
-    optimality = epm_test_spectral(ensemble, recips)
     phase = None
     if spec.generator_group is not None:
         phase = check_commute_phase(spec.group, spec.generator_group)
-        if phase.commutes:
-            optimality = replace(optimality, verdict=EpmVerdict.OPTIMAL)
-    return _epm_solution(spec, ensemble, recips, optimality, phase)
+    return _epm_solution(spec, phase is not None and phase.commutes, phase)
 
 
 def decode_group(obj, where: str = "group") -> UnitaryGroup:
@@ -407,8 +387,6 @@ __all__ = [
     "SymmetricSolution",
     "verify_group",
     "expand",
-    "gu_reciprocal_generator",
-    "cgu_reciprocal_generators",
     "check_commute_phase",
     "solve_gu",
     "solve_cgu",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,9 @@ from uqsd import (
     ValidationError,
     build_sdp,
     check_commute_phase,
-    cgu_reciprocal_generators,
     detection_probability,
     epm_test_spectral,
     expand,
-    gu_reciprocal_generator,
     load_symmetry_spec,
     reciprocal_states,
     solve,
@@ -22,6 +22,7 @@ from uqsd import (
     verify_certificate,
     verify_group,
 )
+from uqsd.symmetry import GROUP_MATCH_TOL, UNITARITY_TOL
 
 from helpers import (
     cyclic_shift,
@@ -40,6 +41,28 @@ EXPECTED_SIGN_PHI = np.array(
         [3, -3, -3, 3],
     ]
 ) / (3 * np.sqrt(2))
+
+
+def brute_force_group_report(el):
+    """Group-axiom residuals from one product at a time, matched by distance."""
+    eye = np.eye(el.shape[1])
+
+    def nearest_distance(a):
+        return min(np.linalg.norm(a - b) for b in el)
+
+    unitarity = max(np.linalg.norm(u.conj().T @ u - eye) for u in el)
+    identity = nearest_distance(eye)
+    closure = max(nearest_distance(a @ b) for a in el for b in el)
+    inverses = max(nearest_distance(a.conj().T) for a in el)
+    passed = unitarity <= UNITARITY_TOL and max(identity, closure, inverses) <= GROUP_MATCH_TOL
+    return (unitarity, identity, closure, inverses), passed
+
+
+def small_rotation(rng, dim, eps):
+    """exp(i eps H) for a random Hermitian H of unit spectral norm."""
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    return (v * np.exp(1j * eps * w / np.max(np.abs(w)))) @ v.conj().T
 
 
 def pauli_pair_groups():
@@ -99,6 +122,34 @@ class TestVerifyGroup:
         assert not report.passed
         assert report.closure > 1e-8
 
+    @pytest.mark.parametrize("kind", ["closed", "truncated", "perturbed"])
+    def test_matches_per_pair_reference(self, rng, kind):
+        for _ in range(8):
+            size = int(rng.integers(3, 7))
+            el = random_gu_group(rng, "conjugated", size, size + int(rng.integers(0, 3))).elements
+            if kind == "truncated":
+                el = el[: int(rng.integers(2, size))]
+            elif kind == "perturbed":
+                el = el.copy()
+                k = int(rng.integers(0, size))
+                el[k] = el[k] @ small_rotation(rng, el.shape[1], 10 ** rng.uniform(-12, -6))
+            report = verify_group(UnitaryGroup(el))
+            residuals, passed = brute_force_group_report(el)
+            assert report.passed == passed
+            got = (report.unitarity, report.identity, report.closure, report.inverses)
+            assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-14
+
+    def test_memory_stays_a_small_multiple_of_the_group(self):
+        group = UnitaryGroup.cyclic(cyclic_shift(48), order=48)
+        tracemalloc.start()
+        try:
+            report = verify_group(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 8 * group.elements.nbytes
+
 
 class TestExpand:
     def test_sign_group_matrix(self, sign_group_spec):
@@ -150,8 +201,7 @@ class TestExpand:
 
 class TestReciprocalGenerators:
     def test_sign_group_golden_vector(self, sign_group_spec):
-        e = expand(sign_group_spec)
-        gen = gu_reciprocal_generator(sign_group_spec, e)
+        gen = solve_gu(sign_group_spec).reciprocal_generators[:, 0]
         expected = np.array([3.0, 3.0, 6.0, 2.0]) / (4 * np.sqrt(2))
         assert np.max(np.abs(gen - expected)) <= 1e-8
 
@@ -160,15 +210,15 @@ class TestReciprocalGenerators:
         gen = np.zeros(4, dtype=complex)
         gen[0] = 1.0
         spec = SymmetrySpec(group=group, generators=gen)
-        e = expand(spec)
-        assert np.max(np.abs(gu_reciprocal_generator(spec, e) - gen)) <= 1e-12
+        recip_gen = solve_gu(spec).reciprocal_generators[:, 0]
+        assert np.max(np.abs(recip_gen - gen)) <= 1e-12
 
     def test_random_group_orbit_matches_dual_basis(self, rng):
         group = random_gu_group(rng, "conjugated", 4, 6)
         gen = gu_generator_with_full_orbit(rng, group)
         spec = SymmetrySpec(group=group, generators=gen)
         e = expand(spec)
-        recip_gen = gu_reciprocal_generator(spec, e)
+        recip_gen = solve_gu(spec).reciprocal_generators[:, 0]
         rs = reciprocal_states(e)
         orbit = np.column_stack([u @ recip_gen for u in group.elements])
         assert np.max(np.abs(orbit - rs.reciprocals)) <= 1e-8
@@ -188,7 +238,7 @@ class TestReciprocalGenerators:
         )
         spec = SymmetrySpec(group=outer, generators=gens)
         e = expand(spec)
-        recips = cgu_reciprocal_generators(spec, e)
+        recips = solve_cgu(spec).reciprocal_generators
         rs = reciprocal_states(e)
         cols = []
         for k in range(2):
@@ -197,9 +247,8 @@ class TestReciprocalGenerators:
         assert np.max(np.abs(np.column_stack(cols) - rs.reciprocals)) <= 1e-8
 
     def test_single_generator_cgu_reduces_to_gu(self, sign_group_spec):
-        e = expand(sign_group_spec)
-        via_cgu = cgu_reciprocal_generators(sign_group_spec, e)[:, 0]
-        via_gu = gu_reciprocal_generator(sign_group_spec, e)
+        via_cgu = solve_cgu(sign_group_spec).reciprocal_generators[:, 0]
+        via_gu = solve_gu(sign_group_spec).reciprocal_generators[:, 0]
         assert np.max(np.abs(via_cgu - via_gu)) <= 1e-14
 
 
@@ -393,6 +442,11 @@ class TestSpecLoading:
         group = UnitaryGroup(np.array([np.eye(2, dtype=complex)]))
         with pytest.raises(ValidationError, match="non-finite"):
             SymmetrySpec(group=group, generators=np.array([np.nan, 0.0]))
+
+    def test_empty_generators_rejected(self):
+        group = UnitaryGroup(np.array([np.eye(2, dtype=complex)]))
+        with pytest.raises(ValidationError, match="non-empty"):
+            SymmetrySpec(group=group, generators=np.zeros((2, 0)))
 
     def test_missing_fields(self):
         with pytest.raises(ValidationError, match="generators"):
