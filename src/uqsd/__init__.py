@@ -13,7 +13,6 @@ from .ensemble import (
     StateEnsemble,
     detection_probability,
     dump_ensemble,
-    gram_operators,
     inconclusive_probability,
     load_ensemble,
     measurement_from_probs,
@@ -29,7 +28,6 @@ from .epm import (
     epm_test_lp,
     epm_test_nondegenerate,
     epm_test_spectral,
-    gram_power,
     priors_for_epm,
 )
 from .errors import LinearDependenceError, ValidationError
@@ -68,7 +66,6 @@ __all__ = [
     "load_ensemble",
     "dump_ensemble",
     "reciprocal_states",
-    "gram_operators",
     "measurement_from_probs",
     "detection_probability",
     "inconclusive_probability",
@@ -92,7 +89,6 @@ __all__ = [
     "epm_test_spectral",
     "priors_for_epm",
     "epm_certificate",
-    "gram_power",
     "UnitaryGroup",
     "SymmetrySpec",
     "SymmetricSolution",

@@ -77,8 +77,7 @@ def _measurement_doc(ensemble: StateEnsemble, measurement: Measurement) -> dict:
         "p": encode_real_vector(measurement.probs),
         "detection_probability": detection_probability(ensemble, measurement),
         "inconclusive_probability": inconclusive_probability(ensemble, measurement),
-        "operators": encode_complex(measurement.operators),
-        "inconclusive_operator": encode_complex(measurement.inconclusive),
+        "reciprocals": encode_complex(measurement.reciprocals.T),
     }
 
 

@@ -101,21 +101,20 @@ class StateEnsemble:
 
 @dataclass(frozen=True)
 class ReciprocalSet:
-    """Reciprocal states of an ensemble with cached SVD factors.
+    """Reciprocal states of an ensemble with cached thin SVD factors.
 
     ``reciprocals`` holds the dual-basis vectors as columns. ``u``,
-    ``sigma``, ``vh`` are the SVD factors of the state matrix (``u`` is the
-    full r x r unitary, ``sigma`` the m positive singular values in
-    descending order, ``vh`` the m x m matrix V*). ``gram_pinv`` is the
-    pseudo-inverse of the frame operator (sum of state outer products),
-    inverted on the span of the states.
+    ``sigma``, ``vh`` are the thin SVD factors of the state matrix: ``u``
+    is the r x m isometry onto the span of the states, ``sigma`` the m
+    positive singular values in descending order, ``vh`` the m x m matrix
+    V*. Every frame-operator quantity is a function of these factors, since
+    the frame operator is ``u diag(sigma^2) u*``.
     """
 
     reciprocals: np.ndarray
     u: np.ndarray
     sigma: np.ndarray
     vh: np.ndarray
-    gram_pinv: np.ndarray
 
     def __post_init__(self):
         for name, dtype in (
@@ -123,7 +122,6 @@ class ReciprocalSet:
             ("u", complex),
             ("sigma", float),
             ("vh", complex),
-            ("gram_pinv", complex),
         ):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
 
@@ -138,28 +136,27 @@ class ReciprocalSet:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Detection probabilities and the measurement operators they induce.
+    """A rank-one unambiguous measurement in factored form.
 
-    ``operators[i]`` is the rank-one conclusive operator for state i;
-    ``inconclusive`` completes the set to the identity.
+    The conclusive operator for state i is ``probs[i] |c_i><c_i|`` with
+    ``c_i`` the i-th column of ``reciprocals`` (r x m); the inconclusive
+    operator is the identity minus their sum.
     """
 
     probs: np.ndarray
-    operators: np.ndarray
-    inconclusive: np.ndarray
+    reciprocals: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _frozen_array(self.probs, float))
-        object.__setattr__(self, "operators", _frozen_array(self.operators, complex))
-        object.__setattr__(self, "inconclusive", _frozen_array(self.inconclusive, complex))
+        object.__setattr__(self, "reciprocals", _frozen_array(self.reciprocals, complex))
 
     @property
     def r(self) -> int:
-        return self.operators.shape[1]
+        return self.reciprocals.shape[0]
 
     @property
     def m(self) -> int:
-        return self.operators.shape[0]
+        return self.reciprocals.shape[1]
 
 
 def _count(doc: Mapping[str, Any], key: str) -> int:
@@ -222,31 +219,21 @@ def dump_ensemble(ensemble: StateEnsemble) -> dict[str, Any]:
 
 
 def reciprocal_states(ensemble: StateEnsemble) -> ReciprocalSet:
-    """Compute the dual basis of the ensemble and cache its SVD.
+    """Compute the dual basis of the ensemble and cache its thin SVD.
 
     The reciprocals are evaluated through the SVD, ``U pinv(S)* V*``,
     which is better conditioned than forming the Gram inverse directly.
     """
-    u, sigma, vh = np.linalg.svd(ensemble.states, full_matrices=True)
+    u, sigma, vh = np.linalg.svd(ensemble.states, full_matrices=False)
     if sigma[-1] <= INDEPENDENCE_RTOL * sigma[0]:
         raise LinearDependenceError("numerical rank deficiency detected during SVD")
-    m = ensemble.m
-    um = u[:, :m]
-    reciprocals = (um / sigma) @ vh
-    gram_pinv = (um / sigma**2) @ um.conj().T
-    rs = ReciprocalSet(reciprocals=reciprocals, u=u, sigma=sigma, vh=vh, gram_pinv=gram_pinv)
-    residual = np.max(np.abs(reciprocals.conj().T @ ensemble.states - np.eye(m)))
+    reciprocals = (u / sigma) @ vh
+    residual = np.max(np.abs(reciprocals.conj().T @ ensemble.states - np.eye(ensemble.m)))
     if residual > BIORTHOGONALITY_TOL:
         raise ValidationError(
             f"reciprocal states violate biorthogonality (residual {residual:.3e})"
         )
-    return rs
-
-
-def gram_operators(recips: ReciprocalSet) -> np.ndarray:
-    """Rank-one operators, the outer product of each reciprocal state."""
-    c = recips.reciprocals
-    return np.einsum("ri,si->irs", c, c.conj())
+    return ReciprocalSet(reciprocals=reciprocals, u=u, sigma=sigma, vh=vh)
 
 
 def measurement_from_probs(recips: ReciprocalSet, probs: np.ndarray) -> Measurement:
@@ -264,16 +251,19 @@ def measurement_from_probs(recips: ReciprocalSet, probs: np.ndarray) -> Measurem
             f"[{p.min():.3e}, {p.max():.3e}]"
         )
     p = np.clip(p, 0.0, 1.0)
-    ops = p[:, None, None] * gram_operators(recips)
-    inconclusive = np.eye(recips.r, dtype=complex) - ops.sum(axis=0)
-    inconclusive = (inconclusive + inconclusive.conj().T) / 2
-    lo = np.linalg.eigvalsh(inconclusive)[0]
+    # C diag(p) C* and diag(sqrt p) C*C diag(sqrt p) share their nonzero
+    # eigenvalues, so the smallest eigenvalue of the inconclusive operator
+    # I - C diag(p) C* is 1 - lambda_max of the m x m matrix.
+    c = recips.reciprocals
+    root = np.sqrt(p)
+    weighted = root[:, None] * (c.conj().T @ c) * root[None, :]
+    lo = 1.0 - np.linalg.eigvalsh((weighted + weighted.conj().T) / 2)[-1]
     if lo < PSD_EIG_FLOOR:
         raise ValidationError(
             f"inconclusive operator is not positive semidefinite "
             f"(smallest eigenvalue {lo:.3e}); probabilities are infeasible"
         )
-    return Measurement(probs=p, operators=ops, inconclusive=inconclusive)
+    return Measurement(probs=p, reciprocals=c)
 
 
 def detection_probability(ensemble: StateEnsemble, measurement: Measurement) -> float:

@@ -16,12 +16,11 @@ vectors and the priors:
 * a spectral sufficient test checks whether the moments
   ``<state_i| G^(t/2-1) |state_i>`` of the frame operator G are
   proportional to the priors for every distinct-singular-value index t.
+  The moments are read off the SVD factors; no power of G is formed.
 
-Fractional powers of the frame operator act on the span of the states
-only (pseudo-inverse convention for negative exponents). For any state
-set, priors proportional to squared rows of V* make the EPM optimal;
-``priors_for_epm`` generates them and ``epm_certificate`` produces the
-matching dual certificate.
+For any state set, priors proportional to squared rows of V* make the EPM
+optimal; ``priors_for_epm`` generates them and ``epm_certificate`` produces
+the matching dual certificate.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .ensemble import (
     ReciprocalSet,
     StateEnsemble,
     measurement_from_probs,
-    reciprocal_states,
 )
 from .errors import ValidationError
 from .solver import DualCertificate
@@ -220,20 +218,7 @@ def epm_certificate(recips: ReciprocalSet, b: np.ndarray) -> DualCertificate:
     return DualCertificate(X=x_mat, z=np.zeros(m))
 
 
-def gram_power(recips: ReciprocalSet, exponent: float) -> np.ndarray:
-    """Fractional power of the frame operator on the span of the states.
-
-    Eigenvalues off the span are treated as absent (pseudo-inverse
-    convention), so negative exponents are well defined for rank-deficient
-    frames.
-    """
-    um = recips.u[:, : recips.m]
-    return (um * recips.sigma ** (2.0 * exponent)) @ um.conj().T
-
-
-def epm_test_spectral(
-    ensemble: StateEnsemble, recips: ReciprocalSet | None = None
-) -> EpmOptimalityResult:
+def epm_test_spectral(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOptimalityResult:
     """Sufficient test from frame-operator moments.
 
     For t = 1..q computes ``<state_i| G^(t/2-1) |state_i>`` and checks
@@ -241,14 +226,11 @@ def epm_test_spectral(
     returned as the witness. Failure is inconclusive, not a proof of
     suboptimality.
     """
-    rs = recips if recips is not None else reciprocal_states(ensemble)
-    analysis = epm_analysis(rs)
-    moments = np.zeros((analysis.q, ensemble.m))
-    for t in range(1, analysis.q + 1):
-        power = gram_power(rs, t / 2.0 - 1.0)
-        moments[t - 1] = np.einsum(
-            "ri,rs,si->i", ensemble.states.conj(), power, ensemble.states
-        ).real
+    analysis = epm_analysis(recips)
+    # With states = U S V* and G = U S^2 U*, the moment of order t is
+    # sum_k sigma_k^t |V*[k, i]|^2.
+    orders = np.arange(1, analysis.q + 1)[:, None]
+    moments = (recips.sigma**orders) @ (np.abs(recips.vh) ** 2)
     ratios = moments / ensemble.priors[None, :]
     spreads = ratios.max(axis=1) - ratios.min(axis=1)
     scale = np.max(np.abs(ratios), axis=1)
@@ -271,5 +253,4 @@ __all__ = [
     "epm_test_spectral",
     "priors_for_epm",
     "epm_certificate",
-    "gram_power",
 ]

@@ -65,9 +65,9 @@ def outcome_probabilities(ensemble: StateEnsemble, measurement: Measurement) -> 
     if (measurement.r, measurement.m) != (ensemble.r, ensemble.m):
         raise ValidationError("measurement does not match the ensemble dimensions")
     m = ensemble.m
-    born = np.einsum(
-        "ri,krs,si->ik", ensemble.states.conj(), measurement.operators, ensemble.states
-    ).real
+    # <state_i| p_k |c_k><c_k| |state_i> = p_k |<c_k|state_i>|^2
+    overlaps = measurement.reciprocals.conj().T @ ensemble.states
+    born = (measurement.probs[:, None] * np.abs(overlaps) ** 2).T
     off_diag = born - np.diag(np.diag(born))
     worst = float(np.max(np.abs(off_diag))) if m > 1 else 0.0
     if worst > UNAMBIGUITY_TOL:

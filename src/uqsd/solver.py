@@ -159,7 +159,7 @@ def _apply(c: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
     """Vector of Tr(Q_i X)."""
-    return np.einsum("ri,rs,si->i", c.conj(), x_mat, c).real
+    return (c.conj() * (x_mat @ c)).sum(axis=0).real
 
 
 def _max_step_psd(chol_lower: np.ndarray, direction: np.ndarray) -> float:

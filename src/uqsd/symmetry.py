@@ -262,7 +262,9 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
 
 
 def _reciprocal_generators(spec: SymmetrySpec, recips: ReciprocalSet) -> np.ndarray:
-    gens = recips.gram_pinv @ spec.generators
+    # Pseudo-inverse of the frame operator u diag(sigma^2) u*, applied as products.
+    u = recips.u
+    gens = (u / recips.sigma**2) @ (u.conj().T @ spec.generators)
     residual = float(np.max(np.abs(_orbit(spec.group.elements, gens) - recips.reciprocals)))
     if residual > ORBIT_TOL:
         raise ValidationError(

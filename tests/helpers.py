@@ -29,6 +29,32 @@ def f_matrix(problem, p) -> np.ndarray:
     return out
 
 
+def outer_products(c: np.ndarray) -> np.ndarray:
+    """Dense (m, r, r) stack of the outer products |c_i><c_i| of the columns of c."""
+    return np.einsum("ri,si->irs", c, c.conj())
+
+
+def dense_operators(measurement) -> tuple[np.ndarray, np.ndarray]:
+    """Dense reference for a factored measurement: (conclusive (m, r, r), inconclusive (r, r))."""
+    ops = measurement.probs[:, None, None] * outer_products(measurement.reciprocals)
+    inconclusive = np.eye(measurement.r, dtype=complex) - ops.sum(axis=0)
+    return ops, (inconclusive + inconclusive.conj().T) / 2
+
+
+def dense_born(states: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Born table <state_i| operators[k] |state_i>, rows indexed by state i."""
+    return np.einsum("ri,krs,si->ik", states.conj(), operators, states).real
+
+
+def gram_power(recips, exponent: float) -> np.ndarray:
+    """Dense r x r power of the frame operator on the span of the states.
+
+    Eigenvalues off the span are treated as absent (pseudo-inverse
+    convention), so negative exponents are well defined.
+    """
+    return (recips.u * recips.sigma ** (2.0 * exponent)) @ recips.u.conj().T
+
+
 def sign_group_elements() -> np.ndarray:
     u1 = np.eye(4)
     u2 = np.diag([1.0, -1.0, 1.0, -1.0])

@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uqsd.cli import main
-from uqsd.formats import encode_complex
+from uqsd.formats import decode_complex, encode_complex
 
 from helpers import (
+    dense_born,
+    outer_products,
     sign_group_elements,
     sign_group_generator,
     three_state_matrix,
@@ -77,6 +79,26 @@ class TestSolveCommand:
         pd = sum(a * b for a, b in zip(eta, p))
         assert abs(doc["measurement"]["detection_probability"] - pd) <= 1e-12
         assert "tolerances" in doc
+
+    def test_measurement_is_factored(self, tmp_path, capsys):
+        # The measurement is written as p plus the reciprocal columns; the
+        # dense operators rebuilt from them form the unambiguous measurement.
+        n = 32
+        rng = np.random.default_rng(32)
+        states = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        states /= np.linalg.norm(states, axis=0)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"r": n, "m": n, "states": encode_complex(states.T)}))
+        assert main(["solve", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 500_000
+        meas = json.loads(out)["measurement"]
+        assert "operators" not in meas and "inconclusive_operator" not in meas
+        p = np.array(meas["p"])
+        c = decode_complex(meas["reciprocals"], 2, "reciprocals").T
+        ops = p[:, None, None] * outer_products(c)
+        assert np.max(np.abs(dense_born(states, ops) - np.diag(p))) <= 1e-10
+        assert np.linalg.eigvalsh(ops.sum(axis=0))[-1] <= 1.0 + 1e-8
 
     def test_text_output(self, three_states_file, capsys):
         code = main(["solve", three_states_file])

@@ -8,16 +8,17 @@ from uqsd import (
     StateEnsemble,
     ValidationError,
     detection_probability,
+    Measurement,
     dump_ensemble,
-    gram_operators,
     inconclusive_probability,
     load_ensemble,
     measurement_from_probs,
     reciprocal_states,
 )
+from uqsd.ensemble import PSD_EIG_FLOOR, PROB_TOL
 from uqsd.formats import encode_complex
 
-from helpers import random_ensemble, three_state_matrix
+from helpers import dense_operators, outer_products, random_ensemble, three_state_matrix
 
 # Worked three-state example, values as printed to 3 significant figures.
 RECIPROCALS_PRINTED = np.array(
@@ -135,34 +136,35 @@ class TestReciprocalStates:
         scale = rs.sigma[0]
         assert np.max(np.abs(rebuilt - three_states_uniform.states)) <= 1e-10 * scale
 
-    def test_gram_pinv_is_frame_pseudoinverse(self, three_states_uniform):
-        rs = reciprocal_states(three_states_uniform)
-        frame = three_states_uniform.states @ three_states_uniform.states.conj().T
-        assert np.allclose(rs.gram_pinv, np.linalg.pinv(frame), atol=1e-10)
+    def test_thin_factors(self, rng):
+        e = random_ensemble(rng, 7, 3)
+        rs = reciprocal_states(e)
+        assert rs.u.shape == (7, 3) and rs.vh.shape == (3, 3)
+        assert np.allclose(rs.u.conj().T @ rs.u, np.eye(3), atol=1e-12)
 
 
 class TestGramOperators:
     def test_printed_q1(self, three_states_reciprocals):
-        q = gram_operators(three_states_reciprocals)
+        q = outer_products(three_states_reciprocals.reciprocals)
         assert np.max(np.abs(q[0].real - Q1_PRINTED)) <= 5e-2
 
     def test_orthonormal_projectors(self, orthonormal_ensemble):
         rs = reciprocal_states(orthonormal_ensemble)
-        q = gram_operators(rs)
+        q = outer_products(rs.reciprocals)
         for i in range(3):
             proj = np.outer(orthonormal_ensemble.states[:, i],
                             orthonormal_ensemble.states[:, i].conj())
             assert np.allclose(q[i], proj, atol=1e-14)
 
     def test_sum_is_reciprocal_frame(self, three_states_reciprocals):
-        q = gram_operators(three_states_reciprocals)
+        q = outer_products(three_states_reciprocals.reciprocals)
         frame = three_states_reciprocals.reciprocals @ three_states_reciprocals.reciprocals.conj().T
         assert np.max(np.abs(q.sum(axis=0) - frame)) <= 1e-10
 
     def test_trace_is_norm_squared(self, rng):
         e = random_ensemble(rng, 5, 3)
         rs = reciprocal_states(e)
-        q = gram_operators(rs)
+        q = outer_products(rs.reciprocals)
         for i in range(3):
             norm2 = np.real(rs.reciprocals[:, i].conj() @ rs.reciprocals[:, i])
             assert abs(np.trace(q[i]).real - norm2) <= 1e-12
@@ -171,7 +173,7 @@ class TestGramOperators:
         for _ in range(10):
             e = random_ensemble(rng, 6, 4)
             rs = reciprocal_states(e)
-            lam = np.linalg.eigvalsh(gram_operators(rs).sum(axis=0))[-1]
+            lam = np.linalg.eigvalsh(outer_products(rs.reciprocals).sum(axis=0))[-1]
             assert abs(lam - 1.0 / rs.sigma[-1] ** 2) <= 1e-8 * lam
 
 
@@ -192,24 +194,54 @@ class TestMeasurement:
         rs = reciprocal_states(e)
         probs = rng.uniform(0.0, 0.5, 4) * rs.sigma[-1] ** 2
         meas = measurement_from_probs(rs, probs)
+        ops, _ = dense_operators(meas)
         for i in range(4):
             for k in range(4):
-                born = np.real(e.states[:, i].conj() @ meas.operators[k] @ e.states[:, i])
+                born = np.real(e.states[:, i].conj() @ ops[k] @ e.states[:, i])
                 assert abs(born - (probs[i] if i == k else 0.0)) <= 1e-8
 
     def test_inconclusive_born_rule(self, rng):
         e = random_ensemble(rng, 5, 4)
         rs = reciprocal_states(e)
         probs = np.full(4, rs.sigma[-1] ** 2)
-        meas = measurement_from_probs(rs, probs)
+        _, inconclusive = dense_operators(measurement_from_probs(rs, probs))
         for i in range(4):
-            born = np.real(e.states[:, i].conj() @ meas.inconclusive @ e.states[:, i])
+            born = np.real(e.states[:, i].conj() @ inconclusive @ e.states[:, i])
             assert abs(born - (1.0 - probs[i])) <= 1e-8
 
     def test_povm_completeness(self, three_states_reciprocals):
         meas = measurement_from_probs(three_states_reciprocals, [0.05, 0.05, 0.05])
-        total = meas.operators.sum(axis=0) + meas.inconclusive
-        assert np.allclose(total, np.eye(3), atol=1e-12)
+        ops, inconclusive = dense_operators(meas)
+        assert np.allclose(ops.sum(axis=0) + inconclusive, np.eye(3), atol=1e-12)
+
+    def test_factored_form(self, rng):
+        e = random_ensemble(rng, 6, 4)
+        rs = reciprocal_states(e)
+        meas = measurement_from_probs(rs, np.full(4, 0.5) * rs.sigma[-1] ** 2)
+        assert (meas.r, meas.m) == (6, 4)
+        assert np.array_equal(meas.reciprocals, rs.reciprocals)
+        assert not hasattr(meas, "operators") and not hasattr(meas, "inconclusive")
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 5), (9, 3)])
+    @pytest.mark.parametrize("t", [0.5, 1 - 1e-9, 1.0, 1 + 1e-7, 2.0])
+    def test_psd_check_matches_dense_eigen_check(self, rng, shape, t):
+        # p_edge puts the largest eigenvalue of sum p_i |c_i><c_i| at exactly 1.
+        for _ in range(8):
+            e = random_ensemble(rng, *shape)
+            rs = reciprocal_states(e)
+            p0 = rng.uniform(0.1, 1.0, e.m)
+            frame = outer_products(rs.reciprocals * np.sqrt(p0)).sum(axis=0)
+            p = t * p0 / np.linalg.eigvalsh(frame)[-1]
+            _, inconclusive = dense_operators(Measurement(np.clip(p, 0.0, 1.0), rs.reciprocals))
+            in_range = np.max(p) <= 1.0 + PROB_TOL
+            dense_ok = in_range and np.linalg.eigvalsh(inconclusive)[0] >= PSD_EIG_FLOOR
+            assert dense_ok == (t <= 1.0)
+            try:
+                measurement_from_probs(rs, p)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == dense_ok
 
 
 class TestDetectionProbability:

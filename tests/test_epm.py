@@ -19,7 +19,6 @@ from uqsd import (
     epm_test_lp,
     epm_test_nondegenerate,
     epm_test_spectral,
-    gram_power,
     priors_for_epm,
     reciprocal_states,
     solve,
@@ -28,6 +27,8 @@ from uqsd import (
 
 from helpers import (
     cyclic_profile_ensemble,
+    dense_operators,
+    gram_power,
     random_ensemble,
     sign_group_elements,
     sign_group_generator,
@@ -89,24 +90,25 @@ class TestComputeEpm:
         rs = reciprocal_states(orthonormal_ensemble)
         meas = compute_epm(orthonormal_ensemble, rs)
         assert np.allclose(meas.probs, 1.0, atol=1e-12)
+        ops, _ = dense_operators(meas)
         for i in range(3):
             proj = np.outer(orthonormal_ensemble.states[:, i],
                             orthonormal_ensemble.states[:, i].conj())
-            assert np.allclose(meas.operators[i], proj, atol=1e-12)
+            assert np.allclose(ops[i], proj, atol=1e-12)
 
     def test_equal_detection_probabilities(self, rng):
         e = random_ensemble(rng, 6, 4)
         rs = reciprocal_states(e)
-        meas = compute_epm(e, rs)
+        ops, _ = dense_operators(compute_epm(e, rs))
         for i in range(4):
-            born = np.real(e.states[:, i].conj() @ meas.operators[i] @ e.states[:, i])
+            born = np.real(e.states[:, i].conj() @ ops[i] @ e.states[:, i])
             assert abs(born - rs.sigma[-1] ** 2) <= 1e-10
 
     def test_saturates_identity(self, rng):
         e = random_ensemble(rng, 5, 3)
         rs = reciprocal_states(e)
-        meas = compute_epm(e, rs)
-        lam = np.linalg.eigvalsh(meas.operators.sum(axis=0))[-1]
+        ops, _ = dense_operators(compute_epm(e, rs))
+        lam = np.linalg.eigvalsh(ops.sum(axis=0))[-1]
         assert abs(lam - 1.0) <= 1e-10
 
 
@@ -258,13 +260,13 @@ class TestPriorsForEpm:
 
 class TestSpectralTest:
     def test_sign_group_optimal(self, sign_group_ensemble):
-        result = epm_test_spectral(sign_group_ensemble)
+        result = epm_test_spectral(sign_group_ensemble, reciprocal_states(sign_group_ensemble))
         assert result.verdict is EpmVerdict.OPTIMAL
         assert result.a_t is not None and result.a_t.shape == (3,)
 
     def test_symmetric_orbit_optimal(self, rng):
         e = cyclic_profile_ensemble([0.7, 0.5, 0.4, 0.3, 0.25], rng)
-        assert epm_test_spectral(e).verdict is EpmVerdict.OPTIMAL
+        assert epm_test_spectral(e, reciprocal_states(e)).verdict is EpmVerdict.OPTIMAL
 
     def test_generic_uniform_inconclusive_and_suboptimal(self, rng):
         e = StateEnsemble(random_ensemble(rng, 5, 3).states, np.full(3, 1 / 3))
@@ -276,19 +278,39 @@ class TestSpectralTest:
         assert -report.primal_value > rs.sigma[-1] ** 2 + 1e-6
 
     def test_unit_moment_anchor(self, rng):
-        # Exponent zero on the support reproduces unit state norms.
-        e = random_ensemble(rng, 6, 4)
-        rs = reciprocal_states(e)
-        power = gram_power(rs, 0.0)
-        moments = np.einsum("ri,rs,si->i", e.states.conj(), power, e.states).real
-        assert np.max(np.abs(moments - 1.0)) <= 1e-12
+        # At t = 2 the moments are the unit state norms, so a_t[1] = 1/eta.
+        e = cyclic_profile_ensemble([0.7, 0.5, 0.4, 0.3, 0.25], rng)
+        result = epm_test_spectral(e, reciprocal_states(e))
+        assert result.verdict is EpmVerdict.OPTIMAL
+        assert abs(result.a_t[1] - e.m) <= 1e-12 * e.m
 
-    def test_gram_power_consistency(self, rng):
-        # G^(-1/2) maps the states onto the paired left singular vectors.
-        e = random_ensemble(rng, 5, 3)
-        rs = reciprocal_states(e)
-        mapped = gram_power(rs, -0.5) @ e.states
-        assert np.max(np.abs(mapped - rs.u[:, :3] @ rs.vh)) <= 1e-10
+    @staticmethod
+    def _dense_ratios(e, rs):
+        q = epm_analysis(rs).q
+        moments = np.array([
+            np.einsum("ri,rs,si->i", e.states.conj(), gram_power(rs, t / 2 - 1), e.states).real
+            for t in range(1, q + 1)
+        ])
+        return moments / e.priors
+
+    @pytest.mark.parametrize("shape", [(5, 5), (8, 4), (6, 1)])
+    def test_moments_match_dense_frame_powers(self, rng, shape):
+        # Generic sets: the residual is a function of the moments alone.
+        for _ in range(10):
+            e = random_ensemble(rng, *shape)
+            rs = reciprocal_states(e)
+            ratios = self._dense_ratios(e, rs)
+            spreads = (ratios.max(axis=1) - ratios.min(axis=1)) / np.abs(ratios).max(axis=1)
+            assert abs(epm_test_spectral(e, rs).residual - spreads.max()) <= 1e-12
+
+    def test_witness_matches_dense_frame_powers(self, rng):
+        for mags in ([0.7, 0.5, 0.4, 0.3, 0.25], [0.75, 0.5, 0.35, 0.35], [0.9, 0.2, 0.6]):
+            e = cyclic_profile_ensemble(mags, rng)
+            rs = reciprocal_states(e)
+            a_t = self._dense_ratios(e, rs).mean(axis=1)
+            result = epm_test_spectral(e, rs)
+            assert result.verdict is EpmVerdict.OPTIMAL
+            assert np.max(np.abs(result.a_t - a_t) / a_t) <= 1e-12
 
     def test_certificate_when_spectral_optimal(self, rng):
         e = cyclic_profile_ensemble([0.75, 0.5, 0.35, 0.35], rng)

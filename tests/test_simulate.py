@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uqsd import (
+    Measurement,
     StateEnsemble,
     ValidationError,
     build_sdp,
@@ -12,8 +13,9 @@ from uqsd import (
     simulate,
     solve,
 )
+from uqsd.simulate import UNAMBIGUITY_TOL
 
-from helpers import random_ensemble
+from helpers import dense_born, dense_operators, random_ensemble
 
 
 class TestOutcomeProbabilities:
@@ -35,6 +37,37 @@ class TestOutcomeProbabilities:
         meas = compute_epm(other, reciprocal_states(other))
         with pytest.raises(ValidationError, match="not unambiguous"):
             outcome_probabilities(three_states_uniform, meas)
+
+
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 4)])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-5, 1e-3, None])
+    def test_matches_dense_born_table(self, rng, shape, eps):
+        # eps perturbs the reciprocal columns; None takes another ensemble's.
+        for _ in range(6):
+            e = random_ensemble(rng, *shape)
+            rs = reciprocal_states(e)
+            probs = rng.uniform(0.2, 1.0, e.m) * rs.sigma[-1] ** 2
+            if eps is None:
+                other = random_ensemble(rng, *shape)
+                c = reciprocal_states(other).reciprocals
+            else:
+                noise = rng.normal(size=rs.reciprocals.shape) * (1 + 1j)
+                c = rs.reciprocals + eps * noise
+            meas = Measurement(probs, c)
+            born = dense_born(e.states, dense_operators(meas)[0])
+            off = born - np.diag(np.diag(born))
+            unambiguous = np.max(np.abs(off)) <= UNAMBIGUITY_TOL
+            if eps != 1e-3:
+                # Only eps = 1e-3 puts the cross terms near the tolerance.
+                assert unambiguous == (eps is not None)
+            if not unambiguous:
+                with pytest.raises(ValidationError, match="not unambiguous"):
+                    outcome_probabilities(e, meas)
+                continue
+            table = outcome_probabilities(e, meas)
+            diag = np.clip(np.diag(born), 0.0, 1.0)
+            assert np.max(np.abs(np.diag(table[:, 1:]) - diag)) <= 1e-14
+            assert np.max(np.abs(table[:, 0] - (1.0 - diag))) <= 1e-14
 
 
 class TestSimulate:

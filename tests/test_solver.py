@@ -9,14 +9,13 @@ from uqsd import (
     StateEnsemble,
     ValidationError,
     build_sdp,
-    gram_operators,
     reciprocal_states,
     solve,
     verify_certificate,
     weak_duality_gap,
 )
 
-from helpers import f_matrix, random_ensemble
+from helpers import f_matrix, outer_products, random_ensemble
 from oracles import grid_oracle_best_pd, two_state_grid
 
 
@@ -50,7 +49,7 @@ class TestBuildSdp:
         e = random_ensemble(rng, 4, 3)
         rs = reciprocal_states(e)
         problem = build_sdp(e, rs)
-        q = gram_operators(rs)
+        q = outer_products(rs.reciprocals)
         for _ in range(20):
             p = rng.uniform(-0.1, 1.0, 3)
             f_psd = np.linalg.eigvalsh(f_matrix(problem, p))[0] >= -1e-12

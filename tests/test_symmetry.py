@@ -26,6 +26,7 @@ from uqsd.symmetry import GROUP_MATCH_TOL, UNITARITY_TOL
 
 from helpers import (
     cyclic_shift,
+    gram_power,
     gu_generator_with_full_orbit,
     haar_unitary,
     random_gu_group,
@@ -264,7 +265,8 @@ class TestSolveGu:
 
     def test_moments_match_spectral_test(self, sign_group_spec):
         sol = solve_gu(sign_group_spec)
-        spectral = epm_test_spectral(expand(sign_group_spec))
+        ensemble = expand(sign_group_spec)
+        spectral = epm_test_spectral(ensemble, reciprocal_states(ensemble))
         assert np.array_equal(sol.optimality.a_t, spectral.a_t)
 
     def test_orthonormal_orbit(self):
@@ -341,7 +343,7 @@ class TestSolveCgu:
         spec = pauli_pair_spec()
         sol = solve_cgu(spec)
         rs = reciprocal_states(sol.ensemble)
-        base_bar = rs.gram_pinv @ spec.generators[:, 0]
+        base_bar = gram_power(rs, -1.0) @ spec.generators[:, 0]
         cols = []
         for k in range(2):
             v_k = spec.generator_group.elements[k]
@@ -400,7 +402,7 @@ class TestStructuralProperties:
         spec = pauli_pair_spec()
         sol = solve_cgu(spec)
         assert sol.verdict is EpmVerdict.OPTIMAL
-        result = epm_test_spectral(sol.ensemble)
+        result = epm_test_spectral(sol.ensemble, sol.recips)
         assert result.verdict is EpmVerdict.OPTIMAL
 
     def test_reciprocal_set_shares_the_group(self, rng):
@@ -410,7 +412,7 @@ class TestStructuralProperties:
         spec = SymmetrySpec(group=group, generators=gen)
         e = expand(spec)
         rs = reciprocal_states(e)
-        recip_gen = rs.gram_pinv @ gen
+        recip_gen = gram_power(rs, -1.0) @ gen
         for i, u in enumerate(group.elements):
             assert np.max(np.abs(u @ recip_gen - rs.reciprocals[:, i])) <= 1e-8
 
