@@ -16,7 +16,11 @@ method with Nesterov-Todd scaling and Mehrotra predictor-corrector steps.
 Both cone blocks are handled natively in complex Hermitian arithmetic.
 Because every Q_i is rank one, the Newton step reduces to an m x m
 positive definite system built from ``B = C* W^{-1} C`` where C stacks the
-reciprocal states, so one iteration costs O(r^3 + m r^2 + m^3).
+reciprocal states, so one iteration costs O(r^3 + m r^2 + m^3). It factors
+X and S once: the NT factors, T^{-1} included, come from those Cholesky
+factors and one SVD (``_nt_scaling``), and both PSD step lengths from the
+scaled space where X and S are diagonal (``_max_step_psd``; Toh, Todd and
+Tutuncu 1999), so numpy is all the solver needs.
 
 The certificate is the cone-projected final dual iterate or, when it
 scores better, a Gauss-Newton polish of the full optimality system on the
@@ -27,12 +31,11 @@ feasibility from one set of residuals of the optimality conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .ensemble import ReciprocalSet, StateEnsemble
 from .errors import ValidationError
@@ -112,11 +115,15 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class IterateTrace:
+    # The last three describe the step taken from this iterate; None at the last one.
     iteration: int
     primal_value: float
     dual_value: float
     gap: float
     mu: float
+    primal_step: float | None = None
+    dual_step: float | None = None
+    sigma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -162,19 +169,32 @@ def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
     return (c.conj() * (x_mat @ c)).sum(axis=0).real
 
 
-def _max_step_psd(chol_lower: np.ndarray, direction: np.ndarray) -> float:
-    """Largest a with M + a*D psd, given the Cholesky factor of M."""
-    y = solve_triangular(chol_lower, direction, lower=True)
-    y = solve_triangular(chol_lower, y.conj().T, lower=True)
+def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
+    """NT factors (lam, T^{-1}, T) with T* X T = T^{-1} S T^{-*} = diag(lam).
+
+    From X = L_x L_x*, S = L_s L_s* and L_x* L_s = U diag(lam) V*: T = L_s V
+    lam^{-1/2} and T^{-1} = lam^{-1/2} U* L_x*. LinAlgError unless X, S are PD.
+    """
+    chol_x = np.linalg.cholesky(x_mat)
+    chol_s = np.linalg.cholesky(s_mat)
+    u, lam, vh = np.linalg.svd(chol_x.conj().T @ chol_s)
+    root = np.sqrt(lam)
+    t_inv = (u.conj().T @ chol_x.conj().T) / root[:, None]
+    t_nt = (chol_s @ vh.conj().T) / root[None, :]
+    return lam, t_inv, t_nt
+
+
+def _max_step_psd(lam: np.ndarray, direction: np.ndarray) -> float:
+    """Largest a with diag(lam) + a*D psd, for D a direction in the NT-scaled space."""
+    root = np.sqrt(lam)
+    y = direction / np.outer(root, root)
     w_min = np.linalg.eigvalsh((y + y.conj().T) / 2)[0]
     return np.inf if w_min >= 0.0 else 1.0 / (-w_min)
 
 
 def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0.0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    return float(np.min(-v[neg] / dv[neg], initial=np.inf))
 
 
 def _clip_psd(x_mat: np.ndarray) -> np.ndarray:
@@ -329,9 +349,10 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
     Returns the optimal detection probabilities together with a dual
     certificate read from the final iterate (cone-projected so that the
     certificate is exactly PSD / nonnegative), or from its Gauss-Newton
-    polish when that meets the verify tolerances better. The ``trace``
-    records the objective pair at every iterate; all iterates are primal
-    and dual feasible by construction, so every traced gap is nonnegative.
+    polish when that meets the verify tolerances better. The ``trace`` has
+    the objective pair at every iterate and the step lengths and sigma of
+    each step; all iterates are primal and dual feasible by construction, so
+    every traced gap is nonnegative.
     """
     opts = options or SolverOptions()
     c = problem.reciprocals
@@ -348,26 +369,22 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
     p = np.full(m, 0.5 / top_sv**2)
     x_mat = (2.0 * eta.max() / norms2.min()) * eye_r
 
-    nu = r + m
     status = SolveStatus.MAX_ITERATIONS
     trace: list[IterateTrace] = []
-    iterations = 0
     snapshot = None
     prev_gap = np.inf
     stalled = 0
 
-    s0 = eye_r - _apply(c, p)
-    z = _apply_adjoint(c, x_mat) - eta
-
     for it in range(opts.max_iters + 1):
+        s0 = eye_r - _apply(c, p)
+        z = _apply_adjoint(c, x_mat) - eta
         gap = float(np.vdot(x_mat, s0).real + p @ z)
         primal = float(problem.cost @ p)
         dual = float(-np.trace(x_mat).real)
-        mu = gap / nu
-        rel_gap = gap / (1.0 + abs(primal))
+        mu = gap / (r + m)
         trace.append(IterateTrace(it, primal, dual, gap, mu))
         iterations = it
-        if rel_gap <= opts.tol_gap:
+        if gap / (1.0 + abs(primal)) <= opts.tol_gap:
             # The gap is converged (feasibility holds by construction). Keep
             # polishing until the complementarity products also meet the
             # report contract, retaining the best converged iterate seen so far.
@@ -375,86 +392,70 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
             slack_sc = float(np.max(np.abs(z * p)))
             score = max(slack_op / SLACK_OPERATOR_TARGET, slack_sc / SLACK_SCALAR_TARGET)
             if snapshot is None or score < snapshot[0]:
-                snapshot = (score, p.copy(), x_mat.copy(), z.copy(), it)
+                snapshot = (score, p.copy(), x_mat.copy(), z.copy(), it, gap)
             if score <= 1.0:
                 break
             stalled = stalled + 1 if gap > 0.7 * prev_gap else 0
             if stalled >= 3:
                 break
         if it == opts.max_iters:
-            status = SolveStatus.MAX_ITERATIONS
             break
         prev_gap = gap
 
         try:
-            chol_s = np.linalg.cholesky(s0)
-            chol_x = np.linalg.cholesky(x_mat)
-        except np.linalg.LinAlgError:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-
-        # Nesterov-Todd scaling: T satisfies T* X T = T^{-1} S T^{-*} = diag(lam).
-        _, lam, vh_nt = np.linalg.svd(chol_x.conj().T @ chol_s)
-        inv_chol_s = solve_triangular(chol_s, eye_r, lower=True)
-        t_inv = (np.sqrt(lam)[:, None]) * (vh_nt @ inv_chol_s)
-        t_nt = (chol_s @ vh_nt.conj().T) / np.sqrt(lam)[None, :]
-        w_inv = t_inv.conj().T @ t_inv
-        lam_sum = lam[:, None] + lam[None, :]
-
-        b_mat = c.conj().T @ w_inv @ c
-        schur = np.abs(b_mat) ** 2 + np.diag(z / p)
-        try:
-            schur_chol = cho_factor((schur + schur.T) / 2)
+            lam, t_inv, t_nt = _nt_scaling(x_mat, s0)
+            w_inv = t_inv.conj().T @ t_inv
+            schur = np.abs(c.conj().T @ w_inv @ c) ** 2 + np.diag(z / p)
+            schur_sym = (schur + schur.T) / 2
+            np.linalg.cholesky(schur_sym)
         except np.linalg.LinAlgError:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
         def newton(k_mat: np.ndarray, rc: np.ndarray):
             rhs = rc / p - _apply_adjoint(c, k_mat)
-            dp = cho_solve(schur_chol, rhs)
+            dp = np.linalg.solve(schur_sym, rhs)
             # One round of iterative refinement; the Schur system grows
             # ill-conditioned as the complementarity products vanish.
-            dp += cho_solve(schur_chol, rhs - schur @ dp)
+            dp += np.linalg.solve(schur_sym, rhs - schur @ dp)
             ds = -_apply(c, dp)
             dx = k_mat - w_inv @ ds @ w_inv
             dx = (dx + dx.conj().T) / 2
             dz = _apply_adjoint(c, dx)
-            return dp, ds, dx, dz
+            # The directions in the scaled space, where S and X are diag(lam).
+            ds_sc = t_inv @ ds @ t_inv.conj().T
+            dx_sc = t_nt.conj().T @ dx @ t_nt
+            return dp, ds, dx, dz, ds_sc, dx_sc
 
         # Predictor: in the scaled space the affine right-hand side -lam^2
         # maps back to -X, so no Sylvester-type solve is needed.
-        dp_a, ds_a, dx_a, dz_a = newton(-x_mat, -p * z)
-        ap = min(1.0, _max_step_psd(chol_s, ds_a), _max_step_vec(p, dp_a))
-        ad = min(1.0, _max_step_psd(chol_x, dx_a), _max_step_vec(z, dz_a))
+        dp_a, ds_a, dx_a, dz_a, ds_sc, dx_sc = newton(-x_mat, -p * z)
+        ap = min(1.0, _max_step_psd(lam, ds_sc), _max_step_vec(p, dp_a))
+        ad = min(1.0, _max_step_psd(lam, dx_sc), _max_step_vec(z, dz_a))
         gap_aff = float(
             np.vdot(x_mat + ad * dx_a, s0 + ap * ds_a).real + (p + ap * dp_a) @ (z + ad * dz_a)
         )
         sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
 
         # Corrector: second-order term evaluated in the scaled space.
-        ds_sc = t_inv @ ds_a @ t_inv.conj().T
-        dx_sc = t_nt.conj().T @ dx_a @ t_nt
-        cross = (ds_sc @ dx_sc + dx_sc @ ds_sc) / 2
-        resid = -cross
-        resid[np.diag_indices(r)] += sigma * mu - lam**2
-        k_mat = t_inv.conj().T @ ((2.0 * resid / lam_sum) @ t_inv)
+        resid = np.diag(sigma * mu - lam**2) - (ds_sc @ dx_sc + dx_sc @ ds_sc) / 2
+        k_mat = t_inv.conj().T @ ((2.0 * resid / (lam[:, None] + lam[None, :])) @ t_inv)
         k_mat = (k_mat + k_mat.conj().T) / 2
         rc = sigma * mu - p * z - dp_a * dz_a
 
-        dp, ds, dx, dz = newton(k_mat, rc)
-        ap = min(1.0, STEP_FRACTION * min(_max_step_psd(chol_s, ds), _max_step_vec(p, dp)))
-        ad = min(1.0, STEP_FRACTION * min(_max_step_psd(chol_x, dx), _max_step_vec(z, dz)))
+        dp, _, dx, dz, ds_sc, dx_sc = newton(k_mat, rc)
+        ap = min(1.0, STEP_FRACTION * min(_max_step_psd(lam, ds_sc), _max_step_vec(p, dp)))
+        ad = min(1.0, STEP_FRACTION * min(_max_step_psd(lam, dx_sc), _max_step_vec(z, dz)))
+        trace[-1] = replace(trace[-1], primal_step=ap, dual_step=ad, sigma=sigma)
 
         p = p + ap * dp
         x_mat = x_mat + ad * dx
         x_mat = (x_mat + x_mat.conj().T) / 2
-        s0 = eye_r - _apply(c, p)
-        z = _apply_adjoint(c, x_mat) - eta
 
     if snapshot is not None:
         # The mandated stopping criteria were met; report the converged
         # iterate with the smallest complementarity score.
-        _, p, x_mat, z, iterations = snapshot
+        _, p, x_mat, z, iterations, gap = snapshot
         status = SolveStatus.OPTIMAL
 
     # Certificate from the final dual iterate, cone-projected; at status
@@ -463,8 +464,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
     certificate = DualCertificate(X=_clip_psd(x_mat), z=np.maximum(z, 0.0))
     residuals, _ = _residuals(c, eta, p, certificate)
     if status is SolveStatus.OPTIMAL:
-        gap_now = float(np.vdot(x_mat, eye_r - _apply(c, p)).real + p @ z)
-        polished = _kkt_polish(c, p, x_mat, eta, gap_now)
+        polished = _kkt_polish(c, p, x_mat, eta, gap)
         if polished is not None:
             pol_residuals, _ = _residuals(c, eta, *polished)
             if _score(pol_residuals) < _score(residuals):

@@ -55,6 +55,15 @@ def gram_power(recips, exponent: float) -> np.ndarray:
     return (recips.u * recips.sigma ** (2.0 * exponent)) @ recips.u.conj().T
 
 
+def max_step_reference(m_mat: np.ndarray, d_mat: np.ndarray) -> float:
+    """Largest a with M + a*D psd, as 1/(-lambda_min(L^{-1} D L^{-*})) with M = L L*."""
+    chol = np.linalg.cholesky(m_mat)
+    y = np.linalg.solve(chol, d_mat)
+    y = np.linalg.solve(chol, y.conj().T)
+    w_min = np.linalg.eigvalsh((y + y.conj().T) / 2)[0]
+    return np.inf if w_min >= 0.0 else 1.0 / (-w_min)
+
+
 def sign_group_elements() -> np.ndarray:
     u1 = np.eye(4)
     u2 = np.diag([1.0, -1.0, 1.0, -1.0])

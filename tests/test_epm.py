@@ -388,11 +388,21 @@ def test_priors_for_epm_is_probability_vector(seed, raw):
     assert abs(priors.sum() - 1.0) <= 1e-10
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported only by the degenerate branch of epm_test_lp.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, uqsd; print('scipy.optimize' in sys.modules)"
+def test_import_and_solve_load_no_scipy():
+    # The solver needs numpy alone; scipy.optimize is imported only by the
+    # degenerate branch of epm_test_lp, which a three-state solve never takes.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys, uqsd\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_loaded())\n"
+        "from uqsd import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['solve', {str(root / 'data' / 'three_states.json')!r}, '--json'])\n"
+        "print(code, scipy_loaded())\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -400,4 +410,4 @@ def test_import_leaves_scipy_optimize_unloaded():
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -9,13 +11,15 @@ from uqsd import (
     StateEnsemble,
     ValidationError,
     build_sdp,
+    load_ensemble,
     reciprocal_states,
     solve,
     verify_certificate,
     weak_duality_gap,
 )
+from uqsd.solver import _max_step_psd, _nt_scaling
 
-from helpers import f_matrix, outer_products, random_ensemble
+from helpers import f_matrix, max_step_reference, outer_products, random_ensemble
 from oracles import grid_oracle_best_pd, two_state_grid
 
 
@@ -178,6 +182,52 @@ class TestSolve:
             SolverOptions(tol_gap=0.0)
         with pytest.raises(ValidationError):
             SolverOptions(max_iters=0)
+
+    def test_trace_records_steps_and_centering(self):
+        path = Path(__file__).resolve().parents[1] / "data" / "three_states.json"
+        _, _, report = solve_ensemble(load_ensemble(path))
+        *stepped, last = report.trace
+        assert stepped and (last.primal_step, last.dual_step, last.sigma) == (None, None, None)
+        for t in stepped:
+            assert 0.0 < t.primal_step <= 1.0 and 0.0 < t.dual_step <= 1.0
+            assert 0.0 <= t.sigma <= 1.0
+
+
+class TestStepLength:
+    @staticmethod
+    def _hermitian(rng, r):
+        a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        return (a + a.conj().T) / 2
+
+    @staticmethod
+    def _pd(rng, r):
+        a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        return a @ a.conj().T + 0.1 * np.eye(r)
+
+    @pytest.mark.parametrize("r", [2, 5, 12])
+    def test_nt_scaling_diagonalizes_both_blocks(self, rng, r):
+        x_mat, s_mat = self._pd(rng, r), self._pd(rng, r)
+        lam, t_inv, t_nt = _nt_scaling(x_mat, s_mat)
+        assert np.allclose(t_inv @ t_nt, np.eye(r), atol=1e-10)
+        assert np.allclose(t_nt.conj().T @ x_mat @ t_nt, np.diag(lam), atol=1e-10)
+        assert np.allclose(t_inv @ s_mat @ t_inv.conj().T, np.diag(lam), atol=1e-10)
+
+    @pytest.mark.parametrize("psd_direction", [False, True])
+    @pytest.mark.parametrize("r", [2, 5, 12])
+    def test_matches_cholesky_reference(self, rng, r, psd_direction):
+        for _ in range(10):
+            x_mat, s_mat = self._pd(rng, r), self._pd(rng, r)
+            dx, ds = self._hermitian(rng, r), self._hermitian(rng, r)
+            if psd_direction:
+                dx, ds = dx @ dx, ds @ ds
+            lam, t_inv, t_nt = _nt_scaling(x_mat, s_mat)
+            step_s = _max_step_psd(lam, t_inv @ ds @ t_inv.conj().T)
+            step_x = _max_step_psd(lam, t_nt.conj().T @ dx @ t_nt)
+            if psd_direction:
+                assert step_s == step_x == np.inf
+            else:
+                assert step_s == pytest.approx(max_step_reference(s_mat, ds), rel=1e-10)
+                assert step_x == pytest.approx(max_step_reference(x_mat, dx), rel=1e-10)
 
 
 class TestVerifyCertificate:
