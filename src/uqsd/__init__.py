@@ -42,7 +42,6 @@ from .solver import (
     build_sdp,
     solve,
     verify_certificate,
-    weak_duality_gap,
 )
 from .symmetry import (
     PhaseCommutation,
@@ -78,7 +77,6 @@ __all__ = [
     "build_sdp",
     "solve",
     "verify_certificate",
-    "weak_duality_gap",
     "EpmVerdict",
     "EpmAnalysis",
     "EpmOptimalityResult",

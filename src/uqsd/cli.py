@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -385,7 +386,9 @@ def cmd_simulate(args) -> int:
     return exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: in-process callers of main() reuse it.
     parser = argparse.ArgumentParser(
         prog="uqsd",
         description="Optimal unambiguous discrimination of pure quantum states",

@@ -22,11 +22,13 @@ factors and one SVD (``_nt_scaling``), and both PSD step lengths from the
 scaled space where X and S are diagonal (``_max_step_psd``; Toh, Todd and
 Tutuncu 1999), so numpy is all the solver needs.
 
-The certificate is the cone-projected final dual iterate or, when it
-scores better, a Gauss-Newton polish of the full optimality system on the
-active face. ``solve`` scores both candidates, ``verify_certificate``
-checks a candidate and ``weak_duality_gap`` screens a pair for
-feasibility from one set of residuals of the optimality conditions.
+Optimality is decided by one predicate, the residual check of
+``verify_certificate``. Its gap test is scale free: any pair (p, X) gives
+certified bounds lower <= P_D* <= upper (``_bracket``), and the gap is the
+relative width 1 - lower/upper. Once the duality gap of an iterate is
+below the gap tolerance, ``solve`` tries the iterate itself, then a
+Gauss-Newton polish of the full optimality system on the active face; the
+first that passes the check ends the solve as Optimal.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ from .errors import ValidationError
 
 OPERATOR_TOL = 1e-6
 SCALAR_TOL = 1e-7
-
-# Complementarity targets enforced at status Optimal; iteration continues
-# past the gap tolerance until the slack products also meet them.
-SLACK_OPERATOR_TARGET = 5e-7
-SLACK_SCALAR_TARGET = 5e-9
 
 # Fraction of the distance to the cone boundary taken by each step.
 STEP_FRACTION = 0.99
@@ -197,12 +194,6 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg], initial=np.inf))
 
 
-def _clip_psd(x_mat: np.ndarray) -> np.ndarray:
-    w, vecs = np.linalg.eigh((x_mat + x_mat.conj().T) / 2)
-    w = np.maximum(w, 0.0)
-    return (vecs * w) @ vecs.conj().T
-
-
 def _kkt_polish(
     c: np.ndarray,
     p: np.ndarray,
@@ -306,6 +297,31 @@ def _tolerances(operator_tol: float = OPERATOR_TOL, scalar_tol: float = SCALAR_T
     }
 
 
+def _bracket(
+    c: np.ndarray, eta: np.ndarray, p: np.ndarray, x_mat: np.ndarray
+) -> tuple[float, float, float, float]:
+    """Certified bounds lower <= P_D* <= upper from any pair (p, X).
+
+    p+ = max(p, 0) scaled by 1/max(1, lambda_max(sum_i p+_i Q_i)) is primal
+    feasible, and X+ (X clipped to the psd cone) scaled by
+    t = max(1, max_i eta_i / Tr(Q_i X+)) is dual feasible, so their
+    objectives bound the optimum. lambda_max is read off the m x m matrix
+    diag(sqrt p+) C*C diag(sqrt p+). Returns (lower, upper, lambda_max,
+    lambda_min(X)); upper is inf when X+ misses some Q_i.
+    """
+    p_plus = np.maximum(p, 0.0)
+    root = np.sqrt(p_plus)
+    weighted = root[:, None] * (c.conj().T @ c) * root[None, :]
+    top = float(np.linalg.eigvalsh((weighted + weighted.conj().T) / 2)[-1])
+    w, vecs = np.linalg.eigh((x_mat + x_mat.conj().T) / 2)
+    w_plus = np.maximum(w, 0.0)
+    traces = w_plus @ np.abs(vecs.conj().T @ c) ** 2
+    with np.errstate(divide="ignore"):
+        t = max(1.0, float(np.max(eta / traces)))
+    upper = t * float(w_plus.sum()) if np.isfinite(t) else np.inf
+    return float(eta @ p_plus) / max(1.0, top), upper, top, float(w[0])
+
+
 def _residuals(
     c: np.ndarray, eta: np.ndarray, p: np.ndarray, cert: DualCertificate
 ) -> tuple[dict[str, float], np.ndarray]:
@@ -313,30 +329,40 @@ def _residuals(
 
     Primal feasibility (p >= 0 and the conclusive operators below the
     identity), dual feasibility (X psd, z >= 0, the trace equalities), the
-    two complementary slackness products, and the relative duality gap;
-    returned with the trace products Tr(Q_i X) they are computed from.
+    two complementary slackness products, and the relative width of the
+    P_D bracket; returned with the trace products Tr(Q_i X) they are
+    computed from.
     """
-    q_sum = _apply(c, p)
+    lower, upper, top, bottom = _bracket(c, eta, p, cert.X)
     traces = _apply_adjoint(c, cert.X)
-    primal_val = float(-eta @ p)
-    dual_val = float(-np.trace(cert.X).real)
     residuals = {
         "primal_nonneg": float(max(0.0, -np.min(p))),
-        "primal_operator": float(max(0.0, np.linalg.eigvalsh(q_sum)[-1] - 1.0)),
-        "dual_psd": float(max(0.0, -np.linalg.eigvalsh(cert.X)[0])),
+        "primal_operator": max(0.0, top - 1.0),
+        "dual_psd": max(0.0, -bottom),
         "dual_nonneg": float(max(0.0, -np.min(cert.z))),
         "dual_equality": float(np.max(np.abs(traces - cert.z - eta))),
-        "slack_operator": float(np.linalg.norm(cert.X @ (np.eye(c.shape[0]) - q_sum))),
+        "slack_operator": float(np.linalg.norm(cert.X @ (np.eye(c.shape[0]) - _apply(c, p)))),
         "slack_scalar": float(np.max(np.abs(cert.z * p))),
-        "gap": abs(primal_val - dual_val) / (1.0 + abs(primal_val)),
+        "gap": 1.0 - lower / upper,
     }
     return residuals, traces
 
 
-def _score(residuals: dict[str, float]) -> float:
-    """Worst residual relative to the verification tolerances."""
-    tolerances = _tolerances()
-    return max(residuals[k] / tolerances[k] for k in residuals)
+def _checks(residuals: dict[str, float], tolerances: dict[str, float]) -> dict[str, bool]:
+    return {k: residuals[k] <= tolerances[k] for k in residuals}
+
+
+def _certified(
+    c: np.ndarray,
+    eta: np.ndarray,
+    candidate: tuple[np.ndarray, DualCertificate] | None,
+    tolerances: dict[str, float],
+):
+    """(candidate, residuals) when the pair (p, cert) passes every check, else None."""
+    if candidate is None:
+        return None
+    residuals, _ = _residuals(c, eta, *candidate)
+    return (candidate, residuals) if all(_checks(residuals, tolerances).values()) else None
 
 
 # The residuals a SolveReport carries.
@@ -346,13 +372,13 @@ _REPORTED = ("primal_nonneg", "primal_operator", "dual_equality", "slack_operato
 def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveReport:
     """Solve the discrimination SDP to guaranteed global optimality.
 
-    Returns the optimal detection probabilities together with a dual
-    certificate read from the final iterate (cone-projected so that the
-    certificate is exactly PSD / nonnegative), or from its Gauss-Newton
-    polish when that meets the verify tolerances better. The ``trace`` has
-    the objective pair at every iterate and the step lengths and sigma of
-    each step; all iterates are primal and dual feasible by construction, so
-    every traced gap is nonnegative.
+    Status Optimal means the returned pair passes the checks of
+    ``verify_certificate`` at its default tolerances: the first iterate
+    within the gap tolerance that passes them, or else its Gauss-Newton
+    polish, is returned. Any other status returns the last iterate. The
+    ``trace`` has the objective pair at every iterate and the step lengths
+    and sigma of each step; all iterates are primal and dual feasible by
+    construction, so every traced gap is nonnegative.
     """
     opts = options or SolverOptions()
     c = problem.reciprocals
@@ -370,10 +396,8 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
     x_mat = (2.0 * eta.max() / norms2.min()) * eye_r
 
     status = SolveStatus.MAX_ITERATIONS
+    tolerances = _tolerances()
     trace: list[IterateTrace] = []
-    snapshot = None
-    prev_gap = np.inf
-    stalled = 0
 
     for it in range(opts.max_iters + 1):
         s0 = eye_r - _apply(c, p)
@@ -385,22 +409,21 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         trace.append(IterateTrace(it, primal, dual, gap, mu))
         iterations = it
         if gap / (1.0 + abs(primal)) <= opts.tol_gap:
-            # The gap is converged (feasibility holds by construction). Keep
-            # polishing until the complementarity products also meet the
-            # report contract, retaining the best converged iterate seen so far.
-            slack_op = float(np.linalg.norm(x_mat @ s0))
-            slack_sc = float(np.max(np.abs(z * p)))
-            score = max(slack_op / SLACK_OPERATOR_TARGET, slack_sc / SLACK_SCALAR_TARGET)
-            if snapshot is None or score < snapshot[0]:
-                snapshot = (score, p.copy(), x_mat.copy(), z.copy(), it, gap)
-            if score <= 1.0:
-                break
-            stalled = stalled + 1 if gap > 0.7 * prev_gap else 0
-            if stalled >= 3:
+            # Certificate candidates: the iterate itself, which is strictly
+            # feasible, so no clip is needed and its bracket width is
+            # gap / Tr(X); then its polish. The first that passes the checks
+            # of verify_certificate ends the solve.
+            found = None
+            if gap <= tolerances["gap"] * -dual:
+                found = _certified(c, eta, (p, DualCertificate(X=x_mat, z=z)), tolerances)
+            if found is None:
+                found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, gap), tolerances)
+            if found is not None:
+                (p, certificate), residuals = found
+                status = SolveStatus.OPTIMAL
                 break
         if it == opts.max_iters:
             break
-        prev_gap = gap
 
         try:
             lam, t_inv, t_nt = _nt_scaling(x_mat, s0)
@@ -452,23 +475,9 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         x_mat = x_mat + ad * dx
         x_mat = (x_mat + x_mat.conj().T) / 2
 
-    if snapshot is not None:
-        # The mandated stopping criteria were met; report the converged
-        # iterate with the smallest complementarity score.
-        _, p, x_mat, z, iterations, gap = snapshot
-        status = SolveStatus.OPTIMAL
-
-    # Certificate from the final dual iterate, cone-projected; at status
-    # Optimal a Gauss-Newton polish of the optimality system replaces it when
-    # its residuals score better against the verify tolerances.
-    certificate = DualCertificate(X=_clip_psd(x_mat), z=np.maximum(z, 0.0))
-    residuals, _ = _residuals(c, eta, p, certificate)
-    if status is SolveStatus.OPTIMAL:
-        polished = _kkt_polish(c, p, x_mat, eta, gap)
-        if polished is not None:
-            pol_residuals, _ = _residuals(c, eta, *polished)
-            if _score(pol_residuals) < _score(residuals):
-                (p, certificate), residuals = polished, pol_residuals
+    if status is not SolveStatus.OPTIMAL:
+        certificate = DualCertificate(X=x_mat, z=z)
+        residuals, _ = _residuals(c, eta, p, certificate)
 
     primal = float(problem.cost @ p)
     dual = float(-np.trace(certificate.X).real)
@@ -500,8 +509,9 @@ def verify_certificate(
     The conditions are primal feasibility (p >= 0 and the conclusive
     operators below the identity), dual feasibility (X psd, z >= 0, the
     trace equalities), the two complementary slackness products, and a
-    vanishing duality gap. Verification always returns a report; it never
-    raises on a failing candidate.
+    vanishing relative width 1 - lower/upper of the certified P_D bracket.
+    Verification always returns a report; it never raises on a failing
+    candidate.
     """
     p = np.asarray(p, dtype=float).ravel()
     c = recips.reciprocals
@@ -512,7 +522,7 @@ def verify_certificate(
 
     residuals, traces = _residuals(c, ensemble.priors, p, certificate)
     tolerances = _tolerances(operator_tol, scalar_tol)
-    checks = {k: residuals[k] <= tolerances[k] for k in residuals}
+    checks = _checks(residuals, tolerances)
     detail = {
         "trace_products": traces,
         "primal_value": float(-ensemble.priors @ p),
@@ -527,33 +537,6 @@ def verify_certificate(
     )
 
 
-def weak_duality_gap(
-    problem: SdpProblem, p: np.ndarray, certificate: DualCertificate
-) -> float:
-    """Objective difference P(p) - D(X) for a feasible primal-dual pair.
-
-    Both inputs are checked for feasibility first; an infeasible pair is
-    flagged with a :class:`ValidationError`. For feasible pairs the value
-    equals Tr(F(p) Z) with Z the block-diagonal dual variable, hence it is
-    nonnegative.
-    """
-    p = np.asarray(p, dtype=float).ravel()
-    res, _ = _residuals(problem.reciprocals, -problem.cost, p, certificate)
-    if res["primal_nonneg"] > 1e-9:
-        raise ValidationError("primal point infeasible: negative probability")
-    if res["primal_operator"] > 1e-8:
-        raise ValidationError("primal point infeasible: operators exceed the identity")
-    if res["dual_psd"] > 1e-8:
-        raise ValidationError("dual point infeasible: X is not positive semidefinite")
-    if res["dual_nonneg"] > 1e-10:
-        raise ValidationError("dual point infeasible: negative slack")
-    if res["dual_equality"] > 1e-7:
-        raise ValidationError(
-            f"dual point infeasible: trace equalities violated by {res['dual_equality']:.3e}"
-        )
-    return float(problem.cost @ p + np.trace(certificate.X).real)
-
-
 __all__ = [
     "SolveStatus",
     "SolverOptions",
@@ -565,5 +548,4 @@ __all__ = [
     "build_sdp",
     "solve",
     "verify_certificate",
-    "weak_duality_gap",
 ]

@@ -88,6 +88,24 @@ def random_ensemble(rng, r: int, m: int, min_prior: float = 0.2) -> StateEnsembl
     return StateEnsemble(states, priors)
 
 
+def gaussian_states(rng, r: int, m: int) -> np.ndarray:
+    """m random complex Gaussian unit columns in C^r, with no conditioning filter."""
+    a = rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
+    return a / np.linalg.norm(a, axis=0)
+
+
+def spread_priors(rng, m: int) -> np.ndarray:
+    """Priors drawn uniformly from [0.5, 1.5] and normalized."""
+    w = rng.uniform(0.5, 1.5, m)
+    return w / w.sum()
+
+
+def near_parallel_pair(rng, delta: float) -> np.ndarray:
+    """Two unit states in C^2 with overlap 1 - delta, turned by a random unitary."""
+    s, t = 1.0 - delta, np.sqrt(delta * (2.0 - delta))
+    return haar_unitary(rng, 2) @ np.array([[1.0, s], [0.0, t]], dtype=complex)
+
+
 def haar_unitary(rng, n: int) -> np.ndarray:
     q, r_ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diagonal(r_) / np.abs(np.diagonal(r_)))

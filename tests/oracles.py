@@ -8,6 +8,8 @@ they share no code path with the interior-point solver they check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -133,3 +135,29 @@ def _crosscheck_feasibility(recips, p_point, rng, samples: int = 50):
 def _lambda_max_explicit(recips, p_point):
     mat = (recips * p_point) @ recips.conj().T
     return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def two_state_pd(states, priors) -> float:
+    """Optimal P_D for two pure states in closed form (Jaeger and Shimony 1995).
+
+    With eta_1 <= eta_2 and overlap s: P_D = 1 - 2 sqrt(eta_1 eta_2) |s| when
+    |s| <= sqrt(eta_1 / eta_2), otherwise only the likelier state is ever
+    identified and P_D = eta_2 (1 - |s|^2); equal priors give 1 - |s|
+    (Ivanovic, Dieks, Peres). Both forms are evaluated without cancellation
+    as |s| -> 1: 1 - |s|^2 is the Lagrange identity sum_{i<j} |a_i b_j -
+    a_j b_i|^2, and the first form is (sqrt eta_2 - sqrt eta_1)^2 +
+    2 sqrt(eta_1 eta_2) (1 - |s|^2) / (1 + |s|).
+    """
+    a, b = states[:, 0], states[:, 1]
+    norms = float(np.vdot(a, a).real * np.vdot(b, b).real)
+    overlap = abs(np.vdot(a, b)) / math.sqrt(norms)
+    wedge = sum(
+        abs(a[i] * b[j] - a[j] * b[i]) ** 2
+        for i in range(len(a))
+        for j in range(i + 1, len(a))
+    ) / norms
+    lo, hi = sorted(float(x) for x in priors)
+    if overlap <= math.sqrt(lo / hi):
+        root = math.sqrt(lo * hi)
+        return (math.sqrt(hi) - math.sqrt(lo)) ** 2 + 2.0 * root * wedge / (1.0 + overlap)
+    return hi * wedge

@@ -15,12 +15,19 @@ from uqsd import (
     reciprocal_states,
     solve,
     verify_certificate,
-    weak_duality_gap,
 )
-from uqsd.solver import _max_step_psd, _nt_scaling
+from uqsd.solver import _bracket, _max_step_psd, _nt_scaling
 
-from helpers import f_matrix, max_step_reference, outer_products, random_ensemble
-from oracles import grid_oracle_best_pd, two_state_grid
+from helpers import (
+    f_matrix,
+    gaussian_states,
+    max_step_reference,
+    near_parallel_pair,
+    outer_products,
+    random_ensemble,
+    spread_priors,
+)
+from oracles import grid_oracle_best_pd, two_state_grid, two_state_pd
 
 
 def solve_ensemble(ensemble, options=None):
@@ -259,49 +266,126 @@ class TestVerifyCertificate:
                                np.zeros(3), cert)
 
 
-class TestWeakDuality:
-    def feasible_pair(self, ensemble):
-        rs = reciprocal_states(ensemble)
-        problem = build_sdp(ensemble, rs)
-        p = np.full(ensemble.m, 0.25 * rs.sigma[-1] ** 2)
-        alpha = 2.0 * ensemble.priors.max() / np.min(
-            np.einsum("ri,ri->i", rs.reciprocals.conj(), rs.reciprocals).real
-        )
-        x_mat = alpha * np.eye(ensemble.r)
-        z = np.einsum(
-            "ri,rs,si->i", rs.reciprocals.conj(), x_mat, rs.reciprocals
-        ).real - ensemble.priors
-        return rs, problem, p, DualCertificate(X=x_mat, z=z)
+def feasible_pair(ensemble):
+    """A strictly feasible primal point p and dual matrix X, far from optimal."""
+    rs = reciprocal_states(ensemble)
+    c = rs.reciprocals
+    p = np.full(ensemble.m, 0.25 * rs.sigma[-1] ** 2)
+    alpha = 2.0 * ensemble.priors.max() / np.min(np.einsum("ri,ri->i", c.conj(), c).real)
+    return rs, p, alpha * np.eye(ensemble.r)
 
-    def test_nonnegative_for_feasible_pairs(self, rng):
+
+def bracket(rs, ensemble, p, x_mat):
+    lower, upper, _, _ = _bracket(rs.reciprocals, ensemble.priors, p, x_mat)
+    return lower, upper
+
+
+class TestBracket:
+    def test_lower_below_upper_for_feasible_pairs(self, rng):
         for _ in range(10):
             e = random_ensemble(rng, 5, 3)
-            _, problem, p, cert = self.feasible_pair(e)
-            assert weak_duality_gap(problem, p, cert) >= -1e-9
+            rs, p, x_mat = feasible_pair(e)
+            lower, upper = bracket(rs, e, p, x_mat)
+            # Feasible points: the bounds are the two objective values.
+            assert lower == pytest.approx(e.priors @ p, rel=1e-12)
+            assert upper == pytest.approx(np.trace(x_mat).real, rel=1e-12)
+            assert 0.0 < lower <= upper
 
-    def test_matches_block_trace_form(self, rng):
-        e = random_ensemble(rng, 4, 3)
-        _, problem, p, cert = self.feasible_pair(e)
-        gap = weak_duality_gap(problem, p, cert)
-        z_block = block_diag(cert.X, np.diag(cert.z))
-        alt = np.trace(f_matrix(problem, p) @ z_block).real
-        assert gap == pytest.approx(alt, abs=1e-10)
+    def test_contains_tight_optimum(self, rng):
+        # Any pair brackets the optimum: feasible or not, psd or not.
+        for _ in range(5):
+            e = random_ensemble(rng, 5, 4)
+            rs, _, report = solve_ensemble(e, SolverOptions(tol_gap=1e-10))
+            assert report.status is SolveStatus.OPTIMAL
+            best = -report.primal_value
+            for _ in range(20):
+                p = report.p * rng.uniform(0.5, 1.5, 4) + rng.normal(scale=0.01, size=4)
+                a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+                x_mat = report.certificate.X + rng.uniform(0, 0.1) * (a + a.conj().T)
+                lower, upper = bracket(rs, e, p, x_mat)
+                assert lower <= best * (1 + 1e-9)
+                assert upper >= best * (1 - 1e-9)
 
-    def test_small_at_optimum(self, three_states_uniform):
-        _, problem, report = solve_ensemble(three_states_uniform)
-        gap = weak_duality_gap(problem, report.p, report.certificate)
-        assert gap <= 1e-7
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-10])
+    def test_contains_two_state_closed_form(self, rng, delta):
+        e = StateEnsemble(near_parallel_pair(rng, delta), np.array([0.3, 0.7]))
+        rs, _, report = solve_ensemble(e)
+        best = two_state_pd(e.states, e.priors)
+        for scale in (0.5, 0.9, 1.0, 1.1, 2.0):
+            lower, upper = bracket(rs, e, scale * report.p, scale * report.certificate.X)
+            assert lower <= best * (1 + 1e-12) and upper >= best * (1 - 1e-12)
 
-    def test_zero_primal_point_gives_dual_trace(self, rng):
-        e = random_ensemble(rng, 4, 2)
-        _, problem, _, cert = self.feasible_pair(e)
-        gap = weak_duality_gap(problem, np.zeros(2), cert)
-        assert gap == pytest.approx(np.trace(cert.X).real, abs=1e-12)
+    def test_width_at_solve_answer(self, rng, three_states_uniform):
+        ensembles = [three_states_uniform] + [random_ensemble(rng, 6, 4) for _ in range(10)]
+        for e in ensembles:
+            rs, _, report = solve_ensemble(e)
+            lower, upper = bracket(rs, e, report.p, report.certificate.X)
+            assert 1.0 - lower / upper <= 1e-7
 
-    def test_infeasible_inputs_flagged(self, three_states_uniform):
-        rs, problem, report = solve_ensemble(three_states_uniform)
-        with pytest.raises(ValidationError, match="primal"):
-            weak_duality_gap(problem, -np.ones(3), report.certificate)
-        bad = DualCertificate(X=-np.eye(3), z=np.zeros(3))
-        with pytest.raises(ValidationError, match="dual"):
-            weak_duality_gap(problem, report.p, bad)
+    def test_missing_dual_support_gives_infinite_upper(self, orthonormal_ensemble):
+        rs = reciprocal_states(orthonormal_ensemble)
+        x_mat = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        lower, upper = bracket(rs, orthonormal_ensemble, np.ones(3), x_mat)
+        assert lower == pytest.approx(1.0) and upper == np.inf
+
+
+# Two states at overlap 1 - delta, down to where the absolute tolerances
+# used to swallow the whole objective.
+SWEEP_DELTAS = np.logspace(-2, -10, 9)
+
+
+def sweep_priors(delta):
+    """Equal priors, unequal with both states detected, and unequal with only the likelier one."""
+    q = 1.0 - delta / 2  # sqrt(eta_1 / eta_2) just above the overlap
+    return {
+        "equal": [0.5, 0.5],
+        "both-detected": [q * q / (1 + q * q), 1 / (1 + q * q)],
+        "likelier-only": [0.3, 0.7],
+    }
+
+
+class TestNearParallelStates:
+    @pytest.mark.parametrize("delta", SWEEP_DELTAS, ids=lambda d: f"{d:.0e}")
+    def test_sweep_matches_closed_form(self, rng, delta):
+        for name, priors in sweep_priors(delta).items():
+            e = StateEnsemble(near_parallel_pair(rng, delta), np.array(priors))
+            rs, _, report = solve_ensemble(e)
+            best = two_state_pd(e.states, e.priors)
+            assert report.status is SolveStatus.OPTIMAL, name
+            assert abs(-report.primal_value - best) <= 1e-6 * best, name
+            assert verify_certificate(e, rs, report.p, report.certificate).passed, name
+            if name == "likelier-only":
+                assert report.p[0] <= 1e-6 * report.p[1]
+
+    @pytest.mark.parametrize("priors", [[0.5, 0.5], [0.3, 0.7]])
+    def test_verify_rejects_certificates_twice_off(self, rng, priors):
+        e = StateEnsemble(near_parallel_pair(rng, 1e-8), np.array(priors))
+        rs, _, report = solve_ensemble(e)
+        c = rs.reciprocals
+        assert verify_certificate(e, rs, report.p, report.certificate).passed
+        doubled = 2.0 * report.certificate.X
+        z = np.einsum("ri,rs,si->i", c.conj(), doubled, c).real - e.priors
+        for p, cert in ((report.p, DualCertificate(X=doubled, z=z)),
+                        (report.p / 2, report.certificate)):
+            ver = verify_certificate(e, rs, p, cert)
+            assert not ver.passed
+            assert not ver.checks["gap"]
+            assert ver.residuals["gap"] == pytest.approx(0.5, rel=1e-3)
+
+
+def test_optimal_exactly_when_verified():
+    # Seeded small instances, 180 and 270 among them: Optimal is reported
+    # exactly for the certificates verify_certificate accepts.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for k in range(400):
+        m = int(rng.integers(1, 9))
+        r = m + int(rng.integers(0, 5))
+        e = StateEnsemble(gaussian_states(rng, r, m), spread_priors(rng, m))
+        if k % 4 and k != 270:
+            continue
+        rs, _, report = solve_ensemble(e)
+        ver = verify_certificate(e, rs, report.p, report.certificate)
+        assert (report.status is SolveStatus.OPTIMAL) == ver.passed, k
+        checked += ver.passed
+    assert checked == 101
