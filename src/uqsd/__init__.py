@@ -37,7 +37,6 @@ from .solver import (
     SdpProblem,
     SolveReport,
     SolveStatus,
-    SolverOptions,
     VerificationReport,
     build_sdp,
     solve,
@@ -69,7 +68,6 @@ __all__ = [
     "detection_probability",
     "inconclusive_probability",
     "SdpProblem",
-    "SolverOptions",
     "SolveStatus",
     "SolveReport",
     "DualCertificate",

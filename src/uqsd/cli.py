@@ -39,7 +39,6 @@ from .solver import (
     SCALAR_TOL,
     SolveReport,
     SolveStatus,
-    SolverOptions,
     VerificationReport,
     build_sdp,
     solve,
@@ -52,17 +51,8 @@ EXIT_SOLVER = 3
 EXIT_CERTIFICATE = 4
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(tol_gap=args.tol_gap, max_iters=args.max_iters)
-
-
-def _tolerances(opts: SolverOptions) -> dict:
-    return {
-        "tol_gap": opts.tol_gap,
-        "max_iters": opts.max_iters,
-        "operator_tol": OPERATOR_TOL,
-        "scalar_tol": SCALAR_TOL,
-    }
+def _tolerances(args) -> dict:
+    return {"max_iters": args.max_iters, "operator_tol": OPERATOR_TOL, "scalar_tol": SCALAR_TOL}
 
 
 def _input_summary(ensemble: StateEnsemble) -> dict:
@@ -90,7 +80,6 @@ def _solve_doc(report: SolveReport) -> dict:
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
         "gap": report.gap,
-        "relative_gap": report.relative_gap,
         "iterations": report.iterations,
         "status": report.status.value,
         "residuals": report.residuals,
@@ -119,7 +108,7 @@ def _print_report(doc: dict, as_json: bool) -> None:
         s = doc["solve"]
         print(f"status:   {s['status']} ({s['iterations']} iterations)")
         print("p:        " + " ".join(f"{x:.6f}" for x in s["p"]))
-        print(f"gap:      {s['gap']:.3e} (relative {s['relative_gap']:.3e})")
+        print(f"gap:      {s['gap']:.3e} (bracket width {s['residuals']['gap']:.3e})")
     if "epm" in doc:
         a = doc["epm"]
         print(f"epm p:    {a['p']:.6f} (multiplicity s={a['s']}, distinct q={a['q']})")
@@ -168,27 +157,24 @@ def _print_report(doc: dict, as_json: bool) -> None:
             print(f"  {key}: {rep[key]:.3e}")
 
 
+def _run_sdp(args, ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Measurement | None]:
+    """Solve and verify into ``doc``; the exit code and, if Optimal, the measurement."""
+    report = solve(build_sdp(ensemble, recips), max_iters=args.max_iters)
+    doc["solve"] = _solve_doc(report)
+    if report.status is not SolveStatus.OPTIMAL:
+        return EXIT_SOLVER, None
+    ver = verify_certificate(ensemble, recips, report.p, report.certificate)
+    doc["verification"] = _verification_doc(ver)
+    return (EXIT_OK if ver.passed else EXIT_CERTIFICATE), measurement_from_probs(recips, report.p)
+
+
 def cmd_solve(args) -> int:
-    opts = _solver_options(args)
     ensemble = load_ensemble(args.file)
     recips = reciprocal_states(ensemble)
-    report = solve(build_sdp(ensemble, recips), opts)
-    doc = {
-        "input": _input_summary(ensemble),
-        "pipeline": "sdp",
-        "tolerances": _tolerances(opts),
-        "solve": _solve_doc(report),
-    }
-    exit_code = EXIT_OK
-    if report.status is not SolveStatus.OPTIMAL:
-        exit_code = EXIT_SOLVER
-    else:
-        measurement = measurement_from_probs(recips, report.p)
-        ver = verify_certificate(ensemble, recips, report.p, report.certificate)
+    doc = {"input": _input_summary(ensemble), "pipeline": "sdp", "tolerances": _tolerances(args)}
+    exit_code, measurement = _run_sdp(args, ensemble, recips, doc)
+    if measurement is not None:
         doc["measurement"] = _measurement_doc(ensemble, measurement)
-        doc["verification"] = _verification_doc(ver)
-        if not ver.passed:
-            exit_code = EXIT_CERTIFICATE
     _print_report(doc, args.json)
     return exit_code
 
@@ -315,8 +301,7 @@ def _run_symmetric(args, kind: str) -> int:
             exit_code = EXIT_CERTIFICATE
     if sol.verdict is not epm_mod.EpmVerdict.OPTIMAL:
         # Sufficient conditions are silent; fall back to the SDP solver.
-        opts = _solver_options(args)
-        report = solve(build_sdp(sol.ensemble, sol.recips), opts)
+        report = solve(build_sdp(sol.ensemble, sol.recips), max_iters=args.max_iters)
         doc["solve"] = _solve_doc(report)
         if report.status is not SolveStatus.OPTIMAL:
             exit_code = EXIT_SOLVER
@@ -343,35 +328,24 @@ def cmd_group_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    opts = _solver_options(args)
-    doc: dict = {"pipeline": args.pipeline, "tolerances": _tolerances(opts)}
-    exit_code = EXIT_OK
+    doc: dict = {"pipeline": args.pipeline, "tolerances": _tolerances(args)}
     if args.pipeline in ("gu", "cgu"):
         spec = sym_mod.load_symmetry_spec(args.file)
         sol = sym_mod.solve_gu(spec) if args.pipeline == "gu" else sym_mod.solve_cgu(spec)
         ensemble, measurement = sol.ensemble, sol.measurement
         doc["symmetry"] = _symmetric_doc(sol)
+        doc["input"] = _input_summary(ensemble)
     else:
         ensemble = load_ensemble(args.file)
         recips = reciprocal_states(ensemble)
+        doc["input"] = _input_summary(ensemble)
         if args.pipeline == "sdp":
-            report = solve(build_sdp(ensemble, recips), opts)
-            if report.status is not SolveStatus.OPTIMAL:
-                doc["input"] = _input_summary(ensemble)
-                doc["solve"] = _solve_doc(report)
+            exit_code, measurement = _run_sdp(args, ensemble, recips, doc)
+            if exit_code != EXIT_OK:
                 _print_report(doc, args.json)
-                return EXIT_SOLVER
-            ver = verify_certificate(ensemble, recips, report.p, report.certificate)
-            doc["solve"] = _solve_doc(report)
-            doc["verification"] = _verification_doc(ver)
-            if not ver.passed:
-                doc["input"] = _input_summary(ensemble)
-                _print_report(doc, args.json)
-                return EXIT_CERTIFICATE
-            measurement = measurement_from_probs(recips, report.p)
+                return exit_code
         else:
             measurement = epm_mod.compute_epm(ensemble, recips)
-    doc["input"] = _input_summary(ensemble)
     doc["measurement"] = _measurement_doc(ensemble, measurement)
     result = simulate(ensemble, measurement, args.trials, args.seed)
     doc["simulation"] = {
@@ -383,7 +357,7 @@ def cmd_simulate(args) -> int:
         "misidentifications": result.misidentifications,
     }
     _print_report(doc, args.json)
-    return exit_code
+    return EXIT_OK
 
 
 @functools.cache
@@ -396,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--tol-gap", type=float, default=1e-8,
-                              help="relative duality gap tolerance (default 1e-8)")
     solver_flags.add_argument("--max-iters", type=int, default=100,
                               help="iteration cap (default 100)")
     common = argparse.ArgumentParser(add_help=False)

@@ -236,6 +236,17 @@ def reciprocal_states(ensemble: StateEnsemble) -> ReciprocalSet:
     return ReciprocalSet(reciprocals=reciprocals, u=u, sigma=sigma, vh=vh)
 
 
+def _operator_top(c: np.ndarray, p: np.ndarray) -> float:
+    """lambda_max of the conclusive sum C diag(p) C* for p >= 0.
+
+    C diag(p) C* and diag(sqrt p) C*C diag(sqrt p) share their nonzero
+    eigenvalues, so it is read off the m x m matrix.
+    """
+    root = np.sqrt(p)
+    weighted = root[:, None] * (c.conj().T @ c) * root[None, :]
+    return float(np.linalg.eigvalsh((weighted + weighted.conj().T) / 2)[-1])
+
+
 def measurement_from_probs(recips: ReciprocalSet, probs: np.ndarray) -> Measurement:
     """Build the measurement with the given detection probabilities.
 
@@ -251,13 +262,9 @@ def measurement_from_probs(recips: ReciprocalSet, probs: np.ndarray) -> Measurem
             f"[{p.min():.3e}, {p.max():.3e}]"
         )
     p = np.clip(p, 0.0, 1.0)
-    # C diag(p) C* and diag(sqrt p) C*C diag(sqrt p) share their nonzero
-    # eigenvalues, so the smallest eigenvalue of the inconclusive operator
-    # I - C diag(p) C* is 1 - lambda_max of the m x m matrix.
+    # The smallest eigenvalue of the inconclusive operator I - C diag(p) C*.
     c = recips.reciprocals
-    root = np.sqrt(p)
-    weighted = root[:, None] * (c.conj().T @ c) * root[None, :]
-    lo = 1.0 - np.linalg.eigvalsh((weighted + weighted.conj().T) / 2)[-1]
+    lo = 1.0 - _operator_top(c, p)
     if lo < PSD_EIG_FLOOR:
         raise ValidationError(
             f"inconclusive operator is not positive semidefinite "

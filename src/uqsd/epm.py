@@ -184,8 +184,8 @@ def priors_for_epm(recips: ReciprocalSet, b: np.ndarray) -> np.ndarray:
     """Priors that make the EPM optimal, from convex weights over the last rows.
 
     ``b`` must have one entry per repetition of the smallest singular
-    value, be nonnegative, and sum to one; the returned priors are the
-    corresponding convex combination of squared V* rows.
+    value, be finite and nonnegative, and sum to one; the returned priors
+    are the corresponding convex combination of squared V* rows.
     """
     analysis = epm_analysis(recips)
     b = np.asarray(b, dtype=float).ravel()
@@ -194,6 +194,8 @@ def priors_for_epm(recips: ReciprocalSet, b: np.ndarray) -> np.ndarray:
             f"b must have length {analysis.s} (multiplicity of the smallest "
             f"singular value), got {b.shape[0]}"
         )
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("b must be finite")
     if np.min(b) < 0.0:
         raise ValidationError("b must be nonnegative")
     if abs(b.sum() - 1.0) > 1e-10:

@@ -25,10 +25,12 @@ Tutuncu 1999), so numpy is all the solver needs.
 Optimality is decided by one predicate, the residual check of
 ``verify_certificate``. Its gap test is scale free: any pair (p, X) gives
 certified bounds lower <= P_D* <= upper (``_bracket``), and the gap is the
-relative width 1 - lower/upper. Once the duality gap of an iterate is
-below the gap tolerance, ``solve`` tries the iterate itself, then a
-Gauss-Newton polish of the full optimality system on the active face; the
-first that passes the check ends the solve as Optimal.
+relative width 1 - lower/upper. A strictly feasible iterate brackets the
+optimum by its own objectives, so its width is gap / Tr X. ``solve`` tries
+the iterate once that width is within the gap tolerance, and a Gauss-Newton
+polish of the full optimality system on the active face once it is within
+the square root of that tolerance; the first candidate that passes the
+check ends the solve as Optimal. The iteration cap is the only setting.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensemble import ReciprocalSet, StateEnsemble
+from .ensemble import ReciprocalSet, StateEnsemble, _operator_top
 from .errors import ValidationError
 
 OPERATOR_TOL = 1e-6
@@ -53,20 +55,6 @@ class SolveStatus(str, Enum):
     OPTIMAL = "Optimal"
     MAX_ITERATIONS = "MaxIterations"
     NUMERICAL_FAILURE = "NumericalFailure"
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Interior-point controls: gap tolerance and iteration cap."""
-
-    tol_gap: float = 1e-8
-    max_iters: int = 100
-
-    def __post_init__(self):
-        if not (0.0 < self.tol_gap < 1.0):
-            raise ValidationError("tol_gap must lie in (0, 1)")
-        if not (1 <= self.max_iters <= 100_000):
-            raise ValidationError("max_iters must lie in [1, 100000]")
 
 
 @dataclass(frozen=True)
@@ -130,9 +118,10 @@ class SolveReport:
     primal_value: float
     dual_value: float
     gap: float
-    relative_gap: float
     iterations: int
     status: SolveStatus
+    # The residuals of verify_certificate for the returned pair; "gap" is the
+    # relative width of its P_D bracket.
     residuals: dict[str, float]
     trace: tuple[IterateTrace, ...] = field(default_factory=tuple)
 
@@ -305,14 +294,11 @@ def _bracket(
     p+ = max(p, 0) scaled by 1/max(1, lambda_max(sum_i p+_i Q_i)) is primal
     feasible, and X+ (X clipped to the psd cone) scaled by
     t = max(1, max_i eta_i / Tr(Q_i X+)) is dual feasible, so their
-    objectives bound the optimum. lambda_max is read off the m x m matrix
-    diag(sqrt p+) C*C diag(sqrt p+). Returns (lower, upper, lambda_max,
-    lambda_min(X)); upper is inf when X+ misses some Q_i.
+    objectives bound the optimum. Returns (lower, upper, lambda_max, lambda_min(X));
+    upper is inf when X+ misses some Q_i.
     """
     p_plus = np.maximum(p, 0.0)
-    root = np.sqrt(p_plus)
-    weighted = root[:, None] * (c.conj().T @ c) * root[None, :]
-    top = float(np.linalg.eigvalsh((weighted + weighted.conj().T) / 2)[-1])
+    top = _operator_top(c, p_plus)
     w, vecs = np.linalg.eigh((x_mat + x_mat.conj().T) / 2)
     w_plus = np.maximum(w, 0.0)
     traces = w_plus @ np.abs(vecs.conj().T @ c) ** 2
@@ -365,22 +351,20 @@ def _certified(
     return (candidate, residuals) if all(_checks(residuals, tolerances).values()) else None
 
 
-# The residuals a SolveReport carries.
-_REPORTED = ("primal_nonneg", "primal_operator", "dual_equality", "slack_operator", "slack_scalar")
-
-
-def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveReport:
+def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     """Solve the discrimination SDP to guaranteed global optimality.
 
     Status Optimal means the returned pair passes the checks of
-    ``verify_certificate`` at its default tolerances: the first iterate
-    within the gap tolerance that passes them, or else its Gauss-Newton
-    polish, is returned. Any other status returns the last iterate. The
-    ``trace`` has the objective pair at every iterate and the step lengths
-    and sigma of each step; all iterates are primal and dual feasible by
-    construction, so every traced gap is nonnegative.
+    ``verify_certificate`` at its default tolerances: the first iterate, or
+    else the Gauss-Newton polish of an iterate, that passes them is
+    returned. Any other status returns the last iterate; ``max_iters`` caps
+    the number of interior-point steps. The ``trace`` has the objective pair
+    at every iterate and the step lengths and sigma of each step; all
+    iterates are primal and dual feasible by construction, so every traced
+    gap is nonnegative.
     """
-    opts = options or SolverOptions()
+    if not isinstance(max_iters, (int, np.integer)) or not 1 <= max_iters <= 100_000:
+        raise ValidationError("max_iters must be an integer in [1, 100000]")
     c = problem.reciprocals
     r, m = c.shape
     eta = -problem.cost
@@ -399,7 +383,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
     tolerances = _tolerances()
     trace: list[IterateTrace] = []
 
-    for it in range(opts.max_iters + 1):
+    for it in range(max_iters + 1):
         s0 = eye_r - _apply(c, p)
         z = _apply_adjoint(c, x_mat) - eta
         gap = float(np.vdot(x_mat, s0).real + p @ z)
@@ -408,13 +392,16 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         mu = gap / (r + m)
         trace.append(IterateTrace(it, primal, dual, gap, mu))
         iterations = it
-        if gap / (1.0 + abs(primal)) <= opts.tol_gap:
-            # Certificate candidates: the iterate itself, which is strictly
-            # feasible, so no clip is needed and its bracket width is
-            # gap / Tr(X); then its polish. The first that passes the checks
-            # of verify_certificate ends the solve.
+        # The iterate is strictly feasible, so its bracket is [eta.p, Tr X]
+        # and its width gap / Tr X. Certificate candidates: the iterate itself
+        # once that width is within tolerance, then its polish from width
+        # sqrt(tol), since the polish converges quadratically and one step
+        # from there reaches tol. The first that passes the checks of
+        # verify_certificate ends the solve.
+        width = gap / -dual
+        if width <= np.sqrt(tolerances["gap"]):
             found = None
-            if gap <= tolerances["gap"] * -dual:
+            if width <= tolerances["gap"]:
                 found = _certified(c, eta, (p, DualCertificate(X=x_mat, z=z)), tolerances)
             if found is None:
                 found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, gap), tolerances)
@@ -422,7 +409,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
                 (p, certificate), residuals = found
                 status = SolveStatus.OPTIMAL
                 break
-        if it == opts.max_iters:
+        if it == max_iters:
             break
 
         try:
@@ -488,10 +475,9 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SolveRep
         primal_value=primal,
         dual_value=dual,
         gap=gap,
-        relative_gap=gap / (1.0 + abs(primal)),
         iterations=iterations,
         status=status,
-        residuals={k: residuals[k] for k in _REPORTED},
+        residuals=residuals,
         trace=tuple(trace),
     )
 
@@ -539,7 +525,6 @@ def verify_certificate(
 
 __all__ = [
     "SolveStatus",
-    "SolverOptions",
     "SdpProblem",
     "DualCertificate",
     "IterateTrace",

@@ -126,7 +126,7 @@ def test_criterion_5_duality_properties():
             report = solve(build_sdp(e, rs))
             assert report.status is SolveStatus.OPTIMAL
             assert all(t.gap >= -1e-9 for t in report.trace)
-            assert report.relative_gap <= 1e-7
+            assert report.residuals["gap"] <= 1e-7
             frame = (rs.reciprocals * report.p) @ rs.reciprocals.conj().T
             assert abs(np.linalg.eigvalsh(frame)[-1] - 1.0) <= 1e-6
     assert clock.elapsed < 60.0

@@ -136,6 +136,17 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "MaxIterations" in out
 
+    def test_removed_gap_flag_exits_2(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "data" / "three_states.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--tol-gap", "1e-8"])
+        assert exc.value.code == 2
+        assert "--tol-gap" in capsys.readouterr().err
+
+    def test_text_output_prints_bracket_width(self, three_states_file, capsys):
+        assert main(["solve", three_states_file]) == 0
+        assert "bracket width" in capsys.readouterr().out
+
     def test_certificate_failure_exit_code(self, three_states_file, capsys,
                                            monkeypatch):
         import uqsd.cli as cli_mod
@@ -310,6 +321,11 @@ class TestEpmCommand:
         generated = doc["make_priors"]["priors"]
         assert abs(sum(generated) - 1.0) <= 1e-10
         assert doc["make_priors"]["verified"] is True
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_make_priors_rejects_non_finite(self, three_states_file, capsys, value):
+        assert main(["epm", three_states_file, "--make-priors", value]) == 2
+        assert "b must be finite" in capsys.readouterr().err
 
 
 class TestSymmetryCommands:

@@ -245,6 +245,11 @@ class TestPriorsForEpm:
         with pytest.raises(ValidationError, match="sum to 1"):
             priors_for_epm(three_states_reciprocals, np.array([0.5]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, three_states_reciprocals, value):
+        with pytest.raises(ValidationError, match="b must be finite"):
+            priors_for_epm(three_states_reciprocals, np.array([value]))
+
     def test_full_certificate_roundtrip(self, rng):
         for _ in range(5):
             e = random_ensemble(rng, 5, 4)

@@ -7,7 +7,6 @@ from scipy.linalg import block_diag
 from uqsd import (
     DualCertificate,
     SolveStatus,
-    SolverOptions,
     StateEnsemble,
     ValidationError,
     build_sdp,
@@ -30,10 +29,23 @@ from helpers import (
 from oracles import grid_oracle_best_pd, two_state_grid, two_state_pd
 
 
-def solve_ensemble(ensemble, options=None):
+DATA = Path(__file__).resolve().parents[1] / "data"
+RESIDUAL_KEYS = {
+    "primal_nonneg",
+    "primal_operator",
+    "dual_psd",
+    "dual_nonneg",
+    "dual_equality",
+    "slack_operator",
+    "slack_scalar",
+    "gap",
+}
+
+
+def solve_ensemble(ensemble, **kwargs):
     rs = reciprocal_states(ensemble)
     problem = build_sdp(ensemble, rs)
-    return rs, problem, solve(problem, options)
+    return rs, problem, solve(problem, **kwargs)
 
 
 class TestBuildSdp:
@@ -169,30 +181,21 @@ class TestSolve:
             assert report.residuals["slack_scalar"] <= 1e-8
 
     def test_max_iterations_status(self, three_states_uniform):
-        _, _, report = solve_ensemble(three_states_uniform, SolverOptions(max_iters=2))
+        _, _, report = solve_ensemble(three_states_uniform, max_iters=2)
         assert report.status is SolveStatus.MAX_ITERATIONS
-        assert set(report.residuals) == {
-            "primal_nonneg",
-            "primal_operator",
-            "dual_equality",
-            "slack_operator",
-            "slack_scalar",
-        }
+        assert set(report.residuals) == RESIDUAL_KEYS
 
     def test_single_state(self):
         e = StateEnsemble(np.array([[1.0], [0.0]], dtype=complex), np.array([1.0]))
         _, _, report = solve_ensemble(e)
         assert report.p[0] == pytest.approx(1.0, abs=1e-7)
 
-    def test_options_validation(self):
+    def test_options_validation(self, three_states_uniform):
         with pytest.raises(ValidationError):
-            SolverOptions(tol_gap=0.0)
-        with pytest.raises(ValidationError):
-            SolverOptions(max_iters=0)
+            solve_ensemble(three_states_uniform, max_iters=0)
 
     def test_trace_records_steps_and_centering(self):
-        path = Path(__file__).resolve().parents[1] / "data" / "three_states.json"
-        _, _, report = solve_ensemble(load_ensemble(path))
+        _, _, report = solve_ensemble(load_ensemble(DATA / "three_states.json"))
         *stepped, last = report.trace
         assert stepped and (last.primal_step, last.dual_step, last.sigma) == (None, None, None)
         for t in stepped:
@@ -293,18 +296,19 @@ class TestBracket:
 
     def test_contains_tight_optimum(self, rng):
         # Any pair brackets the optimum: feasible or not, psd or not.
+        # Compared with the certified bracket of solve's own answer.
         for _ in range(5):
             e = random_ensemble(rng, 5, 4)
-            rs, _, report = solve_ensemble(e, SolverOptions(tol_gap=1e-10))
+            rs, _, report = solve_ensemble(e)
             assert report.status is SolveStatus.OPTIMAL
-            best = -report.primal_value
+            lower_s, upper_s = bracket(rs, e, report.p, report.certificate.X)
             for _ in range(20):
                 p = report.p * rng.uniform(0.5, 1.5, 4) + rng.normal(scale=0.01, size=4)
                 a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
                 x_mat = report.certificate.X + rng.uniform(0, 0.1) * (a + a.conj().T)
                 lower, upper = bracket(rs, e, p, x_mat)
-                assert lower <= best * (1 + 1e-9)
-                assert upper >= best * (1 - 1e-9)
+                assert lower <= upper_s + 1e-12
+                assert upper >= lower_s - 1e-12
 
     @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-10])
     def test_contains_two_state_closed_form(self, rng, delta):
@@ -375,7 +379,8 @@ class TestNearParallelStates:
 
 def test_optimal_exactly_when_verified():
     # Seeded small instances, 180 and 270 among them: Optimal is reported
-    # exactly for the certificates verify_certificate accepts.
+    # exactly for the certificates verify_certificate accepts, and the
+    # report carries the residuals of that check.
     rng = np.random.default_rng(5)
     checked = 0
     for k in range(400):
@@ -387,5 +392,15 @@ def test_optimal_exactly_when_verified():
         rs, _, report = solve_ensemble(e)
         ver = verify_certificate(e, rs, report.p, report.certificate)
         assert (report.status is SolveStatus.OPTIMAL) == ver.passed, k
+        assert report.residuals == ver.residuals, k
         checked += ver.passed
     assert checked == 101
+
+
+@pytest.mark.parametrize("name", ["three_states", "three_states_weighted", "near_parallel"])
+def test_report_residuals_are_the_verification_residuals(name):
+    e = load_ensemble(DATA / f"{name}.json")
+    rs, _, report = solve_ensemble(e)
+    assert report.status is SolveStatus.OPTIMAL
+    ver = verify_certificate(e, rs, report.p, report.certificate)
+    assert report.residuals == ver.residuals
