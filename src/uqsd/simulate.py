@@ -100,8 +100,10 @@ def simulate(
     states = rng.choice(m, size=n_trials, p=priors)
     detected = rng.random(n_trials) < table[states, states + 1]
     outcomes = np.where(detected, states + 1, 0)
-    counts = np.zeros((m, m + 1), dtype=np.int64)
-    np.add.at(counts, (states, outcomes), 1)
+    # Flat cell index state * (m + 1) + outcome, formed in place in ``states``.
+    states *= m + 1
+    states += outcomes
+    counts = np.bincount(states, minlength=m * (m + 1)).reshape(m, m + 1)
     return SimulationResult(counts=counts, n_trials=n_trials, seed=seed)
 
 

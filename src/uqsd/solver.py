@@ -124,6 +124,10 @@ class SolveReport:
     # relative width of its P_D bracket.
     residuals: dict[str, float]
     trace: tuple[IterateTrace, ...] = field(default_factory=tuple)
+    # The candidate that passed the checks, "iterate" or "polish" (None unless
+    # Optimal), and the number of Gauss-Newton polish attempts made.
+    certified_by: str | None = None
+    polish_attempts: int = 0
 
 
 @dataclass(frozen=True)
@@ -382,6 +386,8 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     status = SolveStatus.MAX_ITERATIONS
     tolerances = _tolerances()
     trace: list[IterateTrace] = []
+    certified_by = None
+    polish_attempts = 0
 
     for it in range(max_iters + 1):
         s0 = eye_r - _apply(c, p)
@@ -403,11 +409,15 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
             found = None
             if width <= tolerances["gap"]:
                 found = _certified(c, eta, (p, DualCertificate(X=x_mat, z=z)), tolerances)
+                stage = "iterate"
             if found is None:
+                polish_attempts += 1
                 found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, gap), tolerances)
+                stage = "polish"
             if found is not None:
                 (p, certificate), residuals = found
                 status = SolveStatus.OPTIMAL
+                certified_by = stage
                 break
         if it == max_iters:
             break
@@ -479,6 +489,8 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         status=status,
         residuals=residuals,
         trace=tuple(trace),
+        certified_by=certified_by,
+        polish_attempts=polish_attempts,
     )
 
 

@@ -11,15 +11,24 @@ for CGU sets it is optimal when the generators share their frame-operator
 moments, in particular whenever the generators are themselves GU under a
 group that commutes with the outer group up to phases.
 
-Groups are supplied explicitly as matrices; closure and inverses are
-checked numerically by nearest-element search, one row of the
-multiplication table at a time. Every group action on vectors is one
-batched product of the element stack with the vectors.
+Groups are supplied explicitly as matrices. Identity, closure and
+inverses are checked numerically against the nearest group element, one
+row of the multiplication table at a time: each row is one matrix product
+into a preallocated buffer, and each product is matched to an element by
+the image of a fixed probe vector (a Freivalds-style fingerprint: an
+l x l overlap over d entries per row instead of over d^2). The residual
+is then measured against the matched element in full. A row
+whose matched residual exceeds the tolerance, or that matches an element
+whose probe image nearly coincides with another's, is searched again over
+all entries, so probe collisions and non-groups report the same nearest
+distances. Memory stays a few times the size of the group. Every group
+action on vectors is one batched product of the element stack with the
+vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +49,11 @@ UNITARITY_TOL = 1e-10
 GROUP_MATCH_TOL = 1e-8
 PHASE_TOL = 1e-8
 ORBIT_TOL = 1e-8
+# Squared probe-image distance under which two elements may lie within
+# 2 * GROUP_MATCH_TOL of each other, so that a match to either is not
+# trusted. Far above both (2e-8)^2 and the rounding of the Gram form it is
+# read from.
+PROBE_SEPARATION2 = 1e-10
 
 
 def _unitarity_residual(el: np.ndarray) -> float:
@@ -61,6 +75,61 @@ def _nearest_residual(mats: np.ndarray, flat: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(mats - flat[nearest], axis=1)))
 
 
+def _probe(d: int) -> np.ndarray:
+    """Fixed unit probe vector with distinct entry moduli.
+
+    Distinct nonzero moduli keep the images of distinct monomial matrices
+    (permutations with phases) apart; the irrational phase steps leave
+    other coincidences non-generic.
+    """
+    k = np.arange(d)
+    v = (d + k) * np.exp(1j * np.sqrt(2.0) * k)
+    return v / np.linalg.norm(v)
+
+
+class _ProbeMatch:
+    """Nearest group elements located by the images of one probe vector v.
+
+    Matrices are held transposed (block k is U_k^T), so a row of products
+    U_i U_j is one ``(l d, d) @ U_i^T`` product and matched elements are
+    gathered along axis 0. Since ||A - B||_F >= ||(A - B) v|| for the unit
+    probe, a target within GROUP_MATCH_TOL of its matched element has no
+    nearer one unless two probe images lie within 2 GROUP_MATCH_TOL of each
+    other. Elements whose images lie within sqrt(PROBE_SEPARATION2) of
+    another's are ``crowded``, and a match to them is not taken.
+    """
+
+    def __init__(self, el: np.ndarray):
+        self.probe = _probe(el.shape[1])
+        self.el_t = np.ascontiguousarray(el.transpose(0, 2, 1))
+        self.images = el @ self.probe
+        self.images_h = self.images.conj().T
+        gram = (self.images @ self.images_h).real
+        norms = np.diag(gram)
+        dist2 = norms[:, None] + norms[None, :] - 2.0 * gram
+        np.fill_diagonal(dist2, np.inf)
+        self.crowded = np.min(dist2, axis=1) < PROBE_SEPARATION2
+        self._diff = np.empty_like(self.el_t)
+
+    def residual(self, targets_t: np.ndarray, images: np.ndarray, search) -> float:
+        """Largest distance from each target to its nearest element.
+
+        ``targets_t`` holds the targets transposed and ``images`` their probe
+        images as rows. On a miss (a residual above GROUP_MATCH_TOL or a
+        crowded match) the result of ``search()`` is returned instead.
+        """
+        n = targets_t.shape[0]
+        match = np.argmax((images @ self.images_h).real, axis=1)
+        if self.crowded[match].any():
+            return search()
+        # The indices are in range; mode "raise" would buffer the whole gather.
+        diff = np.take(self.el_t, match, axis=0, out=self._diff[:n], mode="clip")
+        diff -= targets_t
+        parts = diff.reshape(n, -1).view(float)
+        worst = float(np.sqrt(np.max(np.einsum("ij,ij->i", parts, parts))))
+        return worst if worst <= GROUP_MATCH_TOL else search()
+
+
 def _orbit(elements: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Images of each column under each element, in generator-major order.
 
@@ -72,9 +141,13 @@ def _orbit(elements: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryGroup:
-    """Explicit list of unitary matrices, conventionally starting with I."""
+    """Explicit list of unitary matrices, conventionally starting with I.
+
+    ``unitarity`` is the largest Frobenius norm of U^H U - I over the list.
+    """
 
     elements: np.ndarray
+    unitarity: float = field(init=False, repr=False)
 
     def __post_init__(self):
         el = np.asarray(self.elements, dtype=complex)
@@ -89,6 +162,7 @@ class UnitaryGroup:
                 f"(worst residual {worst:.3e})"
             )
         object.__setattr__(self, "elements", el)
+        object.__setattr__(self, "unitarity", worst)
 
     @property
     def order(self) -> int:
@@ -212,14 +286,35 @@ def verify_group(group: UnitaryGroup) -> GroupReport:
     """Residuals of the group axioms under nearest-element matching.
 
     Products are formed one row ``U_i G`` at a time, so memory stays a small
-    multiple of the group itself.
+    multiple of the group itself. Targets are matched by probe image and
+    searched over all entries only on a miss (see ``_ProbeMatch``).
     """
     el = group.elements
-    flat = el.reshape(group.order, -1)
-    unitarity = _unitarity_residual(el)
-    identity = _nearest_residual(np.eye(group.dim)[None], flat)
-    closure = max(_nearest_residual(u @ el, flat) for u in el)
-    inverses = _nearest_residual(el.conj().transpose(0, 2, 1), flat)
+    l, d, _ = el.shape
+    flat = el.reshape(l, -1)
+    match = _ProbeMatch(el)
+    v = match.probe
+    eye = np.eye(d)[None]
+    identity = match.residual(eye, v[None], lambda: _nearest_residual(eye, flat))
+    # (U^H)^T = conj(U) and U^H v = conj(U^T conj(v)).
+    inverses = match.residual(
+        el.conj(),
+        (match.el_t @ v.conj()).conj(),
+        lambda: _nearest_residual(el.conj().transpose(0, 2, 1), flat),
+    )
+    stacked = match.el_t.reshape(l * d, d)
+    products = np.empty_like(stacked)
+    closure = 0.0
+    for u in el:
+        # Block j of the row is (U_i U_j)^T = U_j^T U_i^T; U_i U_j v = U_i (U_j v).
+        np.matmul(stacked, u.T, out=products)
+        row = match.residual(
+            products.reshape(l, d, d),
+            match.images @ u.T,
+            lambda: _nearest_residual(u @ el, flat),
+        )
+        closure = max(closure, row)
+    unitarity = group.unitarity
     passed = (
         unitarity <= UNITARITY_TOL
         and identity <= GROUP_MATCH_TOL

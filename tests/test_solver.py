@@ -184,6 +184,7 @@ class TestSolve:
         _, _, report = solve_ensemble(three_states_uniform, max_iters=2)
         assert report.status is SolveStatus.MAX_ITERATIONS
         assert set(report.residuals) == RESIDUAL_KEYS
+        assert report.certified_by is None
 
     def test_single_state(self):
         e = StateEnsemble(np.array([[1.0], [0.0]], dtype=complex), np.array([1.0]))
@@ -380,9 +381,10 @@ class TestNearParallelStates:
 def test_optimal_exactly_when_verified():
     # Seeded small instances, 180 and 270 among them: Optimal is reported
     # exactly for the certificates verify_certificate accepts, and the
-    # report carries the residuals of that check.
+    # report carries the residuals of that check and the winning candidate.
     rng = np.random.default_rng(5)
     checked = 0
+    stages = {"iterate": 0, "polish": 0}
     for k in range(400):
         m = int(rng.integers(1, 9))
         r = m + int(rng.integers(0, 5))
@@ -393,8 +395,13 @@ def test_optimal_exactly_when_verified():
         ver = verify_certificate(e, rs, report.p, report.certificate)
         assert (report.status is SolveStatus.OPTIMAL) == ver.passed, k
         assert report.residuals == ver.residuals, k
+        assert (report.certified_by is not None) == ver.passed, k
+        assert report.polish_attempts >= (report.certified_by == "polish"), k
         checked += ver.passed
+        if ver.passed:
+            stages[report.certified_by] += 1
     assert checked == 101
+    assert min(stages.values()) > 0, stages
 
 
 @pytest.mark.parametrize("name", ["three_states", "three_states_weighted", "near_parallel"])

@@ -22,7 +22,8 @@ from uqsd import (
     verify_certificate,
     verify_group,
 )
-from uqsd.symmetry import GROUP_MATCH_TOL, UNITARITY_TOL
+import uqsd.symmetry
+from uqsd.symmetry import GROUP_MATCH_TOL, UNITARITY_TOL, _probe
 
 from helpers import (
     cyclic_shift,
@@ -64,6 +65,43 @@ def small_rotation(rng, dim, eps):
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     w, v = np.linalg.eigh(h + h.conj().T)
     return (v * np.exp(1j * eps * w / np.max(np.abs(w)))) @ v.conj().T
+
+
+def probe_collision_set(rng, kind):
+    """Element lists in which distinct elements share their probe image.
+
+    ``dihedral``: the dihedral group on C^5 conjugated so that the probe is
+    fixed by a reflection; every element then shares its image with one
+    other. ``reflection``: {I, A, A (I - 2 w w^H)} with A Haar and w
+    orthogonal to the probe, not a group. ``near_duplicate``: {I, Z, Z'}
+    with Z a sign flip and Z' = Z exp(i 1e-9 H), H v = 0, a group within
+    tolerance whose two near-equal elements share their image. ``cyclic``:
+    a Haar-conjugated cyclic group, whose images are all distinct.
+    """
+    n = 5
+    v = _probe(n)
+    if kind == "dihedral":
+        shift = cyclic_shift(n)
+        flip = np.eye(n, dtype=complex)[(-np.arange(n)) % n]
+        rotations = [np.linalg.matrix_power(shift, k) for k in range(n)]
+        # First column of w is v up to a phase, so w^H v is a multiple of e_0.
+        w, _ = np.linalg.qr(np.column_stack([v, rng.normal(size=(n, n - 1))]))
+        return np.array([w @ g @ w.conj().T for g in rotations + [flip @ g for g in rotations]])
+    if kind == "reflection":
+        a = haar_unitary(rng, n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x -= v * np.vdot(v, x)
+        x /= np.linalg.norm(x)
+        b = a @ (np.eye(n) - 2.0 * np.outer(x, x.conj()))
+        return np.array([np.eye(n, dtype=complex), a, b])
+    if kind == "near_duplicate":
+        z = np.diag([1.0, -1.0, 1.0, -1.0, 1.0]).astype(complex)
+        off_probe = np.eye(n) - np.outer(v, v.conj())
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        w, u = np.linalg.eigh(off_probe @ (h + h.conj().T) @ off_probe)
+        z_near = z @ (u * np.exp(1e-9j * w / np.max(np.abs(w)))) @ u.conj().T
+        return np.array([np.eye(n, dtype=complex), z, z_near])
+    return random_gu_group(rng, "conjugated", n, n).elements
 
 
 def pauli_pair_groups():
@@ -125,8 +163,8 @@ class TestVerifyGroup:
 
     @pytest.mark.parametrize("kind", ["closed", "truncated", "perturbed"])
     def test_matches_per_pair_reference(self, rng, kind):
-        for _ in range(8):
-            size = int(rng.integers(3, 7))
+        for trial in range(9):
+            size = int(rng.integers(3, 7)) if trial < 8 else 16
             el = random_gu_group(rng, "conjugated", size, size + int(rng.integers(0, 3))).elements
             if kind == "truncated":
                 el = el[: int(rng.integers(2, size))]
@@ -139,6 +177,27 @@ class TestVerifyGroup:
             assert report.passed == passed
             got = (report.unitarity, report.identity, report.closure, report.inverses)
             assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["dihedral", "reflection", "near_duplicate", "cyclic"])
+    def test_probe_collisions_fall_back_to_full_search(self, rng, monkeypatch, kind):
+        searches = []
+        search = uqsd.symmetry._nearest_residual
+        monkeypatch.setattr(
+            uqsd.symmetry,
+            "_nearest_residual",
+            lambda *args: searches.append(1) or search(*args),
+        )
+        for _ in range(4):
+            el = probe_collision_set(rng, kind)
+            images = el @ _probe(el.shape[1])
+            collide = np.linalg.norm(images[:, None] - images[None], axis=2) <= 1e-12
+            assert collide.sum() > len(el) or kind == "cyclic"
+            report = verify_group(UnitaryGroup(el))
+            residuals, passed = brute_force_group_report(el)
+            assert report.passed == passed == (kind != "reflection")
+            got = (report.unitarity, report.identity, report.closure, report.inverses)
+            assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-14
+        assert bool(searches) == (kind != "cyclic")
 
     def test_memory_stays_a_small_multiple_of_the_group(self):
         group = UnitaryGroup.cyclic(cyclic_shift(48), order=48)
