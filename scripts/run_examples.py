@@ -126,8 +126,7 @@ def symmetric_pipeline(path: Path, compound: bool) -> bool:
     print(f"common p   : {sol.p:.10f}")
     gens = np.round(sol.reciprocal_generators.T, 6)
     print(f"reciprocal generators (rows): {gens}")
-    recips = reciprocal_states(sol.ensemble)
-    ver = verify_certificate(sol.ensemble, recips, sol.measurement.probs, sol.certificate)
+    ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
     print(f"certificate: {verdict(ver.passed)}")
     sim = simulate(sol.ensemble, sol.measurement, 200_000, seed=2)
     print(f"simulation : per-state frequencies {np.round(sim.detection_frequency, 4)}")

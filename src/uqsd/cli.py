@@ -3,7 +3,9 @@
 Subcommands: ``solve`` (SDP pipeline), ``epm`` (equal-probability
 measurement analysis), ``gu`` / ``cgu`` (closed-form symmetric
 pipelines), ``group-verify`` (group axiom check) and ``simulate``
-(Monte-Carlo validation of a measurement). Reports print as text by
+(Monte-Carlo validation of the measurement of the pipeline that
+``--pipeline`` names). Each pipeline (sdp, epm, gu, cgu) has one runner,
+shared by its subcommand and by ``simulate``. Reports print as text by
 default; ``--json`` emits the full structured document.
 
 Exit codes: 0 success, 2 validation or input error, 3 solver
@@ -39,7 +41,6 @@ from .solver import (
     SCALAR_TOL,
     SolveReport,
     SolveStatus,
-    VerificationReport,
     build_sdp,
     solve,
     verify_certificate,
@@ -86,7 +87,9 @@ def _solve_doc(report: SolveReport) -> dict:
     }
 
 
-def _verification_doc(ver: VerificationReport) -> dict:
+def _verification(ensemble: StateEnsemble, recips, p, certificate) -> dict:
+    """Check a candidate with ``verify_certificate``; its ``verification`` document."""
+    ver = verify_certificate(ensemble, recips, p, certificate)
     return {
         "passed": ver.passed,
         "residuals": ver.residuals,
@@ -101,8 +104,11 @@ def _print_report(doc: dict, as_json: bool) -> None:
         print(json.dumps(doc, indent=2))
         return
     summary = doc["input"]
-    print(f"ensemble: r={summary['r']} m={summary['m']}")
-    print("priors:   " + " ".join(f"{x:.6f}" for x in summary["priors"]))
+    if "priors" in summary:
+        print(f"ensemble: r={summary['r']} m={summary['m']}")
+        print("priors:   " + " ".join(f"{x:.6f}" for x in summary["priors"]))
+    else:
+        print(f"group:    order={summary['order']} dim={summary['dim']}")
     print(f"pipeline: {doc['pipeline']}")
     if "solve" in doc:
         s = doc["solve"]
@@ -163,20 +169,19 @@ def _run_sdp(args, ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Mea
     doc["solve"] = _solve_doc(report)
     if report.status is not SolveStatus.OPTIMAL:
         return EXIT_SOLVER, None
-    ver = verify_certificate(ensemble, recips, report.p, report.certificate)
-    doc["verification"] = _verification_doc(ver)
-    return (EXIT_OK if ver.passed else EXIT_CERTIFICATE), measurement_from_probs(recips, report.p)
+    ver = doc["verification"] = _verification(ensemble, recips, report.p, report.certificate)
+    exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
+    return exit_code, measurement_from_probs(recips, report.p)
 
 
-def cmd_solve(args) -> int:
+def _sdp_pipeline(args):
     ensemble = load_ensemble(args.file)
     recips = reciprocal_states(ensemble)
     doc = {"input": _input_summary(ensemble), "pipeline": "sdp", "tolerances": _tolerances(args)}
     exit_code, measurement = _run_sdp(args, ensemble, recips, doc)
     if measurement is not None:
         doc["measurement"] = _measurement_doc(ensemble, measurement)
-    _print_report(doc, args.json)
-    return exit_code
+    return doc, ensemble, measurement, exit_code
 
 
 def _epm_tests_doc(ensemble, recips, lp) -> dict:
@@ -200,7 +205,7 @@ def _epm_tests_doc(ensemble, recips, lp) -> dict:
     return tests
 
 
-def cmd_epm(args) -> int:
+def _epm_pipeline(args):
     if args.gu:
         spec = sym_mod.load_symmetry_spec(args.file)
         ensemble = sym_mod.expand(spec)
@@ -236,28 +241,23 @@ def cmd_epm(args) -> int:
     exit_code = EXIT_OK
     if lp.b is not None:
         cert = epm_mod.epm_certificate(recips, lp.b)
-        ver = verify_certificate(ensemble, recips, measurement.probs, cert)
-        doc["verification"] = _verification_doc(ver)
-        if not ver.passed:
-            exit_code = EXIT_CERTIFICATE
+        ver = doc["verification"] = _verification(ensemble, recips, measurement.probs, cert)
+        exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
     if args.make_priors is not None:
         try:
             b = np.array([float(x) for x in args.make_priors.split(",")])
         except ValueError as exc:
             raise ValidationError(f"--make-priors expects comma-separated numbers: {exc}")
         priors = epm_mod.priors_for_epm(recips, b)
+        # The reciprocal set and the EPM do not depend on the priors.
         generated = StateEnsemble(ensemble.states, priors)
-        gen_recips = reciprocal_states(generated)
-        gen_meas = epm_mod.compute_epm(generated, gen_recips)
-        gen_cert = epm_mod.epm_certificate(gen_recips, b)
-        gen_ver = verify_certificate(generated, gen_recips, gen_meas.probs, gen_cert)
+        cert = epm_mod.epm_certificate(recips, b)
         doc["make_priors"] = {
             "b": encode_real_vector(b),
             "priors": encode_real_vector(priors),
-            "verified": gen_ver.passed,
+            "verified": _verification(generated, recips, measurement.probs, cert)["passed"],
         }
-    _print_report(doc, args.json)
-    return exit_code
+    return doc, ensemble, measurement, exit_code
 
 
 def _symmetric_doc(sol: sym_mod.SymmetricSolution) -> dict:
@@ -278,33 +278,43 @@ def _symmetric_doc(sol: sym_mod.SymmetricSolution) -> dict:
     return doc
 
 
-def _run_symmetric(args, kind: str) -> int:
+def _symmetric_pipeline(args):
     spec = sym_mod.load_symmetry_spec(args.file)
-    if kind == "gu":
-        sol = sym_mod.solve_gu(spec)
-    else:
-        sol = sym_mod.solve_cgu(spec)
+    sol = sym_mod.solve_gu(spec) if args.pipeline == "gu" else sym_mod.solve_cgu(spec)
     doc = {
         "input": _input_summary(sol.ensemble),
-        "pipeline": kind,
+        "pipeline": args.pipeline,
         "tolerances": {"operator_tol": OPERATOR_TOL, "scalar_tol": SCALAR_TOL},
         "symmetry": _symmetric_doc(sol),
         "measurement": _measurement_doc(sol.ensemble, sol.measurement),
     }
     exit_code = EXIT_OK
-    if sol.certificate is not None:
-        ver = verify_certificate(
+    if sol.verdict is not epm_mod.EpmVerdict.OPTIMAL:
+        # The EPM is not proven optimal; the SDP solver decides. The
+        # measurement stays the EPM.
+        exit_code, _ = _run_sdp(args, sol.ensemble, sol.recips, doc)
+    elif sol.certificate is not None:
+        ver = doc["verification"] = _verification(
             sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate
         )
-        doc["verification"] = _verification_doc(ver)
-        if sol.verdict is epm_mod.EpmVerdict.OPTIMAL and not ver.passed:
-            exit_code = EXIT_CERTIFICATE
-    if sol.verdict is not epm_mod.EpmVerdict.OPTIMAL:
-        # Sufficient conditions are silent; fall back to the SDP solver.
-        report = solve(build_sdp(sol.ensemble, sol.recips), max_iters=args.max_iters)
-        doc["solve"] = _solve_doc(report)
-        if report.status is not SolveStatus.OPTIMAL:
-            exit_code = EXIT_SOLVER
+        exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
+    return doc, sol.ensemble, sol.measurement, exit_code
+
+
+# One runner per pipeline. A runner takes the parsed arguments and returns
+# (doc, ensemble, measurement, exit code); ``simulate`` uses the measurement
+# only when the exit code is EXIT_OK.
+_RUNNERS = {
+    "sdp": _sdp_pipeline,
+    "epm": _epm_pipeline,
+    "gu": _symmetric_pipeline,
+    "cgu": _symmetric_pipeline,
+}
+
+
+def _cmd_pipeline(args) -> int:
+    """Run the runner of ``args.pipeline`` and print its document."""
+    doc, _, _, exit_code = _RUNNERS[args.pipeline](args)
     _print_report(doc, args.json)
     return exit_code
 
@@ -320,44 +330,25 @@ def cmd_group_verify(args) -> int:
         "pipeline": "group-verify",
         "group": dataclasses.asdict(report),
     }
-    doc["input"]["r"] = group.dim
-    doc["input"]["m"] = group.order
-    doc["input"]["priors"] = []
     _print_report(doc, args.json)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_simulate(args) -> int:
-    doc: dict = {"pipeline": args.pipeline, "tolerances": _tolerances(args)}
-    if args.pipeline in ("gu", "cgu"):
-        spec = sym_mod.load_symmetry_spec(args.file)
-        sol = sym_mod.solve_gu(spec) if args.pipeline == "gu" else sym_mod.solve_cgu(spec)
-        ensemble, measurement = sol.ensemble, sol.measurement
-        doc["symmetry"] = _symmetric_doc(sol)
-        doc["input"] = _input_summary(ensemble)
-    else:
-        ensemble = load_ensemble(args.file)
-        recips = reciprocal_states(ensemble)
-        doc["input"] = _input_summary(ensemble)
-        if args.pipeline == "sdp":
-            exit_code, measurement = _run_sdp(args, ensemble, recips, doc)
-            if exit_code != EXIT_OK:
-                _print_report(doc, args.json)
-                return exit_code
-        else:
-            measurement = epm_mod.compute_epm(ensemble, recips)
-    doc["measurement"] = _measurement_doc(ensemble, measurement)
-    result = simulate(ensemble, measurement, args.trials, args.seed)
-    doc["simulation"] = {
-        "n_trials": result.n_trials,
-        "seed": result.seed,
-        "counts": [[int(x) for x in row] for row in result.counts],
-        "empirical_detection_probability": result.empirical_detection_probability,
-        "detection_frequency": encode_real_vector(result.detection_frequency),
-        "misidentifications": result.misidentifications,
-    }
+    """Run the ``--pipeline`` runner; on success, simulate its measurement."""
+    doc, ensemble, measurement, exit_code = _RUNNERS[args.pipeline](args)
+    if exit_code == EXIT_OK:
+        result = simulate(ensemble, measurement, args.trials, args.seed)
+        doc["simulation"] = {
+            "n_trials": result.n_trials,
+            "seed": result.seed,
+            "counts": [[int(x) for x in row] for row in result.counts],
+            "empirical_detection_probability": result.empirical_detection_probability,
+            "detection_frequency": encode_real_vector(result.detection_frequency),
+            "misidentifications": result.misidentifications,
+        }
     _print_report(doc, args.json)
-    return EXIT_OK
+    return exit_code
 
 
 @functools.cache
@@ -378,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", parents=[common, solver_flags],
                              help="solve the discrimination SDP and verify the certificate")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=_cmd_pipeline, pipeline="sdp")
 
     p_epm = sub.add_parser("epm", parents=[common],
                            help="equal-probability measurement analysis")
@@ -386,15 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input is a symmetry spec; analyze its expansion")
     p_epm.add_argument("--make-priors", metavar="B1,B2,...",
                        help="generate priors that make the EPM optimal from these weights")
-    p_epm.set_defaults(func=cmd_epm)
+    p_epm.set_defaults(func=_cmd_pipeline, pipeline="epm")
 
     p_gu = sub.add_parser("gu", parents=[common, solver_flags],
                           help="closed-form pipeline for a single-generator symmetric set")
-    p_gu.set_defaults(func=lambda a: _run_symmetric(a, "gu"))
+    p_gu.set_defaults(func=_cmd_pipeline, pipeline="gu")
 
     p_cgu = sub.add_parser("cgu", parents=[common, solver_flags],
                            help="closed-form pipeline for a multi-generator symmetric set")
-    p_cgu.set_defaults(func=lambda a: _run_symmetric(a, "cgu"))
+    p_cgu.set_defaults(func=_cmd_pipeline, pipeline="cgu")
 
     p_gv = sub.add_parser("group-verify", parents=[common],
                           help="check the group axioms of a symmetry spec")
@@ -405,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pipeline", choices=["sdp", "epm", "gu", "cgu"], default="sdp")
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(func=cmd_simulate)
+    # The epm runner reads the epm subcommand's options.
+    p_sim.set_defaults(func=cmd_simulate, gu=False, make_priors=None)
     return parser
 
 
@@ -414,10 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -46,6 +46,17 @@ from .errors import ValidationError
 
 OPERATOR_TOL = 1e-6
 SCALAR_TOL = 1e-7
+# Tolerance of each check of verify_certificate, keyed like its residuals.
+_TOLERANCES = {
+    "primal_nonneg": SCALAR_TOL,
+    "primal_operator": OPERATOR_TOL,
+    "dual_psd": OPERATOR_TOL,
+    "dual_nonneg": SCALAR_TOL,
+    "dual_equality": SCALAR_TOL,
+    "slack_operator": OPERATOR_TOL,
+    "slack_scalar": SCALAR_TOL,
+    "gap": SCALAR_TOL,
+}
 
 # Fraction of the distance to the cone boundary taken by each step.
 STEP_FRACTION = 0.99
@@ -277,19 +288,6 @@ def _kkt_polish(
     return p_new, DualCertificate(X=x_new, z=z_new)
 
 
-def _tolerances(operator_tol: float = OPERATOR_TOL, scalar_tol: float = SCALAR_TOL) -> dict:
-    return {
-        "primal_nonneg": scalar_tol,
-        "primal_operator": operator_tol,
-        "dual_psd": operator_tol,
-        "dual_nonneg": scalar_tol,
-        "dual_equality": scalar_tol,
-        "slack_operator": operator_tol,
-        "slack_scalar": scalar_tol,
-        "gap": scalar_tol,
-    }
-
-
 def _bracket(
     c: np.ndarray, eta: np.ndarray, p: np.ndarray, x_mat: np.ndarray
 ) -> tuple[float, float, float, float]:
@@ -338,34 +336,33 @@ def _residuals(
     return residuals, traces
 
 
-def _checks(residuals: dict[str, float], tolerances: dict[str, float]) -> dict[str, bool]:
-    return {k: residuals[k] <= tolerances[k] for k in residuals}
+def _checks(residuals: dict[str, float]) -> dict[str, bool]:
+    return {k: residuals[k] <= _TOLERANCES[k] for k in residuals}
 
 
 def _certified(
     c: np.ndarray,
     eta: np.ndarray,
     candidate: tuple[np.ndarray, DualCertificate] | None,
-    tolerances: dict[str, float],
 ):
     """(candidate, residuals) when the pair (p, cert) passes every check, else None."""
     if candidate is None:
         return None
     residuals, _ = _residuals(c, eta, *candidate)
-    return (candidate, residuals) if all(_checks(residuals, tolerances).values()) else None
+    return (candidate, residuals) if all(_checks(residuals).values()) else None
 
 
 def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     """Solve the discrimination SDP to guaranteed global optimality.
 
     Status Optimal means the returned pair passes the checks of
-    ``verify_certificate`` at its default tolerances: the first iterate, or
-    else the Gauss-Newton polish of an iterate, that passes them is
-    returned. Any other status returns the last iterate; ``max_iters`` caps
-    the number of interior-point steps. The ``trace`` has the objective pair
-    at every iterate and the step lengths and sigma of each step; all
-    iterates are primal and dual feasible by construction, so every traced
-    gap is nonnegative.
+    ``verify_certificate``: the first iterate, or else the Gauss-Newton
+    polish of an iterate, that passes them is returned. Any other status
+    returns the last iterate; ``max_iters`` caps the number of
+    interior-point steps. The ``trace`` has the objective pair at every
+    iterate and the step lengths and sigma of each step; all iterates are
+    primal and dual feasible by construction, so every traced gap is
+    nonnegative.
     """
     if not isinstance(max_iters, (int, np.integer)) or not 1 <= max_iters <= 100_000:
         raise ValidationError("max_iters must be an integer in [1, 100000]")
@@ -384,7 +381,6 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     x_mat = (2.0 * eta.max() / norms2.min()) * eye_r
 
     status = SolveStatus.MAX_ITERATIONS
-    tolerances = _tolerances()
     trace: list[IterateTrace] = []
     certified_by = None
     polish_attempts = 0
@@ -405,14 +401,14 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         # from there reaches tol. The first that passes the checks of
         # verify_certificate ends the solve.
         width = gap / -dual
-        if width <= np.sqrt(tolerances["gap"]):
+        if width <= np.sqrt(_TOLERANCES["gap"]):
             found = None
-            if width <= tolerances["gap"]:
-                found = _certified(c, eta, (p, DualCertificate(X=x_mat, z=z)), tolerances)
+            if width <= _TOLERANCES["gap"]:
+                found = _certified(c, eta, (p, DualCertificate(X=x_mat, z=z)))
                 stage = "iterate"
             if found is None:
                 polish_attempts += 1
-                found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, gap), tolerances)
+                found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, gap))
                 stage = "polish"
             if found is not None:
                 (p, certificate), residuals = found
@@ -499,8 +495,6 @@ def verify_certificate(
     recips: ReciprocalSet,
     p: np.ndarray,
     certificate: DualCertificate,
-    operator_tol: float = OPERATOR_TOL,
-    scalar_tol: float = SCALAR_TOL,
 ) -> VerificationReport:
     """Check every optimality condition for a candidate solution.
 
@@ -519,8 +513,7 @@ def verify_certificate(
         raise ValidationError("dual slack vector has the wrong length")
 
     residuals, traces = _residuals(c, ensemble.priors, p, certificate)
-    tolerances = _tolerances(operator_tol, scalar_tol)
-    checks = _checks(residuals, tolerances)
+    checks = _checks(residuals)
     detail = {
         "trace_products": traces,
         "primal_value": float(-ensemble.priors @ p),
@@ -528,7 +521,7 @@ def verify_certificate(
     }
     return VerificationReport(
         residuals=residuals,
-        tolerances=tolerances,
+        tolerances=dict(_TOLERANCES),
         checks=checks,
         passed=all(checks.values()),
         detail=detail,

@@ -4,12 +4,14 @@ A geometrically uniform (GU) set is the orbit of one generating vector
 under a finite group of unitaries; a compound GU (CGU) set is the union
 of orbits of several generators. The frame operator of such a set
 commutes with every group element, so the reciprocal states form an
-orbit of the transformed generator(s): one pseudo-inverse application per
-generator replaces a full dual-basis computation. For GU sets the
-equal-probability measurement is always optimal under uniform priors;
-for CGU sets it is optimal when the generators share their frame-operator
-moments, in particular whenever the generators are themselves GU under a
-group that commutes with the outer group up to phases.
+orbit of the transformed generator(s), one pseudo-inverse application per
+generator. The full dual basis is still computed once, from the SVD of the
+expanded set, and the orbit of the reciprocal generators is checked
+against it. For GU sets the equal-probability measurement is always
+optimal under uniform priors; for CGU sets it is optimal when the
+generators share their frame-operator moments, in particular whenever the
+generators are themselves GU under a group that commutes with the outer
+group up to phases.
 
 Groups are supplied explicitly as matrices. Identity, closure and
 inverses are checked numerically against the nearest group element, one
@@ -396,21 +398,22 @@ def _epm_solution(
 ) -> SymmetricSolution:
     """The EPM of the expanded set, its spectral test and its LP witness.
 
-    ``optimal`` marks the verdict Optimal on symmetry grounds alone;
-    otherwise the spectral test's verdict stands.
+    The verdict is Optimal when ``optimal`` (symmetry grounds), the
+    spectral test or an LP witness proves it; otherwise it is the LP
+    test's: NotOptimal at multiplicity one, where that test is exact, and
+    inconclusive above.
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
-    optimality = epm_test_spectral(ensemble, recips)
-    if optimal:
-        optimality = replace(optimality, verdict=EpmVerdict.OPTIMAL)
+    spectral = epm_test_spectral(ensemble, recips)
     gens = _reciprocal_generators(spec, recips)
     measurement = compute_epm(ensemble, recips)
-    certificate = None
     witness = epm_test_lp(ensemble, recips)
-    if witness.b is not None:
-        certificate = epm_certificate(recips, witness.b)
-        optimality = replace(optimality, b=witness.b)
+    verdict = witness.verdict
+    if optimal or spectral.verdict is EpmVerdict.OPTIMAL:
+        verdict = EpmVerdict.OPTIMAL
+    optimality = replace(spectral, verdict=verdict, b=witness.b)
+    certificate = None if witness.b is None else epm_certificate(recips, witness.b)
     return SymmetricSolution(
         ensemble=ensemble,
         recips=recips,
@@ -435,10 +438,12 @@ def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
     """EPM for a CGU set with an optimality verdict.
 
     Optimal when the spectral test (frame-operator moments proportional to
-    the priors) passes, or when the generators are themselves GU under a
-    group commuting with the outer group up to phases. Otherwise the
-    sufficient machinery is silent and the verdict is inconclusive; callers
-    can fall back to the SDP solver.
+    the priors) passes, when the generators are themselves GU under a
+    group commuting with the outer group up to phases, or when the LP test
+    finds a witness. NotOptimal when the smallest singular value is simple
+    and the exact test fails. Otherwise the sufficient tests are silent
+    and the verdict is inconclusive. Callers can fall back to the SDP
+    solver whenever the verdict is not Optimal.
     """
     phase = None
     if spec.generator_group is not None:

@@ -233,6 +233,54 @@ SUBCOMMANDS = [
     *(["simulate", "--pipeline", kind, "--trials", "200"] for kind in ("sdp", "epm", "gu", "cgu")),
 ]
 FIELDS = ["r", "m", "states", "priors", "group", "generators", "generator_group"]
+
+def non_optimal_cgu_doc() -> dict:
+    """CGU spec whose EPM is not optimal: a swap group on C^4, two random generators."""
+    rng = np.random.default_rng(3)
+    gens = []
+    for _ in range(2):
+        g = rng.normal(size=4) + 1j * rng.normal(size=4)
+        gens.append(g / np.linalg.norm(g))
+    return {
+        "group": [encode_complex(np.eye(4)), encode_complex(np.roll(np.eye(4), 2, 0))],
+        "generators": [encode_complex(g) for g in gens],
+    }
+
+
+PARITY_INPUTS = {**BUNDLED, "non-optimal-cgu": non_optimal_cgu_doc()}
+
+
+@pytest.mark.parametrize("kind", ["sdp", "epm", "gu", "cgu"])
+@pytest.mark.parametrize("name", sorted(PARITY_INPUTS))
+def test_simulate_runs_the_named_pipeline(tmp_path, capsys, name, kind):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(PARITY_INPUTS[name]))
+    code = main(["solve" if kind == "sdp" else kind, str(path), "--json"])
+    out = capsys.readouterr().out
+    sim_code = main(["simulate", str(path), "--pipeline", kind, "--trials", "200", "--json"])
+    sim_out = capsys.readouterr().out
+    assert sim_code == code
+    if code == 2:
+        assert out == sim_out == ""
+        return
+    doc = json.loads(sim_out)
+    assert ("simulation" in doc) == (code == 0)
+    doc.pop("simulation", None)
+    assert doc == json.loads(out)
+
+
+@pytest.mark.parametrize("kind", ["sdp", "cgu"])
+def test_simulate_returns_runner_failure_without_simulating(tmp_path, capsys, kind):
+    path = tmp_path / "input.json"
+    doc = non_optimal_cgu_doc() if kind == "cgu" else BUNDLED["three_states.json"]
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", str(path), "--pipeline", kind, "--max-iters", "2", "--json"]
+    code, out = run_json(capsys, argv)
+    assert code == 3
+    assert out["solve"]["status"] == "MaxIterations"
+    assert "simulation" not in out
+
+
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -341,7 +389,7 @@ class TestSymmetryCommands:
         assert code == 0
         assert doc["symmetry"]["verdict"] == "Optimal"
 
-    def test_cgu_inconclusive_falls_back_to_sdp(self, tmp_path, capsys):
+    def test_cgu_not_optimal_falls_back_to_sdp(self, tmp_path, capsys):
         x2 = np.array([[0.0, 1.0], [1.0, 0.0]])
         outer = np.kron(x2, np.eye(2))
         rng = np.random.default_rng(12)
@@ -357,15 +405,36 @@ class TestSymmetryCommands:
         path.write_text(json.dumps(doc))
         code, out = run_json(capsys, ["cgu", str(path), "--json"])
         assert code == 0
-        assert out["symmetry"]["verdict"] == "SufficientTestInconclusive"
+        # The smallest singular value is simple, so the exact test decides.
+        assert out["symmetry"]["verdict"] == "NotOptimal"
         assert out["solve"]["status"] == "Optimal"
+        assert out["verification"]["passed"] is True
         # The fallback optimum beats the equal-probability value.
         assert -out["solve"]["primal_value"] > out["measurement"]["detection_probability"]
+
+    def test_non_optimal_cgu_spec_verdict(self, tmp_path, capsys):
+        path = tmp_path / "cgu.json"
+        path.write_text(json.dumps(non_optimal_cgu_doc()))
+        code, out = run_json(capsys, ["cgu", str(path), "--json"])
+        assert code == 0
+        assert out["symmetry"]["verdict"] == "NotOptimal"
+        assert out["verification"]["passed"] is True
+        sdp_pd = -out["solve"]["primal_value"]
+        epm_pd = out["measurement"]["detection_probability"]
+        assert sdp_pd == pytest.approx(0.262, abs=1e-3)
+        assert epm_pd == pytest.approx(0.203, abs=1e-3)
 
     def test_group_verify_pass(self, gu_spec_file, capsys):
         code, doc = run_json(capsys, ["group-verify", gu_spec_file, "--json"])
         assert code == 0
         assert doc["group"]["passed"] is True
+        assert doc["input"] == {"order": 4, "dim": 4}
+
+    def test_group_verify_text_report(self, gu_spec_file, capsys):
+        assert main(["group-verify", gu_spec_file]) == 0
+        out = capsys.readouterr().out
+        assert "group:    order=4 dim=4" in out
+        assert "priors" not in out and "ensemble" not in out
 
     def test_group_verify_failure(self, tmp_path, capsys):
         angle = 2 * np.pi / 5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uqsd import (
+    EpmOptimalityResult,
     EpmVerdict,
     LinearDependenceError,
     SymmetrySpec,
@@ -419,13 +420,15 @@ class TestSolveCgu:
         assert sol_cgu.verdict is sol_gu.verdict is EpmVerdict.OPTIMAL
         assert sol_cgu.p == pytest.approx(sol_gu.p, abs=1e-14)
 
-    def test_unrelated_generators_inconclusive_with_sdp_fallback(self, rng):
+    def test_unrelated_generators_not_optimal_with_sdp_fallback(self, rng):
         outer, _ = pauli_pair_groups()
         gens = np.column_stack(
             [gu_generator_with_full_orbit(rng, outer) for _ in range(2)]
         )
         sol = solve_cgu(SymmetrySpec(group=outer, generators=gens))
-        assert sol.verdict is EpmVerdict.INCONCLUSIVE
+        # The smallest singular value is simple, so the exact test decides.
+        assert sol.verdict is EpmVerdict.NOT_OPTIMAL
+        assert sol.certificate is None
         rs = reciprocal_states(sol.ensemble)
         report = solve(build_sdp(sol.ensemble, rs))
         # The true optimum is not an equal-probability vector here.
@@ -433,6 +436,17 @@ class TestSolveCgu:
         assert -report.primal_value > detection_probability(
             sol.ensemble, sol.measurement
         ) - 1e-12
+
+    def test_lp_witness_proves_optimality_when_spectral_test_is_silent(self, monkeypatch):
+        # Without its generator group the Pauli pair has no symmetry argument;
+        # with the spectral test silenced, the LP witness alone decides.
+        silent = EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=1.0)
+        monkeypatch.setattr(uqsd.symmetry, "epm_test_spectral", lambda *args: silent)
+        spec = pauli_pair_spec()
+        sol = solve_cgu(SymmetrySpec(group=spec.group, generators=spec.generators))
+        assert sol.verdict is EpmVerdict.OPTIMAL
+        ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
+        assert ver.passed
 
 
 class TestStructuralProperties:
