@@ -2,10 +2,11 @@
 
 Runs the SDP pipeline on the three-state ensemble and on two nearly
 parallel states (checked against the Jaeger-Shimony closed form), the
-EPM analysis on the weighted three-state ensemble, the closed-form
-pipeline on the four-state symmetric set and the compound two-group set,
-and a Monte-Carlo validation of each optimal measurement. Install the
-package first (pip install -e .), then:
+EPM analysis on the weighted three-state ensemble (simple smallest
+singular value) and on a cyclic four-state orbit whose smallest singular
+value is double, the closed-form pipeline on the four-state symmetric set
+and the compound two-group set, and a Monte-Carlo validation of each
+optimal measurement. Install the package first (pip install -e .), then:
 
     python scripts/run_examples.py
 
@@ -23,9 +24,9 @@ from uqsd import (
     build_sdp,
     compute_epm,
     detection_probability,
+    epm_analysis,
     epm_certificate,
     epm_test_lp,
-    epm_test_nondegenerate,
     load_ensemble,
     load_symmetry_spec,
     measurement_from_probs,
@@ -102,15 +103,17 @@ def epm_pipeline(path: Path) -> bool:
     banner(f"EPM analysis: {path.name}")
     ensemble = load_ensemble(path)
     recips = reciprocal_states(ensemble)
+    analysis = epm_analysis(recips)
     meas = compute_epm(ensemble, recips)
-    exact = epm_test_nondegenerate(ensemble, recips)
-    print(f"common p   : {meas.probs[0]:.6f}")
-    print(f"exact test : {exact.verdict.value} "
-          f"(last-row residual {exact.residual:.2e})")
-    lp = epm_test_lp(ensemble, recips)
+    print(f"common p   : {meas.probs[0]:.6f} (multiplicity {analysis.s})")
+    # At multiplicity one the LP test is the exact test; above, NNLS decides.
+    lp = epm_test_lp(ensemble, analysis)
+    name = "exact test " if analysis.s == 1 else "NNLS test  "
+    print(f"{name}: {lp.verdict.value} (residual {lp.residual:.2e})")
     ok = True
     if lp.b is not None:
-        cert = epm_certificate(recips, lp.b)
+        print(f"witness b  : {np.round(lp.b, 6)}")
+        cert = epm_certificate(analysis, lp.b)
         ok = verify_certificate(ensemble, recips, meas.probs, cert).passed
         print(f"certificate: {verdict(ok)}")
     print(f"P_D        : {detection_probability(ensemble, meas):.6f}")
@@ -138,6 +141,7 @@ def main() -> int:
         sdp_pipeline(DATA / "three_states.json"),
         sdp_pipeline(DATA / "near_parallel.json"),
         epm_pipeline(DATA / "three_states_weighted.json"),
+        epm_pipeline(DATA / "degenerate_epm.json"),
         symmetric_pipeline(DATA / "sign_group_gu.json", compound=False),
         symmetric_pipeline(DATA / "pauli_pair_cgu.json", compound=True),
     ]

@@ -26,7 +26,6 @@ from .epm import (
     epm_analysis,
     epm_certificate,
     epm_test_lp,
-    epm_test_nondegenerate,
     epm_test_spectral,
     priors_for_epm,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "EpmOptimalityResult",
     "epm_analysis",
     "compute_epm",
-    "epm_test_nondegenerate",
     "epm_test_lp",
     "epm_test_spectral",
     "priors_for_epm",

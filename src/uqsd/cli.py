@@ -8,8 +8,9 @@ pipelines), ``group-verify`` (group axiom check) and ``simulate``
 shared by its subcommand and by ``simulate``. Reports print as text by
 default; ``--json`` emits the full structured document.
 
-Exit codes: 0 success, 2 validation or input error, 3 solver
-non-convergence, 4 certificate verification failure.
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 validation or input error, 3 solver non-convergence, 4 certificate
+verification failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -184,21 +186,23 @@ def _sdp_pipeline(args):
     return doc, ensemble, measurement, exit_code
 
 
-def _epm_tests_doc(ensemble, recips, lp) -> dict:
+def _epm_tests_doc(analysis, lp, spectral) -> dict:
     tests: dict[str, dict] = {}
-    try:
-        exact = epm_mod.epm_test_nondegenerate(ensemble, recips)
+    if analysis.s == 1:
+        # At multiplicity one the LP test is the exact test.
         tests["exact"] = {
-            "verdict": exact.verdict.value,
-            "residual": exact.residual,
-            "last_row": encode_real_vector(exact.last_row),
+            "verdict": lp.verdict.value,
+            "residual": lp.residual,
+            "last_row": encode_real_vector(lp.last_row),
         }
-    except ValidationError as exc:
-        tests["exact"] = {"error": str(exc)}
+    else:
+        tests["exact"] = {
+            "error": f"smallest singular value has multiplicity {analysis.s}; "
+            "the exact test applies only to multiplicity one, use epm_test_lp"
+        }
     tests["lp"] = {"verdict": lp.verdict.value, "residual": lp.residual}
     if lp.b is not None:
         tests["lp"]["b"] = encode_real_vector(lp.b)
-    spectral = epm_mod.epm_test_spectral(ensemble, recips)
     tests["spectral"] = {"verdict": spectral.verdict.value, "residual": spectral.residual}
     if spectral.a_t is not None:
         tests["spectral"]["a_t"] = encode_real_vector(spectral.a_t)
@@ -214,8 +218,8 @@ def _epm_pipeline(args):
     recips = reciprocal_states(ensemble)
     analysis = epm_mod.epm_analysis(recips)
     measurement = epm_mod.compute_epm(ensemble, recips)
-    lp = epm_mod.epm_test_lp(ensemble, recips)
-    tests = _epm_tests_doc(ensemble, recips, lp)
+    lp = epm_mod.epm_test_lp(ensemble, analysis)
+    spectral = epm_mod.epm_test_spectral(ensemble, analysis)
     doc = {
         "input": _input_summary(ensemble),
         "pipeline": "epm",
@@ -234,13 +238,13 @@ def _epm_pipeline(args):
             "multiplicities": [int(x) for x in analysis.multiplicities],
             "last_row": encode_real_vector(analysis.last_rows[0]),
             "priors": encode_real_vector(ensemble.priors),
-            "tests": tests,
+            "tests": _epm_tests_doc(analysis, lp, spectral),
         },
         "measurement": _measurement_doc(ensemble, measurement),
     }
     exit_code = EXIT_OK
     if lp.b is not None:
-        cert = epm_mod.epm_certificate(recips, lp.b)
+        cert = epm_mod.epm_certificate(analysis, lp.b)
         ver = doc["verification"] = _verification(ensemble, recips, measurement.probs, cert)
         exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
     if args.make_priors is not None:
@@ -248,10 +252,10 @@ def _epm_pipeline(args):
             b = np.array([float(x) for x in args.make_priors.split(",")])
         except ValueError as exc:
             raise ValidationError(f"--make-priors expects comma-separated numbers: {exc}")
-        priors = epm_mod.priors_for_epm(recips, b)
+        priors = epm_mod.priors_for_epm(analysis, b)
         # The reciprocal set and the EPM do not depend on the priors.
         generated = StateEnsemble(ensemble.states, priors)
-        cert = epm_mod.epm_certificate(recips, b)
+        cert = epm_mod.epm_certificate(analysis, b)
         doc["make_priors"] = {
             "b": encode_real_vector(b),
             "priors": encode_real_vector(priors),
@@ -284,7 +288,7 @@ def _symmetric_pipeline(args):
     doc = {
         "input": _input_summary(sol.ensemble),
         "pipeline": args.pipeline,
-        "tolerances": {"operator_tol": OPERATOR_TOL, "scalar_tol": SCALAR_TOL},
+        "tolerances": _tolerances(args),
         "symmetry": _symmetric_doc(sol),
         "measurement": _measurement_doc(sol.ensemble, sol.measurement),
     }
@@ -405,10 +409,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValidationError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # Not an input error. Send stdout to devnull so that the flush at
+        # exit cannot fail again, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

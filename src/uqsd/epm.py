@@ -3,18 +3,17 @@
 The EPM detects every state with the same probability, the square of the
 smallest singular value of the state matrix. Whether it also minimizes the
 inconclusive probability depends on the interplay between the singular
-vectors and the priors:
+vectors and the priors. The tests take one ``EpmAnalysis`` (the grouping
+of the singular values, computed once by ``epm_analysis``):
 
-* when the smallest singular value is simple (multiplicity one), the EPM
-  is optimal exactly when the squared last row of V* equals the priors
-  (an if-and-only-if test);
-* when it is degenerate, optimality is implied by the feasibility of a
-  small nonnegative linear system ``M b = priors, b >= 0`` built from the
-  corresponding rows of V* (a sufficient test). The system is feasible
-  exactly when its nonnegative least-squares residual vanishes (Lawson &
-  Hanson 1974), so it is decided by one NNLS solve;
-* a spectral sufficient test checks whether the moments
-  ``<state_i| G^(t/2-1) |state_i>`` of the frame operator G are
+* ``epm_test_lp`` asks whether ``M b = priors`` has a solution b >= 0,
+  where M holds the squared rows of V* paired with the smallest singular
+  value. When that value is simple, M is one column and the test is exact:
+  the EPM is optimal iff the squared last row of V* equals the priors.
+  When it is degenerate the test is sufficient, and decided by one NNLS
+  solve (feasible iff the residual vanishes; Lawson & Hanson 1974);
+* ``epm_test_spectral`` is a sufficient test: it checks whether the
+  moments ``<state_i| G^(t/2-1) |state_i>`` of the frame operator G are
   proportional to the priors for every distinct-singular-value index t.
   The moments are read off the SVD factors; no power of G is formed.
 
@@ -56,7 +55,8 @@ class EpmVerdict(str, Enum):
 class EpmAnalysis:
     """Spectral data controlling the EPM optimality tests.
 
-    ``p`` is the common detection probability; ``s`` the multiplicity of
+    ``recips`` is the reciprocal set the analysis was computed from; ``p``
+    is the common detection probability; ``s`` the multiplicity of
     the smallest singular value; ``q`` the number of distinct singular
     values; ``last_rows[k, i]`` the squared magnitude of entry m-k of the
     i-th column of V* (the rows pairing with the smallest singular value).
@@ -64,6 +64,7 @@ class EpmAnalysis:
     within a decade of the grouping threshold.
     """
 
+    recips: ReciprocalSet
     p: float
     s: int
     q: int
@@ -102,6 +103,7 @@ def epm_analysis(recips: ReciprocalSet) -> EpmAnalysis:
     s = int(mult[-1])
     last_rows = np.abs(recips.vh[m - 1 - np.arange(s), :]) ** 2
     return EpmAnalysis(
+        recips=recips,
         p=float(sigma[-1] ** 2),
         s=s,
         q=len(groups),
@@ -120,49 +122,29 @@ def compute_epm(ensemble: StateEnsemble, recips: ReciprocalSet) -> Measurement:
     return measurement_from_probs(recips, np.full(ensemble.m, p))
 
 
-def epm_test_nondegenerate(
-    ensemble: StateEnsemble, recips: ReciprocalSet
-) -> EpmOptimalityResult:
-    """Exact (necessary and sufficient) test for a simple smallest singular value.
-
-    Optimal exactly when the squared last row of V* matches the priors.
-    Raises when the smallest singular value is degenerate; use
-    :func:`epm_test_lp` in that case.
-    """
-    analysis = epm_analysis(recips)
-    if analysis.s != 1:
-        raise ValidationError(
-            f"smallest singular value has multiplicity {analysis.s}; "
-            "the exact test applies only to multiplicity one, use epm_test_lp"
-        )
-    last_row = analysis.last_rows[0]
-    residual = float(np.max(np.abs(last_row - ensemble.priors)))
-    verdict = EpmVerdict.OPTIMAL if residual <= EXACT_TEST_TOL else EpmVerdict.NOT_OPTIMAL
-    b = np.array([1.0]) if verdict is EpmVerdict.OPTIMAL else None
-    return EpmOptimalityResult(verdict=verdict, b=b, last_row=last_row, residual=residual)
-
-
-def epm_test_lp(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOptimalityResult:
+def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimalityResult:
     """Feasibility test: does a nonnegative b solve ``last_rows.T @ b = priors``?
 
-    Sufficient for EPM optimality at any multiplicity; for multiplicity
-    one it reduces to the exact test (single-column feasibility is decided
-    in closed form). At higher multiplicity the system is feasible when the
-    sup-norm residual of its NNLS solution is within ``LP_FEASIBILITY_TOL``;
-    that residual is reported. Infeasibility at multiplicity one proves the
-    EPM suboptimal; at higher multiplicity the test is only sufficient, so
-    the verdict degrades to inconclusive.
+    At multiplicity one this is the exact test, in closed form: optimal if
+    and only if the squared last row of V* (returned as ``last_row``)
+    matches the priors within ``EXACT_TEST_TOL``. Above, it is sufficient:
+    feasible when the sup-norm residual of its NNLS solution is within
+    ``LP_FEASIBILITY_TOL``, inconclusive otherwise. The residual is reported.
     """
-    analysis = epm_analysis(recips)
+    eta = ensemble.priors
     if analysis.s == 1:
-        return epm_test_nondegenerate(ensemble, recips)
+        last_row = analysis.last_rows[0]
+        residual = float(np.max(np.abs(last_row - eta)))
+        optimal = residual <= EXACT_TEST_TOL
+        verdict = EpmVerdict.OPTIMAL if optimal else EpmVerdict.NOT_OPTIMAL
+        b = np.array([1.0]) if optimal else None
+        return EpmOptimalityResult(verdict=verdict, b=b, last_row=last_row, residual=residual)
 
     # scipy.optimize costs most of the package's import time and only this
     # case needs it.
     from scipy.optimize import nnls
 
     m_sys = analysis.last_rows.T
-    eta = ensemble.priors
     b, _ = nnls(m_sys, eta)
     residual = float(np.max(np.abs(m_sys @ b - eta)))
     if residual > LP_FEASIBILITY_TOL:
@@ -180,14 +162,13 @@ def epm_test_lp(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOptimality
     return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, b=b, residual=residual)
 
 
-def priors_for_epm(recips: ReciprocalSet, b: np.ndarray) -> np.ndarray:
+def priors_for_epm(analysis: EpmAnalysis, b: np.ndarray) -> np.ndarray:
     """Priors that make the EPM optimal, from convex weights over the last rows.
 
     ``b`` must have one entry per repetition of the smallest singular
     value, be finite and nonnegative, and sum to one; the returned priors
     are the corresponding convex combination of squared V* rows.
     """
-    analysis = epm_analysis(recips)
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != analysis.s:
         raise ValidationError(
@@ -203,24 +184,24 @@ def priors_for_epm(recips: ReciprocalSet, b: np.ndarray) -> np.ndarray:
     return analysis.last_rows.T @ b
 
 
-def epm_certificate(recips: ReciprocalSet, b: np.ndarray) -> DualCertificate:
+def epm_certificate(analysis: EpmAnalysis, b: np.ndarray) -> DualCertificate:
     """Dual certificate for an optimal EPM with witness b.
 
     X places weight ``sigma_m^2 b_k`` on the singular vectors paired with
     the smallest singular value; all scalar slacks vanish because every
     detection probability is strictly positive.
     """
-    analysis = epm_analysis(recips)
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != analysis.s:
         raise ValidationError(f"witness must have length {analysis.s}")
+    recips = analysis.recips
     m = recips.m
     cols = recips.u[:, m - 1 - np.arange(analysis.s)]
     x_mat = analysis.p * (cols * b) @ cols.conj().T
     return DualCertificate(X=x_mat, z=np.zeros(m))
 
 
-def epm_test_spectral(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOptimalityResult:
+def epm_test_spectral(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimalityResult:
     """Sufficient test from frame-operator moments.
 
     For t = 1..q computes ``<state_i| G^(t/2-1) |state_i>`` and checks
@@ -228,10 +209,10 @@ def epm_test_spectral(ensemble: StateEnsemble, recips: ReciprocalSet) -> EpmOpti
     returned as the witness. Failure is inconclusive, not a proof of
     suboptimality.
     """
-    analysis = epm_analysis(recips)
     # With states = U S V* and G = U S^2 U*, the moment of order t is
     # sum_k sigma_k^t |V*[k, i]|^2.
     orders = np.arange(1, analysis.q + 1)[:, None]
+    recips = analysis.recips
     moments = (recips.sigma**orders) @ (np.abs(recips.vh) ** 2)
     ratios = moments / ensemble.priors[None, :]
     spreads = ratios.max(axis=1) - ratios.min(axis=1)
@@ -250,7 +231,6 @@ __all__ = [
     "EpmOptimalityResult",
     "epm_analysis",
     "compute_epm",
-    "epm_test_nondegenerate",
     "epm_test_lp",
     "epm_test_spectral",
     "priors_for_epm",

@@ -39,6 +39,7 @@ from .epm import (
     EpmOptimalityResult,
     EpmVerdict,
     compute_epm,
+    epm_analysis,
     epm_certificate,
     epm_test_lp,
     epm_test_spectral,
@@ -405,21 +406,22 @@ def _epm_solution(
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
-    spectral = epm_test_spectral(ensemble, recips)
+    analysis = epm_analysis(recips)
+    spectral = epm_test_spectral(ensemble, analysis)
     gens = _reciprocal_generators(spec, recips)
     measurement = compute_epm(ensemble, recips)
-    witness = epm_test_lp(ensemble, recips)
+    witness = epm_test_lp(ensemble, analysis)
     verdict = witness.verdict
     if optimal or spectral.verdict is EpmVerdict.OPTIMAL:
         verdict = EpmVerdict.OPTIMAL
     optimality = replace(spectral, verdict=verdict, b=witness.b)
-    certificate = None if witness.b is None else epm_certificate(recips, witness.b)
+    certificate = None if witness.b is None else epm_certificate(analysis, witness.b)
     return SymmetricSolution(
         ensemble=ensemble,
         recips=recips,
         reciprocal_generators=gens,
         measurement=measurement,
-        p=float(recips.sigma[-1] ** 2),
+        p=analysis.p,
         verdict=optimality.verdict,
         certificate=certificate,
         optimality=optimality,

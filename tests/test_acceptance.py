@@ -19,9 +19,9 @@ from uqsd import (
     build_sdp,
     compute_epm,
     detection_probability,
+    epm_analysis,
     epm_certificate,
     epm_test_lp,
-    epm_test_nondegenerate,
     measurement_from_probs,
     priors_for_epm,
     reciprocal_states,
@@ -70,11 +70,13 @@ def test_criterion_1_three_state_uniform_golden(three_states_uniform):
 def test_criterion_2_three_state_weighted_epm(three_states_weighted):
     with Stopwatch() as clock:
         rs = reciprocal_states(three_states_weighted)
-        result = epm_test_nondegenerate(three_states_weighted, rs)
+        analysis = epm_analysis(rs)
+        assert analysis.s == 1
+        result = epm_test_lp(three_states_weighted, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
         meas = compute_epm(three_states_weighted, rs)
         assert np.max(np.abs(meas.probs - 0.07)) <= 5e-3
-        cert = epm_certificate(rs, result.b)
+        cert = epm_certificate(analysis, result.b)
         scalar_a = float(np.linalg.eigvalsh(cert.X)[-1])
         assert abs(scalar_a - 0.07) <= 5e-3
         ver = verify_certificate(three_states_weighted, rs, meas.probs, cert)
@@ -148,17 +150,17 @@ def test_criterion_6_epm_roundtrip():
             )
             b = rng.uniform(0.1, 1.0, int(s))
             b /= b.sum()
-            priors = priors_for_epm(rs0, b)
+            priors = priors_for_epm(epm_analysis(rs0), b)
             e = StateEnsemble(e0.states, priors)
             rs = reciprocal_states(e)
             meas = compute_epm(e, rs)
-            cert = epm_certificate(rs, b)
+            analysis = epm_analysis(rs)
+            cert = epm_certificate(analysis, b)
             assert verify_certificate(e, rs, meas.probs, cert).passed
-            lp = epm_test_lp(e, rs)
+            lp = epm_test_lp(e, analysis)
             assert lp.verdict is EpmVerdict.OPTIMAL
-            if s == 1:
-                exact = epm_test_nondegenerate(e, rs)
-                assert exact.verdict is lp.verdict
+            # At s = 1 the LP test is the exact test and reports the row.
+            assert (lp.last_row is not None) == (s == 1)
     assert clock.elapsed < 30.0
     print(f"\nACCEPTANCE 6: PASS  25 EPM prior round-trips ({clock.elapsed:.1f}s)")
 

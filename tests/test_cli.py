@@ -2,6 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uqsd.epm
+import uqsd.symmetry
 from uqsd.cli import main
 from uqsd.formats import decode_complex, encode_complex
 
@@ -250,6 +255,58 @@ def non_optimal_cgu_doc() -> dict:
 PARITY_INPUTS = {**BUNDLED, "non-optimal-cgu": non_optimal_cgu_doc()}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epm", "three_states.json"],
+        ["epm", "three_states_weighted.json"],
+        ["epm", "near_parallel.json"],
+        ["epm", "degenerate_epm.json"],
+        ["epm", "three_states.json", "--make-priors", "1.0"],
+        ["epm", "sign_group_gu.json", "--gu"],
+        ["gu", "sign_group_gu.json"],
+        ["cgu", "pauli_pair_cgu.json"],
+        ["simulate", "three_states_weighted.json", "--pipeline", "epm", "--trials", "200"],
+    ],
+)
+def test_one_epm_analysis_per_run(monkeypatch, capsys, argv):
+    analysis = uqsd.epm.epm_analysis
+    calls = []
+
+    def counted(recips):
+        calls.append(recips)
+        return analysis(recips)
+
+    for module in (uqsd.epm, uqsd.symmetry):
+        monkeypatch.setattr(module, "epm_analysis", counted)
+    command, name, *rest = argv
+    assert main([command, str(DATA / name), *rest, "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_closed_stdout_is_not_an_input_error():
+    # The read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqsd.cli", "group-verify",
+             str(DATA / "sign_group_gu.json"), "--json"],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("kind", ["sdp", "epm", "gu", "cgu"])
 @pytest.mark.parametrize("name", sorted(PARITY_INPUTS))
 def test_simulate_runs_the_named_pipeline(tmp_path, capsys, name, kind):
@@ -370,6 +427,17 @@ class TestEpmCommand:
         assert abs(sum(generated) - 1.0) <= 1e-10
         assert doc["make_priors"]["verified"] is True
 
+    def test_degenerate_bundled_input(self, capsys):
+        code, doc = run_json(capsys, ["epm", str(DATA / "degenerate_epm.json"), "--json"])
+        assert code == 0
+        epm = doc["epm"]
+        assert epm["s"] == 2
+        # The exact test does not apply; the NNLS branch finds a witness.
+        assert "multiplicity 2" in epm["tests"]["exact"]["error"]
+        assert epm["tests"]["lp"]["verdict"] == "Optimal"
+        assert np.allclose(epm["tests"]["lp"]["b"], [0.5, 0.5], atol=1e-6)
+        assert doc["verification"]["passed"] is True
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_make_priors_rejects_non_finite(self, three_states_file, capsys, value):
         assert main(["epm", three_states_file, "--make-priors", value]) == 2
@@ -423,6 +491,15 @@ class TestSymmetryCommands:
         epm_pd = out["measurement"]["detection_probability"]
         assert sdp_pd == pytest.approx(0.262, abs=1e-3)
         assert epm_pd == pytest.approx(0.203, abs=1e-3)
+
+    def test_fallback_reports_its_iteration_cap(self, tmp_path, capsys):
+        path = tmp_path / "cgu.json"
+        path.write_text(json.dumps(non_optimal_cgu_doc()))
+        code, out = run_json(capsys, ["cgu", str(path), "--max-iters", "50", "--json"])
+        assert code == 0
+        assert out["tolerances"]["max_iters"] == 50
+        assert out["solve"]["status"] == "Optimal"
+        assert out["solve"]["iterations"] <= 50
 
     def test_group_verify_pass(self, gu_spec_file, capsys):
         code, doc = run_json(capsys, ["group-verify", gu_spec_file, "--json"])

@@ -17,13 +17,13 @@ from uqsd import (
     epm_analysis,
     epm_certificate,
     epm_test_lp,
-    epm_test_nondegenerate,
     epm_test_spectral,
     priors_for_epm,
     reciprocal_states,
     solve,
     verify_certificate,
 )
+from uqsd.epm import EXACT_TEST_TOL
 
 from helpers import (
     cyclic_profile_ensemble,
@@ -39,6 +39,11 @@ from helpers import (
 def sign_group_ensemble():
     cols = [u @ sign_group_generator() for u in sign_group_elements()]
     return StateEnsemble(np.column_stack(cols), np.full(4, 0.25))
+
+
+@pytest.fixture(scope="module")
+def three_states_analysis(three_states_reciprocals):
+    return epm_analysis(three_states_reciprocals)
 
 
 class TestAnalysis:
@@ -113,15 +118,19 @@ class TestComputeEpm:
 
 
 class TestNondegenerateTest:
+    # At multiplicity one the LP test is the exact test.
     def test_matched_priors_optimal(self, three_states_weighted):
-        rs = reciprocal_states(three_states_weighted)
-        result = epm_test_nondegenerate(three_states_weighted, rs)
+        analysis = epm_analysis(reciprocal_states(three_states_weighted))
+        result = epm_test_lp(three_states_weighted, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
         assert result.residual <= 1e-8
+        assert np.array_equal(result.last_row, analysis.last_rows[0])
 
-    def test_uniform_priors_not_optimal(self, three_states_uniform, three_states_reciprocals):
-        result = epm_test_nondegenerate(three_states_uniform, three_states_reciprocals)
+    def test_uniform_priors_not_optimal(self, three_states_uniform, three_states_analysis):
+        result = epm_test_lp(three_states_uniform, three_states_analysis)
         assert result.verdict is EpmVerdict.NOT_OPTIMAL
+        assert result.b is None
+        assert result.residual > 1e-8
 
     def test_constructed_match_is_optimal(self, rng):
         e = random_ensemble(rng, 5, 4)
@@ -129,13 +138,7 @@ class TestNondegenerateTest:
         priors = np.abs(rs.vh[-1, :]) ** 2
         matched = StateEnsemble(e.states, priors)
         rs2 = reciprocal_states(matched)
-        assert epm_test_nondegenerate(matched, rs2).verdict is EpmVerdict.OPTIMAL
-
-    def test_degenerate_input_raises(self, rng):
-        e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
-        rs = reciprocal_states(e)
-        with pytest.raises(ValidationError, match="epm_test_lp"):
-            epm_test_nondegenerate(e, rs)
+        assert epm_test_lp(matched, epm_analysis(rs2)).verdict is EpmVerdict.OPTIMAL
 
 
 class TestLpTest:
@@ -146,17 +149,17 @@ class TestLpTest:
         analysis = epm_analysis(rs)
         assert analysis.s == 1
         assert np.allclose(analysis.last_rows[0], 0.25, atol=1e-10)
-        result = epm_test_lp(sign_group_ensemble, rs)
+        result = epm_test_lp(sign_group_ensemble, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
         assert np.allclose(result.b, [1.0])
 
     def test_degenerate_uniform_feasible(self, rng):
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
-        rs = reciprocal_states(e)
-        result = epm_test_lp(e, rs)
+        analysis = epm_analysis(reciprocal_states(e))
+        result = epm_test_lp(e, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
         assert result.b is not None and np.min(result.b) >= 0.0
-        m_sys = epm_analysis(rs).last_rows.T
+        m_sys = analysis.last_rows.T
         assert np.max(np.abs(m_sys @ result.b - e.priors)) <= 1e-8
 
     def test_degenerate_random_priors_inconclusive(self, rng):
@@ -164,7 +167,7 @@ class TestLpTest:
         priors /= priors.sum()
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng, priors)
         rs = reciprocal_states(e)
-        result = epm_test_lp(e, rs)
+        result = epm_test_lp(e, epm_analysis(rs))
         assert result.verdict is EpmVerdict.INCONCLUSIVE
         assert result.residual > 1e-8
 
@@ -189,9 +192,9 @@ class TestLpTest:
         )
         states = np.diag([np.sqrt(2.0), np.sqrt(0.5), np.sqrt(0.5)]) @ vh
         e = StateEnsemble(states.astype(complex), np.array(priors))
-        rs = reciprocal_states(e)
-        assert epm_analysis(rs).s == 2
-        result = epm_test_lp(e, rs)
+        analysis = epm_analysis(reciprocal_states(e))
+        assert analysis.s == 2
+        result = epm_test_lp(e, analysis)
         if feasible:
             assert result.verdict is EpmVerdict.OPTIMAL
             assert np.max(np.abs(result.b - 0.5)) <= 1e-9
@@ -202,30 +205,44 @@ class TestLpTest:
             assert result.residual >= 2 / 45
 
     def test_nondegenerate_mismatch_is_not_optimal(self, three_states_uniform,
-                                                   three_states_reciprocals):
-        result = epm_test_lp(three_states_uniform, three_states_reciprocals)
+                                                   three_states_analysis):
+        result = epm_test_lp(three_states_uniform, three_states_analysis)
         assert result.verdict is EpmVerdict.NOT_OPTIMAL
 
     def test_agreement_with_exact_test(self, rng):
-        for _ in range(10):
+        # At s = 1 the verdict is the squared-last-row comparison, for
+        # random priors and for priors set to that row.
+        for trial in range(10):
             e = random_ensemble(rng, 5, 3)
             rs = reciprocal_states(e)
-            exact = epm_test_nondegenerate(e, rs)
-            lp = epm_test_lp(e, rs)
-            assert exact.verdict is lp.verdict
+            last_row = np.abs(rs.vh[-1, :]) ** 2
+            if trial % 2:
+                e = StateEnsemble(e.states, last_row)
+                rs = reciprocal_states(e)
+            analysis = epm_analysis(rs)
+            assert analysis.s == 1
+            residual = np.max(np.abs(last_row - e.priors))
+            optimal = residual <= EXACT_TEST_TOL
+            assert optimal == bool(trial % 2)
+            lp = epm_test_lp(e, analysis)
+            assert lp.verdict is (EpmVerdict.OPTIMAL if optimal else EpmVerdict.NOT_OPTIMAL)
+            assert lp.residual == pytest.approx(residual, abs=1e-15)
+            assert np.allclose(lp.last_row, last_row, atol=1e-15)
+            assert (lp.b is not None) == optimal
 
     def test_roundtrip_with_generated_priors(self, rng):
         e = random_ensemble(rng, 6, 4)
         rs = reciprocal_states(e)
-        priors = priors_for_epm(rs, np.array([1.0]))
+        priors = priors_for_epm(epm_analysis(rs), np.array([1.0]))
         boosted = StateEnsemble(e.states, priors)
         rs2 = reciprocal_states(boosted)
-        assert epm_test_lp(boosted, rs2).verdict is EpmVerdict.OPTIMAL
+        assert epm_test_lp(boosted, epm_analysis(rs2)).verdict is EpmVerdict.OPTIMAL
 
 
 class TestPriorsForEpm:
-    def test_reproduces_printed_weighted_priors(self, three_states_reciprocals):
-        priors = priors_for_epm(three_states_reciprocals, np.array([1.0]))
+    def test_reproduces_printed_weighted_priors(self, three_states_analysis,
+                                                three_states_reciprocals):
+        priors = priors_for_epm(three_states_analysis, np.array([1.0]))
         # Printed to one or two figures as (0.6, 0.2, 0.2); the exact values
         # are (0.6058, 0.1971, 0.1971).
         assert np.max(np.abs(priors - np.array([0.6, 0.2, 0.2]))) <= 6e-3
@@ -233,50 +250,53 @@ class TestPriorsForEpm:
 
     def test_single_coordinate_weight(self, rng):
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
-        rs = reciprocal_states(e)
-        priors = priors_for_epm(rs, np.array([1.0, 0.0]))
-        assert np.allclose(priors, epm_analysis(rs).last_rows[0], atol=1e-14)
+        analysis = epm_analysis(reciprocal_states(e))
+        priors = priors_for_epm(analysis, np.array([1.0, 0.0]))
+        assert np.allclose(priors, analysis.last_rows[0], atol=1e-14)
 
-    def test_validation(self, three_states_reciprocals):
+    def test_validation(self, three_states_analysis):
         with pytest.raises(ValidationError, match="length"):
-            priors_for_epm(three_states_reciprocals, np.array([0.5, 0.5]))
+            priors_for_epm(three_states_analysis, np.array([0.5, 0.5]))
         with pytest.raises(ValidationError, match="nonnegative"):
-            priors_for_epm(three_states_reciprocals, np.array([-1.0]))
+            priors_for_epm(three_states_analysis, np.array([-1.0]))
         with pytest.raises(ValidationError, match="sum to 1"):
-            priors_for_epm(three_states_reciprocals, np.array([0.5]))
+            priors_for_epm(three_states_analysis, np.array([0.5]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite_weights(self, three_states_reciprocals, value):
+    def test_rejects_non_finite_weights(self, three_states_analysis, value):
         with pytest.raises(ValidationError, match="b must be finite"):
-            priors_for_epm(three_states_reciprocals, np.array([value]))
+            priors_for_epm(three_states_analysis, np.array([value]))
 
     def test_full_certificate_roundtrip(self, rng):
         for _ in range(5):
             e = random_ensemble(rng, 5, 4)
             rs = reciprocal_states(e)
-            priors = priors_for_epm(rs, np.array([1.0]))
+            priors = priors_for_epm(epm_analysis(rs), np.array([1.0]))
             boosted = StateEnsemble(e.states, priors)
             rs2 = reciprocal_states(boosted)
             meas = compute_epm(boosted, rs2)
-            result = epm_test_lp(boosted, rs2)
-            cert = epm_certificate(rs2, result.b)
+            analysis = epm_analysis(rs2)
+            result = epm_test_lp(boosted, analysis)
+            cert = epm_certificate(analysis, result.b)
             assert verify_certificate(boosted, rs2, meas.probs, cert).passed
 
 
 class TestSpectralTest:
     def test_sign_group_optimal(self, sign_group_ensemble):
-        result = epm_test_spectral(sign_group_ensemble, reciprocal_states(sign_group_ensemble))
+        analysis = epm_analysis(reciprocal_states(sign_group_ensemble))
+        result = epm_test_spectral(sign_group_ensemble, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
         assert result.a_t is not None and result.a_t.shape == (3,)
 
     def test_symmetric_orbit_optimal(self, rng):
         e = cyclic_profile_ensemble([0.7, 0.5, 0.4, 0.3, 0.25], rng)
-        assert epm_test_spectral(e, reciprocal_states(e)).verdict is EpmVerdict.OPTIMAL
+        result = epm_test_spectral(e, epm_analysis(reciprocal_states(e)))
+        assert result.verdict is EpmVerdict.OPTIMAL
 
     def test_generic_uniform_inconclusive_and_suboptimal(self, rng):
         e = StateEnsemble(random_ensemble(rng, 5, 3).states, np.full(3, 1 / 3))
         rs = reciprocal_states(e)
-        result = epm_test_spectral(e, rs)
+        result = epm_test_spectral(e, epm_analysis(rs))
         assert result.verdict is EpmVerdict.INCONCLUSIVE
         # The solver confirms the EPM is strictly suboptimal here.
         report = solve(build_sdp(e, rs))
@@ -285,7 +305,7 @@ class TestSpectralTest:
     def test_unit_moment_anchor(self, rng):
         # At t = 2 the moments are the unit state norms, so a_t[1] = 1/eta.
         e = cyclic_profile_ensemble([0.7, 0.5, 0.4, 0.3, 0.25], rng)
-        result = epm_test_spectral(e, reciprocal_states(e))
+        result = epm_test_spectral(e, epm_analysis(reciprocal_states(e)))
         assert result.verdict is EpmVerdict.OPTIMAL
         assert abs(result.a_t[1] - e.m) <= 1e-12 * e.m
 
@@ -306,23 +326,24 @@ class TestSpectralTest:
             rs = reciprocal_states(e)
             ratios = self._dense_ratios(e, rs)
             spreads = (ratios.max(axis=1) - ratios.min(axis=1)) / np.abs(ratios).max(axis=1)
-            assert abs(epm_test_spectral(e, rs).residual - spreads.max()) <= 1e-12
+            assert abs(epm_test_spectral(e, epm_analysis(rs)).residual - spreads.max()) <= 1e-12
 
     def test_witness_matches_dense_frame_powers(self, rng):
         for mags in ([0.7, 0.5, 0.4, 0.3, 0.25], [0.75, 0.5, 0.35, 0.35], [0.9, 0.2, 0.6]):
             e = cyclic_profile_ensemble(mags, rng)
             rs = reciprocal_states(e)
             a_t = self._dense_ratios(e, rs).mean(axis=1)
-            result = epm_test_spectral(e, rs)
+            result = epm_test_spectral(e, epm_analysis(rs))
             assert result.verdict is EpmVerdict.OPTIMAL
             assert np.max(np.abs(result.a_t - a_t) / a_t) <= 1e-12
 
     def test_certificate_when_spectral_optimal(self, rng):
         e = cyclic_profile_ensemble([0.75, 0.5, 0.35, 0.35], rng)
         rs = reciprocal_states(e)
-        assert epm_test_spectral(e, rs).verdict is EpmVerdict.OPTIMAL
-        lp = epm_test_lp(e, rs)
-        cert = epm_certificate(rs, lp.b)
+        analysis = epm_analysis(rs)
+        assert epm_test_spectral(e, analysis).verdict is EpmVerdict.OPTIMAL
+        lp = epm_test_lp(e, analysis)
+        cert = epm_certificate(analysis, lp.b)
         meas = compute_epm(e, rs)
         assert verify_certificate(e, rs, meas.probs, cert).passed
 
@@ -334,10 +355,10 @@ class TestCrossModuleConsistency:
         for _ in range(5):
             e0 = random_ensemble(rng, 5, 3)
             rs0 = reciprocal_states(e0)
-            priors = priors_for_epm(rs0, np.array([1.0]))
+            priors = priors_for_epm(epm_analysis(rs0), np.array([1.0]))
             e = StateEnsemble(e0.states, priors)
             rs = reciprocal_states(e)
-            assert epm_test_lp(e, rs).verdict is EpmVerdict.OPTIMAL
+            assert epm_test_lp(e, epm_analysis(rs)).verdict is EpmVerdict.OPTIMAL
             report = solve(build_sdp(e, rs))
             assert abs(-report.primal_value - rs.sigma[-1] ** 2) <= 1e-6
 
@@ -349,11 +370,12 @@ class TestCrossModuleConsistency:
             profile = rng.uniform(0.3, 1.0, m)
             e = cyclic_profile_ensemble(profile, rng)
             rs = reciprocal_states(e)
-            result = epm_test_spectral(e, rs)
+            analysis = epm_analysis(rs)
+            result = epm_test_spectral(e, analysis)
             assert result.verdict is EpmVerdict.OPTIMAL
-            lp = epm_test_lp(e, rs)
+            lp = epm_test_lp(e, analysis)
             assert lp.b is not None
-            cert = epm_certificate(rs, lp.b)
+            cert = epm_certificate(analysis, lp.b)
             meas = compute_epm(e, rs)
             assert verify_certificate(e, rs, meas.probs, cert).passed
 
@@ -361,7 +383,7 @@ class TestCrossModuleConsistency:
 class TestEpmCertificate:
     def test_weighted_three_state_scalar(self, three_states_weighted):
         rs = reciprocal_states(three_states_weighted)
-        cert = epm_certificate(rs, np.array([1.0]))
+        cert = epm_certificate(epm_analysis(rs), np.array([1.0]))
         top = np.linalg.eigvalsh(cert.X)[-1]
         # The certificate weight reproduces the printed 0.07.
         assert abs(top - 0.07) <= 5e-3
@@ -372,7 +394,7 @@ class TestEpmCertificate:
     def test_rank_matches_witness_support(self, rng):
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
         rs = reciprocal_states(e)
-        cert = epm_certificate(rs, np.array([0.5, 0.5]))
+        cert = epm_certificate(epm_analysis(rs), np.array([0.5, 0.5]))
         assert np.linalg.matrix_rank(cert.X, tol=1e-10) == 2
 
 
@@ -384,11 +406,10 @@ class TestEpmCertificate:
 def test_priors_for_epm_is_probability_vector(seed, raw):
     rng = np.random.default_rng(seed)
     e = random_ensemble(rng, 5, int(rng.integers(2, 5)))
-    rs = reciprocal_states(e)
-    s = epm_analysis(rs).s
-    b = np.resize(np.array(raw), s)
+    analysis = epm_analysis(reciprocal_states(e))
+    b = np.resize(np.array(raw), analysis.s)
     b /= b.sum()
-    priors = priors_for_epm(rs, b)
+    priors = priors_for_epm(analysis, b)
     assert np.min(priors) >= 0.0
     assert abs(priors.sum() - 1.0) <= 1e-10
 

@@ -13,6 +13,7 @@ from uqsd import (
     build_sdp,
     check_commute_phase,
     detection_probability,
+    epm_analysis,
     epm_test_spectral,
     expand,
     load_symmetry_spec,
@@ -326,7 +327,7 @@ class TestSolveGu:
     def test_moments_match_spectral_test(self, sign_group_spec):
         sol = solve_gu(sign_group_spec)
         ensemble = expand(sign_group_spec)
-        spectral = epm_test_spectral(ensemble, reciprocal_states(ensemble))
+        spectral = epm_test_spectral(ensemble, epm_analysis(reciprocal_states(ensemble)))
         assert np.array_equal(sol.optimality.a_t, spectral.a_t)
 
     def test_orthonormal_orbit(self):
@@ -475,7 +476,7 @@ class TestStructuralProperties:
         spec = pauli_pair_spec()
         sol = solve_cgu(spec)
         assert sol.verdict is EpmVerdict.OPTIMAL
-        result = epm_test_spectral(sol.ensemble, sol.recips)
+        result = epm_test_spectral(sol.ensemble, epm_analysis(sol.recips))
         assert result.verdict is EpmVerdict.OPTIMAL
 
     def test_reciprocal_set_shares_the_group(self, rng):
