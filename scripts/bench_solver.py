@@ -1,0 +1,117 @@
+"""Time ``solve`` on a seeded dense pool plus the bundled degenerate EPM set.
+
+The pool holds ``--pool`` random complex Gaussian ensembles with r = m =
+``--dim`` and priors uniform in [0.5, 1.5] before normalisation, drawn from
+seed 1; ``data/degenerate_epm.json`` (smallest singular value of
+multiplicity two) is solved after it. Each solve is timed in process CPU
+with one BLAS thread, and one JSON line is printed with:
+
+* ``iterations``: interior-point steps over every solve;
+* ``ms_per_iteration``: process-CPU ms of all solves over those steps;
+* ``certified_by``: how many answers the iterate and the polish certified,
+  and ``polish_attempts`` in total;
+* ``face_dims``: a histogram of the rank of the returned X, counting the
+  eigenvalues above 1e-6 of the largest;
+* ``ru_maxrss_kb``: the peak resident set of the process.
+
+Every answer must be Optimal and pass ``verify_certificate``; the script
+exits 1 otherwise. Run from the repository root:
+
+    PYTHONPATH=src python scripts/bench_solver.py [--pool 64] [--smoke]
+
+Point PYTHONPATH at another checkout's ``src`` to time that tree on the same
+instances. ``--smoke`` solves a small pool at r = m = 6, for CI.
+"""
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from collections import Counter  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from uqsd import (  # noqa: E402
+    StateEnsemble,
+    build_sdp,
+    load_ensemble,
+    reciprocal_states,
+    solve,
+    verify_certificate,
+)
+
+DEGENERATE = Path(__file__).resolve().parents[1] / "data" / "degenerate_epm.json"
+SEED = 1
+
+
+def dense_pool(dim: int, size: int) -> list[StateEnsemble]:
+    rng = np.random.default_rng(SEED)
+    pool = []
+    for _ in range(size):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        w = rng.uniform(0.5, 1.5, dim)
+        pool.append(StateEnsemble(a / np.linalg.norm(a, axis=0), w / w.sum()))
+    return pool
+
+
+def face_dim(x_mat: np.ndarray) -> int:
+    w = np.linalg.eigvalsh(x_mat)
+    return int(np.sum(w > 1e-6 * w[-1]))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pool", type=int, default=64)
+    parser.add_argument("--dim", type=int, default=32)
+    parser.add_argument("--smoke", action="store_true", help="4 instances at r = m = 6")
+    args = parser.parse_args()
+    if args.smoke:
+        args.pool, args.dim = 4, 6
+
+    ensembles = dense_pool(args.dim, args.pool) + [load_ensemble(DEGENERATE)]
+    iterations = polish_attempts = 0
+    cpu = 0.0
+    stages: Counter = Counter()
+    faces: Counter = Counter()
+    failures = 0
+    for ens in ensembles:
+        recips = reciprocal_states(ens)
+        problem = build_sdp(ens, recips)
+        start = time.process_time()
+        report = solve(problem)
+        cpu += time.process_time() - start
+        iterations += report.iterations
+        polish_attempts += report.polish_attempts
+        stages[str(report.certified_by)] += 1
+        faces[face_dim(report.certificate.X)] += 1
+        ver = verify_certificate(ens, recips, report.p, report.certificate)
+        failures += report.status.value != "Optimal" or not ver.passed
+
+    print(
+        json.dumps(
+            {
+                "instances": len(ensembles),
+                "dim": args.dim,
+                "iterations": iterations,
+                "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
+                "cpu_s": round(cpu, 4),
+                "certified_by": dict(sorted(stages.items())),
+                "polish_attempts": polish_attempts,
+                "face_dims": {str(k): v for k, v in sorted(faces.items())},
+                "failures": failures,
+                "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            }
+        )
+    )
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

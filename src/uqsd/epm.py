@@ -114,10 +114,14 @@ def epm_analysis(recips: ReciprocalSet) -> EpmAnalysis:
     )
 
 
-def compute_epm(ensemble: StateEnsemble, recips: ReciprocalSet) -> Measurement:
-    """The measurement detecting every state with probability sigma_m^2."""
+def _check_matches(ensemble: StateEnsemble, recips: ReciprocalSet) -> None:
     if (recips.r, recips.m) != (ensemble.r, ensemble.m):
         raise ValidationError("reciprocal set does not match the ensemble")
+
+
+def compute_epm(ensemble: StateEnsemble, recips: ReciprocalSet) -> Measurement:
+    """The measurement detecting every state with probability sigma_m^2."""
+    _check_matches(ensemble, recips)
     p = float(recips.sigma[-1] ** 2)
     return measurement_from_probs(recips, np.full(ensemble.m, p))
 
@@ -131,6 +135,7 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
     feasible when the sup-norm residual of its NNLS solution is within
     ``LP_FEASIBILITY_TOL``, inconclusive otherwise. The residual is reported.
     """
+    _check_matches(ensemble, analysis.recips)
     eta = ensemble.priors
     if analysis.s == 1:
         last_row = analysis.last_rows[0]
@@ -209,6 +214,7 @@ def epm_test_spectral(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOpti
     returned as the witness. Failure is inconclusive, not a proof of
     suboptimality.
     """
+    _check_matches(ensemble, analysis.recips)
     # With states = U S V* and G = U S^2 U*, the moment of order t is
     # sum_k sigma_k^t |V*[k, i]|^2.
     orders = np.arange(1, analysis.q + 1)[:, None]

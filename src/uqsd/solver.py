@@ -15,12 +15,14 @@ gap and vanishing complementary products certifies global optimality.
 method with Nesterov-Todd scaling and Mehrotra predictor-corrector steps.
 Both cone blocks are handled natively in complex Hermitian arithmetic.
 Because every Q_i is rank one, the Newton step reduces to an m x m
-positive definite system built from ``B = C* W^{-1} C`` where C stacks the
-reciprocal states, so one iteration costs O(r^3 + m r^2 + m^3). It factors
-X and S once: the NT factors, T^{-1} included, come from those Cholesky
-factors and one SVD (``_nt_scaling``), and both PSD step lengths from the
-scaled space where X and S are diagonal (``_max_step_psd``; Toh, Todd and
-Tutuncu 1999), so numpy is all the solver needs.
+positive definite system ``|G* G|^2 + diag(z / p)`` with ``G = T^{-1} C``,
+where C stacks the reciprocal states, so one iteration costs
+O(r^3 + m r^2 + m^3). It factors X and S once: T^{-1} comes from those
+Cholesky factors and one SVD (``_nt_scaling``). The whole Newton step then
+runs in the NT-scaled space, where X and S are both diag(lam): the
+directions, both PSD step lengths (``_max_step_psd``; Toh, Todd and
+Tutuncu 1999) and the predicted gap are formed there, and only the step
+taken is mapped back to X. numpy is all the solver needs.
 
 Optimality is decided by one predicate, the residual check of
 ``verify_certificate``. Its gap test is scale free: any pair (p, X) gives
@@ -171,18 +173,17 @@ def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
 
 
 def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
-    """NT factors (lam, T^{-1}, T) with T* X T = T^{-1} S T^{-*} = diag(lam).
+    """NT factors (lam, T^{-1}) with T* X T = T^{-1} S T^{-*} = diag(lam).
 
     From X = L_x L_x*, S = L_s L_s* and L_x* L_s = U diag(lam) V*: T = L_s V
-    lam^{-1/2} and T^{-1} = lam^{-1/2} U* L_x*. LinAlgError unless X, S are PD.
+    lam^{-1/2} and T^{-1} = lam^{-1/2} U* L_x*, so X = T^{-*} diag(lam) T^{-1}.
+    LinAlgError unless X, S are PD.
     """
     chol_x = np.linalg.cholesky(x_mat)
     chol_s = np.linalg.cholesky(s_mat)
-    u, lam, vh = np.linalg.svd(chol_x.conj().T @ chol_s)
-    root = np.sqrt(lam)
-    t_inv = (u.conj().T @ chol_x.conj().T) / root[:, None]
-    t_nt = (chol_s @ vh.conj().T) / root[None, :]
-    return lam, t_inv, t_nt
+    u, lam, _ = np.linalg.svd(chol_x.conj().T @ chol_s)
+    t_inv = (u.conj().T @ chol_x.conj().T) / np.sqrt(lam)[:, None]
+    return lam, t_inv
 
 
 def _max_step_psd(lam: np.ndarray, direction: np.ndarray) -> float:
@@ -205,85 +206,124 @@ def _kkt_polish(
     eta: np.ndarray,
     gap: float,
 ) -> tuple[np.ndarray, DualCertificate] | None:
-    """Gauss-Newton refinement of the full optimality system.
+    """Gauss-Newton refinement of the full optimality system on the active face.
 
-    Applies when the dual optimal face is one dimensional: unknowns are the
-    active probabilities, the certificate weight ``a`` and the face vector
-    ``v``, solving ``(I - sum p_i Q_i) v = 0`` together with the trace
-    equalities ``a |<q_i|v>|^2 = eta_i`` on the active set. Quadratic local
-    convergence wipes out the O(sqrt(gap)) support misalignment that the
-    interior-point iterates carry. Returns None when the face is not
-    one dimensional or the iteration leaves the cone.
+    The face dimension k is the number of slack eigenvalues within
+    ``tau = sqrt(gap)``; the polish needs 1 <= k and k^2 <= m, the bound of
+    Pataki (1998) on the rank of an optimal X. The unknowns are the active
+    probabilities and an r x k factor F with X = F F*, started from the top
+    k eigenpairs of X, and the equations are ``S F = 0`` with
+    ``S = I - sum p_i Q_i``, together with the trace equalities
+    ``|F* q_i|^2 = eta_i`` on the active set.
+
+    Each step is solved blockwise in the eigenbasis of S. Where S is
+    invertible, its r - k eigenvalues above tau, the rows of ``S dF`` give
+    that part of dF in closed form; what is left is one small least-squares
+    system in dp and the k x k null-space block of dF, so no array grows
+    with r k. F is fixed only up to F U with U unitary; the rows
+    ``F* dF`` Hermitian take that k^2-dimensional gauge out of the step.
+    Each step is halved until the residual falls (damped Gauss-Newton).
+    Quadratic local convergence wipes out the O(sqrt(gap)) support
+    misalignment that the interior-point iterates carry. Returns None when
+    the face test fails.
     """
     r, m = c.shape
-    s0 = np.eye(r, dtype=complex) - _apply(c, p)
-    w, vecs = np.linalg.eigh(s0)
     tau = np.sqrt(max(gap, 1e-16))
-    if not (w[0] <= tau and (r == 1 or w[1] > tau)):
+    k = int(np.sum(np.linalg.eigvalsh(np.eye(r) - _apply(c, p)) <= tau))
+    if k == 0 or k * k > m:
         return None
-    v = vecs[:, 0]
     active = np.nonzero(p > max(1e-7, tau))[0]
     if active.size == 0:
         return None
     q_act = c[:, active]
-    p_act = p[active].copy()
+    eta_act = eta[active]
+    p_act = p[active]
+    w, vecs = np.linalg.eigh(x_mat)
+    f = vecs[:, r - k :] * np.sqrt(np.maximum(w[r - k :], 0.0))
+    n_act, kk = active.size, k * k
 
-    overlaps = np.abs(q_act.conj().T @ v) ** 2
-    denom = float(overlaps @ overlaps)
-    if denom <= 0.0:
-        return None
-    a_val = float(overlaps @ eta[active] / denom)
-    n_act = active.size
+    def residual(p_a, f_mat):
+        s_mat = np.eye(r) - _apply(q_act, p_a)
+        overlaps = q_act.conj().T @ f_mat
+        r1 = s_mat @ f_mat
+        r2 = np.sum(np.abs(overlaps) ** 2, axis=1) - eta_act
+        return s_mat, overlaps, r1, r2, np.linalg.norm(np.concatenate([r1.ravel(), r2]))
 
-    def residual(p_a, a, vec):
-        r1 = vec - (q_act * p_a) @ (q_act.conj().T @ vec)
-        r2 = a * np.abs(q_act.conj().T @ vec) ** 2 - eta[active]
-        r3 = float((vec.conj() @ vec).real) - 1.0
-        r4 = float(np.imag(v.conj() @ vec))
-        return np.concatenate([r1.real, r1.imag, r2, [r3], [r4]])
-
-    res = residual(p_act, a_val, v)
-    best = (np.linalg.norm(res), p_act.copy(), a_val, v.copy())
+    s_mat, overlaps, r1, r2, norm = residual(p_act, f)
+    jac = np.zeros((4 * kk + n_act, n_act + 2 * kk))
+    eye_k = np.eye(k)
     for _ in range(12):
-        if np.linalg.norm(res) <= 1e-13:
+        if norm <= 1e-13:
             break
-        wv = q_act.conj().T @ v
-        s0_act = np.eye(r, dtype=complex) - (q_act * p_act) @ q_act.conj().T
-        jac = np.zeros((2 * r + n_act + 2, n_act + 1 + 2 * r))
-        dp_block = -q_act * wv[None, :]
-        jac[:r, :n_act] = dp_block.real
-        jac[r : 2 * r, :n_act] = dp_block.imag
-        jac[:r, n_act + 1 : n_act + 1 + r] = s0_act.real
-        jac[:r, n_act + 1 + r :] = -s0_act.imag
-        jac[r : 2 * r, n_act + 1 : n_act + 1 + r] = s0_act.imag
-        jac[r : 2 * r, n_act + 1 + r :] = s0_act.real
-        rows2 = slice(2 * r, 2 * r + n_act)
-        jac[rows2, n_act] = np.abs(wv) ** 2
-        rho = wv.conj()[:, None] * q_act.conj().T
-        jac[rows2, n_act + 1 : n_act + 1 + r] = 2 * a_val * rho.real
-        jac[rows2, n_act + 1 + r :] = -2 * a_val * rho.imag
-        jac[2 * r + n_act, n_act + 1 : n_act + 1 + r] = 2 * v.real
-        jac[2 * r + n_act, n_act + 1 + r :] = 2 * v.imag
-        jac[2 * r + n_act + 1, n_act + 1 : n_act + 1 + r] = -v.imag
-        jac[2 * r + n_act + 1, n_act + 1 + r :] = v.real
+        # In the eigenbasis of S: null block N (first k) and range block R.
+        w_s, v = np.linalg.eigh(s_mat)
+        qv = v.conj().T @ q_act
+        r1v = v.conj().T @ r1
+        fv = v.conj().T @ f
+        q_n, q_r, w_n, w_r = qv[:k], qv[k:], w_s[:k], w_s[k:]
+        # Range rows: w_R Z - Q_R diag(dp) W = -R1_R, with W = Q* F, so
+        # Z = (Q_R diag(dp) W - R1_R) / w_R, and Q_R* Z enters the traces.
+        z0 = r1v[k:] / w_r[:, None]
+        h = (q_r.conj().T / w_r) @ q_r
+        # Null rows, unknowns (dp, Re Y, Im Y) with Y[a, b] at a k + b:
+        # w_N Y - Q_N diag(dp) W = -R1_N.
+        null_dp = -(q_n[:, None, :] * overlaps.T[None, :, :]).reshape(kk, n_act)
+        jac[:kk, :n_act] = null_dp.real
+        jac[kk : 2 * kk, :n_act] = null_dp.imag
+        w_rows = np.repeat(w_n, k)
+        jac[:kk, n_act : n_act + kk] = np.diag(w_rows)
+        jac[kk : 2 * kk, n_act + kk :] = np.diag(w_rows)
+        # Trace rows: d|W_i|^2 = 2 Re (Q* dF W*)_ii with Q* dF = Q_N* Y + Q_R* Z.
+        trace_rows = slice(2 * kk, 2 * kk + n_act)
+        jac[trace_rows, :n_act] = 2.0 * (h * (overlaps.conj() @ overlaps.T)).real
+        rho = (q_n.conj().T[:, :, None] * overlaps.conj()[:, None, :]).reshape(n_act, kk)
+        jac[trace_rows, n_act : n_act + kk] = 2.0 * rho.real
+        jac[trace_rows, n_act + kk :] = -2.0 * rho.imag
+        shift = 2.0 * np.einsum("ai,ab,ib->i", q_r.conj(), z0, overlaps.conj()).real
+        # Gauge rows: F* dF Hermitian, which leaves out the directions F A
+        # (A anti-Hermitian) along which the residual only rotates. With
+        # F* dF = F_N* Y + F_R* Z, its coefficients are stacked per unknown.
+        f_n, f_r = fv[:k], fv[k:]
+        g_dp = ((f_r.conj().T / w_r) @ q_r)[:, None, :] * overlaps.T[None, :, :]
+        g_y = (f_n.conj().T[:, None, :, None] * eye_k[None, :, None, :]).reshape(k, k, kk)
+        coef = np.concatenate([g_dp, g_y, 1j * g_y], axis=2)
+        anti = coef - coef.transpose(1, 0, 2).conj()
+        jac[2 * kk + n_act : 3 * kk + n_act] = anti.real.reshape(kk, -1)
+        jac[3 * kk + n_act :] = anti.imag.reshape(kk, -1)
+        g0 = f_r.conj().T @ z0
+        rhs = np.concatenate(
+            [
+                -r1v[:k].real.ravel(),
+                -r1v[:k].imag.ravel(),
+                shift - r2,
+                (g0 - g0.conj().T).real.ravel(),
+                (g0 - g0.conj().T).imag.ravel(),
+            ]
+        )
+        du = np.linalg.lstsq(jac, rhs, rcond=None)[0]
+        dp = du[:n_act]
+        y = (du[n_act : n_act + kk] + 1j * du[n_act + kk :]).reshape(k, k)
+        z = (q_r * dp) @ overlaps / w_r[:, None] - z0
+        d_f = v @ np.vstack([y, z])
+        step = 1.0
+        while step >= 1.0 / 64:
+            p_try = p_act + step * dp
+            if np.min(p_try) > 0.0:
+                f_try = f + step * d_f
+                trial = residual(p_try, f_try)
+                if trial[-1] < norm:
+                    break
+            step /= 2
+        else:
+            break
+        p_act, f = p_try, f_try
+        s_mat, overlaps, r1, r2, norm = trial
 
-        du, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        p_act = p_act + du[:n_act]
-        a_val = a_val + du[n_act]
-        v = v + du[n_act + 1 : n_act + 1 + r] + 1j * du[n_act + 1 + r :]
-        if np.min(p_act) <= 0.0 or a_val <= 0.0:
-            return None
-        res = residual(p_act, a_val, v)
-        if np.linalg.norm(res) < best[0]:
-            best = (np.linalg.norm(res), p_act.copy(), a_val, v.copy())
-
-    _, p_act, a_val, v = best
-    v = v / np.linalg.norm(v)
     p_new = np.zeros(m)
     p_new[active] = p_act
     if np.max(p_new) > 1.0 + 1e-9:
         return None
-    x_new = a_val * np.outer(v, v.conj())
+    x_new = f @ f.conj().T
     z_new = np.maximum(_apply_adjoint(c, x_new) - eta, 0.0)
     return p_new, DualCertificate(X=x_new, z=z_new)
 
@@ -419,51 +459,52 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
             break
 
         try:
-            lam, t_inv, t_nt = _nt_scaling(x_mat, s0)
-            w_inv = t_inv.conj().T @ t_inv
-            schur = np.abs(c.conj().T @ w_inv @ c) ** 2 + np.diag(z / p)
+            lam, t_inv = _nt_scaling(x_mat, s0)
+            # The whole step runs in the NT-scaled space, where X and S are
+            # both diag(lam): with G = T^{-1} C, Tr(Q_i K) = g_i* K_sc g_i for
+            # K = T^{-*} K_sc T^{-1}, and W^{-1} = T^{-*} T^{-1}.
+            g = t_inv @ c
+            schur = np.abs(g.conj().T @ g) ** 2 + np.diag(z / p)
             schur_sym = (schur + schur.T) / 2
             np.linalg.cholesky(schur_sym)
         except np.linalg.LinAlgError:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
-        def newton(k_mat: np.ndarray, rc: np.ndarray):
-            rhs = rc / p - _apply_adjoint(c, k_mat)
+        def newton(k_sc: np.ndarray, rhs: np.ndarray):
             dp = np.linalg.solve(schur_sym, rhs)
             # One round of iterative refinement; the Schur system grows
             # ill-conditioned as the complementarity products vanish.
             dp += np.linalg.solve(schur_sym, rhs - schur @ dp)
-            ds = -_apply(c, dp)
-            dx = k_mat - w_inv @ ds @ w_inv
-            dx = (dx + dx.conj().T) / 2
-            dz = _apply_adjoint(c, dx)
-            # The directions in the scaled space, where S and X are diag(lam).
-            ds_sc = t_inv @ ds @ t_inv.conj().T
-            dx_sc = t_nt.conj().T @ dx @ t_nt
-            return dp, ds, dx, dz, ds_sc, dx_sc
+            ds_sc = -_apply(g, dp)
+            dx_sc = k_sc - ds_sc
+            return dp, ds_sc, dx_sc, _apply_adjoint(g, dx_sc)
 
-        # Predictor: in the scaled space the affine right-hand side -lam^2
-        # maps back to -X, so no Sylvester-type solve is needed.
-        dp_a, ds_a, dx_a, dz_a, ds_sc, dx_sc = newton(-x_mat, -p * z)
+        # Predictor: the affine right-hand side -lam^2 is K_sc = -diag(lam),
+        # the scaled -X, whose traces Tr(Q_i X) are z + eta; with rc = -p z
+        # the Schur right-hand side rc / p + z + eta is eta.
+        lam_mat = np.diag(lam)
+        dp_a, ds_sc, dx_sc, dz_a = newton(-lam_mat, eta)
         ap = min(1.0, _max_step_psd(lam, ds_sc), _max_step_vec(p, dp_a))
         ad = min(1.0, _max_step_psd(lam, dx_sc), _max_step_vec(z, dz_a))
         gap_aff = float(
-            np.vdot(x_mat + ad * dx_a, s0 + ap * ds_a).real + (p + ap * dp_a) @ (z + ad * dz_a)
+            np.vdot(lam_mat + ad * dx_sc, lam_mat + ap * ds_sc).real
+            + (p + ap * dp_a) @ (z + ad * dz_a)
         )
         sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
 
         # Corrector: second-order term evaluated in the scaled space.
-        resid = np.diag(sigma * mu - lam**2) - (ds_sc @ dx_sc + dx_sc @ ds_sc) / 2
-        k_mat = t_inv.conj().T @ ((2.0 * resid / (lam[:, None] + lam[None, :])) @ t_inv)
-        k_mat = (k_mat + k_mat.conj().T) / 2
+        cross = ds_sc @ dx_sc
+        resid = np.diag(sigma * mu - lam**2) - (cross + cross.conj().T) / 2
+        k_sc = 2.0 * resid / (lam[:, None] + lam[None, :])
         rc = sigma * mu - p * z - dp_a * dz_a
-
-        dp, _, dx, dz, ds_sc, dx_sc = newton(k_mat, rc)
+        dp, ds_sc, dx_sc, dz = newton(k_sc, rc / p - _apply_adjoint(g, k_sc))
         ap = min(1.0, STEP_FRACTION * min(_max_step_psd(lam, ds_sc), _max_step_vec(p, dp)))
         ad = min(1.0, STEP_FRACTION * min(_max_step_psd(lam, dx_sc), _max_step_vec(z, dz)))
         trace[-1] = replace(trace[-1], primal_step=ap, dual_step=ad, sigma=sigma)
 
+        # Only the step taken leaves the scaled space.
+        dx = t_inv.conj().T @ dx_sc @ t_inv
         p = p + ap * dp
         x_mat = x_mat + ad * dx
         x_mat = (x_mat + x_mat.conj().T) / 2

@@ -18,6 +18,7 @@ from uqsd import (
     epm_certificate,
     epm_test_lp,
     epm_test_spectral,
+    load_ensemble,
     priors_for_epm,
     reciprocal_states,
     solve,
@@ -378,6 +379,13 @@ class TestCrossModuleConsistency:
             cert = epm_certificate(analysis, lp.b)
             meas = compute_epm(e, rs)
             assert verify_certificate(e, rs, meas.probs, cert).passed
+
+    @pytest.mark.parametrize("test", [epm_test_lp, epm_test_spectral])
+    def test_analysis_of_another_ensemble_raises(self, test):
+        data = Path(__file__).resolve().parents[1] / "data"
+        analysis = epm_analysis(reciprocal_states(load_ensemble(data / "degenerate_epm.json")))
+        with pytest.raises(ValidationError, match="does not match"):
+            test(load_ensemble(data / "three_states.json"), analysis)
 
 
 class TestEpmCertificate:

@@ -10,7 +10,9 @@ from uqsd import (
     StateEnsemble,
     ValidationError,
     build_sdp,
+    epm_analysis,
     load_ensemble,
+    priors_for_epm,
     reciprocal_states,
     solve,
     verify_certificate,
@@ -18,6 +20,7 @@ from uqsd import (
 from uqsd.solver import _bracket, _max_step_psd, _nt_scaling
 
 from helpers import (
+    cyclic_profile_ensemble,
     f_matrix,
     gaussian_states,
     max_step_reference,
@@ -218,8 +221,8 @@ class TestStepLength:
     @pytest.mark.parametrize("r", [2, 5, 12])
     def test_nt_scaling_diagonalizes_both_blocks(self, rng, r):
         x_mat, s_mat = self._pd(rng, r), self._pd(rng, r)
-        lam, t_inv, t_nt = _nt_scaling(x_mat, s_mat)
-        assert np.allclose(t_inv @ t_nt, np.eye(r), atol=1e-10)
+        lam, t_inv = _nt_scaling(x_mat, s_mat)
+        t_nt = np.linalg.inv(t_inv)
         assert np.allclose(t_nt.conj().T @ x_mat @ t_nt, np.diag(lam), atol=1e-10)
         assert np.allclose(t_inv @ s_mat @ t_inv.conj().T, np.diag(lam), atol=1e-10)
 
@@ -231,7 +234,8 @@ class TestStepLength:
             dx, ds = self._hermitian(rng, r), self._hermitian(rng, r)
             if psd_direction:
                 dx, ds = dx @ dx, ds @ ds
-            lam, t_inv, t_nt = _nt_scaling(x_mat, s_mat)
+            lam, t_inv = _nt_scaling(x_mat, s_mat)
+            t_nt = np.linalg.inv(t_inv)
             step_s = _max_step_psd(lam, t_inv @ ds @ t_inv.conj().T)
             step_x = _max_step_psd(lam, t_nt.conj().T @ dx @ t_nt)
             if psd_direction:
@@ -382,26 +386,72 @@ def test_optimal_exactly_when_verified():
     # Seeded small instances, 180 and 270 among them: Optimal is reported
     # exactly for the certificates verify_certificate accepts, and the
     # report carries the residuals of that check and the winning candidate.
+    # The polish covers every face with k^2 <= m, which takes in all of the
+    # random instances; orthonormal states, whose whole slack vanishes at
+    # the optimum (k = m), leave the certificate to the iterate.
+    from helpers import haar_unitary
+
     rng = np.random.default_rng(5)
-    checked = 0
     stages = {"iterate": 0, "polish": 0}
-    for k in range(400):
-        m = int(rng.integers(1, 9))
-        r = m + int(rng.integers(0, 5))
-        e = StateEnsemble(gaussian_states(rng, r, m), spread_priors(rng, m))
-        if k % 4 and k != 270:
-            continue
+
+    def check(e, k):
         rs, _, report = solve_ensemble(e)
         ver = verify_certificate(e, rs, report.p, report.certificate)
         assert (report.status is SolveStatus.OPTIMAL) == ver.passed, k
         assert report.residuals == ver.residuals, k
         assert (report.certified_by is not None) == ver.passed, k
         assert report.polish_attempts >= (report.certified_by == "polish"), k
-        checked += ver.passed
         if ver.passed:
             stages[report.certified_by] += 1
+        return ver.passed
+
+    checked = 0
+    for k in range(400):
+        m = int(rng.integers(1, 9))
+        r = m + int(rng.integers(0, 5))
+        e = StateEnsemble(gaussian_states(rng, r, m), spread_priors(rng, m))
+        if k % 4 and k != 270:
+            continue
+        checked += check(e, k)
     assert checked == 101
+    for m in (2, 3, 4):
+        e = StateEnsemble(haar_unitary(rng, m + 1)[:, :m], spread_priors(rng, m))
+        assert check(e, f"orthonormal {m}")
     assert min(stages.values()) > 0, stages
+
+
+def degenerate_epm_sets():
+    """EPM-optimal sets whose certificate has rank s = 2 and 3.
+
+    Cyclic-shift orbits with the smallest DFT magnitude repeated s times,
+    and priors from ``priors_for_epm``: the optimum is sigma_min^2, on a
+    dual face of dimension s.
+    """
+    rng = np.random.default_rng(11)
+    sets = [("degenerate_epm.json", load_ensemble(DATA / "degenerate_epm.json"))]
+    for t in range(8):
+        s = 2 + t % 2
+        m = s * s + int(rng.integers(0, 3))
+        mags = np.concatenate([rng.uniform(0.5, 1.0, m - s), np.full(s, 0.3)])
+        base = cyclic_profile_ensemble(rng.permutation(mags), rng)
+        analysis = epm_analysis(reciprocal_states(base))
+        assert analysis.s == s
+        b = rng.uniform(0.2, 1.0, s)
+        priors = priors_for_epm(analysis, b / b.sum())
+        sets.append((f"s={s} m={m}", StateEnsemble(base.states, priors)))
+    return sets
+
+
+def test_polish_reaches_closed_form_on_degenerate_faces():
+    for name, e in degenerate_epm_sets():
+        rs, _, report = solve_ensemble(e)
+        face = np.linalg.eigvalsh(report.certificate.X)
+        assert report.status is SolveStatus.OPTIMAL, name
+        assert report.certified_by == "polish", name
+        assert np.sum(face > 1e-6 * face[-1]) == epm_analysis(rs).s, name
+        best = rs.sigma[-1] ** 2
+        assert abs(-report.primal_value - best) <= 1e-12 * best, name
+        assert verify_certificate(e, rs, report.p, report.certificate).passed, name
 
 
 @pytest.mark.parametrize("name", ["three_states", "three_states_weighted", "near_parallel"])
