@@ -1,16 +1,22 @@
-"""Time ``verify_group`` on cyclic shift groups, plain and Haar-conjugated.
+"""Time ``verify_group`` on cyclic shift groups and on products of two of them.
 
-For each order l the group is the l powers of the cyclic shift on C^l, once
-as permutation matrices and once conjugated by a fixed Haar-random unitary.
-Each time is process CPU per call with one BLAS thread: the calls of a block
-run for at least ``--block-seconds``, and the median over ``--blocks``
-blocks is printed, with the report of the last call. Run from the
-repository root:
+For each order l three groups act on C^l: the l powers of the cyclic shift
+as permutation matrices, the same powers conjugated by a fixed Haar-random
+unitary, and the direct product Z_a x Z_b (a b = l, a the largest divisor
+of l up to sqrt(l)) as Kronecker products of shift powers, which is not
+cyclic when a and b share a factor. Each time is process CPU per call with
+one BLAS thread: the calls of a block run for at least ``--block-seconds``,
+and the median over ``--blocks`` blocks is printed, with the report of the
+last call: its verdict, its closure residual, the number of
+multiplication-table rows it formed, and ``ru_maxrss``, the peak resident
+set of the process so far in MB. Run from the repository root:
 
-    PYTHONPATH=src python scripts/bench_verify_group.py [ORDER ...]
+    PYTHONPATH=src python scripts/bench_verify_group.py [ORDER ...] [--smoke]
 
 Point PYTHONPATH at another checkout's ``src`` to time that tree with the
-same groups.
+same groups; a tree whose report has no ``rows`` prints ``-`` there.
+``--smoke`` runs order 8 with one short block, for CI. The script exits 1
+if any group fails the check.
 """
 
 import os
@@ -19,18 +25,30 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 import argparse  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from uqsd import UnitaryGroup, verify_group  # noqa: E402
 
+KINDS = ("shift", "conjugated", "product")
 
-def shift_group(order: int, conjugate: bool) -> UnitaryGroup:
+
+def shift_powers(order: int) -> list[np.ndarray]:
     shift = np.roll(np.eye(order), 1, axis=0)
-    powers = [np.linalg.matrix_power(shift, k).astype(complex) for k in range(order)]
-    if conjugate:
+    return [np.linalg.matrix_power(shift, k).astype(complex) for k in range(order)]
+
+
+def build_group(order: int, kind: str) -> UnitaryGroup:
+    if kind == "product":
+        a = max(k for k in range(1, int(np.sqrt(order)) + 1) if order % k == 0)
+        powers = [np.kron(x, y) for x in shift_powers(a) for y in shift_powers(order // a)]
+    else:
+        powers = shift_powers(order)
+    if kind == "conjugated":
         rng = np.random.default_rng(order)
         q, r = np.linalg.qr(rng.normal(size=(order, order)) + 1j * rng.normal(size=(order, order)))
         w = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
@@ -54,23 +72,31 @@ def time_per_call(group: UnitaryGroup, blocks: int, block_seconds: float):
     return statistics.median(per_call), report
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("orders", nargs="*", type=int, default=[16, 24, 32, 64])
     parser.add_argument("--blocks", type=int, default=5)
     parser.add_argument("--block-seconds", type=float, default=0.2)
+    parser.add_argument("--smoke", action="store_true", help="order 8, one short block")
     args = parser.parse_args()
-    print(f"{'order':>5}  {'group':<10}  {'ms/call':>9}  passed  closure")
+    if args.smoke:
+        args.orders, args.blocks, args.block_seconds = [8], 1, 0.01
+    failures = 0
+    print(f"{'order':>5}  {'group':<10}  {'ms/call':>9}  passed  closure   rows  ru_maxrss")
     for order in args.orders:
-        for conjugate in (False, True):
-            group = shift_group(order, conjugate)
+        for kind in KINDS:
+            group = build_group(order, kind)
             seconds, report = time_per_call(group, args.blocks, args.block_seconds)
-            kind = "conjugated" if conjugate else "shift"
+            failures += not report.passed
+            rows = getattr(report, "rows", "-")
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(
                 f"{order:>5}  {kind:<10}  {1e3 * seconds:>9.2f}  {str(report.passed):<6}  "
-                f"{report.closure:.2e}"
+                f"{report.closure:.2e}  {rows:>4}  {peak_mb:>6.1f} MB"
             )
+            del group
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -163,6 +163,7 @@ def _print_report(doc: dict, as_json: bool) -> None:
         print(f"group axioms: {'pass' if rep['passed'] else 'FAIL'}")
         for key in ("unitarity", "identity", "closure", "inverses"):
             print(f"  {key}: {rep[key]:.3e}")
+        print(f"  rows: {rep['rows']} of {summary['order']}")
 
 
 def _run_sdp(args, ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Measurement | None]:

@@ -138,7 +138,8 @@ class SolveReport:
     residuals: dict[str, float]
     trace: tuple[IterateTrace, ...] = field(default_factory=tuple)
     # The candidate that passed the checks, "iterate" or "polish" (None unless
-    # Optimal), and the number of Gauss-Newton polish attempts made.
+    # Optimal), and the number of Gauss-Newton polishes run, not counting
+    # iterates whose face test failed.
     certified_by: str | None = None
     polish_attempts: int = 0
 
@@ -199,20 +200,38 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg], initial=np.inf))
 
 
+def _polish_face(c: np.ndarray, p: np.ndarray, gap: float) -> tuple[int, np.ndarray] | None:
+    """Face dimension k and active set for ``_kkt_polish``, or None when there is no face.
+
+    k is the number of slack eigenvalues within ``tau = sqrt(gap)``; the
+    polish needs 1 <= k and k^2 <= m, the bound of Pataki (1998) on the
+    rank of an optimal X, and at least one probability above
+    ``max(1e-7, tau)``.
+    """
+    r, m = c.shape
+    tau = np.sqrt(max(gap, 1e-16))
+    k = int(np.sum(np.linalg.eigvalsh(np.eye(r) - _apply(c, p)) <= tau))
+    if k == 0 or k * k > m:
+        return None
+    active = np.nonzero(p > max(1e-7, tau))[0]
+    if active.size == 0:
+        return None
+    return k, active
+
+
 def _kkt_polish(
     c: np.ndarray,
     p: np.ndarray,
     x_mat: np.ndarray,
     eta: np.ndarray,
-    gap: float,
+    face: tuple[int, np.ndarray],
 ) -> tuple[np.ndarray, DualCertificate] | None:
     """Gauss-Newton refinement of the full optimality system on the active face.
 
-    The face dimension k is the number of slack eigenvalues within
-    ``tau = sqrt(gap)``; the polish needs 1 <= k and k^2 <= m, the bound of
-    Pataki (1998) on the rank of an optimal X. The unknowns are the active
-    probabilities and an r x k factor F with X = F F*, started from the top
-    k eigenpairs of X, and the equations are ``S F = 0`` with
+    ``face`` is the face dimension k and the active set from
+    ``_polish_face``. The unknowns are the active probabilities and an
+    r x k factor F with X = F F*, started from the top k eigenpairs of X,
+    and the equations are ``S F = 0`` with
     ``S = I - sum p_i Q_i``, together with the trace equalities
     ``|F* q_i|^2 = eta_i`` on the active set.
 
@@ -225,16 +244,10 @@ def _kkt_polish(
     Each step is halved until the residual falls (damped Gauss-Newton).
     Quadratic local convergence wipes out the O(sqrt(gap)) support
     misalignment that the interior-point iterates carry. Returns None when
-    the face test fails.
+    the polished probabilities exceed one.
     """
     r, m = c.shape
-    tau = np.sqrt(max(gap, 1e-16))
-    k = int(np.sum(np.linalg.eigvalsh(np.eye(r) - _apply(c, p)) <= tau))
-    if k == 0 or k * k > m:
-        return None
-    active = np.nonzero(p > max(1e-7, tau))[0]
-    if active.size == 0:
-        return None
+    k, active = face
     q_act = c[:, active]
     eta_act = eta[active]
     p_act = p[active]
@@ -446,9 +459,10 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
             if width <= _TOLERANCES["gap"]:
                 found = _certified(c, eta, (p, DualCertificate(X=x_mat, z=z)))
                 stage = "iterate"
-            if found is None:
+            face = None if found is not None else _polish_face(c, p, gap)
+            if face is not None:
                 polish_attempts += 1
-                found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, gap))
+                found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, face))
                 stage = "polish"
             if found is not None:
                 (p, certificate), residuals = found

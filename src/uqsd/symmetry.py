@@ -23,9 +23,11 @@ is then measured against the matched element in full. A row
 whose matched residual exceeds the tolerance, or that matches an element
 whose probe image nearly coincides with another's, is searched again over
 all entries, so probe collisions and non-groups report the same nearest
-distances. Memory stays a few times the size of the group. Every group
-action on vectors is one batched product of the element stack with the
-vectors.
+distances. Rows are formed in generating-set order and the check stops
+as soon as the rows formed so far bound the closure residual of the whole
+table (see ``verify_group``), so a group costs about log2(l) rows instead
+of l. Memory stays a few times the size of the group. Every group action
+on vectors is one batched product of the element stack with the vectors.
 """
 
 from __future__ import annotations
@@ -59,23 +61,31 @@ ORBIT_TOL = 1e-8
 PROBE_SEPARATION2 = 1e-10
 
 
+def _max_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over a stack of complex arrays, without temporaries."""
+    parts = stack.reshape(stack.shape[0], -1).view(float)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", parts, parts))))
+
+
 def _unitarity_residual(el: np.ndarray) -> float:
     """Largest Frobenius norm of U^H U - I over a stack of matrices."""
     gram = el.conj().transpose(0, 2, 1) @ el
-    return float(np.max(np.linalg.norm(gram - np.eye(el.shape[1]), axis=(1, 2))))
+    gram.reshape(el.shape[0], -1)[:, :: el.shape[1] + 1] -= 1.0
+    return _max_norm(gram)
 
 
-def _nearest_residual(mats: np.ndarray, flat: np.ndarray) -> float:
+def _nearest_residual(mats: np.ndarray, flat: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest distance from a stack of matrices to their nearest group elements.
 
-    ``flat`` holds the group elements as rows of length d^2.
+    ``flat`` holds the group elements as rows of length d^2. Returns the
+    distance and the index of each matrix's nearest element.
     """
     mats = mats.reshape(mats.shape[0], -1)
     # Nearest elements located by inner-product overlap (max overlap is the
     # min distance for unitaries); the residual itself is then computed
     # elementwise, since 2d - 2 Re<A,B> cancels catastrophically near zero.
     nearest = np.argmax((mats @ flat.conj().T).real, axis=1)
-    return float(np.max(np.linalg.norm(mats - flat[nearest], axis=1)))
+    return float(np.max(np.linalg.norm(mats - flat[nearest], axis=1))), nearest
 
 
 def _probe(d: int) -> np.ndarray:
@@ -114,12 +124,13 @@ class _ProbeMatch:
         self.crowded = np.min(dist2, axis=1) < PROBE_SEPARATION2
         self._diff = np.empty_like(self.el_t)
 
-    def residual(self, targets_t: np.ndarray, images: np.ndarray, search) -> float:
+    def residual(self, targets_t: np.ndarray, images: np.ndarray, search):
         """Largest distance from each target to its nearest element.
 
         ``targets_t`` holds the targets transposed and ``images`` their probe
-        images as rows. On a miss (a residual above GROUP_MATCH_TOL or a
-        crowded match) the result of ``search()`` is returned instead.
+        images as rows. Returns the distance and the index of each target's
+        element. On a miss (a residual above GROUP_MATCH_TOL or a crowded
+        match) the result of ``search()`` is returned instead.
         """
         n = targets_t.shape[0]
         match = np.argmax((images @ self.images_h).real, axis=1)
@@ -128,9 +139,32 @@ class _ProbeMatch:
         # The indices are in range; mode "raise" would buffer the whole gather.
         diff = np.take(self.el_t, match, axis=0, out=self._diff[:n], mode="clip")
         diff -= targets_t
-        parts = diff.reshape(n, -1).view(float)
-        worst = float(np.sqrt(np.max(np.einsum("ij,ij->i", parts, parts))))
-        return worst if worst <= GROUP_MATCH_TOL else search()
+        worst = _max_norm(diff)
+        return (worst, match) if worst <= GROUP_MATCH_TOL else search()
+
+
+def _word_depth(start: int, rows: list[list[int]], order: int) -> tuple[int, list[int]]:
+    """Breadth-first depth from ``start`` along the edges j -> row[j] of each row.
+
+    Returns the largest depth reached and the elements not reached, in
+    index order.
+    """
+    depth_of = [-1] * order
+    depth_of[start] = 0
+    frontier = [start]
+    depth = 0
+    while frontier:
+        nxt = []
+        for j in frontier:
+            for row in rows:
+                k = row[j]
+                if depth_of[k] < 0:
+                    depth_of[k] = depth + 1
+                    nxt.append(k)
+        if nxt:
+            depth += 1
+        frontier = nxt
+    return depth, [j for j in range(order) if depth_of[j] < 0]
 
 
 def _orbit(elements: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -195,11 +229,18 @@ class UnitaryGroup:
 
 @dataclass(frozen=True)
 class GroupReport:
+    """Group-axiom residuals; ``rows`` counts the multiplication-table rows formed.
+
+    When ``rows`` is below the order, ``closure`` is a certified upper bound
+    on the largest product residual; otherwise it is that residual.
+    """
+
     unitarity: float
     identity: float
     closure: float
     inverses: float
     passed: bool
+    rows: int
 
 
 @dataclass(frozen=True)
@@ -291,6 +332,22 @@ def verify_group(group: UnitaryGroup) -> GroupReport:
     Products are formed one row ``U_i G`` at a time, so memory stays a small
     multiple of the group itself. Targets are matched by probe image and
     searched over all entries only on a miss (see ``_ProbeMatch``).
+
+    Rows are formed in generating-set order: the next row is the first
+    element not reachable from the matched identity e along the edges
+    j -> match_i[j] of the rows i formed so far, and once every element is
+    reachable, the next unformed row. For a group each pick at least
+    doubles the reachable subgroup, so ceil(log2 l) rows reach every
+    element. Let D be the largest breadth-first depth from e, rho the
+    largest residual of the rows formed, iota the identity residual and u
+    the unitarity residual. Every element then lies within D rho + iota of
+    a word in the row elements, and walking b through the rows of the same
+    word costs another D rho, so by unitary invariance every product lies
+    within (2 D rho + iota) (1 + u)^(D + 1) of some element. The check
+    stops once the other axioms hold and that bound is within
+    GROUP_MATCH_TOL, and reports it as ``closure``; otherwise every row is
+    formed and ``closure`` is the largest measured residual. ``passed``
+    is therefore the full table's on every input.
     """
     el = group.elements
     l, d, _ = el.shape
@@ -298,38 +355,60 @@ def verify_group(group: UnitaryGroup) -> GroupReport:
     match = _ProbeMatch(el)
     v = match.probe
     eye = np.eye(d)[None]
-    identity = match.residual(eye, v[None], lambda: _nearest_residual(eye, flat))
+    identity, (e,) = match.residual(eye, v[None], lambda: _nearest_residual(eye, flat))
     # (U^H)^T = conj(U) and U^H v = conj(U^T conj(v)).
-    inverses = match.residual(
+    inverses, _ = match.residual(
         el.conj(),
         (match.el_t @ v.conj()).conj(),
         lambda: _nearest_residual(el.conj().transpose(0, 2, 1), flat),
     )
+    unitarity = group.unitarity
+    others_hold = (
+        unitarity <= UNITARITY_TOL
+        and identity <= GROUP_MATCH_TOL
+        and inverses <= GROUP_MATCH_TOL
+    )
     stacked = match.el_t.reshape(l * d, d)
     products = np.empty_like(stacked)
-    closure = 0.0
-    for u in el:
+    rows: list[list[int]] = []
+    formed = [False] * l
+    rho = 0.0
+    while len(rows) < l:
+        pick = None
+        # Once a row is formed the bound is at least 2 rho + iota; when that
+        # exceeds the tolerance no bound can pass, and the remaining rows
+        # are taken in index order.
+        if others_hold and 2.0 * rho + identity <= GROUP_MATCH_TOL:
+            depth, unreached = _word_depth(e, rows, l)
+            if not unreached:
+                bound = (2 * depth * rho + identity) * (1.0 + unitarity) ** (depth + 1)
+                if bound <= GROUP_MATCH_TOL:
+                    closure = bound
+                    break
+            pick = next((j for j in unreached if not formed[j]), None)
+        if pick is None:
+            pick = formed.index(False)
+        u = el[pick]
         # Block j of the row is (U_i U_j)^T = U_j^T U_i^T; U_i U_j v = U_i (U_j v).
         np.matmul(stacked, u.T, out=products)
-        row = match.residual(
+        row, matched = match.residual(
             products.reshape(l, d, d),
             match.images @ u.T,
             lambda: _nearest_residual(u @ el, flat),
         )
-        closure = max(closure, row)
-    unitarity = group.unitarity
-    passed = (
-        unitarity <= UNITARITY_TOL
-        and identity <= GROUP_MATCH_TOL
-        and closure <= GROUP_MATCH_TOL
-        and inverses <= GROUP_MATCH_TOL
-    )
+        rho = max(rho, row)
+        rows.append(matched.tolist())
+        formed[pick] = True
+    else:
+        closure = rho
+    passed = others_hold and closure <= GROUP_MATCH_TOL
     return GroupReport(
         unitarity=unitarity,
         identity=identity,
         closure=closure,
         inverses=inverses,
         passed=passed,
+        rows=len(rows),
     )
 
 

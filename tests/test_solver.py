@@ -417,6 +417,8 @@ def test_optimal_exactly_when_verified():
     for m in (2, 3, 4):
         e = StateEnsemble(haar_unitary(rng, m + 1)[:, :m], spread_priors(rng, m))
         assert check(e, f"orthonormal {m}")
+        # k = m > sqrt(m): the face test declines, so no polish runs.
+        assert solve_ensemble(e)[2].polish_attempts == 0, m
     assert min(stages.values()) > 0, stages
 
 

@@ -62,6 +62,49 @@ def brute_force_group_report(el):
     return (unitarity, identity, closure, inverses), passed
 
 
+def assert_matches_brute_force(el):
+    """verify_group against the per-pair reference, returning its report.
+
+    The verdict always agrees. A check that formed every table row reports
+    the reference residuals; one that stopped early (only a passing group
+    can) reports a closure bound that covers the reference's.
+    """
+    report = verify_group(UnitaryGroup(el))
+    residuals, passed = brute_force_group_report(el)
+    assert report.passed == passed
+    got = (report.unitarity, report.identity, report.closure, report.inverses)
+    if report.rows == len(el):
+        assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-14
+    else:
+        assert passed
+        others = np.delete(np.subtract(got, residuals), 2)
+        assert np.max(np.abs(others)) <= 1e-14
+        assert residuals[2] <= report.closure + 1e-14
+        assert report.closure <= GROUP_MATCH_TOL
+    return report
+
+
+def shift_power_group(sizes, conjugate=None):
+    """Direct product of cyclic shift groups as Kronecker products of their powers.
+
+    ``conjugate``, a unitary of the product dimension, conjugates every element.
+    """
+    elements = [np.eye(1, dtype=complex)]
+    for n in sizes:
+        powers = [np.linalg.matrix_power(cyclic_shift(n), k) for k in range(n)]
+        elements = [np.kron(a, b) for a in elements for b in powers]
+    if conjugate is not None:
+        elements = [conjugate @ g @ conjugate.conj().T for g in elements]
+    return np.array(elements)
+
+
+def dihedral_group(n):
+    """The 2n rotations and reflections of the n-gon, as permutations of C^n."""
+    flip = np.eye(n, dtype=complex)[(-np.arange(n)) % n]
+    rotations = [np.linalg.matrix_power(cyclic_shift(n), k) for k in range(n)]
+    return np.array(rotations + [flip @ g for g in rotations])
+
+
 def small_rotation(rng, dim, eps):
     """exp(i eps H) for a random Hermitian H of unit spectral norm."""
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -174,11 +217,7 @@ class TestVerifyGroup:
                 el = el.copy()
                 k = int(rng.integers(0, size))
                 el[k] = el[k] @ small_rotation(rng, el.shape[1], 10 ** rng.uniform(-12, -6))
-            report = verify_group(UnitaryGroup(el))
-            residuals, passed = brute_force_group_report(el)
-            assert report.passed == passed
-            got = (report.unitarity, report.identity, report.closure, report.inverses)
-            assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-14
+            assert_matches_brute_force(el)
 
     @pytest.mark.parametrize("kind", ["dihedral", "reflection", "near_duplicate", "cyclic"])
     def test_probe_collisions_fall_back_to_full_search(self, rng, monkeypatch, kind):
@@ -194,12 +233,39 @@ class TestVerifyGroup:
             images = el @ _probe(el.shape[1])
             collide = np.linalg.norm(images[:, None] - images[None], axis=2) <= 1e-12
             assert collide.sum() > len(el) or kind == "cyclic"
-            report = verify_group(UnitaryGroup(el))
-            residuals, passed = brute_force_group_report(el)
-            assert report.passed == passed == (kind != "reflection")
-            got = (report.unitarity, report.identity, report.closure, report.inverses)
-            assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-14
+            report = assert_matches_brute_force(el)
+            assert report.passed == (kind != "reflection")
         assert bool(searches) == (kind != "cyclic")
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_cyclic_group_needs_one_row(self, rng, conjugate):
+        w = haar_unitary(rng, 48) if conjugate else None
+        report = verify_group(UnitaryGroup(shift_power_group([48], w)))
+        assert report.passed
+        assert report.rows == 1
+        assert report.closure <= GROUP_MATCH_TOL
+
+    @pytest.mark.parametrize("kind", ["Z4xZ6", "Z2xZ2xZ3", "dihedral", "signs"])
+    def test_non_cyclic_groups_need_at_most_log2_order_rows(self, rng, kind):
+        if kind == "Z4xZ6":
+            el = shift_power_group([4, 6], haar_unitary(rng, 24))
+        elif kind == "Z2xZ2xZ3":
+            el = shift_power_group([2, 2, 3])
+        elif kind == "dihedral":
+            el = dihedral_group(7)
+        else:
+            el = sign_group_elements()
+        report = assert_matches_brute_force(el)
+        assert report.passed
+        assert 1 <= report.rows <= int(np.ceil(np.log2(len(el))))
+
+    def test_perturbed_element_forms_every_row(self, rng):
+        el = shift_power_group([16], haar_unitary(rng, 16))
+        el[5] = el[5] @ small_rotation(rng, 16, 1e-6)
+        report = assert_matches_brute_force(el)
+        assert not report.passed
+        assert report.rows == 16
+        assert report.closure > GROUP_MATCH_TOL
 
     def test_memory_stays_a_small_multiple_of_the_group(self):
         group = UnitaryGroup.cyclic(cyclic_shift(48), order=48)
