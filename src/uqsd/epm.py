@@ -36,7 +36,7 @@ from .ensemble import (
     measurement_from_probs,
 )
 from .errors import ValidationError
-from .solver import DualCertificate
+from .solver import DualCertificate, _check_matches
 
 MULTIPLICITY_RTOL = 1e-6
 EXACT_TEST_TOL = 1e-8
@@ -114,11 +114,6 @@ def epm_analysis(recips: ReciprocalSet) -> EpmAnalysis:
     )
 
 
-def _check_matches(ensemble: StateEnsemble, recips: ReciprocalSet) -> None:
-    if (recips.r, recips.m) != (ensemble.r, ensemble.m):
-        raise ValidationError("reciprocal set does not match the ensemble")
-
-
 def compute_epm(ensemble: StateEnsemble, recips: ReciprocalSet) -> Measurement:
     """The measurement detecting every state with probability sigma_m^2."""
     _check_matches(ensemble, recips)
@@ -149,21 +144,17 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
     # case needs it.
     from scipy.optimize import nnls
 
+    # Among feasible witnesses the minimum-Euclidean-norm one, from a
+    # Tikhonov-regularized NNLS; the weight moves the residual by
+    # O(weight^2), far below the feasibility tolerance.
     m_sys = analysis.last_rows.T
-    b, _ = nnls(m_sys, eta)
+    s = m_sys.shape[1]
+    b, _ = nnls(
+        np.vstack([m_sys, _TIKHONOV * np.eye(s)]), np.concatenate([eta, np.zeros(s)])
+    )
     residual = float(np.max(np.abs(m_sys @ b - eta)))
     if residual > LP_FEASIBILITY_TOL:
         return EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=residual)
-    # Among feasible witnesses prefer the minimum-Euclidean-norm one, from a
-    # Tikhonov-regularized NNLS; the weight perturbs it at O(weight^2), far
-    # below the feasibility tolerance.
-    s = m_sys.shape[1]
-    b_min, _ = nnls(
-        np.vstack([m_sys, _TIKHONOV * np.eye(s)]), np.concatenate([eta, np.zeros(s)])
-    )
-    residual_min = float(np.max(np.abs(m_sys @ b_min - eta)))
-    if residual_min <= LP_FEASIBILITY_TOL:
-        b, residual = b_min, residual_min
     return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, b=b, residual=residual)
 
 

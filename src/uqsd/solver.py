@@ -155,10 +155,14 @@ class VerificationReport:
     detail: dict[str, Any] = field(default_factory=dict)
 
 
-def build_sdp(ensemble: StateEnsemble, recips: ReciprocalSet) -> SdpProblem:
-    """Assemble the discrimination problem for an ensemble."""
+def _check_matches(ensemble: StateEnsemble, recips: ReciprocalSet) -> None:
     if (recips.r, recips.m) != (ensemble.r, ensemble.m):
         raise ValidationError("reciprocal set does not match the ensemble dimensions")
+
+
+def build_sdp(ensemble: StateEnsemble, recips: ReciprocalSet) -> SdpProblem:
+    """Assemble the discrimination problem for an ensemble."""
+    _check_matches(ensemble, recips)
     return SdpProblem(cost=-ensemble.priors, reciprocals=recips.reciprocals)
 
 
@@ -560,6 +564,7 @@ def verify_certificate(
     Verification always returns a report; it never raises on a failing
     candidate.
     """
+    _check_matches(ensemble, recips)
     p = np.asarray(p, dtype=float).ravel()
     c = recips.reciprocals
     if p.shape[0] != ensemble.m or certificate.X.shape != (ensemble.r, ensemble.r):

@@ -15,19 +15,21 @@ group up to phases.
 
 Groups are supplied explicitly as matrices. Identity, closure and
 inverses are checked numerically against the nearest group element, one
-row of the multiplication table at a time: each row is one matrix product
-into a preallocated buffer, and each product is matched to an element by
-the image of a fixed probe vector (a Freivalds-style fingerprint: an
-l x l overlap over d entries per row instead of over d^2). The residual
-is then measured against the matched element in full. A row
-whose matched residual exceeds the tolerance, or that matches an element
-whose probe image nearly coincides with another's, is searched again over
-all entries, so probe collisions and non-groups report the same nearest
+row of the multiplication table at a time: row i holds the right products
+U_j U_i, one matrix product of the stacked elements into a preallocated
+buffer, and each product is matched to an element by the image of a fixed
+probe vector (a Freivalds-style fingerprint: an l x l overlap over d
+entries per row instead of over d^2). The residual is then measured
+against the matched element in full. A row whose matched residual exceeds
+the tolerance, or that matches an element whose probe image nearly
+coincides with another's, is matched again by full overlap and measured
+the same way, so probe collisions and non-groups report the same nearest
 distances. Rows are formed in generating-set order and the check stops
 as soon as the rows formed so far bound the closure residual of the whole
 table (see ``verify_group``), so a group costs about log2(l) rows instead
-of l. Memory stays a few times the size of the group. Every group action
-on vectors is one batched product of the element stack with the vectors.
+of l. Memory stays a few times the size of the group, and the unitarity
+check runs over fixed-size blocks of elements. Every group action on
+vectors is one batched product of the element stack with the vectors.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ ORBIT_TOL = 1e-8
 # trusted. Far above both (2e-8)^2 and the rounding of the Gram form it is
 # read from.
 PROBE_SEPARATION2 = 1e-10
+# Elements per block of the unitarity check, which holds two blocks at once.
+UNITARITY_BLOCK = 32
 
 
 def _max_norm(stack: np.ndarray) -> float:
@@ -69,23 +73,13 @@ def _max_norm(stack: np.ndarray) -> float:
 
 def _unitarity_residual(el: np.ndarray) -> float:
     """Largest Frobenius norm of U^H U - I over a stack of matrices."""
-    gram = el.conj().transpose(0, 2, 1) @ el
-    gram.reshape(el.shape[0], -1)[:, :: el.shape[1] + 1] -= 1.0
-    return _max_norm(gram)
-
-
-def _nearest_residual(mats: np.ndarray, flat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest distance from a stack of matrices to their nearest group elements.
-
-    ``flat`` holds the group elements as rows of length d^2. Returns the
-    distance and the index of each matrix's nearest element.
-    """
-    mats = mats.reshape(mats.shape[0], -1)
-    # Nearest elements located by inner-product overlap (max overlap is the
-    # min distance for unitaries); the residual itself is then computed
-    # elementwise, since 2d - 2 Re<A,B> cancels catastrophically near zero.
-    nearest = np.argmax((mats @ flat.conj().T).real, axis=1)
-    return float(np.max(np.linalg.norm(mats - flat[nearest], axis=1))), nearest
+    worst = 0.0
+    for start in range(0, el.shape[0], UNITARITY_BLOCK):
+        block = el[start : start + UNITARITY_BLOCK]
+        gram = block.conj().transpose(0, 2, 1) @ block
+        gram.reshape(block.shape[0], -1)[:, :: el.shape[1] + 1] -= 1.0
+        worst = max(worst, _max_norm(gram))
+    return worst
 
 
 def _probe(d: int) -> np.ndarray:
@@ -103,18 +97,16 @@ def _probe(d: int) -> np.ndarray:
 class _ProbeMatch:
     """Nearest group elements located by the images of one probe vector v.
 
-    Matrices are held transposed (block k is U_k^T), so a row of products
-    U_i U_j is one ``(l d, d) @ U_i^T`` product and matched elements are
-    gathered along axis 0. Since ||A - B||_F >= ||(A - B) v|| for the unit
-    probe, a target within GROUP_MATCH_TOL of its matched element has no
-    nearer one unless two probe images lie within 2 GROUP_MATCH_TOL of each
-    other. Elements whose images lie within sqrt(PROBE_SEPARATION2) of
-    another's are ``crowded``, and a match to them is not taken.
+    Since ||A - B||_F >= ||(A - B) v|| for the unit probe, a target within
+    GROUP_MATCH_TOL of its matched element has no nearer one unless two
+    probe images lie within 2 GROUP_MATCH_TOL of each other. Elements whose
+    images lie within sqrt(PROBE_SEPARATION2) of another's are ``crowded``,
+    and a match to them is not taken.
     """
 
     def __init__(self, el: np.ndarray):
+        self.el = el
         self.probe = _probe(el.shape[1])
-        self.el_t = np.ascontiguousarray(el.transpose(0, 2, 1))
         self.images = el @ self.probe
         self.images_h = self.images.conj().T
         gram = (self.images @ self.images_h).real
@@ -122,25 +114,36 @@ class _ProbeMatch:
         dist2 = norms[:, None] + norms[None, :] - 2.0 * gram
         np.fill_diagonal(dist2, np.inf)
         self.crowded = np.min(dist2, axis=1) < PROBE_SEPARATION2
-        self._diff = np.empty_like(self.el_t)
+        self._diff = np.empty_like(el)
 
-    def residual(self, targets_t: np.ndarray, images: np.ndarray, search):
-        """Largest distance from each target to its nearest element.
-
-        ``targets_t`` holds the targets transposed and ``images`` their probe
-        images as rows. Returns the distance and the index of each target's
-        element. On a miss (a residual above GROUP_MATCH_TOL or a crowded
-        match) the result of ``search()`` is returned instead.
-        """
-        n = targets_t.shape[0]
-        match = np.argmax((images @ self.images_h).real, axis=1)
-        if self.crowded[match].any():
-            return search()
+    def _distance(self, targets: np.ndarray, match: np.ndarray) -> float:
+        """Largest distance from the targets to their matched elements."""
+        # Elementwise, since 2d - 2 Re<A,B> cancels catastrophically near zero.
         # The indices are in range; mode "raise" would buffer the whole gather.
-        diff = np.take(self.el_t, match, axis=0, out=self._diff[:n], mode="clip")
-        diff -= targets_t
-        worst = _max_norm(diff)
-        return (worst, match) if worst <= GROUP_MATCH_TOL else search()
+        diff = np.take(self.el, match, axis=0, out=self._diff[: len(match)], mode="clip")
+        diff -= targets
+        return _max_norm(diff)
+
+    def search(self, targets: np.ndarray) -> np.ndarray:
+        """Index of each target's nearest element: for unitaries, the largest overlap."""
+        flat = self.el.reshape(self.el.shape[0], -1)
+        return np.argmax((targets.reshape(len(targets), -1) @ flat.conj().T).real, axis=1)
+
+    def residual(self, targets: np.ndarray, images: np.ndarray) -> tuple[float, np.ndarray]:
+        """Largest distance from the targets to their nearest elements.
+
+        ``images`` holds the targets' probe images as rows. Returns the
+        distance and the index of each target's element. On a miss (a
+        residual above GROUP_MATCH_TOL or a crowded match) the targets are
+        matched again by ``search``.
+        """
+        match = np.argmax((images @ self.images_h).real, axis=1)
+        if not self.crowded[match].any():
+            worst = self._distance(targets, match)
+            if worst <= GROUP_MATCH_TOL:
+                return worst, match
+        match = self.search(targets)
+        return self._distance(targets, match), match
 
 
 def _word_depth(start: int, rows: list[list[int]], order: int) -> tuple[int, list[int]]:
@@ -208,24 +211,6 @@ class UnitaryGroup:
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
-
-    @classmethod
-    def cyclic(cls, generator: np.ndarray, order: int | None = None) -> "UnitaryGroup":
-        """Powers of a single unitary; the order is detected if not given."""
-        z = np.asarray(generator, dtype=complex)
-        d = z.shape[0]
-        powers = [np.eye(d, dtype=complex)]
-        limit = order if order is not None else 512
-        for _ in range(limit - 1 if order is not None else limit):
-            nxt = powers[-1] @ z
-            if order is None and np.linalg.norm(nxt - powers[0]) <= GROUP_MATCH_TOL:
-                break
-            powers.append(nxt)
-        else:
-            if order is None:
-                raise ValidationError("generator order exceeds 512; supply it explicitly")
-        return cls(np.array(powers))
-
 
 @dataclass(frozen=True)
 class GroupReport:
@@ -329,47 +314,43 @@ class SymmetricSolution:
 def verify_group(group: UnitaryGroup) -> GroupReport:
     """Residuals of the group axioms under nearest-element matching.
 
-    Products are formed one row ``U_i G`` at a time, so memory stays a small
-    multiple of the group itself. Targets are matched by probe image and
-    searched over all entries only on a miss (see ``_ProbeMatch``).
+    Products are formed one row of right products ``G U_i`` at a time, so
+    memory stays a small multiple of the group itself. Targets are matched
+    by probe image and searched over all entries only on a miss (see
+    ``_ProbeMatch``).
 
     Rows are formed in generating-set order: the next row is the first
     element not reachable from the matched identity e along the edges
-    j -> match_i[j] of the rows i formed so far, and once every element is
-    reachable, the next unformed row. For a group each pick at least
+    j -> match(U_j U_i) of the rows i formed so far, and once every element
+    is reachable, the next unformed row. For a group each pick at least
     doubles the reachable subgroup, so ceil(log2 l) rows reach every
     element. Let D be the largest breadth-first depth from e, rho the
     largest residual of the rows formed, iota the identity residual and u
-    the unitarity residual. Every element then lies within D rho + iota of
-    a word in the row elements, and walking b through the rows of the same
-    word costs another D rho, so by unitary invariance every product lies
-    within (2 D rho + iota) (1 + u)^(D + 1) of some element. The check
-    stops once the other axioms hold and that bound is within
-    GROUP_MATCH_TOL, and reports it as ``closure``; otherwise every row is
-    formed and ``closure`` is the largest measured residual. ``passed``
-    is therefore the full table's on every input.
+    the unitarity residual. Every element b then lies within D rho + iota
+    of a word e U_i1 ... U_ik (k <= D) in the row elements, and walking a
+    through the rows of the same word, a -> match(a U_i1) -> ..., costs
+    another D rho, so by unitary invariance every product a b lies within
+    (2 D rho + iota) (1 + u)^(D + 1) of some element. The check stops once
+    the other axioms hold and that bound is within GROUP_MATCH_TOL, and
+    reports it as ``closure``; otherwise every row is formed and
+    ``closure`` is the largest measured residual. ``passed`` is therefore
+    the full table's on every input.
     """
     el = group.elements
     l, d, _ = el.shape
-    flat = el.reshape(l, -1)
     match = _ProbeMatch(el)
     v = match.probe
-    eye = np.eye(d)[None]
-    identity, (e,) = match.residual(eye, v[None], lambda: _nearest_residual(eye, flat))
-    # (U^H)^T = conj(U) and U^H v = conj(U^T conj(v)).
-    inverses, _ = match.residual(
-        el.conj(),
-        (match.el_t @ v.conj()).conj(),
-        lambda: _nearest_residual(el.conj().transpose(0, 2, 1), flat),
-    )
+    identity, (e,) = match.residual(np.eye(d)[None], v[None])
+    # U_i^H v = conj(v^H U_i).
+    inverses, _ = match.residual(el.conj().transpose(0, 2, 1), (v.conj() @ el).conj())
     unitarity = group.unitarity
     others_hold = (
         unitarity <= UNITARITY_TOL
         and identity <= GROUP_MATCH_TOL
         and inverses <= GROUP_MATCH_TOL
     )
-    stacked = match.el_t.reshape(l * d, d)
-    products = np.empty_like(stacked)
+    stacked = el.reshape(l * d, d)
+    products = np.empty_like(el)
     rows: list[list[int]] = []
     formed = [False] * l
     rho = 0.0
@@ -389,13 +370,9 @@ def verify_group(group: UnitaryGroup) -> GroupReport:
         if pick is None:
             pick = formed.index(False)
         u = el[pick]
-        # Block j of the row is (U_i U_j)^T = U_j^T U_i^T; U_i U_j v = U_i (U_j v).
-        np.matmul(stacked, u.T, out=products)
-        row, matched = match.residual(
-            products.reshape(l, d, d),
-            match.images @ u.T,
-            lambda: _nearest_residual(u @ el, flat),
-        )
+        # Block j of the row is U_j U_i, with probe image U_j (U_i v).
+        np.matmul(stacked, u, out=products.reshape(l * d, d))
+        row, matched = match.residual(products, (stacked @ (u @ v)).reshape(l, d))
         rho = max(rho, row)
         rows.append(matched.tolist())
         formed[pick] = True
@@ -544,11 +521,6 @@ def load_symmetry_spec(source) -> SymmetrySpec:
         raise ValidationError("symmetry document needs 'group' and 'generators' fields")
     group = decode_group(doc["group"])
     gens = decode_complex(doc["generators"], 2, "generators")
-    if gens.shape[1] != group.dim:
-        raise ValidationError(
-            f"generators have {gens.shape[1]} entries, but the group acts "
-            f"on dimension {group.dim}"
-        )
     generators = np.ascontiguousarray(gens.T)
     norms = np.linalg.norm(generators, axis=0)
     if np.min(norms) == 0.0 or np.max(np.abs(norms - 1.0)) > 1e-6:

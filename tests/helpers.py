@@ -115,6 +115,14 @@ def cyclic_shift(m: int) -> np.ndarray:
     return np.roll(np.eye(m), 1, axis=0).astype(complex)
 
 
+def cyclic_group(generator: np.ndarray, order: int) -> UnitaryGroup:
+    """The first ``order`` powers of a unitary, starting with I."""
+    powers = [np.eye(generator.shape[0], dtype=complex)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] @ generator)
+    return UnitaryGroup(np.array(powers))
+
+
 def cyclic_profile_ensemble(dft_mags, rng, priors=None) -> StateEnsemble:
     """Orbit of a generator under the cyclic shift, with prescribed spectrum.
 
@@ -145,7 +153,7 @@ def random_gu_group(rng, kind: str, size: int, dim: int) -> UnitaryGroup:
             pad = np.eye(dim, dtype=complex)
             pad[:size, :size] = base
             base = pad
-        return UnitaryGroup.cyclic(base, order=size)
+        return cyclic_group(base, size)
     if kind == "conjugated":
         base = cyclic_shift(size)
         if dim > size:

@@ -194,6 +194,7 @@ MIXED_SIZE_GROUP = [encode_complex(np.eye(2)), encode_complex(np.eye(3))]
                                                  [[0.6, 0.0], [float("nan"), 0.0]]]}),
         (["gu"], {"group": [encode_complex(np.full((3, 3), np.nan))],
                   "generators": [encode_complex(sign_group_generator())]}),
+        (["gu"], {"group": SIGN_GROUP, "generators": [encode_complex(np.ones(3) / np.sqrt(3))]}),
     ],
     ids=[
         "non-numeric-priors",
@@ -210,6 +211,7 @@ MIXED_SIZE_GROUP = [encode_complex(np.eye(2)), encode_complex(np.eye(3))]
         "bare-number-states",
         "nan-states",
         "nan-group",
+        "short-generators",
     ],
 )
 def test_hostile_documents_exit_2(tmp_path, capsys, argv, doc):
@@ -523,6 +525,50 @@ class TestSymmetryCommands:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         assert main(["group-verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["epm", "degenerate_epm.json"],
+            [
+                "epm p:    0.352078 (multiplicity s=2, distinct q=3)",
+                "  exact: smallest singular value has multiplicity 2",
+                "  lp: Optimal (residual ",
+                "P_D:      0.352078",
+                "certificate: pass",
+            ],
+        ),
+        (
+            ["epm", "three_states.json", "--make-priors", "1.0"],
+            [
+                "  exact: NotOptimal (residual 2.725e-01)",
+                "generated priors: 0.605802 0.197099 0.197099",
+                "  epm verified under generated priors: True",
+            ],
+        ),
+        (
+            ["gu", "sign_group_gu.json"],
+            ["pipeline: gu", "verdict:  Optimal", "epm p:    0.2222222222", "P_D:      0.222222"],
+        ),
+        (
+            ["simulate", "pauli_pair_cgu.json", "--pipeline", "cgu", "--trials", "1000"],
+            ["pipeline: cgu", "simulation: 1000 trials, seed 0", "  misidentifications: 0"],
+        ),
+        (
+            ["cgu", "non-optimal-cgu"],
+            ["status:   Optimal", "verdict:  NotOptimal", "epm P_D:  0.203413"],
+        ),
+    ],
+)
+def test_text_reports(tmp_path, capsys, argv, expected):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(PARITY_INPUTS[argv[1]]))
+    assert main([argv[0], str(path), *argv[2:]]) == 0
+    out = capsys.readouterr().out
+    for line in expected:
+        assert line in out
 
 
 class TestSimulateCommand:

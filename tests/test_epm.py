@@ -24,7 +24,7 @@ from uqsd import (
     solve,
     verify_certificate,
 )
-from uqsd.epm import EXACT_TEST_TOL
+from uqsd.epm import EXACT_TEST_TOL, MULTIPLICITY_RTOL
 
 from helpers import (
     cyclic_profile_ensemble,
@@ -74,6 +74,16 @@ class TestAnalysis:
         assert analysis.s == 2
         assert analysis.q == 3
         assert int(analysis.multiplicities.sum()) == 4
+
+    @pytest.mark.parametrize("ratio, listed", [(1 / 3, True), (3.0, True), (300.0, False)])
+    def test_borderline_gap_is_listed(self, rng, ratio, listed):
+        # The two smallest singular values differ by `ratio` times the
+        # grouping threshold MULTIPLICITY_RTOL * sigma_max.
+        delta = ratio * MULTIPLICITY_RTOL * 0.8
+        e = cyclic_profile_ensemble([0.8, 0.45, 0.3 + delta, 0.3], rng)
+        analysis = epm_analysis(reciprocal_states(e))
+        assert analysis.s == (2 if ratio < 1 else 1)
+        assert analysis.borderline == (((2, 3),) if listed else ())
 
     def test_last_rows_columns_bounded(self, rng):
         e = cyclic_profile_ensemble([0.7, 0.5, 0.4, 0.4, 0.4], rng)

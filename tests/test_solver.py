@@ -273,6 +273,13 @@ class TestVerifyCertificate:
             verify_certificate(three_states_uniform, three_states_reciprocals,
                                np.zeros(3), cert)
 
+    def test_reciprocals_of_another_ensemble_raise(self):
+        three = load_ensemble(DATA / "three_states.json")
+        rs, _, report = solve_ensemble(three)
+        other = reciprocal_states(load_ensemble(DATA / "degenerate_epm.json"))
+        with pytest.raises(ValidationError, match="does not match"):
+            verify_certificate(three, other, report.p, report.certificate)
+
 
 def feasible_pair(ensemble):
     """A strictly feasible primal point p and dual matrix X, far from optimal."""

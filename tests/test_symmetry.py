@@ -28,6 +28,7 @@ import uqsd.symmetry
 from uqsd.symmetry import GROUP_MATCH_TOL, UNITARITY_TOL, _probe
 
 from helpers import (
+    cyclic_group,
     cyclic_shift,
     gram_power,
     gu_generator_with_full_orbit,
@@ -177,11 +178,22 @@ class TestUnitaryGroup:
         with pytest.raises(ValidationError, match="non-finite"):
             UnitaryGroup(np.full((2, 2, 2), np.nan))
 
-    def test_cyclic_order_detection(self):
-        group = UnitaryGroup.cyclic(cyclic_shift(5))
-        assert group.order == 5
-        group = UnitaryGroup.cyclic(cyclic_shift(5), order=5)
-        assert group.order == 5
+    def test_unitarity_check_runs_in_blocks(self, rng):
+        # 256 elements span eight blocks; checking them at once would hold
+        # a conjugated copy and a Gram stack of the whole list.
+        el = np.array([haar_unitary(rng, 16) for _ in range(256)])
+        el[200] *= 1.0 + 1e-12
+        tracemalloc.start()
+        try:
+            group = UnitaryGroup(el)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Element 200 sets the residual, 8e-12, from the seventh block.
+        gram = el.conj().transpose(0, 2, 1) @ el - np.eye(16)
+        assert abs(group.unitarity - np.max(np.linalg.norm(gram, axis=(1, 2)))) <= 1e-14
+        assert abs(group.unitarity - 8e-12) <= 1e-14
+        assert peak <= el.nbytes / 2
 
 
 class TestVerifyGroup:
@@ -222,10 +234,10 @@ class TestVerifyGroup:
     @pytest.mark.parametrize("kind", ["dihedral", "reflection", "near_duplicate", "cyclic"])
     def test_probe_collisions_fall_back_to_full_search(self, rng, monkeypatch, kind):
         searches = []
-        search = uqsd.symmetry._nearest_residual
+        search = uqsd.symmetry._ProbeMatch.search
         monkeypatch.setattr(
-            uqsd.symmetry,
-            "_nearest_residual",
+            uqsd.symmetry._ProbeMatch,
+            "search",
             lambda *args: searches.append(1) or search(*args),
         )
         for _ in range(4):
@@ -268,7 +280,7 @@ class TestVerifyGroup:
         assert report.closure > GROUP_MATCH_TOL
 
     def test_memory_stays_a_small_multiple_of_the_group(self):
-        group = UnitaryGroup.cyclic(cyclic_shift(48), order=48)
+        group = cyclic_group(cyclic_shift(48), 48)
         tracemalloc.start()
         try:
             report = verify_group(group)
@@ -294,7 +306,7 @@ class TestExpand:
         assert (e.r, e.m) == (3, 1)
 
     def test_cyclic_full_spectrum_independent(self, rng):
-        group = UnitaryGroup.cyclic(cyclic_shift(5))
+        group = cyclic_group(cyclic_shift(5), 5)
         gen = gu_generator_with_full_orbit(rng, group)
         spec = SymmetrySpec(group=group, generators=gen)
         e = expand(spec)
@@ -308,7 +320,7 @@ class TestExpand:
         coeffs = np.array([0.0, 1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
         gen = fourier.conj().T @ coeffs
         spec = SymmetrySpec(
-            group=UnitaryGroup.cyclic(cyclic_shift(m)), generators=gen
+            group=cyclic_group(cyclic_shift(m), m), generators=gen
         )
         with pytest.raises(LinearDependenceError, match="linearly dependent"):
             expand(spec)
@@ -334,7 +346,7 @@ class TestReciprocalGenerators:
         assert np.max(np.abs(gen - expected)) <= 1e-8
 
     def test_orthonormal_orbit_self_reciprocal(self):
-        group = UnitaryGroup.cyclic(cyclic_shift(4))
+        group = cyclic_group(cyclic_shift(4), 4)
         gen = np.zeros(4, dtype=complex)
         gen[0] = 1.0
         spec = SymmetrySpec(group=group, generators=gen)
@@ -397,14 +409,14 @@ class TestSolveGu:
         assert np.array_equal(sol.optimality.a_t, spectral.a_t)
 
     def test_orthonormal_orbit(self):
-        group = UnitaryGroup.cyclic(cyclic_shift(4))
+        group = cyclic_group(cyclic_shift(4), 4)
         gen = np.zeros(4, dtype=complex)
         gen[0] = 1.0
         sol = solve_gu(SymmetrySpec(group=group, generators=gen))
         assert sol.p == pytest.approx(1.0, abs=1e-12)
 
     def test_cyclic_five_states_matches_sdp(self, rng):
-        group = UnitaryGroup.cyclic(cyclic_shift(5))
+        group = cyclic_group(cyclic_shift(5), 5)
         gen = gu_generator_with_full_orbit(rng, group)
         sol = solve_gu(SymmetrySpec(group=group, generators=gen))
         rs = reciprocal_states(sol.ensemble)
@@ -423,7 +435,7 @@ class TestSolveGu:
 
 class TestCommutePhase:
     def test_abelian_groups_phase_free(self):
-        group = UnitaryGroup.cyclic(cyclic_shift(4))
+        group = cyclic_group(cyclic_shift(4), 4)
         result = check_commute_phase(group, group)
         assert result.commutes and result.phase_free
         assert np.max(np.abs(np.exp(1j * result.theta) - 1.0)) <= 1e-10
@@ -432,9 +444,9 @@ class TestCommutePhase:
         # Generalized shift and phase groups in dimension 3 commute up to
         # the cube-root-of-unity phases exp(2 pi i jk / 3).
         m = 3
-        shift = UnitaryGroup.cyclic(cyclic_shift(m))
+        shift = cyclic_group(cyclic_shift(m), m)
         omega = np.exp(2j * np.pi / m)
-        phase = UnitaryGroup.cyclic(np.diag([1.0, omega, omega**2]))
+        phase = cyclic_group(np.diag([1.0, omega, omega**2]), m)
         result = check_commute_phase(shift, phase)
         assert result.commutes
         assert not result.phase_free
@@ -447,8 +459,8 @@ class TestCommutePhase:
 
     def test_non_commuting_groups_fail(self, rng):
         w1, w2 = haar_unitary(rng, 3), haar_unitary(rng, 3)
-        g1 = UnitaryGroup.cyclic(w1 @ cyclic_shift(3) @ w1.conj().T)
-        g2 = UnitaryGroup.cyclic(w2 @ cyclic_shift(3) @ w2.conj().T)
+        g1 = cyclic_group(w1 @ cyclic_shift(3) @ w1.conj().T, 3)
+        g2 = cyclic_group(w2 @ cyclic_shift(3) @ w2.conj().T, 3)
         result = check_commute_phase(g1, g2)
         assert not result.commutes
         assert result.residual > 1e-8
@@ -520,7 +532,7 @@ class TestStructuralProperties:
     def test_phase_free_pair_forms_single_group(self):
         # Commuting groups (all phases zero) combine into one group, so the
         # compound set is plainly an orbit of the combined group.
-        shift = UnitaryGroup.cyclic(cyclic_shift(2))
+        shift = cyclic_group(cyclic_shift(2), 2)
         lift = UnitaryGroup(
             np.array([np.kron(np.eye(2), u) for u in shift.elements])
         )
