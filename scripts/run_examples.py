@@ -106,14 +106,14 @@ def epm_pipeline(path: Path) -> bool:
     analysis = epm_analysis(recips)
     meas = compute_epm(ensemble, recips)
     print(f"common p   : {meas.probs[0]:.6f} (multiplicity {analysis.s})")
-    # At multiplicity one the LP test is the exact test; above, NNLS decides.
+    # Closed form at multiplicity one; above, the s x s reduced SDP decides.
     lp = epm_test_lp(ensemble, analysis)
-    name = "exact test " if analysis.s == 1 else "NNLS test  "
+    name = "exact test " if analysis.s == 1 else "reduced SDP"
     print(f"{name}: {lp.verdict.value} (residual {lp.residual:.2e})")
     ok = True
-    if lp.b is not None:
-        print(f"witness b  : {np.round(lp.b, 6)}")
-        cert = epm_certificate(analysis, lp.b)
+    if lp.A is not None:
+        print(f"witness A  : {np.round(lp.A, 6)}")
+        cert = epm_certificate(analysis, lp.A)
         ok = verify_certificate(ensemble, recips, meas.probs, cert).passed
         print(f"certificate: {verdict(ok)}")
     print(f"P_D        : {detection_probability(ensemble, meas):.6f}")

@@ -121,13 +121,7 @@ def _print_report(doc: dict, as_json: bool) -> None:
         a = doc["epm"]
         print(f"epm p:    {a['p']:.6f} (multiplicity s={a['s']}, distinct q={a['q']})")
         for name, test in a["tests"].items():
-            if "error" in test:
-                print(f"  {name}: {test['error']}")
-            else:
-                extra = ""
-                if test.get("residual") is not None:
-                    extra = f" (residual {test['residual']:.3e})"
-                print(f"  {name}: {test['verdict']}{extra}")
+            print(f"  {name}: {test['verdict']} (residual {test['residual']:.3e})")
     if "symmetry" in doc:
         y = doc["symmetry"]
         print(f"verdict:  {y['verdict']}")
@@ -187,24 +181,13 @@ def _sdp_pipeline(args):
     return doc, ensemble, measurement, exit_code
 
 
-def _epm_tests_doc(analysis, lp, spectral) -> dict:
-    tests: dict[str, dict] = {}
-    if analysis.s == 1:
-        # At multiplicity one the LP test is the exact test.
-        tests["exact"] = {
-            "verdict": lp.verdict.value,
-            "residual": lp.residual,
-            "last_row": encode_real_vector(lp.last_row),
-        }
-    else:
-        tests["exact"] = {
-            "error": f"smallest singular value has multiplicity {analysis.s}; "
-            "the exact test applies only to multiplicity one, use epm_test_lp"
-        }
-    tests["lp"] = {"verdict": lp.verdict.value, "residual": lp.residual}
-    if lp.b is not None:
-        tests["lp"]["b"] = encode_real_vector(lp.b)
-    tests["spectral"] = {"verdict": spectral.verdict.value, "residual": spectral.residual}
+def _epm_tests_doc(lp, spectral) -> dict:
+    tests = {
+        "lp": {"verdict": lp.verdict.value, "residual": lp.residual},
+        "spectral": {"verdict": spectral.verdict.value, "residual": spectral.residual},
+    }
+    if lp.A is not None:
+        tests["lp"]["A"] = encode_complex(lp.A)
     if spectral.a_t is not None:
         tests["spectral"]["a_t"] = encode_real_vector(spectral.a_t)
     return tests
@@ -226,7 +209,6 @@ def _epm_pipeline(args):
         "pipeline": "epm",
         "tolerances": {
             "exact_test_tol": epm_mod.EXACT_TEST_TOL,
-            "lp_feasibility_tol": epm_mod.LP_FEASIBILITY_TOL,
             "spectral_rtol": epm_mod.SPECTRAL_RTOL,
             "operator_tol": OPERATOR_TOL,
             "scalar_tol": SCALAR_TOL,
@@ -239,13 +221,13 @@ def _epm_pipeline(args):
             "multiplicities": [int(x) for x in analysis.multiplicities],
             "last_row": encode_real_vector(analysis.last_rows[0]),
             "priors": encode_real_vector(ensemble.priors),
-            "tests": _epm_tests_doc(analysis, lp, spectral),
+            "tests": _epm_tests_doc(lp, spectral),
         },
         "measurement": _measurement_doc(ensemble, measurement),
     }
     exit_code = EXIT_OK
-    if lp.b is not None:
-        cert = epm_mod.epm_certificate(analysis, lp.b)
+    if lp.A is not None:
+        cert = epm_mod.epm_certificate(analysis, lp.A)
         ver = doc["verification"] = _verification(ensemble, recips, measurement.probs, cert)
         exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
     if args.make_priors is not None:
@@ -253,10 +235,11 @@ def _epm_pipeline(args):
             b = np.array([float(x) for x in args.make_priors.split(",")])
         except ValueError as exc:
             raise ValidationError(f"--make-priors expects comma-separated numbers: {exc}")
-        priors = epm_mod.priors_for_epm(analysis, b)
+        witness = np.diag(b)
+        priors = epm_mod.priors_for_epm(analysis, witness)
         # The reciprocal set and the EPM do not depend on the priors.
         generated = StateEnsemble(ensemble.states, priors)
-        cert = epm_mod.epm_certificate(analysis, b)
+        cert = epm_mod.epm_certificate(analysis, witness)
         doc["make_priors"] = {
             "b": encode_real_vector(b),
             "priors": encode_real_vector(priors),
@@ -381,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_epm.add_argument("--gu", action="store_true",
                        help="input is a symmetry spec; analyze its expansion")
     p_epm.add_argument("--make-priors", metavar="B1,B2,...",
-                       help="generate priors that make the EPM optimal from these weights")
+                       help="generate priors that make the EPM optimal from these weights, "
+                            "the diagonal of the witness A")
     p_epm.set_defaults(func=_cmd_pipeline, pipeline="epm")
 
     p_gu = sub.add_parser("gu", parents=[common, solver_flags],

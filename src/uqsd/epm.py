@@ -6,20 +6,22 @@ inconclusive probability depends on the interplay between the singular
 vectors and the priors. The tests take one ``EpmAnalysis`` (the grouping
 of the singular values, computed once by ``epm_analysis``):
 
-* ``epm_test_lp`` asks whether ``M b = priors`` has a solution b >= 0,
-  where M holds the squared rows of V* paired with the smallest singular
-  value. When that value is simple, M is one column and the test is exact:
-  the EPM is optimal iff the squared last row of V* equals the priors.
-  When it is degenerate the test is sufficient, and decided by one NNLS
-  solve (feasible iff the residual vanishes; Lawson & Hanson 1974);
+* ``epm_test_lp`` is exact. All EPM detection probabilities are positive,
+  so an optimal dual is sigma_m^2 U_s A U_s* with A >= 0 on the s singular
+  vectors of the smallest singular value, and the EPM is optimal iff some
+  A has ``v_i* A v_i = priors_i`` for the columns v_i of their s rows of
+  V*: at s = 1, iff the squared last row of V* is the priors; above, as
+  decided by a discrimination SDP of size s;
 * ``epm_test_spectral`` is a sufficient test: it checks whether the
   moments ``<state_i| G^(t/2-1) |state_i>`` of the frame operator G are
   proportional to the priors for every distinct-singular-value index t.
   The moments are read off the SVD factors; no power of G is formed.
 
-For any state set, priors proportional to squared rows of V* make the EPM
-optimal; ``priors_for_epm`` generates them and ``epm_certificate`` produces
-the matching dual certificate.
+For any unit-trace A >= 0 the priors ``v_i* A v_i`` make the EPM optimal;
+``priors_for_epm`` generates them and ``epm_certificate`` lifts A to the
+dual certificate. s comes from grouping the singular values within
+``MULTIPLICITY_RTOL``, so the verdict is exact for the set with the grouped
+values merged; ``borderline`` names the gaps near that threshold.
 """
 
 from __future__ import annotations
@@ -36,13 +38,11 @@ from .ensemble import (
     measurement_from_probs,
 )
 from .errors import ValidationError
-from .solver import DualCertificate, _check_matches
+from .solver import _TOLERANCES, DualCertificate, SdpProblem, _bracket, _check_matches, solve
 
 MULTIPLICITY_RTOL = 1e-6
 EXACT_TEST_TOL = 1e-8
-LP_FEASIBILITY_TOL = 1e-8
 SPECTRAL_RTOL = 1e-8
-_TIKHONOV = 1e-5
 
 
 class EpmVerdict(str, Enum):
@@ -77,7 +77,7 @@ class EpmAnalysis:
 @dataclass(frozen=True)
 class EpmOptimalityResult:
     verdict: EpmVerdict
-    b: np.ndarray | None = None
+    A: np.ndarray | None = None
     a_t: np.ndarray | None = None
     last_row: np.ndarray | None = None
     residual: float | None = None
@@ -121,14 +121,31 @@ def compute_epm(ensemble: StateEnsemble, recips: ReciprocalSet) -> Measurement:
     return measurement_from_probs(recips, np.full(ensemble.m, p))
 
 
-def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimalityResult:
-    """Feasibility test: does a nonnegative b solve ``last_rows.T @ b = priors``?
+def _last(analysis: EpmAnalysis) -> np.ndarray:
+    # The singular vectors paired with the smallest singular value.
+    return analysis.recips.m - 1 - np.arange(analysis.s)
 
-    At multiplicity one this is the exact test, in closed form: optimal if
-    and only if the squared last row of V* (returned as ``last_row``)
-    matches the priors within ``EXACT_TEST_TOL``. Above, it is sufficient:
-    feasible when the sup-norm residual of its NNLS solution is within
-    ``LP_FEASIBILITY_TOL``, inconclusive otherwise. The residual is reported.
+
+def _witness(analysis: EpmAnalysis, a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (analysis.s, analysis.s):
+        raise ValidationError(f"A must be {analysis.s} x {analysis.s}, got shape {a.shape}")
+    return a
+
+
+def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimalityResult:
+    """Exact test: is the EPM an optimal measurement for these priors?
+
+    At multiplicity one, in closed form: optimal iff the squared last row of
+    V* (returned as ``last_row``) matches the priors within
+    ``EXACT_TEST_TOL``. Above, ``solve`` runs the s x s reduced problem with
+    reciprocals v_i / sigma_m, whose optimum is sigma_m^2 iff the EPM is
+    optimal and larger otherwise. Within the solver's gap tolerance, the
+    verdict is NotOptimal when a certified lower bound on that optimum
+    exceeds sigma_m^2, Optimal when the upper bound of the solver's bracket
+    reaches it, inconclusive if neither. The residual is the relative gap
+    1 - sigma_m^2 / bound to the deciding bound; the witness ``A`` is the
+    reduced dual X / sigma_m^2, of unit trace.
     """
     _check_matches(ensemble, analysis.recips)
     eta = ensemble.priors
@@ -137,64 +154,61 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
         residual = float(np.max(np.abs(last_row - eta)))
         optimal = residual <= EXACT_TEST_TOL
         verdict = EpmVerdict.OPTIMAL if optimal else EpmVerdict.NOT_OPTIMAL
-        b = np.array([1.0]) if optimal else None
-        return EpmOptimalityResult(verdict=verdict, b=b, last_row=last_row, residual=residual)
+        a = np.ones((1, 1)) if optimal else None
+        return EpmOptimalityResult(verdict=verdict, A=a, last_row=last_row, residual=residual)
 
-    # scipy.optimize costs most of the package's import time and only this
-    # case needs it.
-    from scipy.optimize import nnls
-
-    # Among feasible witnesses the minimum-Euclidean-norm one, from a
-    # Tikhonov-regularized NNLS; the weight moves the residual by
-    # O(weight^2), far below the feasibility tolerance.
-    m_sys = analysis.last_rows.T
-    s = m_sys.shape[1]
-    b, _ = nnls(
-        np.vstack([m_sys, _TIKHONOV * np.eye(s)]), np.concatenate([eta, np.zeros(s)])
-    )
-    residual = float(np.max(np.abs(m_sys @ b - eta)))
-    if residual > LP_FEASIBILITY_TOL:
-        return EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=residual)
-    return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, b=b, residual=residual)
-
-
-def priors_for_epm(analysis: EpmAnalysis, b: np.ndarray) -> np.ndarray:
-    """Priors that make the EPM optimal, from convex weights over the last rows.
-
-    ``b`` must have one entry per repetition of the smallest singular
-    value, be finite and nonnegative, and sum to one; the returned priors
-    are the corresponding convex combination of squared V* rows.
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != analysis.s:
-        raise ValidationError(
-            f"b must have length {analysis.s} (multiplicity of the smallest "
-            f"singular value), got {b.shape[0]}"
+    # All weight on state i, p_i = sigma_m^2 / |v_i|^2, is reduced-feasible:
+    # a lower bound on the reduced optimum that needs no solve and, when it
+    # does not decide, keeps every v_i away from zero.
+    with np.errstate(divide="ignore"):
+        lower = analysis.p * float(np.max(eta / analysis.last_rows.sum(axis=0)))
+    threshold = analysis.p * (1.0 + _TOLERANCES["gap"])
+    if lower <= threshold:
+        rows = analysis.recips.vh[_last(analysis)]
+        reduced = SdpProblem(cost=-eta, reciprocals=rows / analysis.recips.sigma[-1])
+        report = solve(reduced)
+        x_red = report.certificate.X
+        lower, upper, _, _ = _bracket(reduced.reciprocals, eta, report.p, x_red)
+        if upper <= threshold:
+            return EpmOptimalityResult(
+                verdict=EpmVerdict.OPTIMAL, A=x_red / analysis.p, residual=1.0 - analysis.p / upper
+            )
+    if lower > threshold:
+        return EpmOptimalityResult(
+            verdict=EpmVerdict.NOT_OPTIMAL, residual=1.0 - analysis.p / lower
         )
-    if not np.all(np.isfinite(b)):
-        raise ValidationError("b must be finite")
-    if np.min(b) < 0.0:
-        raise ValidationError("b must be nonnegative")
-    if abs(b.sum() - 1.0) > 1e-10:
-        raise ValidationError(f"b must sum to 1 within 1e-10 (sum={b.sum()!r})")
-    return analysis.last_rows.T @ b
+    return EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=1.0 - analysis.p / upper)
 
 
-def epm_certificate(analysis: EpmAnalysis, b: np.ndarray) -> DualCertificate:
-    """Dual certificate for an optimal EPM with witness b.
+def priors_for_epm(analysis: EpmAnalysis, a: np.ndarray) -> np.ndarray:
+    """Priors ``v_i* A v_i`` that make the EPM optimal, for a witness A.
 
-    X places weight ``sigma_m^2 b_k`` on the singular vectors paired with
-    the smallest singular value; all scalar slacks vanish because every
+    ``A`` must be s x s, finite, Hermitian psd and of unit trace. A diagonal
+    ``diag(b)`` gives the mix of the squared last rows of V* with weights b.
+    """
+    a = _witness(analysis, a)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("A must be finite")
+    if np.max(np.abs(a - a.conj().T)) > 1e-10 or np.linalg.eigvalsh(a)[0] < -1e-10:
+        raise ValidationError("A must be Hermitian positive semidefinite")
+    trace = np.trace(a).real
+    if abs(trace - 1.0) > 1e-10:
+        raise ValidationError(f"A must have unit trace within 1e-10 (trace={trace!r})")
+    v = analysis.recips.vh[_last(analysis)]
+    return np.einsum("ki,kl,li->i", v.conj(), a, v).real
+
+
+def epm_certificate(analysis: EpmAnalysis, a: np.ndarray) -> DualCertificate:
+    """Dual certificate for an optimal EPM with witness A.
+
+    X is ``sigma_m^2 U_s A U_s*``, with U_s the left singular vectors paired
+    with the smallest singular value; all scalar slacks vanish because every
     detection probability is strictly positive.
     """
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != analysis.s:
-        raise ValidationError(f"witness must have length {analysis.s}")
-    recips = analysis.recips
-    m = recips.m
-    cols = recips.u[:, m - 1 - np.arange(analysis.s)]
-    x_mat = analysis.p * (cols * b) @ cols.conj().T
-    return DualCertificate(X=x_mat, z=np.zeros(m))
+    a = _witness(analysis, a)
+    cols = analysis.recips.u[:, _last(analysis)]
+    x_mat = analysis.p * cols @ a @ cols.conj().T
+    return DualCertificate(X=x_mat, z=np.zeros(analysis.recips.m))
 
 
 def epm_test_spectral(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimalityResult:

@@ -453,12 +453,11 @@ def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
 def _epm_solution(
     spec: SymmetrySpec, optimal: bool, phase: PhaseCommutation | None
 ) -> SymmetricSolution:
-    """The EPM of the expanded set, its spectral test and its LP witness.
+    """The EPM of the expanded set, its spectral test and its exact test.
 
     The verdict is Optimal when ``optimal`` (symmetry grounds), the
-    spectral test or an LP witness proves it; otherwise it is the LP
-    test's: NotOptimal at multiplicity one, where that test is exact, and
-    inconclusive above.
+    spectral test or the exact test ``epm_test_lp`` proves it, and the
+    exact test's otherwise; the certificate lifts that test's witness A.
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
@@ -470,8 +469,8 @@ def _epm_solution(
     verdict = witness.verdict
     if optimal or spectral.verdict is EpmVerdict.OPTIMAL:
         verdict = EpmVerdict.OPTIMAL
-    optimality = replace(spectral, verdict=verdict, b=witness.b)
-    certificate = None if witness.b is None else epm_certificate(analysis, witness.b)
+    optimality = replace(spectral, verdict=verdict, A=witness.A)
+    certificate = None if witness.A is None else epm_certificate(analysis, witness.A)
     return SymmetricSolution(
         ensemble=ensemble,
         recips=recips,
@@ -497,11 +496,11 @@ def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
 
     Optimal when the spectral test (frame-operator moments proportional to
     the priors) passes, when the generators are themselves GU under a
-    group commuting with the outer group up to phases, or when the LP test
-    finds a witness. NotOptimal when the smallest singular value is simple
-    and the exact test fails. Otherwise the sufficient tests are silent
-    and the verdict is inconclusive. Callers can fall back to the SDP
-    solver whenever the verdict is not Optimal.
+    group commuting with the outer group up to phases, or when the exact
+    test ``epm_test_lp`` finds a witness A; otherwise the exact test's
+    verdict, NotOptimal at any multiplicity of the smallest singular value
+    (inconclusive only if its reduced solve decides nothing). Callers can
+    fall back to the SDP solver whenever the verdict is not Optimal.
     """
     phase = None
     if spec.generator_group is not None:

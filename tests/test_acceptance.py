@@ -76,7 +76,7 @@ def test_criterion_2_three_state_weighted_epm(three_states_weighted):
         assert result.verdict is EpmVerdict.OPTIMAL
         meas = compute_epm(three_states_weighted, rs)
         assert np.max(np.abs(meas.probs - 0.07)) <= 5e-3
-        cert = epm_certificate(analysis, result.b)
+        cert = epm_certificate(analysis, result.A)
         scalar_a = float(np.linalg.eigvalsh(cert.X)[-1])
         assert abs(scalar_a - 0.07) <= 5e-3
         ver = verify_certificate(three_states_weighted, rs, meas.probs, cert)
@@ -150,12 +150,12 @@ def test_criterion_6_epm_roundtrip():
             )
             b = rng.uniform(0.1, 1.0, int(s))
             b /= b.sum()
-            priors = priors_for_epm(epm_analysis(rs0), b)
+            priors = priors_for_epm(epm_analysis(rs0), np.diag(b))
             e = StateEnsemble(e0.states, priors)
             rs = reciprocal_states(e)
             meas = compute_epm(e, rs)
             analysis = epm_analysis(rs)
-            cert = epm_certificate(analysis, b)
+            cert = epm_certificate(analysis, np.diag(b))
             assert verify_certificate(e, rs, meas.probs, cert).passed
             lp = epm_test_lp(e, analysis)
             assert lp.verdict is EpmVerdict.OPTIMAL

@@ -404,14 +404,14 @@ class TestEpmCommand:
     def test_weighted_verdict(self, weighted_file, capsys):
         code, doc = run_json(capsys, ["epm", weighted_file, "--json"])
         assert code == 0
-        assert doc["epm"]["tests"]["exact"]["verdict"] == "Optimal"
+        assert doc["epm"]["tests"]["lp"]["verdict"] == "Optimal"
         assert abs(doc["epm"]["p"] - 0.07) <= 5e-3
         assert doc["verification"]["passed"] is True
 
     def test_uniform_not_optimal(self, three_states_file, capsys):
         code, doc = run_json(capsys, ["epm", three_states_file, "--json"])
         assert code == 0
-        assert doc["epm"]["tests"]["exact"]["verdict"] == "NotOptimal"
+        assert doc["epm"]["tests"]["lp"]["verdict"] == "NotOptimal"
         assert "verification" not in doc
 
     def test_gu_flag(self, gu_spec_file, capsys):
@@ -434,16 +434,20 @@ class TestEpmCommand:
         assert code == 0
         epm = doc["epm"]
         assert epm["s"] == 2
-        # The exact test does not apply; the NNLS branch finds a witness.
-        assert "multiplicity 2" in epm["tests"]["exact"]["error"]
+        # The reduced SDP decides; its witness A gives back the uniform priors.
+        assert set(epm["tests"]) == {"lp", "spectral"}
         assert epm["tests"]["lp"]["verdict"] == "Optimal"
-        assert np.allclose(epm["tests"]["lp"]["b"], [0.5, 0.5], atol=1e-6)
+        a = decode_complex(epm["tests"]["lp"]["A"], 2, "A")
+        ensemble = uqsd.load_ensemble(DATA / "degenerate_epm.json")
+        analysis = uqsd.epm.epm_analysis(uqsd.reciprocal_states(ensemble))
+        assert np.allclose(uqsd.epm.priors_for_epm(analysis, a), 0.25, atol=1e-8)
+        assert "lp_feasibility_tol" not in doc["tolerances"]
         assert doc["verification"]["passed"] is True
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_make_priors_rejects_non_finite(self, three_states_file, capsys, value):
         assert main(["epm", three_states_file, "--make-priors", value]) == 2
-        assert "b must be finite" in capsys.readouterr().err
+        assert "A must be finite" in capsys.readouterr().err
 
 
 class TestSymmetryCommands:
@@ -534,7 +538,6 @@ class TestSymmetryCommands:
             ["epm", "degenerate_epm.json"],
             [
                 "epm p:    0.352078 (multiplicity s=2, distinct q=3)",
-                "  exact: smallest singular value has multiplicity 2",
                 "  lp: Optimal (residual ",
                 "P_D:      0.352078",
                 "certificate: pass",
@@ -543,7 +546,7 @@ class TestSymmetryCommands:
         (
             ["epm", "three_states.json", "--make-priors", "1.0"],
             [
-                "  exact: NotOptimal (residual 2.725e-01)",
+                "  lp: NotOptimal (residual 2.725e-01)",
                 "generated priors: 0.605802 0.197099 0.197099",
                 "  epm verified under generated priors: True",
             ],

@@ -140,7 +140,7 @@ class TestNondegenerateTest:
     def test_uniform_priors_not_optimal(self, three_states_uniform, three_states_analysis):
         result = epm_test_lp(three_states_uniform, three_states_analysis)
         assert result.verdict is EpmVerdict.NOT_OPTIMAL
-        assert result.b is None
+        assert result.A is None
         assert result.residual > 1e-8
 
     def test_constructed_match_is_optimal(self, rng):
@@ -162,25 +162,33 @@ class TestLpTest:
         assert np.allclose(analysis.last_rows[0], 0.25, atol=1e-10)
         result = epm_test_lp(sign_group_ensemble, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
-        assert np.allclose(result.b, [1.0])
+        assert np.allclose(result.A, [[1.0]])
 
     def test_degenerate_uniform_feasible(self, rng):
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
         analysis = epm_analysis(reciprocal_states(e))
         result = epm_test_lp(e, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
-        assert result.b is not None and np.min(result.b) >= 0.0
-        m_sys = analysis.last_rows.T
-        assert np.max(np.abs(m_sys @ result.b - e.priors)) <= 1e-8
+        # The witness is a unit-trace psd A with v_i* A v_i = priors_i.
+        assert result.A.shape == (2, 2)
+        assert np.linalg.eigvalsh(result.A)[0] >= -1e-12
+        assert abs(np.trace(result.A) - 1.0) <= 1e-10
+        assert np.max(np.abs(priors_for_epm(analysis, result.A) - e.priors)) <= 1e-8
 
-    def test_degenerate_random_priors_inconclusive(self, rng):
-        priors = rng.uniform(0.5, 1.5, 4)
-        priors /= priors.sum()
-        e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng, priors)
-        rs = reciprocal_states(e)
-        result = epm_test_lp(e, epm_analysis(rs))
-        assert result.verdict is EpmVerdict.INCONCLUSIVE
-        assert result.residual > 1e-8
+    def test_degenerate_random_priors_not_optimal(self, rng):
+        # The reduced SDP proves the EPM suboptimal, and the full solve
+        # confirms it: its optimum lies above sigma_min^2.
+        for _ in range(5):
+            priors = rng.uniform(0.5, 1.5, 4)
+            priors /= priors.sum()
+            e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng, priors)
+            rs = reciprocal_states(e)
+            analysis = epm_analysis(rs)
+            assert analysis.s == 2
+            result = epm_test_lp(e, analysis)
+            assert result.verdict is EpmVerdict.NOT_OPTIMAL
+            assert result.A is None and result.residual > 1e-7
+            assert -solve(build_sdp(e, rs)).primal_value > analysis.p * (1.0 + 1e-5)
 
     @pytest.mark.parametrize(
         "priors, feasible", [((1 / 3, 1 / 3, 1 / 3), True), ((0.1, 0.1, 0.8), False)]
@@ -189,11 +197,12 @@ class TestLpTest:
         # Frame spectrum (2, 1/2, 1/2) and V* rows (1,1,1)/sqrt(3),
         # (1,-1,0)/sqrt(2), (1,1,-2)/sqrt(6) give unit columns and a double
         # smallest singular value. Whatever basis of that eigenspace the SVD
-        # returns, its vectors w are orthogonal to (1,1,1), so |w_i|^2 <= 2/3
-        # and the two squared rows sum to 2/3 entrywise. Uniform priors are
-        # then met with minimum-norm witness b = (1/2, 1/2); for priors with
-        # an entry 0.8 every b >= 0 leaves a sup-norm residual of at least
-        # 2/45 (the bound from (M b)_3 <= 2 sum(b)/3 and sum(M b) = sum(b)).
+        # returns, its vectors are orthogonal to (1,1,1), so every column v_i
+        # of the two rows has |v_i|^2 = 2/3. Uniform priors are then met by
+        # the witness A = I/2, the only real one. For priors with an entry
+        # 0.8, v_3* A v_3 <= 2/3 Tr A forces Tr A >= 1.2: the reduced optimum
+        # exceeds sigma_min^2 by at least 20% (a relative gap of 1/6), and the
+        # EPM is not optimal.
         vh = np.array(
             [
                 np.array([1.0, 1.0, 1.0]) / np.sqrt(3),
@@ -206,14 +215,38 @@ class TestLpTest:
         analysis = epm_analysis(reciprocal_states(e))
         assert analysis.s == 2
         result = epm_test_lp(e, analysis)
+        optimum = -solve(build_sdp(e, reciprocal_states(e))).primal_value
         if feasible:
             assert result.verdict is EpmVerdict.OPTIMAL
-            assert np.max(np.abs(result.b - 0.5)) <= 1e-9
+            assert np.max(np.abs(result.A - np.eye(2) / 2)) <= 1e-8
             assert result.residual <= 1e-8
+            assert abs(optimum - analysis.p) <= 1e-8 * analysis.p
         else:
-            assert result.verdict is EpmVerdict.INCONCLUSIVE
-            assert result.b is None
-            assert result.residual >= 2 / 45
+            assert result.verdict is EpmVerdict.NOT_OPTIMAL
+            assert result.A is None
+            assert result.residual >= 1 / 6 - 1e-12
+            assert optimum > analysis.p * 1.01
+
+    def test_state_outside_the_smallest_singular_space_not_optimal(self, rng):
+        # The hand-built system above plus a fourth state orthogonal to it:
+        # that state has no weight on the doubled smallest singular space
+        # (v_1 = 0), so no witness reaches its prior. The closed-form bound
+        # says so without a solve, whose start would divide by |v_1|^2 = 0.
+        vh = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
+        vh /= np.linalg.norm(vh, axis=1, keepdims=True)
+        states = np.zeros((4, 4))
+        states[0, 0] = 1.0
+        states[1:, 1:] = np.diag([np.sqrt(2.0), np.sqrt(0.5), np.sqrt(0.5)]) @ vh
+        unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        e = StateEnsemble(unitary @ states, np.full(4, 0.25))
+        rs = reciprocal_states(e)
+        analysis = epm_analysis(rs)
+        assert analysis.s == 2
+        assert np.max(analysis.last_rows[:, 0]) <= 1e-20
+        result = epm_test_lp(e, analysis)
+        assert result.verdict is EpmVerdict.NOT_OPTIMAL
+        assert result.A is None and result.residual == 1.0
+        assert -solve(build_sdp(e, rs)).primal_value > analysis.p * 1.2
 
     def test_nondegenerate_mismatch_is_not_optimal(self, three_states_uniform,
                                                    three_states_analysis):
@@ -239,12 +272,12 @@ class TestLpTest:
             assert lp.verdict is (EpmVerdict.OPTIMAL if optimal else EpmVerdict.NOT_OPTIMAL)
             assert lp.residual == pytest.approx(residual, abs=1e-15)
             assert np.allclose(lp.last_row, last_row, atol=1e-15)
-            assert (lp.b is not None) == optimal
+            assert (lp.A is not None) == optimal
 
     def test_roundtrip_with_generated_priors(self, rng):
         e = random_ensemble(rng, 6, 4)
         rs = reciprocal_states(e)
-        priors = priors_for_epm(epm_analysis(rs), np.array([1.0]))
+        priors = priors_for_epm(epm_analysis(rs), np.diag([1.0]))
         boosted = StateEnsemble(e.states, priors)
         rs2 = reciprocal_states(boosted)
         assert epm_test_lp(boosted, epm_analysis(rs2)).verdict is EpmVerdict.OPTIMAL
@@ -253,7 +286,7 @@ class TestLpTest:
 class TestPriorsForEpm:
     def test_reproduces_printed_weighted_priors(self, three_states_analysis,
                                                 three_states_reciprocals):
-        priors = priors_for_epm(three_states_analysis, np.array([1.0]))
+        priors = priors_for_epm(three_states_analysis, np.diag([1.0]))
         # Printed to one or two figures as (0.6, 0.2, 0.2); the exact values
         # are (0.6058, 0.1971, 0.1971).
         assert np.max(np.abs(priors - np.array([0.6, 0.2, 0.2]))) <= 6e-3
@@ -262,33 +295,33 @@ class TestPriorsForEpm:
     def test_single_coordinate_weight(self, rng):
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
         analysis = epm_analysis(reciprocal_states(e))
-        priors = priors_for_epm(analysis, np.array([1.0, 0.0]))
+        priors = priors_for_epm(analysis, np.diag([1.0, 0.0]))
         assert np.allclose(priors, analysis.last_rows[0], atol=1e-14)
 
     def test_validation(self, three_states_analysis):
-        with pytest.raises(ValidationError, match="length"):
-            priors_for_epm(three_states_analysis, np.array([0.5, 0.5]))
-        with pytest.raises(ValidationError, match="nonnegative"):
-            priors_for_epm(three_states_analysis, np.array([-1.0]))
-        with pytest.raises(ValidationError, match="sum to 1"):
-            priors_for_epm(three_states_analysis, np.array([0.5]))
+        with pytest.raises(ValidationError, match="1 x 1"):
+            priors_for_epm(three_states_analysis, np.diag([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            priors_for_epm(three_states_analysis, np.diag([-1.0]))
+        with pytest.raises(ValidationError, match="unit trace"):
+            priors_for_epm(three_states_analysis, np.diag([0.5]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_weights(self, three_states_analysis, value):
-        with pytest.raises(ValidationError, match="b must be finite"):
-            priors_for_epm(three_states_analysis, np.array([value]))
+        with pytest.raises(ValidationError, match="A must be finite"):
+            priors_for_epm(three_states_analysis, np.diag([value]))
 
     def test_full_certificate_roundtrip(self, rng):
         for _ in range(5):
             e = random_ensemble(rng, 5, 4)
             rs = reciprocal_states(e)
-            priors = priors_for_epm(epm_analysis(rs), np.array([1.0]))
+            priors = priors_for_epm(epm_analysis(rs), np.diag([1.0]))
             boosted = StateEnsemble(e.states, priors)
             rs2 = reciprocal_states(boosted)
             meas = compute_epm(boosted, rs2)
             analysis = epm_analysis(rs2)
             result = epm_test_lp(boosted, analysis)
-            cert = epm_certificate(analysis, result.b)
+            cert = epm_certificate(analysis, result.A)
             assert verify_certificate(boosted, rs2, meas.probs, cert).passed
 
 
@@ -354,24 +387,42 @@ class TestSpectralTest:
         analysis = epm_analysis(rs)
         assert epm_test_spectral(e, analysis).verdict is EpmVerdict.OPTIMAL
         lp = epm_test_lp(e, analysis)
-        cert = epm_certificate(analysis, lp.b)
+        cert = epm_certificate(analysis, lp.A)
         meas = compute_epm(e, rs)
         assert verify_certificate(e, rs, meas.probs, cert).passed
 
 
 class TestCrossModuleConsistency:
     def test_optimal_epm_matches_solver_value(self, rng):
-        # Whenever a test declares the EPM optimal, the SDP optimum equals
-        # the common detection probability.
+        # Whenever the exact test declares the EPM optimal, its lifted
+        # certificate passes and the SDP optimum equals the common detection
+        # probability. Inputs: random sets at s = 1 with the priors of
+        # A = [1], and data/degenerate_epm.json's states (s = 2) with the
+        # priors v_i* A v_i of random non-diagonal psd witnesses A.
+        inputs = []
         for _ in range(5):
             e0 = random_ensemble(rng, 5, 3)
-            rs0 = reciprocal_states(e0)
-            priors = priors_for_epm(epm_analysis(rs0), np.array([1.0]))
-            e = StateEnsemble(e0.states, priors)
+            inputs.append((e0.states, priors_for_epm(epm_analysis(reciprocal_states(e0)),
+                                                     np.diag([1.0]))))
+        data = Path(__file__).resolve().parents[1] / "data"
+        base = load_ensemble(data / "degenerate_epm.json")
+        degenerate = epm_analysis(reciprocal_states(base))
+        assert degenerate.s == 2
+        for _ in range(5):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            a = g @ g.conj().T
+            assert abs(a[0, 1]) > 1e-3
+            inputs.append((base.states, priors_for_epm(degenerate, a / np.trace(a).real)))
+        for states, priors in inputs:
+            e = StateEnsemble(states, priors)
             rs = reciprocal_states(e)
-            assert epm_test_lp(e, epm_analysis(rs)).verdict is EpmVerdict.OPTIMAL
+            analysis = epm_analysis(rs)
+            lp = epm_test_lp(e, analysis)
+            assert lp.verdict is EpmVerdict.OPTIMAL
+            cert = epm_certificate(analysis, lp.A)
+            assert verify_certificate(e, rs, compute_epm(e, rs).probs, cert).passed
             report = solve(build_sdp(e, rs))
-            assert abs(-report.primal_value - rs.sigma[-1] ** 2) <= 1e-6
+            assert abs(-report.primal_value / analysis.p - 1.0) <= 1e-10
 
     def test_spectral_optimal_implies_certificate_on_gu_orbits(self, rng):
         # Spectral verdict Optimal implies a passing certificate, checked
@@ -385,8 +436,8 @@ class TestCrossModuleConsistency:
             result = epm_test_spectral(e, analysis)
             assert result.verdict is EpmVerdict.OPTIMAL
             lp = epm_test_lp(e, analysis)
-            assert lp.b is not None
-            cert = epm_certificate(analysis, lp.b)
+            assert lp.A is not None
+            cert = epm_certificate(analysis, lp.A)
             meas = compute_epm(e, rs)
             assert verify_certificate(e, rs, meas.probs, cert).passed
 
@@ -401,7 +452,7 @@ class TestCrossModuleConsistency:
 class TestEpmCertificate:
     def test_weighted_three_state_scalar(self, three_states_weighted):
         rs = reciprocal_states(three_states_weighted)
-        cert = epm_certificate(epm_analysis(rs), np.array([1.0]))
+        cert = epm_certificate(epm_analysis(rs), np.diag([1.0]))
         top = np.linalg.eigvalsh(cert.X)[-1]
         # The certificate weight reproduces the printed 0.07.
         assert abs(top - 0.07) <= 5e-3
@@ -412,7 +463,7 @@ class TestEpmCertificate:
     def test_rank_matches_witness_support(self, rng):
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
         rs = reciprocal_states(e)
-        cert = epm_certificate(epm_analysis(rs), np.array([0.5, 0.5]))
+        cert = epm_certificate(epm_analysis(rs), np.diag([0.5, 0.5]))
         assert np.linalg.matrix_rank(cert.X, tol=1e-10) == 2
 
 
@@ -427,25 +478,33 @@ def test_priors_for_epm_is_probability_vector(seed, raw):
     analysis = epm_analysis(reciprocal_states(e))
     b = np.resize(np.array(raw), analysis.s)
     b /= b.sum()
-    priors = priors_for_epm(analysis, b)
+    priors = priors_for_epm(analysis, np.diag(b))
     assert np.min(priors) >= 0.0
     assert abs(priors.sum() - 1.0) <= 1e-10
 
 
 def test_import_and_solve_load_no_scipy():
-    # The solver needs numpy alone; scipy.optimize is imported only by the
-    # degenerate branch of epm_test_lp, which a three-state solve never takes.
+    # uqsd needs numpy alone: importing it and running the CLI on a plain
+    # solve, a degenerate EPM (s = 2, decided by the reduced SDP) and a CGU
+    # set loads no scipy module.
     root = Path(__file__).resolve().parents[1]
+    data = root / "data"
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    runs = [
+        ["solve", str(data / "three_states.json")],
+        ["epm", str(data / "degenerate_epm.json")],
+        ["cgu", str(data / "pauli_pair_cgu.json")],
+    ]
     code = (
         "import contextlib, io, sys, uqsd\n"
         "def scipy_loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(scipy_loaded())\n"
         "from uqsd import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main(['solve', {str(root / 'data' / 'three_states.json')!r}, '--json'])\n"
-        "print(code, scipy_loaded())\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main([*argv, '--json'])\n"
+        "    print(code, scipy_loaded())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -454,4 +513,4 @@ def test_import_and_solve_load_no_scipy():
         text=True,
         check=True,
     )
-    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    assert proc.stdout.splitlines() == ["[]", "0 []", "0 []", "0 []"]
