@@ -10,8 +10,8 @@ optimal measurement. Install the package first (pip install -e .), then:
 
     python scripts/run_examples.py
 
-The exit code is 1 when a certificate is rejected or a closed form is
-missed, and 0 otherwise.
+The exit code is 1 when a certificate is rejected, a closed form is
+missed or a symmetric set's EPM is not proven optimal, and 0 otherwise.
 """
 
 import math
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from uqsd import (
+    EpmVerdict,
     build_sdp,
     compute_epm,
     detection_probability,
@@ -129,6 +130,8 @@ def symmetric_pipeline(path: Path, compound: bool) -> bool:
     print(f"common p   : {sol.p:.10f}")
     gens = np.round(sol.reciprocal_generators.T, 6)
     print(f"reciprocal generators (rows): {gens}")
+    if sol.verdict is not EpmVerdict.OPTIMAL:
+        return False
     ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
     print(f"certificate: {verdict(ver.passed)}")
     sim = simulate(sol.ensemble, sol.measurement, 200_000, seed=2)

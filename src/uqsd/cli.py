@@ -89,16 +89,17 @@ def _solve_doc(report: SolveReport) -> dict:
     }
 
 
-def _verification(ensemble: StateEnsemble, recips, p, certificate) -> dict:
-    """Check a candidate with ``verify_certificate``; its ``verification`` document."""
+def _verification(doc: dict, ensemble: StateEnsemble, recips, p, certificate) -> int:
+    """Check a candidate with ``verify_certificate`` into ``doc``; the exit code."""
     ver = verify_certificate(ensemble, recips, p, certificate)
-    return {
+    doc["verification"] = {
         "passed": ver.passed,
         "residuals": ver.residuals,
         "tolerances": ver.tolerances,
         "checks": ver.checks,
         "trace_products": encode_real_vector(ver.detail["trace_products"]),
     }
+    return EXIT_OK if ver.passed else EXIT_CERTIFICATE
 
 
 def _print_report(doc: dict, as_json: bool) -> None:
@@ -166,8 +167,7 @@ def _run_sdp(args, ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Mea
     doc["solve"] = _solve_doc(report)
     if report.status is not SolveStatus.OPTIMAL:
         return EXIT_SOLVER, None
-    ver = doc["verification"] = _verification(ensemble, recips, report.p, report.certificate)
-    exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
+    exit_code = _verification(doc, ensemble, recips, report.p, report.certificate)
     return exit_code, measurement_from_probs(recips, report.p)
 
 
@@ -228,8 +228,7 @@ def _epm_pipeline(args):
     exit_code = EXIT_OK
     if lp.A is not None:
         cert = epm_mod.epm_certificate(analysis, lp.A)
-        ver = doc["verification"] = _verification(ensemble, recips, measurement.probs, cert)
-        exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
+        exit_code = _verification(doc, ensemble, recips, measurement.probs, cert)
     if args.make_priors is not None:
         try:
             b = np.array([float(x) for x in args.make_priors.split(",")])
@@ -243,7 +242,7 @@ def _epm_pipeline(args):
         doc["make_priors"] = {
             "b": encode_real_vector(b),
             "priors": encode_real_vector(priors),
-            "verified": _verification(generated, recips, measurement.probs, cert)["passed"],
+            "verified": verify_certificate(generated, recips, measurement.probs, cert).passed,
         }
     return doc, ensemble, measurement, exit_code
 
@@ -254,8 +253,6 @@ def _symmetric_doc(sol: sym_mod.SymmetricSolution) -> dict:
         "p": sol.p,
         "reciprocal_generators": encode_complex(sol.reciprocal_generators),
     }
-    if sol.optimality.a_t is not None:
-        doc["a_t"] = encode_real_vector(sol.optimality.a_t)
     if sol.phase is not None:
         doc["phase"] = {
             "theta": [list(map(float, row)) for row in sol.phase.theta],
@@ -276,16 +273,14 @@ def _symmetric_pipeline(args):
         "symmetry": _symmetric_doc(sol),
         "measurement": _measurement_doc(sol.ensemble, sol.measurement),
     }
-    exit_code = EXIT_OK
     if sol.verdict is not epm_mod.EpmVerdict.OPTIMAL:
         # The EPM is not proven optimal; the SDP solver decides. The
         # measurement stays the EPM.
         exit_code, _ = _run_sdp(args, sol.ensemble, sol.recips, doc)
-    elif sol.certificate is not None:
-        ver = doc["verification"] = _verification(
-            sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate
+    else:
+        exit_code = _verification(
+            doc, sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate
         )
-        exit_code = EXIT_OK if ver["passed"] else EXIT_CERTIFICATE
     return doc, sol.ensemble, sol.measurement, exit_code
 
 

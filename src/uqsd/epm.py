@@ -79,7 +79,6 @@ class EpmOptimalityResult:
     verdict: EpmVerdict
     A: np.ndarray | None = None
     a_t: np.ndarray | None = None
-    last_row: np.ndarray | None = None
     residual: float | None = None
 
 
@@ -137,7 +136,7 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
     """Exact test: is the EPM an optimal measurement for these priors?
 
     At multiplicity one, in closed form: optimal iff the squared last row of
-    V* (returned as ``last_row``) matches the priors within
+    V* (``analysis.last_rows[0]``) matches the priors within
     ``EXACT_TEST_TOL``. Above, ``solve`` runs the s x s reduced problem with
     reciprocals v_i / sigma_m, whose optimum is sigma_m^2 iff the EPM is
     optimal and larger otherwise. Within the solver's gap tolerance, the
@@ -150,12 +149,11 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
     _check_matches(ensemble, analysis.recips)
     eta = ensemble.priors
     if analysis.s == 1:
-        last_row = analysis.last_rows[0]
-        residual = float(np.max(np.abs(last_row - eta)))
+        residual = float(np.max(np.abs(analysis.last_rows[0] - eta)))
         optimal = residual <= EXACT_TEST_TOL
         verdict = EpmVerdict.OPTIMAL if optimal else EpmVerdict.NOT_OPTIMAL
         a = np.ones((1, 1)) if optimal else None
-        return EpmOptimalityResult(verdict=verdict, A=a, last_row=last_row, residual=residual)
+        return EpmOptimalityResult(verdict=verdict, A=a, residual=residual)
 
     # All weight on state i, p_i = sigma_m^2 / |v_i|^2, is reduced-feasible:
     # a lower bound on the reduced optimum that needs no solve and, when it

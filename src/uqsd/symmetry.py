@@ -7,11 +7,11 @@ commutes with every group element, so the reciprocal states form an
 orbit of the transformed generator(s), one pseudo-inverse application per
 generator. The full dual basis is still computed once, from the SVD of the
 expanded set, and the orbit of the reciprocal generators is checked
-against it. For GU sets the equal-probability measurement is always
-optimal under uniform priors; for CGU sets it is optimal when the
-generators share their frame-operator moments, in particular whenever the
-generators are themselves GU under a group that commutes with the outer
-group up to phases.
+against it. The verdict on the equal-probability measurement (EPM) is the
+exact test's, ``epm_test_lp``. The paper's GU result (the EPM is optimal
+under uniform priors) and its CGU result (optimal when the generators are
+themselves GU under a group commuting with the outer group up to phases)
+are cases of that test; the phase commutation is reported as evidence.
 
 Groups are supplied explicitly as matrices. Identity, closure and
 inverses are checked numerically against the nearest group element, one
@@ -34,7 +34,7 @@ vectors is one batched product of the element stack with the vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .epm import (
     epm_analysis,
     epm_certificate,
     epm_test_lp,
-    epm_test_spectral,
 )
 from .errors import LinearDependenceError, ValidationError
 from .formats import decode_complex, read_document
@@ -297,7 +296,8 @@ class SymmetricSolution:
     ``recips`` is the reciprocal set of ``ensemble``, computed once per
     pipeline and kept for callers that verify the certificate.
     ``reciprocal_generators`` holds one column per generator; their orbit
-    under the group is the reciprocal set.
+    under the group is the reciprocal set. ``optimality`` is the exact
+    test's result and ``certificate`` lifts its witness when it is Optimal.
     """
 
     ensemble: StateEnsemble
@@ -305,10 +305,13 @@ class SymmetricSolution:
     reciprocal_generators: np.ndarray
     measurement: Measurement
     p: float
-    verdict: EpmVerdict
     certificate: DualCertificate | None
     optimality: EpmOptimalityResult
     phase: PhaseCommutation | None = None
+
+    @property
+    def verdict(self) -> EpmVerdict:
+        return self.optimality.verdict
 
 
 def verify_group(group: UnitaryGroup) -> GroupReport:
@@ -450,34 +453,26 @@ def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
     )
 
 
-def _epm_solution(
-    spec: SymmetrySpec, optimal: bool, phase: PhaseCommutation | None
-) -> SymmetricSolution:
-    """The EPM of the expanded set, its spectral test and its exact test.
+def _epm_solution(spec: SymmetrySpec, phase: PhaseCommutation | None) -> SymmetricSolution:
+    """The EPM of the expanded set and its exact test ``epm_test_lp``.
 
-    The verdict is Optimal when ``optimal`` (symmetry grounds), the
-    spectral test or the exact test ``epm_test_lp`` proves it, and the
-    exact test's otherwise; the certificate lifts that test's witness A.
+    The verdict is the exact test's; the certificate lifts its witness A
+    and is present exactly when the verdict is Optimal.
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
-    analysis = epm_analysis(recips)
-    spectral = epm_test_spectral(ensemble, analysis)
     gens = _reciprocal_generators(spec, recips)
-    measurement = compute_epm(ensemble, recips)
-    witness = epm_test_lp(ensemble, analysis)
-    verdict = witness.verdict
-    if optimal or spectral.verdict is EpmVerdict.OPTIMAL:
-        verdict = EpmVerdict.OPTIMAL
-    optimality = replace(spectral, verdict=verdict, A=witness.A)
-    certificate = None if witness.A is None else epm_certificate(analysis, witness.A)
+    analysis = epm_analysis(recips)
+    optimality = epm_test_lp(ensemble, analysis)
+    certificate = None
+    if optimality.verdict is EpmVerdict.OPTIMAL:
+        certificate = epm_certificate(analysis, optimality.A)
     return SymmetricSolution(
         ensemble=ensemble,
         recips=recips,
         reciprocal_generators=gens,
-        measurement=measurement,
+        measurement=compute_epm(ensemble, recips),
         p=analysis.p,
-        verdict=optimality.verdict,
         certificate=certificate,
         optimality=optimality,
         phase=phase,
@@ -485,27 +480,24 @@ def _epm_solution(
 
 
 def solve_gu(spec: SymmetrySpec) -> SymmetricSolution:
-    """Optimal measurement for a GU set: always the EPM under uniform priors."""
+    """EPM for a GU set with the exact test's verdict, Optimal by the GU result."""
     if not spec.is_gu:
         raise ValidationError("spec has multiple generators; use solve_cgu")
-    return _epm_solution(spec, True, None)
+    return _epm_solution(spec, None)
 
 
 def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
-    """EPM for a CGU set with an optimality verdict.
+    """EPM for a CGU set with the exact test's verdict.
 
-    Optimal when the spectral test (frame-operator moments proportional to
-    the priors) passes, when the generators are themselves GU under a
-    group commuting with the outer group up to phases, or when the exact
-    test ``epm_test_lp`` finds a witness A; otherwise the exact test's
-    verdict, NotOptimal at any multiplicity of the smallest singular value
-    (inconclusive only if its reduced solve decides nothing). Callers can
-    fall back to the SDP solver whenever the verdict is not Optimal.
+    When the spec has a generator group, ``phase`` reports whether it
+    commutes with the outer group up to phases, the paper's sufficient
+    condition; it is evidence and decides nothing. Callers can fall back
+    to the SDP solver whenever the verdict is not Optimal.
     """
     phase = None
     if spec.generator_group is not None:
         phase = check_commute_phase(spec.group, spec.generator_group)
-    return _epm_solution(spec, phase is not None and phase.commutes, phase)
+    return _epm_solution(spec, phase)
 
 
 def decode_group(obj, where: str = "group") -> UnitaryGroup:

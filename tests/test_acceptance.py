@@ -159,8 +159,11 @@ def test_criterion_6_epm_roundtrip():
             assert verify_certificate(e, rs, meas.probs, cert).passed
             lp = epm_test_lp(e, analysis)
             assert lp.verdict is EpmVerdict.OPTIMAL
-            # At s = 1 the LP test is the exact test and reports the row.
-            assert (lp.last_row is not None) == (s == 1)
+            # At s = 1 the exact test compares the analysis's squared last
+            # row of V* with the priors.
+            assert analysis.s == s
+            if s == 1:
+                assert lp.residual == np.max(np.abs(analysis.last_rows[0] - priors))
     assert clock.elapsed < 30.0
     print(f"\nACCEPTANCE 6: PASS  25 EPM prior round-trips ({clock.elapsed:.1f}s)")
 
@@ -168,6 +171,7 @@ def test_criterion_6_epm_roundtrip():
 def test_criterion_7_symmetry_consistency():
     rng = np.random.default_rng(2024)
     kinds = ["cyclic", "conjugated", "signs"]
+    doubled = 0
     with Stopwatch() as clock:
         for trial in range(25):
             kind = kinds[trial % 3]
@@ -178,9 +182,22 @@ def test_criterion_7_symmetry_consistency():
                 dim = int(rng.integers(size, 9))
             group = random_gu_group(rng, kind, size, dim)
             gen = gu_generator_with_full_orbit(rng, group)
+            if trial % 2:
+                # A real generator gives a conjugate-symmetric spectrum, at
+                # times with s = 2, which the exact test decides by its
+                # reduced SDP.
+                real = gen.real / np.linalg.norm(gen.real)
+                orbit = np.column_stack([u @ real for u in group.elements])
+                sv = np.linalg.svd(orbit, compute_uv=False)
+                if sv[-1] > 1e-6 * sv[0]:
+                    gen = real
             spec = SymmetrySpec(group=group, generators=gen)
             sol = solve_gu(spec)
+            assert sol.verdict is EpmVerdict.OPTIMAL
             rs = reciprocal_states(sol.ensemble)
+            ver = verify_certificate(sol.ensemble, rs, sol.measurement.probs, sol.certificate)
+            assert ver.passed
+            doubled += epm_analysis(rs).s == 2
             orbit = np.column_stack(
                 [u @ sol.reciprocal_generators[:, 0] for u in group.elements]
             )
@@ -188,8 +205,10 @@ def test_criterion_7_symmetry_consistency():
             report = solve(build_sdp(sol.ensemble, rs))
             pd_closed = detection_probability(sol.ensemble, sol.measurement)
             assert abs(pd_closed - (-report.primal_value)) <= 1e-6
+    assert doubled > 0
     assert clock.elapsed < 60.0
-    print(f"\nACCEPTANCE 7: PASS  25 symmetric orbits vs SDP ({clock.elapsed:.1f}s)")
+    print(f"\nACCEPTANCE 7: PASS  25 symmetric orbits vs SDP, {doubled} with s = 2 "
+          f"({clock.elapsed:.1f}s)")
 
 
 def test_criterion_8_simulation(three_states_uniform, sign_group_spec):

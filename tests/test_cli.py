@@ -498,6 +498,22 @@ class TestSymmetryCommands:
         assert sdp_pd == pytest.approx(0.262, abs=1e-3)
         assert epm_pd == pytest.approx(0.203, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "command, name", [("gu", "sign_group_gu.json"), ("cgu", "pauli_pair_cgu.json")]
+    )
+    def test_optimal_only_from_the_exact_test(self, monkeypatch, capsys, command, name):
+        # Neither symmetry nor phase evidence may stand in for the exact
+        # test: without its witness the SDP fallback decides and is verified.
+        silent = uqsd.epm.EpmOptimalityResult(
+            verdict=uqsd.epm.EpmVerdict.INCONCLUSIVE, residual=1.0
+        )
+        monkeypatch.setattr(uqsd.symmetry, "epm_test_lp", lambda *args: silent)
+        code, out = run_json(capsys, [command, str(DATA / name), "--json"])
+        assert code == 0
+        assert out["symmetry"]["verdict"] == "SufficientTestInconclusive"
+        assert out["solve"]["status"] == "Optimal"
+        assert out["verification"]["passed"] is True
+
     def test_fallback_reports_its_iteration_cap(self, tmp_path, capsys):
         path = tmp_path / "cgu.json"
         path.write_text(json.dumps(non_optimal_cgu_doc()))

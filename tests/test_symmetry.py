@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from uqsd import (
-    EpmOptimalityResult,
     EpmVerdict,
     LinearDependenceError,
     SymmetrySpec,
@@ -402,12 +401,6 @@ class TestSolveGu:
         assert ver.passed
         assert np.max(np.abs(ver.detail["trace_products"] - 0.25)) <= 1e-6
 
-    def test_moments_match_spectral_test(self, sign_group_spec):
-        sol = solve_gu(sign_group_spec)
-        ensemble = expand(sign_group_spec)
-        spectral = epm_test_spectral(ensemble, epm_analysis(reciprocal_states(ensemble)))
-        assert np.array_equal(sol.optimality.a_t, spectral.a_t)
-
     def test_orthonormal_orbit(self):
         group = cyclic_group(cyclic_shift(4), 4)
         gen = np.zeros(4, dtype=complex)
@@ -516,13 +509,12 @@ class TestSolveCgu:
             sol.ensemble, sol.measurement
         ) - 1e-12
 
-    def test_lp_witness_proves_optimality_when_spectral_test_is_silent(self, monkeypatch):
-        # Without its generator group the Pauli pair has no symmetry argument;
-        # with the spectral test silenced, the LP witness alone decides.
-        silent = EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=1.0)
-        monkeypatch.setattr(uqsd.symmetry, "epm_test_spectral", lambda *args: silent)
+    def test_pauli_pair_without_generator_group_optimal(self):
+        # With no generator group there is no phase evidence; the exact
+        # test's witness alone proves the EPM optimal.
         spec = pauli_pair_spec()
         sol = solve_cgu(SymmetrySpec(group=spec.group, generators=spec.generators))
+        assert sol.phase is None
         assert sol.verdict is EpmVerdict.OPTIMAL
         ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
         assert ver.passed
@@ -549,8 +541,6 @@ class TestStructuralProperties:
     def test_generator_condition_lifts_to_all_states(self):
         # When the generator moments are constant, the spectral condition
         # holds for every state of the expanded compound set.
-        from uqsd import epm_test_spectral
-
         spec = pauli_pair_spec()
         sol = solve_cgu(spec)
         assert sol.verdict is EpmVerdict.OPTIMAL
