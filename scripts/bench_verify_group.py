@@ -6,10 +6,13 @@ unitary, and the direct product Z_a x Z_b (a b = l, a the largest divisor
 of l up to sqrt(l)) as Kronecker products of shift powers, which is not
 cyclic when a and b share a factor. Each time is process CPU per call with
 one BLAS thread: the calls of a block run for at least ``--block-seconds``,
-and the median over ``--blocks`` blocks is printed, with the report of the
-last call: its verdict, its closure residual, the number of
-multiplication-table rows it formed, and ``ru_maxrss``, the peak resident
-set of the process so far in MB. Run from the repository root:
+and the median over ``--blocks`` blocks is printed. ``ms/call`` times
+``verify_group``; ``read`` times ``decode_group(read_document(path)["group"])``
+on the group's JSON document, written once to a temporary directory. Each
+row also prints the report of the last ``verify_group`` call: its verdict,
+its closure residual, the number of multiplication-table rows it formed,
+and ``ru_maxrss``, the peak resident set of the process so far in MB. Run
+from the repository root:
 
     PYTHONPATH=src python scripts/bench_verify_group.py [ORDER ...] [--smoke]
 
@@ -25,14 +28,19 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 import argparse  # noqa: E402
+import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from uqsd import UnitaryGroup, verify_group  # noqa: E402
+from uqsd.formats import encode_complex, read_document  # noqa: E402
+from uqsd.symmetry import decode_group  # noqa: E402
 
 KINDS = ("shift", "conjugated", "product")
 
@@ -56,20 +64,21 @@ def build_group(order: int, kind: str) -> UnitaryGroup:
     return UnitaryGroup(np.array(powers))
 
 
-def time_per_call(group: UnitaryGroup, blocks: int, block_seconds: float):
-    verify_group(group)
+def time_per_call(call, blocks: int, block_seconds: float):
+    """Median process CPU seconds per ``call()`` over the blocks, and its last result."""
+    call()
     per_call = []
     for _ in range(blocks):
         calls = 0
         start = time.process_time()
         while True:
-            report = verify_group(group)
+            result = call()
             calls += 1
             spent = time.process_time() - start
             if spent >= block_seconds:
                 break
         per_call.append(spent / calls)
-    return statistics.median(per_call), report
+    return statistics.median(per_call), result
 
 
 def main() -> int:
@@ -82,19 +91,33 @@ def main() -> int:
     if args.smoke:
         args.orders, args.blocks, args.block_seconds = [8], 1, 0.01
     failures = 0
-    print(f"{'order':>5}  {'group':<10}  {'ms/call':>9}  passed  closure   rows  ru_maxrss")
-    for order in args.orders:
-        for kind in KINDS:
-            group = build_group(order, kind)
-            seconds, report = time_per_call(group, args.blocks, args.block_seconds)
-            failures += not report.passed
-            rows = getattr(report, "rows", "-")
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            print(
-                f"{order:>5}  {kind:<10}  {1e3 * seconds:>9.2f}  {str(report.passed):<6}  "
-                f"{report.closure:.2e}  {rows:>4}  {peak_mb:>6.1f} MB"
-            )
-            del group
+    print(
+        f"{'order':>5}  {'group':<10}  {'ms/call':>9}  {'read ms':>9}  "
+        "passed  closure   rows  ru_maxrss"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for order in args.orders:
+            for kind in KINDS:
+                group = build_group(order, kind)
+                seconds, report = time_per_call(
+                    lambda: verify_group(group), args.blocks, args.block_seconds
+                )
+                path = Path(tmp) / f"{kind}{order}.json"
+                path.write_text(json.dumps({"group": [encode_complex(u) for u in group.elements]}))
+                read_seconds, _ = time_per_call(
+                    lambda: decode_group(read_document(path)["group"]),
+                    args.blocks,
+                    args.block_seconds,
+                )
+                path.unlink()
+                failures += not report.passed
+                rows = getattr(report, "rows", "-")
+                peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                print(
+                    f"{order:>5}  {kind:<10}  {1e3 * seconds:>9.2f}  {1e3 * read_seconds:>9.2f}  "
+                    f"{str(report.passed):<6}  {report.closure:.2e}  {rows:>4}  {peak_mb:>6.1f} MB"
+                )
+                del group
     return 1 if failures else 0
 
 

@@ -22,7 +22,13 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import LinearDependenceError, ValidationError
-from .formats import decode_complex, encode_complex, encode_real_vector, read_document
+from .formats import (
+    decode_complex,
+    decode_real_vector,
+    encode_complex,
+    encode_real_vector,
+    read_document,
+)
 
 UNIT_NORM_TOL = 1e-9
 RENORMALIZE_TOL = 1e-6
@@ -199,10 +205,7 @@ def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
     if doc.get("priors") is None:
         priors = np.full(m, 1.0 / m)
     else:
-        try:
-            priors = np.asarray(doc["priors"], dtype=float).ravel()
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"'priors' must be a list of numbers: {exc}") from exc
+        priors = decode_real_vector(doc["priors"], "priors")
         if priors.shape[0] != m:
             raise ValidationError(f"'priors' must list exactly m={m} probabilities")
     return StateEnsemble(states, priors)

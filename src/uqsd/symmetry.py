@@ -28,8 +28,9 @@ distances. Rows are formed in generating-set order and the check stops
 as soon as the rows formed so far bound the closure residual of the whole
 table (see ``verify_group``), so a group costs about log2(l) rows instead
 of l. Memory stays a few times the size of the group, and the unitarity
-check runs over fixed-size blocks of elements. Every group action on
-vectors is one batched product of the element stack with the vectors.
+and inverse checks run over fixed-size blocks of elements. Every group
+action on vectors is one batched product of the element stack with the
+vectors.
 """
 
 from __future__ import annotations
@@ -143,6 +144,23 @@ class _ProbeMatch:
                 return worst, match
         match = self.search(targets)
         return self._distance(targets, match), match
+
+
+def _inverse_residual(match: _ProbeMatch) -> float:
+    """Largest distance from an element's inverse U^H to its nearest element.
+
+    The targets are formed contiguously in blocks of UNITARITY_BLOCK
+    elements, in one buffer reused across blocks.
+    """
+    el, v = match.el, match.probe
+    targets = np.empty((min(UNITARITY_BLOCK, el.shape[0]),) + el.shape[1:], dtype=complex)
+    worst = 0.0
+    for start in range(0, el.shape[0], UNITARITY_BLOCK):
+        block = el[start : start + UNITARITY_BLOCK]
+        adjoints = np.conjugate(block.transpose(0, 2, 1), out=targets[: len(block)])
+        # U^H v = conj(v^H U).
+        worst = max(worst, match.residual(adjoints, (v.conj() @ block).conj())[0])
+    return worst
 
 
 def _word_depth(start: int, rows: list[list[int]], order: int) -> tuple[int, list[int]]:
@@ -344,8 +362,7 @@ def verify_group(group: UnitaryGroup) -> GroupReport:
     match = _ProbeMatch(el)
     v = match.probe
     identity, (e,) = match.residual(np.eye(d)[None], v[None])
-    # U_i^H v = conj(v^H U_i).
-    inverses, _ = match.residual(el.conj().transpose(0, 2, 1), (v.conj() @ el).conj())
+    inverses = _inverse_residual(match)
     unitarity = group.unitarity
     others_hold = (
         unitarity <= UNITARITY_TOL

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from uqsd import StateEnsemble, UnitaryGroup
+from uqsd.errors import ValidationError
 
 
 def three_state_matrix() -> np.ndarray:
@@ -15,6 +16,25 @@ def three_state_matrix() -> np.ndarray:
             np.array([0, 1, 1]) / np.sqrt(2),
         ]
     ).astype(complex)
+
+
+def reference_decode_complex(obj, ndim: int, where: str) -> np.ndarray:
+    """``[re, im]`` pairs decoded by ``np.asarray`` shape discovery: the reference decoder.
+
+    It admits booleans mixed with numbers, which ``decode_complex`` rejects.
+    """
+    expected = f"{where}: expected a {ndim}-axis array of [re, im] pairs"
+    try:
+        a = np.asarray(obj)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{expected}, got a ragged or too deeply nested list") from None
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{expected}, got entries that are not real numbers")
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
+        raise ValidationError(f"{expected}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{where}: entries must be finite")
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def f_matrix(problem, p) -> np.ndarray:

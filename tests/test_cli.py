@@ -172,6 +172,13 @@ SIGN_GROUP = [encode_complex(u) for u in sign_group_elements()]
 MIXED_SIZE_GROUP = [encode_complex(np.eye(2)), encode_complex(np.eye(3))]
 
 
+def false_imaginary_parts(obj):
+    """The same pairs with every zero imaginary part written as JSON ``false``."""
+    if isinstance(obj[0], list):
+        return [false_imaginary_parts(x) for x in obj]
+    return [obj[0], False if obj[1] == 0.0 else obj[1]]
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -195,6 +202,16 @@ MIXED_SIZE_GROUP = [encode_complex(np.eye(2)), encode_complex(np.eye(3))]
         (["gu"], {"group": [encode_complex(np.full((3, 3), np.nan))],
                   "generators": [encode_complex(sign_group_generator())]}),
         (["gu"], {"group": SIGN_GROUP, "generators": [encode_complex(np.ones(3) / np.sqrt(3))]}),
+        (["solve"], {"r": 2, "m": 2, "states": false_imaginary_parts(TWO_STATES)}),
+        (["gu"], {"group": false_imaginary_parts(SIGN_GROUP),
+                  "generators": [encode_complex(sign_group_generator())]}),
+        (["group-verify"], {"group": false_imaginary_parts(SIGN_GROUP)}),
+        (["gu"], {"group": SIGN_GROUP,
+                  "generators": false_imaginary_parts([encode_complex(sign_group_generator())])}),
+        (["solve"], {"r": 2, "m": 2, "states": [[[1.0, 0.0], [10**400, 0.0]], TWO_STATES[1]]}),
+        (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": ["0.3", "0.7"]}),
+        (["solve"], {"r": 2, "m": 1, "states": TWO_STATES[:1], "priors": [True]}),
+        (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": [10**400, 0.5]}),
     ],
     ids=[
         "non-numeric-priors",
@@ -212,6 +229,14 @@ MIXED_SIZE_GROUP = [encode_complex(np.eye(2)), encode_complex(np.eye(3))]
         "nan-states",
         "nan-group",
         "short-generators",
+        "bool-states",
+        "bool-group-gu",
+        "bool-group-verify",
+        "bool-generators",
+        "huge-int-states",
+        "numeric-string-priors",
+        "bool-priors",
+        "huge-int-priors",
     ],
 )
 def test_hostile_documents_exit_2(tmp_path, capsys, argv, doc):
