@@ -10,9 +10,12 @@ and the median over ``--blocks`` blocks is printed. ``ms/call`` times
 ``verify_group``; ``read`` times ``decode_group(read_document(path)["group"])``
 on the group's JSON document, written once to a temporary directory. Each
 row also prints the report of the last ``verify_group`` call: its verdict,
-its closure residual, the number of multiplication-table rows it formed,
-and ``ru_maxrss``, the peak resident set of the process so far in MB. Run
-from the repository root:
+its closure residual and the number of multiplication-table rows it
+formed. ``peak`` is the ``tracemalloc`` peak of one more, untimed
+``verify_group`` call, in MiB: what the check itself allocates beyond the
+group. ``ru_maxrss`` is the peak resident set of the process so far in
+MB, which the group's construction and the ``read`` column's parse
+dominate. Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_verify_group.py [ORDER ...] [--smoke]
 
@@ -34,6 +37,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -81,6 +85,16 @@ def time_per_call(call, blocks: int, block_seconds: float):
     return statistics.median(per_call), result
 
 
+def peak_mib(call) -> float:
+    """Peak memory traced during one ``call()``, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("orders", nargs="*", type=int, default=[16, 24, 32, 64])
@@ -93,7 +107,7 @@ def main() -> int:
     failures = 0
     print(
         f"{'order':>5}  {'group':<10}  {'ms/call':>9}  {'read ms':>9}  "
-        "passed  closure   rows  ru_maxrss"
+        "passed  closure   rows  peak MiB  ru_maxrss"
     )
     with tempfile.TemporaryDirectory() as tmp:
         for order in args.orders:
@@ -102,6 +116,7 @@ def main() -> int:
                 seconds, report = time_per_call(
                     lambda: verify_group(group), args.blocks, args.block_seconds
                 )
+                peak = peak_mib(lambda: verify_group(group))
                 path = Path(tmp) / f"{kind}{order}.json"
                 path.write_text(json.dumps({"group": [encode_complex(u) for u in group.elements]}))
                 read_seconds, _ = time_per_call(
@@ -115,7 +130,8 @@ def main() -> int:
                 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
                 print(
                     f"{order:>5}  {kind:<10}  {1e3 * seconds:>9.2f}  {1e3 * read_seconds:>9.2f}  "
-                    f"{str(report.passed):<6}  {report.closure:.2e}  {rows:>4}  {peak_mb:>6.1f} MB"
+                    f"{str(report.passed):<6}  {report.closure:.2e}  {rows:>4}  {peak:>8.2f}  "
+                    f"{peak_mb:>6.1f} MB"
                 )
                 del group
     return 1 if failures else 0

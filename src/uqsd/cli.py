@@ -36,7 +36,7 @@ from .ensemble import (
     reciprocal_states,
 )
 from .errors import ValidationError
-from .formats import encode_complex, encode_real_vector, read_document
+from .formats import collector_paused, encode_complex, encode_real_vector, read_document
 from .simulate import simulate
 from .solver import (
     OPERATOR_TOL,
@@ -302,6 +302,7 @@ def _cmd_pipeline(args) -> int:
     return exit_code
 
 
+@collector_paused()
 def cmd_group_verify(args) -> int:
     doc_in = read_document(args.file)
     if "group" not in doc_in:

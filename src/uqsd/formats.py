@@ -12,10 +12,11 @@ Reading is the cost of an explicit-group document, whose parse allocates
 one list per ``[re, im]`` pair (32k lists for an order-32 group in C^32).
 Two things keep it cheap:
 
-- ``read_document`` pauses the cyclic garbage collector around
-  ``json.loads``. Each burst of container allocations would otherwise set
-  off collections that rescan every list built so far, and a parsed
-  document has no reference cycles for the collector to find.
+- The loaders are decorated with ``collector_paused``, so the cyclic
+  garbage collector stays paused until their document is decoded and
+  freed. Each burst of container allocations would otherwise set off
+  collections that rescan every list built so far, and a parsed document
+  has no reference cycles for the collector to find.
 - The decoder walks the nesting one level at a time instead of letting
   ``np.asarray`` discover the shape entry by entry. Each level must be all
   lists of one length, which gives the next axis, and is then flattened
@@ -29,6 +30,7 @@ from __future__ import annotations
 import gc
 import json
 import operator
+from contextlib import contextmanager
 from functools import reduce
 from pathlib import Path
 from typing import Any, Mapping
@@ -121,11 +123,22 @@ def decode_real_vector(obj: Any, where: str) -> np.ndarray:
     return _decode_real(obj, 1, f"{where}: expected a list of real numbers", where)
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, then restore the state it was found in."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def read_document(source: str | Path | Mapping[str, Any]) -> dict[str, Any]:
     """Read a structured document from a mapping or a JSON file path.
 
-    The cyclic garbage collector is paused during the parse and left as it
-    was found.
+    The cyclic garbage collector is paused during the parse.
     """
     if isinstance(source, Mapping):
         return dict(source)
@@ -134,15 +147,11 @@ def read_document(source: str | Path | Mapping[str, Any]) -> dict[str, Any]:
         text = path.read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
+    with collector_paused():
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top-level document must be an object")
     return doc

@@ -4,33 +4,32 @@ A geometrically uniform (GU) set is the orbit of one generating vector
 under a finite group of unitaries; a compound GU (CGU) set is the union
 of orbits of several generators. The frame operator of such a set
 commutes with every group element, so the reciprocal states form an
-orbit of the transformed generator(s), one pseudo-inverse application per
-generator. The full dual basis is still computed once, from the SVD of the
-expanded set, and the orbit of the reciprocal generators is checked
-against it. The verdict on the equal-probability measurement (EPM) is the
-exact test's, ``epm_test_lp``. The paper's GU result (the EPM is optimal
-under uniform priors) and its CGU result (optimal when the generators are
-themselves GU under a group commuting with the outer group up to phases)
-are cases of that test; the phase commutation is reported as evidence.
+orbit of the reciprocal generator(s). Each is read off the dual basis,
+computed once from the SVD of the expanded set, as the reciprocal of its
+generator's identity image. The verdict on the equal-probability
+measurement (EPM) is the exact test's, ``epm_test_lp``. The paper's GU
+result (the EPM is optimal under uniform priors) and its CGU result
+(optimal when the generators are themselves GU under a group commuting
+with the outer group up to phases) are cases of that test; the phase
+commutation is reported as evidence.
 
 Groups are supplied explicitly as matrices. Identity, closure and
 inverses are checked numerically against the nearest group element, one
 row of the multiplication table at a time: row i holds the right products
-U_j U_i, one matrix product of the stacked elements into a preallocated
-buffer, and each product is matched to an element by the image of a fixed
-probe vector (a Freivalds-style fingerprint: an l x l overlap over d
+U_j U_i, and each product is matched to an element by the image of a
+fixed probe vector (a Freivalds-style fingerprint: an l x l overlap over d
 entries per row instead of over d^2). The residual is then measured
-against the matched element in full. A row whose matched residual exceeds
-the tolerance, or that matches an element whose probe image nearly
-coincides with another's, is matched again by full overlap and measured
-the same way, so probe collisions and non-groups report the same nearest
-distances. Rows are formed in generating-set order and the check stops
-as soon as the rows formed so far bound the closure residual of the whole
-table (see ``verify_group``), so a group costs about log2(l) rows instead
-of l. Memory stays a few times the size of the group, and the unitarity
-and inverse checks run over fixed-size blocks of elements. Every group
-action on vectors is one batched product of the element stack with the
-vectors.
+against the matched element in full. A block of products whose matched
+residual exceeds the tolerance, or that matches an element whose probe
+image nearly coincides with another's, is matched again by full overlap
+and measured the same way, so probe collisions and non-groups report the
+same nearest distances. Rows are formed in generating-set order and the
+check stops as soon as the rows formed so far bound the closure residual
+of the whole table (see ``verify_group``), so a group costs about
+log2(l) rows instead of l. The unitarity, inverse and row passes all run
+over the same consecutive blocks of elements, so memory stays the group
+plus a few blocks. Every group action on vectors is one batched product
+of the element stack with the vectors.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .epm import (
     epm_test_lp,
 )
 from .errors import LinearDependenceError, ValidationError
-from .formats import decode_complex, read_document
+from .formats import collector_paused, decode_complex, read_document
 from .solver import DualCertificate
 
 UNITARITY_TOL = 1e-10
@@ -61,8 +60,14 @@ ORBIT_TOL = 1e-8
 # trusted. Far above both (2e-8)^2 and the rounding of the Gram form it is
 # read from.
 PROBE_SEPARATION2 = 1e-10
-# Elements per block of the unitarity check, which holds two blocks at once.
+# Elements per block of every group-sized pass, which holds a few blocks at once.
 UNITARITY_BLOCK = 32
+
+
+def _blocks(el: np.ndarray):
+    """Consecutive blocks of UNITARITY_BLOCK elements, as views."""
+    for start in range(0, el.shape[0], UNITARITY_BLOCK):
+        yield el[start : start + UNITARITY_BLOCK]
 
 
 def _max_norm(stack: np.ndarray) -> float:
@@ -74,8 +79,7 @@ def _max_norm(stack: np.ndarray) -> float:
 def _unitarity_residual(el: np.ndarray) -> float:
     """Largest Frobenius norm of U^H U - I over a stack of matrices."""
     worst = 0.0
-    for start in range(0, el.shape[0], UNITARITY_BLOCK):
-        block = el[start : start + UNITARITY_BLOCK]
+    for block in _blocks(el):
         gram = block.conj().transpose(0, 2, 1) @ block
         gram.reshape(block.shape[0], -1)[:, :: el.shape[1] + 1] -= 1.0
         worst = max(worst, _max_norm(gram))
@@ -114,20 +118,18 @@ class _ProbeMatch:
         dist2 = norms[:, None] + norms[None, :] - 2.0 * gram
         np.fill_diagonal(dist2, np.inf)
         self.crowded = np.min(dist2, axis=1) < PROBE_SEPARATION2
-        self._diff = np.empty_like(el)
 
     def _distance(self, targets: np.ndarray, match: np.ndarray) -> float:
         """Largest distance from the targets to their matched elements."""
         # Elementwise, since 2d - 2 Re<A,B> cancels catastrophically near zero.
-        # The indices are in range; mode "raise" would buffer the whole gather.
-        diff = np.take(self.el, match, axis=0, out=self._diff[: len(match)], mode="clip")
+        diff = self.el[match]
         diff -= targets
         return _max_norm(diff)
 
     def search(self, targets: np.ndarray) -> np.ndarray:
         """Index of each target's nearest element: for unitaries, the largest overlap."""
         flat = self.el.reshape(self.el.shape[0], -1)
-        return np.argmax((targets.reshape(len(targets), -1) @ flat.conj().T).real, axis=1)
+        return np.argmax((targets.reshape(len(targets), -1).conj() @ flat.T).real, axis=1)
 
     def residual(self, targets: np.ndarray, images: np.ndarray) -> tuple[float, np.ndarray]:
         """Largest distance from the targets to their nearest elements.
@@ -147,19 +149,13 @@ class _ProbeMatch:
 
 
 def _inverse_residual(match: _ProbeMatch) -> float:
-    """Largest distance from an element's inverse U^H to its nearest element.
-
-    The targets are formed contiguously in blocks of UNITARITY_BLOCK
-    elements, in one buffer reused across blocks.
-    """
-    el, v = match.el, match.probe
-    targets = np.empty((min(UNITARITY_BLOCK, el.shape[0]),) + el.shape[1:], dtype=complex)
+    """Largest distance from an element's inverse U^H to its nearest element."""
     worst = 0.0
-    for start in range(0, el.shape[0], UNITARITY_BLOCK):
-        block = el[start : start + UNITARITY_BLOCK]
-        adjoints = np.conjugate(block.transpose(0, 2, 1), out=targets[: len(block)])
+    for block in _blocks(match.el):
+        adjoints = np.conjugate(block.transpose(0, 2, 1), order="C")
         # U^H v = conj(v^H U).
-        worst = max(worst, match.residual(adjoints, (v.conj() @ block).conj())[0])
+        images = (match.probe.conj() @ block).conj()
+        worst = max(worst, match.residual(adjoints, images)[0])
     return worst
 
 
@@ -335,10 +331,10 @@ class SymmetricSolution:
 def verify_group(group: UnitaryGroup) -> GroupReport:
     """Residuals of the group axioms under nearest-element matching.
 
-    Products are formed one row of right products ``G U_i`` at a time, so
-    memory stays a small multiple of the group itself. Targets are matched
-    by probe image and searched over all entries only on a miss (see
-    ``_ProbeMatch``).
+    Products are formed one row of right products ``G U_i`` at a time, and
+    each row one block of elements at a time, so memory stays the group
+    plus a few blocks. Each block of products is matched by probe image
+    and searched over all entries only on a miss (see ``_ProbeMatch``).
 
     Rows are formed in generating-set order: the next row is the first
     element not reachable from the matched identity e along the edges
@@ -369,8 +365,6 @@ def verify_group(group: UnitaryGroup) -> GroupReport:
         and identity <= GROUP_MATCH_TOL
         and inverses <= GROUP_MATCH_TOL
     )
-    stacked = el.reshape(l * d, d)
-    products = np.empty_like(el)
     rows: list[list[int]] = []
     formed = [False] * l
     rho = 0.0
@@ -390,11 +384,15 @@ def verify_group(group: UnitaryGroup) -> GroupReport:
         if pick is None:
             pick = formed.index(False)
         u = el[pick]
-        # Block j of the row is U_j U_i, with probe image U_j (U_i v).
-        np.matmul(stacked, u, out=products.reshape(l * d, d))
-        row, matched = match.residual(products, (stacked @ (u @ v)).reshape(l, d))
-        rho = max(rho, row)
-        rows.append(matched.tolist())
+        rows.append([])
+        for block in _blocks(el):
+            # Entry j of the block is U_j U_i, with probe image U_j (U_i v).
+            stacked = block.reshape(-1, d)
+            worst, matched = match.residual(
+                (stacked @ u).reshape(block.shape), (stacked @ (u @ v)).reshape(-1, d)
+            )
+            rho = max(rho, worst)
+            rows[-1] += matched.tolist()
         formed[pick] = True
     else:
         closure = rho
@@ -435,19 +433,6 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
         ) from None
 
 
-def _reciprocal_generators(spec: SymmetrySpec, recips: ReciprocalSet) -> np.ndarray:
-    # Pseudo-inverse of the frame operator u diag(sigma^2) u*, applied as products.
-    u = recips.u
-    gens = (u / recips.sigma**2) @ (u.conj().T @ spec.generators)
-    residual = float(np.max(np.abs(_orbit(spec.group.elements, gens) - recips.reciprocals)))
-    if residual > ORBIT_TOL:
-        raise ValidationError(
-            f"reciprocal orbit deviates from the dual basis by {residual:.3e}; "
-            "the ensemble does not match the symmetry spec"
-        )
-    return gens
-
-
 def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
     """Fit phases theta(i, k) with U_i V_k = V_k U_i e^{i theta} and report residuals."""
     if g.dim != q.dim:
@@ -478,7 +463,9 @@ def _epm_solution(spec: SymmetrySpec, phase: PhaseCommutation | None) -> Symmetr
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
-    gens = _reciprocal_generators(spec, recips)
+    # Generator k's reciprocal is that of its image under the identity e (the
+    # element of largest Re Tr U), column k l + e of the generator-major set.
+    e = int(np.argmax(np.trace(spec.group.elements, axis1=1, axis2=2).real))
     analysis = epm_analysis(recips)
     optimality = epm_test_lp(ensemble, analysis)
     certificate = None
@@ -487,7 +474,7 @@ def _epm_solution(spec: SymmetrySpec, phase: PhaseCommutation | None) -> Symmetr
     return SymmetricSolution(
         ensemble=ensemble,
         recips=recips,
-        reciprocal_generators=gens,
+        reciprocal_generators=recips.reciprocals[:, e :: spec.group.order],
         measurement=compute_epm(ensemble, recips),
         p=analysis.p,
         certificate=certificate,
@@ -522,6 +509,7 @@ def decode_group(obj, where: str = "group") -> UnitaryGroup:
     return UnitaryGroup(decode_complex(obj, 3, where))
 
 
+@collector_paused()
 def load_symmetry_spec(source) -> SymmetrySpec:
     """Load a symmetry spec document: group matrices plus generator vectors."""
     doc = read_document(source)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from uqsd import (
     LinearDependenceError,
+    SolveStatus,
     StateEnsemble,
     ValidationError,
     detection_probability,
@@ -13,12 +14,21 @@ from uqsd import (
     inconclusive_probability,
     load_ensemble,
     measurement_from_probs,
+    build_sdp,
     reciprocal_states,
+    solve,
+    verify_certificate,
 )
-from uqsd.ensemble import PSD_EIG_FLOOR, PROB_TOL
+from uqsd.ensemble import BIORTHOGONALITY_TOL, PSD_EIG_FLOOR, PROB_TOL
 from uqsd.formats import encode_complex
 
-from helpers import dense_operators, outer_products, random_ensemble, three_state_matrix
+from helpers import (
+    dense_operators,
+    haar_unitary,
+    outer_products,
+    random_ensemble,
+    three_state_matrix,
+)
 
 # Worked three-state example, values as printed to 3 significant figures.
 RECIPROCALS_PRINTED = np.array(
@@ -135,6 +145,21 @@ class TestReciprocalStates:
         rebuilt = (rs.u[:, :m] * rs.sigma) @ rs.vh
         scale = rs.sigma[0]
         assert np.max(np.abs(rebuilt - three_states_uniform.states)) <= 1e-10 * scale
+
+    def test_ill_conditioned_set_the_constructor_accepts(self, rng):
+        # Singular value ratio ~1.6e-9, above the constructor's 1e-10 floor;
+        # the biorthogonality rounding grows like eps sigma_max / sigma_min.
+        spectrum = np.diag(np.geomspace(1.0, 1e-9, 6))
+        states = haar_unitary(rng, 6) @ spectrum @ haar_unitary(rng, 6)
+        e = StateEnsemble(states / np.linalg.norm(states, axis=0), np.full(6, 1 / 6))
+        rs = reciprocal_states(e)
+        sv = rs.sigma[-1] / rs.sigma[0]
+        assert 1e-10 < sv < 1e-8
+        gram = rs.reciprocals.conj().T @ e.states
+        assert np.max(np.abs(gram - np.eye(6))) <= BIORTHOGONALITY_TOL / sv
+        report = solve(build_sdp(e, rs))
+        assert report.status is SolveStatus.OPTIMAL
+        assert verify_certificate(e, rs, report.p, report.certificate).passed
 
     def test_thin_factors(self, rng):
         e = random_ensemble(rng, 7, 3)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import uqsd.formats
 from uqsd.errors import ValidationError
-from uqsd.formats import decode_complex, decode_real_vector, read_document
+from uqsd.formats import decode_complex, decode_real_vector, encode_complex, read_document
+from uqsd.symmetry import load_symmetry_spec
 
 from helpers import reference_decode_complex
 
@@ -210,3 +211,35 @@ def test_read_document_leaves_the_collector_as_found(tmp_path, monkeypatch, coll
         with pytest.raises(ValidationError, match="not valid JSON"):
             read_document(path)
         assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_spec_loader_runs_no_collection(tmp_path, collector, enabled):
+    # An order-32 group in C^32: 32k pair lists stay alive through the decode.
+    n = 32
+    shift = np.roll(np.eye(n), 1, axis=0)
+    group = [encode_complex(np.linalg.matrix_power(shift, k)) for k in range(n)]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"group": group, "generators": [encode_complex(np.eye(n)[0])]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"group": group, "generators": [[["1", 0.0]] * n]}))
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    (gc.enable if enabled else gc.disable)()
+    # Empties the young generation, so only the loader's allocations count.
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        spec = load_symmetry_spec(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
+    assert spec.group.order == n
+    assert gc.isenabled() is enabled
+    with pytest.raises(ValidationError, match="not real numbers"):
+        load_symmetry_spec(bad)
+    assert gc.isenabled() is enabled

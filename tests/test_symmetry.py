@@ -149,6 +149,17 @@ def probe_collision_set(rng, kind):
     return random_gu_group(rng, "conjugated", n, n).elements
 
 
+def at_block_sizes(*kinds):
+    """Each kind with the default block size, then with blocks of 3 elements.
+
+    Blocks of 3 split every group-sized pass of ``verify_group``, misses
+    included, across block boundaries.
+    """
+    return [pytest.param(kind, None, id=kind) for kind in kinds] + [
+        pytest.param(kind, 3, id=f"{kind}-block3") for kind in kinds
+    ]
+
+
 def pauli_pair_groups():
     x2 = np.array([[0, 1], [1, 0]], dtype=complex)
     z2 = np.diag([1.0, -1.0]).astype(complex)
@@ -217,8 +228,10 @@ class TestVerifyGroup:
         assert not report.passed
         assert report.closure > 1e-8
 
-    @pytest.mark.parametrize("kind", ["closed", "truncated", "perturbed"])
-    def test_matches_per_pair_reference(self, rng, kind):
+    @pytest.mark.parametrize(("kind", "block"), at_block_sizes("closed", "truncated", "perturbed"))
+    def test_matches_per_pair_reference(self, rng, monkeypatch, kind, block):
+        if block:
+            monkeypatch.setattr(uqsd.symmetry, "UNITARITY_BLOCK", block)
         for trial in range(9):
             size = int(rng.integers(3, 7)) if trial < 8 else 16
             el = random_gu_group(rng, "conjugated", size, size + int(rng.integers(0, 3))).elements
@@ -230,8 +243,12 @@ class TestVerifyGroup:
                 el[k] = el[k] @ small_rotation(rng, el.shape[1], 10 ** rng.uniform(-12, -6))
             assert_matches_brute_force(el)
 
-    @pytest.mark.parametrize("kind", ["dihedral", "reflection", "near_duplicate", "cyclic"])
-    def test_probe_collisions_fall_back_to_full_search(self, rng, monkeypatch, kind):
+    @pytest.mark.parametrize(
+        ("kind", "block"), at_block_sizes("dihedral", "reflection", "near_duplicate", "cyclic")
+    )
+    def test_probe_collisions_fall_back_to_full_search(self, rng, monkeypatch, kind, block):
+        if block:
+            monkeypatch.setattr(uqsd.symmetry, "UNITARITY_BLOCK", block)
         searches = []
         search = uqsd.symmetry._ProbeMatch.search
         monkeypatch.setattr(
@@ -279,7 +296,8 @@ class TestVerifyGroup:
         assert report.closure > GROUP_MATCH_TOL
 
     def test_memory_stays_a_small_multiple_of_the_group(self):
-        group = cyclic_group(cyclic_shift(48), 48)
+        # 96 elements span three blocks; the passes hold a few blocks at once.
+        group = cyclic_group(cyclic_shift(96), 96)
         tracemalloc.start()
         try:
             report = verify_group(group)
@@ -287,7 +305,7 @@ class TestVerifyGroup:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak <= 8 * group.elements.nbytes
+        assert peak <= group.elements.nbytes
 
 
 class TestExpand:
@@ -416,6 +434,21 @@ class TestSolveGu:
         report = solve(build_sdp(sol.ensemble, rs))
         pd_closed_form = detection_probability(sol.ensemble, sol.measurement)
         assert abs(pd_closed_form + report.primal_value) <= 1e-6
+
+    def test_ill_conditioned_cyclic_set_meets_chefles_barnett(self, rng):
+        # One DFT magnitude of 1e-5: P_D ~ 1e-10 and reciprocals of norm ~1e5.
+        n = 8
+        spectrum = rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.random(n))
+        spectrum[3] = 1e-5
+        gen = np.fft.ifft(spectrum)
+        gen /= np.linalg.norm(gen)
+        sol = solve_gu(SymmetrySpec(group=cyclic_group(cyclic_shift(n), n), generators=gen))
+        assert sol.verdict is EpmVerdict.OPTIMAL
+        ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
+        assert ver.passed
+        # Chefles-Barnett: P_D = l min_k |c_k|^2, c the unitary DFT of the generator.
+        expected = np.min(np.abs(np.fft.fft(gen)) ** 2)
+        assert abs(sol.p - expected) <= 1e-9 * expected
 
     def test_rejects_multi_generator_spec(self, rng):
         outer, _ = pauli_pair_groups()
