@@ -208,7 +208,6 @@ def _epm_pipeline(args):
         "input": _input_summary(ensemble),
         "pipeline": "epm",
         "tolerances": {
-            "exact_test_tol": epm_mod.EXACT_TEST_TOL,
             "spectral_rtol": epm_mod.SPECTRAL_RTOL,
             "operator_tol": OPERATOR_TOL,
             "scalar_tol": SCALAR_TOL,

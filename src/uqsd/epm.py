@@ -10,8 +10,8 @@ of the singular values, computed once by ``epm_analysis``):
   so an optimal dual is sigma_m^2 U_s A U_s* with A >= 0 on the s singular
   vectors of the smallest singular value, and the EPM is optimal iff some
   A has ``v_i* A v_i = priors_i`` for the columns v_i of their s rows of
-  V*: at s = 1, iff the squared last row of V* is the priors; above, as
-  decided by a discrimination SDP of size s;
+  V*, as decided by a discrimination SDP of size s, in closed form at
+  s = 1;
 * ``epm_test_spectral`` is a sufficient test: it checks whether the
   moments ``<state_i| G^(t/2-1) |state_i>`` of the frame operator G are
   proportional to the priors for every distinct-singular-value index t.
@@ -38,10 +38,9 @@ from .ensemble import (
     measurement_from_probs,
 )
 from .errors import ValidationError
-from .solver import _TOLERANCES, DualCertificate, SdpProblem, _bracket, _check_matches, solve
+from .solver import SCALAR_TOL, DualCertificate, SdpProblem, _check_matches, solve
 
 MULTIPLICITY_RTOL = 1e-6
-EXACT_TEST_TOL = 1e-8
 SPECTRAL_RTOL = 1e-8
 
 
@@ -135,47 +134,37 @@ def _witness(analysis: EpmAnalysis, a: np.ndarray) -> np.ndarray:
 def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimalityResult:
     """Exact test: is the EPM an optimal measurement for these priors?
 
-    At multiplicity one, in closed form: optimal iff the squared last row of
-    V* (``analysis.last_rows[0]``) matches the priors within
-    ``EXACT_TEST_TOL``. Above, ``solve`` runs the s x s reduced problem with
-    reciprocals v_i / sigma_m, whose optimum is sigma_m^2 iff the EPM is
-    optimal and larger otherwise. Within the solver's gap tolerance, the
-    verdict is NotOptimal when a certified lower bound on that optimum
-    exceeds sigma_m^2, Optimal when the upper bound of the solver's bracket
-    reaches it, inconclusive if neither. The residual is the relative gap
-    1 - sigma_m^2 / bound to the deciding bound; the witness ``A`` is the
-    reduced dual X / sigma_m^2, of unit trace.
+    The s x s reduced problem, with reciprocals v_i / sigma_m, has optimum
+    sigma_m^2 iff the EPM is optimal, and a larger one otherwise. All weight
+    on state i, p_i = sigma_m^2 / |v_i|^2, is reduced-feasible, so the
+    closed form sigma_m^2 max_i eta_i / |v_i|^2 bounds that optimum from
+    below; at s = 1 the reduced problem has one constraint and the bound is
+    its optimum. Above, ``solve`` brackets the optimum. Within the solver's
+    gap tolerance, the verdict is NotOptimal when a lower bound exceeds
+    sigma_m^2, Optimal when an upper bound reaches it, inconclusive if
+    neither. The residual is the relative gap 1 - sigma_m^2 / bound to the
+    deciding bound; the witness ``A`` is [[1]] at s = 1 and the reduced dual
+    X / sigma_m^2 above, of unit trace.
     """
     _check_matches(ensemble, analysis.recips)
     eta = ensemble.priors
-    if analysis.s == 1:
-        residual = float(np.max(np.abs(analysis.last_rows[0] - eta)))
-        optimal = residual <= EXACT_TEST_TOL
-        verdict = EpmVerdict.OPTIMAL if optimal else EpmVerdict.NOT_OPTIMAL
-        a = np.ones((1, 1)) if optimal else None
-        return EpmOptimalityResult(verdict=verdict, A=a, residual=residual)
-
-    # All weight on state i, p_i = sigma_m^2 / |v_i|^2, is reduced-feasible:
-    # a lower bound on the reduced optimum that needs no solve and, when it
-    # does not decide, keeps every v_i away from zero.
+    p = analysis.p
+    threshold = p * (1.0 + SCALAR_TOL)
+    # The closed-form bound needs no solve. At s = 1 it is the reduced optimum,
+    # so both ends of the bracket; above, it is a lower bound that either
+    # decides NotOptimal or keeps every v_i away from zero in the solve.
     with np.errstate(divide="ignore"):
-        lower = analysis.p * float(np.max(eta / analysis.last_rows.sum(axis=0)))
-    threshold = analysis.p * (1.0 + _TOLERANCES["gap"])
-    if lower <= threshold:
+        lower = upper = p * float(np.max(eta / analysis.last_rows.sum(axis=0)))
+    a = np.ones((1, 1))
+    if analysis.s > 1 and lower <= threshold:
         rows = analysis.recips.vh[_last(analysis)]
-        reduced = SdpProblem(cost=-eta, reciprocals=rows / analysis.recips.sigma[-1])
-        report = solve(reduced)
-        x_red = report.certificate.X
-        lower, upper, _, _ = _bracket(reduced.reciprocals, eta, report.p, x_red)
-        if upper <= threshold:
-            return EpmOptimalityResult(
-                verdict=EpmVerdict.OPTIMAL, A=x_red / analysis.p, residual=1.0 - analysis.p / upper
-            )
+        report = solve(SdpProblem(cost=-eta, reciprocals=rows / analysis.recips.sigma[-1]))
+        lower, upper, a = report.lower, report.upper, report.certificate.X / p
+    if upper <= threshold:
+        return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, A=a, residual=1.0 - p / upper)
     if lower > threshold:
-        return EpmOptimalityResult(
-            verdict=EpmVerdict.NOT_OPTIMAL, residual=1.0 - analysis.p / lower
-        )
-    return EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=1.0 - analysis.p / upper)
+        return EpmOptimalityResult(verdict=EpmVerdict.NOT_OPTIMAL, residual=1.0 - p / lower)
+    return EpmOptimalityResult(verdict=EpmVerdict.INCONCLUSIVE, residual=1.0 - p / upper)
 
 
 def priors_for_epm(analysis: EpmAnalysis, a: np.ndarray) -> np.ndarray:

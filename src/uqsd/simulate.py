@@ -20,6 +20,8 @@ from .ensemble import Measurement, StateEnsemble
 from .errors import ValidationError
 
 UNAMBIGUITY_TOL = 1e-8
+# A trial holds about 32 bytes at peak, so the cap bounds a run near 3.2 GB.
+MAX_TRIALS = 10**8
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ def simulate(
     n_trials: int,
     seed: int,
 ) -> SimulationResult:
-    """Simulate ``n_trials`` preparations and measurements."""
-    if n_trials < 1:
-        raise ValidationError("n_trials must be at least 1")
+    """Simulate ``n_trials`` preparations and measurements, at most ``MAX_TRIALS``."""
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValidationError(f"n_trials must be at least 1 and at most {MAX_TRIALS}")
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     table = outcome_probabilities(ensemble, measurement)

@@ -26,13 +26,14 @@ taken is mapped back to X. numpy is all the solver needs.
 
 Optimality is decided by one predicate, the residual check of
 ``verify_certificate``. Its gap test is scale free: any pair (p, X) gives
-certified bounds lower <= P_D* <= upper (``_bracket``), and the gap is the
-relative width 1 - lower/upper. A strictly feasible iterate brackets the
-optimum by its own objectives, so its width is gap / Tr X. ``solve`` tries
-the iterate once that width is within the gap tolerance, and a Gauss-Newton
-polish of the full optimality system on the active face once it is within
-the square root of that tolerance; the first candidate that passes the
-check ends the solve as Optimal. The iteration cap is the only setting.
+certified bounds lower <= P_D* <= upper (``_bracket``; ``SolveReport``
+carries those of its answer), and the gap is the relative width
+1 - lower/upper. A strictly feasible iterate brackets the optimum by its
+own objectives, so its width is gap / Tr X. ``solve`` tries the iterate
+once that width is within the gap tolerance, and a Gauss-Newton polish of
+the full optimality system on the active face once it is within the
+square root of that tolerance; the first candidate that passes the check
+ends the solve as Optimal. The iteration cap is the only setting.
 """
 
 from __future__ import annotations
@@ -134,8 +135,10 @@ class SolveReport:
     iterations: int
     status: SolveStatus
     # The residuals of verify_certificate for the returned pair; "gap" is the
-    # relative width of its P_D bracket.
+    # relative width 1 - lower/upper of its certified P_D bracket.
     residuals: dict[str, float]
+    lower: float
+    upper: float
     trace: tuple[IterateTrace, ...] = field(default_factory=tuple)
     # The candidate that passed the checks, "iterate" or "polish" (None unless
     # Optimal), and the number of Gauss-Newton polishes run, not counting
@@ -369,14 +372,14 @@ def _bracket(
 
 def _residuals(
     c: np.ndarray, eta: np.ndarray, p: np.ndarray, cert: DualCertificate
-) -> tuple[dict[str, float], np.ndarray]:
+) -> tuple[dict[str, float], np.ndarray, tuple[float, float]]:
     """Residuals of every optimality condition for the pair (p, cert).
 
     Primal feasibility (p >= 0 and the conclusive operators below the
     identity), dual feasibility (X psd, z >= 0, the trace equalities), the
     two complementary slackness products, and the relative width of the
     P_D bracket; returned with the trace products Tr(Q_i X) they are
-    computed from.
+    computed from and the bracket (lower, upper).
     """
     lower, upper, top, bottom = _bracket(c, eta, p, cert.X)
     traces = _apply_adjoint(c, cert.X)
@@ -390,7 +393,7 @@ def _residuals(
         "slack_scalar": float(np.max(np.abs(cert.z * p))),
         "gap": 1.0 - lower / upper,
     }
-    return residuals, traces
+    return residuals, traces, (lower, upper)
 
 
 def _checks(residuals: dict[str, float]) -> dict[str, bool]:
@@ -402,11 +405,11 @@ def _certified(
     eta: np.ndarray,
     candidate: tuple[np.ndarray, DualCertificate] | None,
 ):
-    """(candidate, residuals) when the pair (p, cert) passes every check, else None."""
+    """(candidate, its ``_residuals``) when the pair (p, cert) passes every check, else None."""
     if candidate is None:
         return None
-    residuals, _ = _residuals(c, eta, *candidate)
-    return (candidate, residuals) if all(_checks(residuals).values()) else None
+    scored = _residuals(c, eta, *candidate)
+    return (candidate, scored) if all(_checks(scored[0]).values()) else None
 
 
 def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
@@ -469,7 +472,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
                 found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, face))
                 stage = "polish"
             if found is not None:
-                (p, certificate), residuals = found
+                (p, certificate), (residuals, _, (lower, upper)) = found
                 status = SolveStatus.OPTIMAL
                 certified_by = stage
                 break
@@ -529,7 +532,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
 
     if status is not SolveStatus.OPTIMAL:
         certificate = DualCertificate(X=x_mat, z=z)
-        residuals, _ = _residuals(c, eta, p, certificate)
+        residuals, _, (lower, upper) = _residuals(c, eta, p, certificate)
 
     primal = float(problem.cost @ p)
     dual = float(-np.trace(certificate.X).real)
@@ -543,6 +546,8 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         iterations=iterations,
         status=status,
         residuals=residuals,
+        lower=lower,
+        upper=upper,
         trace=tuple(trace),
         certified_by=certified_by,
         polish_attempts=polish_attempts,
@@ -572,7 +577,7 @@ def verify_certificate(
     if certificate.z.shape[0] != ensemble.m:
         raise ValidationError("dual slack vector has the wrong length")
 
-    residuals, traces = _residuals(c, ensemble.priors, p, certificate)
+    residuals, traces, _ = _residuals(c, ensemble.priors, p, certificate)
     checks = _checks(residuals)
     detail = {
         "trace_products": traces,

@@ -26,10 +26,11 @@ and measured the same way, so probe collisions and non-groups report the
 same nearest distances. Rows are formed in generating-set order and the
 check stops as soon as the rows formed so far bound the closure residual
 of the whole table (see ``verify_group``), so a group costs about
-log2(l) rows instead of l. The unitarity, inverse and row passes all run
-over the same consecutive blocks of elements, so memory stays the group
-plus a few blocks. Every group action on vectors is one batched product
-of the element stack with the vectors.
+log2(l) rows instead of l. The unitarity, inverse and row passes, and the
+phase fit against a generator group, all run over the same consecutive
+blocks of elements, so memory stays the groups plus a few blocks. Every
+group action on vectors is one batched product of the element stack with
+the vectors.
 """
 
 from __future__ import annotations
@@ -434,20 +435,25 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
 
 
 def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
-    """Fit phases theta(i, k) with U_i V_k = V_k U_i e^{i theta} and report residuals."""
+    """Fit phases theta(i, k) with U_i V_k = V_k U_i e^{i theta} and report residuals.
+
+    Each U_i meets the generator group one block of elements at a time, so
+    memory stays the two groups plus a few blocks.
+    """
     if g.dim != q.dim:
         raise ValidationError("groups act on different dimensions")
     theta = np.zeros((g.order, q.order))
     residual = 0.0
     for i, u in enumerate(g.elements):
-        lhs = u @ q.elements
-        rhs = q.elements @ u
-        # Tr(rhs^H lhs) from the matrix product: the sign of a zero imaginary
-        # part, and with it theta = +pi or -pi, depends on the summation.
-        overlap = np.trace(rhs.conj().transpose(0, 2, 1) @ lhs, axis1=1, axis2=2) / g.dim
-        theta[i] = np.where(np.abs(overlap) > 0, np.angle(overlap), 0.0)
-        phased = np.exp(1j * theta[i])[:, None, None] * rhs
-        residual = max(residual, float(np.max(np.linalg.norm(lhs - phased, axis=(1, 2)))))
+        for block, phases in zip(_blocks(q.elements), _blocks(theta[i])):
+            lhs = u @ block
+            rhs = block @ u
+            # Tr(rhs^H lhs) from the matrix product: the sign of a zero imaginary
+            # part, and with it theta = +pi or -pi, depends on the summation.
+            overlap = np.trace(rhs.conj().transpose(0, 2, 1) @ lhs, axis1=1, axis2=2) / g.dim
+            phases[:] = np.where(np.abs(overlap) > 0, np.angle(overlap), 0.0)
+            phased = np.exp(1j * phases)[:, None, None] * rhs
+            residual = max(residual, float(np.max(np.linalg.norm(lhs - phased, axis=(1, 2)))))
     commutes = residual <= PHASE_TOL
     phase_free = commutes and bool(np.max(np.abs(np.exp(1j * theta) - 1.0)) <= PHASE_TOL)
     return PhaseCommutation(

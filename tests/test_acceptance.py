@@ -159,11 +159,12 @@ def test_criterion_6_epm_roundtrip():
             assert verify_certificate(e, rs, meas.probs, cert).passed
             lp = epm_test_lp(e, analysis)
             assert lp.verdict is EpmVerdict.OPTIMAL
-            # At s = 1 the exact test compares the analysis's squared last
-            # row of V* with the priors.
+            # At s = 1 the residual is 1 - 1 / max_i (eta_i / |v_i|^2), the
+            # relative gap to the closed-form reduced optimum.
             assert analysis.s == s
             if s == 1:
-                assert lp.residual == np.max(np.abs(analysis.last_rows[0] - priors))
+                ratio = np.max(priors / analysis.last_rows[0])
+                assert lp.residual == pytest.approx(1.0 - 1.0 / ratio, abs=1e-14)
     assert clock.elapsed < 30.0
     print(f"\nACCEPTANCE 6: PASS  25 EPM prior round-trips ({clock.elapsed:.1f}s)")
 

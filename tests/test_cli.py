@@ -190,6 +190,7 @@ def false_imaginary_parts(obj):
             encode_complex(sign_group_generator()), encode_complex(np.ones(3) / np.sqrt(3))
         ]}),
         (["simulate", "--seed", "-1"], {"r": 2, "m": 2, "states": TWO_STATES}),
+        (["simulate", "--trials", str(10**15)], {"r": 2, "m": 2, "states": TWO_STATES}),
         (["gu"], {"group": MIXED_SIZE_GROUP, "generators": [[[1.0, 0.0], [0.0, 0.0]]]}),
         (["group-verify"], {"group": MIXED_SIZE_GROUP}),
         (["gu"], {"group": SIGN_GROUP, "generators": [encode_complex(sign_group_generator())],
@@ -220,6 +221,7 @@ def false_imaginary_parts(obj):
         "empty-generators",
         "ragged-generators",
         "negative-seed",
+        "huge-trials",
         "mixed-size-group-gu",
         "mixed-size-group-verify",
         "scalar-generator-group",
@@ -439,6 +441,19 @@ class TestEpmCommand:
         assert doc["epm"]["tests"]["lp"]["verdict"] == "NotOptimal"
         assert "verification" not in doc
 
+    def test_tiny_prior_is_not_optimal(self, capsys):
+        # One prior is five times its squared-row weight of ~4e-12: a
+        # difference of only ~1.6e-11, yet the EPM is 5x off there, and the
+        # relative closed-form bound says so at any scale.
+        code, doc = run_json(capsys, ["epm", str(DATA / "tiny_prior_epm.json"), "--json"])
+        assert code == 0
+        epm = doc["epm"]
+        assert epm["s"] == 1 and min(epm["last_row"]) < 1e-11
+        assert epm["tests"]["lp"]["verdict"] == "NotOptimal"
+        assert epm["tests"]["lp"]["residual"] == pytest.approx(0.8, abs=1e-9)
+        assert "verification" not in doc
+        assert "exact_test_tol" not in doc["tolerances"]
+
     def test_gu_flag(self, gu_spec_file, capsys):
         code, doc = run_json(capsys, ["epm", gu_spec_file, "--gu", "--json"])
         assert code == 0
@@ -587,7 +602,7 @@ class TestSymmetryCommands:
         (
             ["epm", "three_states.json", "--make-priors", "1.0"],
             [
-                "  lp: NotOptimal (residual 2.725e-01)",
+                "  lp: NotOptimal (residual 4.087e-01)",
                 "generated priors: 0.605802 0.197099 0.197099",
                 "  epm verified under generated priors: True",
             ],

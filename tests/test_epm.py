@@ -24,12 +24,14 @@ from uqsd import (
     solve,
     verify_certificate,
 )
-from uqsd.epm import EXACT_TEST_TOL, MULTIPLICITY_RTOL
+from uqsd.epm import MULTIPLICITY_RTOL
+from uqsd.solver import SCALAR_TOL
 
 from helpers import (
     cyclic_profile_ensemble,
     dense_operators,
     gram_power,
+    haar_unitary,
     random_ensemble,
     sign_group_elements,
     sign_group_generator,
@@ -134,9 +136,11 @@ class TestNondegenerateTest:
         analysis = epm_analysis(reciprocal_states(three_states_weighted))
         result = epm_test_lp(three_states_weighted, analysis)
         assert result.verdict is EpmVerdict.OPTIMAL
-        assert result.residual <= 1e-8
-        priors = three_states_weighted.priors
-        assert result.residual == np.max(np.abs(analysis.last_rows[0] - priors))
+        # The residual is 1 - sigma_m^2 / bound for the closed-form bound
+        # sigma_m^2 max_i eta_i / |v_i|^2, the reduced optimum at s = 1.
+        ratio = np.max(three_states_weighted.priors / analysis.last_rows[0])
+        assert result.residual == pytest.approx(1.0 - 1.0 / ratio, abs=1e-15)
+        assert abs(result.residual) <= 1e-12
 
     def test_uniform_priors_not_optimal(self, three_states_uniform, three_states_analysis):
         result = epm_test_lp(three_states_uniform, three_states_analysis)
@@ -255,8 +259,9 @@ class TestLpTest:
         assert result.verdict is EpmVerdict.NOT_OPTIMAL
 
     def test_agreement_with_exact_test(self, rng):
-        # At s = 1 the verdict is the squared-last-row comparison, for
-        # random priors and for priors set to that row.
+        # At s = 1 the verdict is the closed-form bound sigma_m^2 max_i
+        # eta_i / |v_i|^2, the reduced optimum, against sigma_m^2 within the
+        # gap tolerance, for random priors and for priors set to |v_i|^2.
         for trial in range(10):
             e = random_ensemble(rng, 5, 3)
             rs = reciprocal_states(e)
@@ -266,12 +271,12 @@ class TestLpTest:
                 rs = reciprocal_states(e)
             analysis = epm_analysis(rs)
             assert analysis.s == 1
-            residual = np.max(np.abs(last_row - e.priors))
-            optimal = residual <= EXACT_TEST_TOL
+            ratio = np.max(e.priors / last_row)
+            optimal = ratio <= 1.0 + SCALAR_TOL
             assert optimal == bool(trial % 2)
             lp = epm_test_lp(e, analysis)
             assert lp.verdict is (EpmVerdict.OPTIMAL if optimal else EpmVerdict.NOT_OPTIMAL)
-            assert lp.residual == pytest.approx(residual, abs=1e-15)
+            assert lp.residual == pytest.approx(1.0 - 1.0 / ratio, abs=1e-14)
             assert np.allclose(analysis.last_rows[0], last_row, atol=1e-15)
             assert (lp.A is not None) == optimal
 
@@ -482,6 +487,67 @@ def test_priors_for_epm_is_probability_vector(seed, raw):
     priors = priors_for_epm(analysis, np.diag(b))
     assert np.min(priors) >= 0.0
     assert abs(priors.sum() - 1.0) <= 1e-10
+
+
+def _shifted(priors: np.ndarray, shift: float) -> np.ndarray:
+    """``priors`` with weight ``shift`` moved from the largest entry onto the smallest."""
+    out = priors.copy()
+    out[np.argmin(priors)] += shift
+    out[np.argmax(priors)] -= shift
+    return out
+
+
+def _lift_passes(e: StateEnsemble, analysis, a: np.ndarray) -> bool:
+    """Whether the EPM certificate lifted from witness ``a`` passes ``verify_certificate``."""
+    rs = analysis.recips
+    cert = epm_certificate(analysis, a)
+    return verify_certificate(e, rs, compute_epm(e, rs).probs, cert).passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    angle=st.floats(0.1, 1.0),
+    coupling=st.floats(-6.0, 0.0),
+    shift=st.floats(-12.0, -2.0),
+)
+def test_simple_epm_verdict_is_the_lifted_certificate(seed, angle, coupling, shift):
+    # Two states at `angle` and a third nearly orthogonal to both, whose weight
+    # |v_3|^2 on the smallest singular vector falls with 10**coupling to ~1e-12,
+    # in a random basis; the priors are |v_i|^2 with 10**shift moved onto the
+    # smallest. At s = 1 the verdict is Optimal exactly when the certificate
+    # lifted from A = [[1]] passes verify_certificate, whatever the scale of
+    # the priors.
+    rng = np.random.default_rng(seed)
+    third = np.array([10.0**coupling, 0.0, 1.0])
+    states = np.column_stack([[1.0, 0.0, 0.0], [np.cos(angle), np.sin(angle), 0.0], third])
+    states = haar_unitary(rng, 3) @ (states / np.linalg.norm(states, axis=0))
+    last_row = np.abs(np.linalg.svd(states)[2][-1]) ** 2
+    e = StateEnsemble(states, _shifted(last_row, 10.0**shift))
+    analysis = epm_analysis(reciprocal_states(e))
+    assert analysis.s == 1
+    lp = epm_test_lp(e, analysis)
+    assert lp.verdict in (EpmVerdict.OPTIMAL, EpmVerdict.NOT_OPTIMAL)
+    assert (lp.verdict is EpmVerdict.OPTIMAL) == _lift_passes(e, analysis, np.ones((1, 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-12.0, -2.0))
+def test_degenerate_epm_optimal_lifts_to_a_passing_certificate(seed, shift):
+    # data/degenerate_epm.json's states (s = 2) with the priors v_i* A v_i of a
+    # random non-diagonal psd A, and 10**shift of weight moved onto the
+    # smallest: every Optimal has a lifted certificate that passes.
+    rng = np.random.default_rng(seed)
+    base = load_ensemble(Path(__file__).resolve().parents[1] / "data" / "degenerate_epm.json")
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = g @ g.conj().T
+    priors = priors_for_epm(epm_analysis(reciprocal_states(base)), a / np.trace(a).real)
+    e = StateEnsemble(base.states, _shifted(priors, 10.0**shift))
+    analysis = epm_analysis(reciprocal_states(e))
+    assert analysis.s == 2
+    lp = epm_test_lp(e, analysis)
+    if lp.verdict is EpmVerdict.OPTIMAL:
+        assert _lift_passes(e, analysis, lp.A)
 
 
 def test_import_and_solve_load_no_scipy():

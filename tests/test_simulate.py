@@ -13,7 +13,7 @@ from uqsd import (
     simulate,
     solve,
 )
-from uqsd.simulate import UNAMBIGUITY_TOL
+from uqsd.simulate import MAX_TRIALS, UNAMBIGUITY_TOL
 
 from helpers import dense_born, dense_operators, random_ensemble
 
@@ -116,3 +116,10 @@ class TestSimulate:
         meas = measurement_from_probs(three_states_reciprocals, np.zeros(3))
         with pytest.raises(ValidationError, match="at least 1"):
             simulate(three_states_uniform, meas, 0, seed=0)
+
+    @pytest.mark.parametrize("n_trials", [10**15, 2**62])
+    def test_trial_cap(self, three_states_uniform, three_states_reciprocals, n_trials):
+        # Far above MAX_TRIALS; numpy would refuse these sizes at once.
+        meas = measurement_from_probs(three_states_reciprocals, np.zeros(3))
+        with pytest.raises(ValidationError, match=f"at most {MAX_TRIALS}"):
+            simulate(three_states_uniform, meas, n_trials, seed=0)

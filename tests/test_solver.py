@@ -337,6 +337,16 @@ class TestBracket:
             lower, upper = bracket(rs, e, report.p, report.certificate.X)
             assert 1.0 - lower / upper <= 1e-7
 
+    @pytest.mark.parametrize("max_iters", [2, 100])
+    def test_report_carries_the_bracket_of_its_answer(self, three_states_uniform, max_iters):
+        # Optimal or not, lower/upper are the bracket of the returned pair,
+        # and the "gap" residual is its relative width.
+        rs, _, report = solve_ensemble(three_states_uniform, max_iters=max_iters)
+        lower, upper = bracket(rs, three_states_uniform, report.p, report.certificate.X)
+        assert (report.lower, report.upper) == (lower, upper)
+        assert report.residuals["gap"] == 1.0 - lower / upper
+        assert (report.status is SolveStatus.OPTIMAL) == (max_iters == 100)
+
     def test_missing_dual_support_gives_infinite_upper(self, orthonormal_ensemble):
         rs = reciprocal_states(orthonormal_ensemble)
         x_mat = np.diag([1.0, 1.0, 0.0]).astype(complex)

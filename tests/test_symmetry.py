@@ -483,6 +483,24 @@ class TestCommutePhase:
                 expected = np.exp(-2j * np.pi * j * k / m)
                 assert abs(np.exp(1j * result.theta[j, k]) - expected) <= 1e-10
 
+    def test_memory_stays_a_few_blocks(self):
+        # The shift on C^16 against the order-256 group of phases omega^a times
+        # clock powers Z^b (omega = e^{2 pi i / 16}), eight blocks: each shift
+        # element meets that group a block at a time.
+        omega = np.exp(2j * np.pi / 16)
+        shift = cyclic_group(cyclic_shift(16), 16)
+        clock = UnitaryGroup(np.array([
+            omega**a * np.diag(omega ** (b * np.arange(16))) for a in range(16) for b in range(16)
+        ]))
+        tracemalloc.start()
+        try:
+            result = check_commute_phase(shift, clock)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.commutes and not result.phase_free
+        assert peak <= clock.elements.nbytes
+
     def test_non_commuting_groups_fail(self, rng):
         w1, w2 = haar_unitary(rng, 3), haar_unitary(rng, 3)
         g1 = cyclic_group(w1 @ cyclic_shift(3) @ w1.conj().T, 3)
