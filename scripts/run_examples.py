@@ -1,12 +1,13 @@
 """End-to-end tour of the bundled example inputs.
 
-Runs the SDP pipeline on the three-state ensemble and on two nearly
-parallel states (checked against the Jaeger-Shimony closed form), the
-EPM analysis on the weighted three-state ensemble (simple smallest
-singular value) and on a cyclic four-state orbit whose smallest singular
-value is double, the closed-form pipeline on the four-state symmetric set
-and the compound two-group set, and a Monte-Carlo validation of each
-optimal measurement. Install the package first (pip install -e .), then:
+Runs the SDP pipeline on the three-state ensemble, on two nearly
+parallel states (checked against the Jaeger-Shimony closed form) and on
+the three states embedded in C^8 (r > m: the solver's answer is lifted
+from the span of the states), the EPM analysis on the weighted
+three-state ensemble (simple smallest singular value) and on a cyclic
+four-state orbit whose smallest singular value is double, the
+closed-form pipeline on the four-state symmetric set and the compound
+two-group set, and a Monte-Carlo validation of each optimal measurement. Install the package first (pip install -e .), then:
 
     python scripts/run_examples.py
 
@@ -143,6 +144,7 @@ def main() -> int:
     passed = [
         sdp_pipeline(DATA / "three_states.json"),
         sdp_pipeline(DATA / "near_parallel.json"),
+        sdp_pipeline(DATA / "embedded_three_states.json"),
         epm_pipeline(DATA / "three_states_weighted.json"),
         epm_pipeline(DATA / "degenerate_epm.json"),
         symmetric_pipeline(DATA / "sign_group_gu.json", compound=False),

@@ -38,7 +38,7 @@ from .ensemble import (
     measurement_from_probs,
 )
 from .errors import ValidationError
-from .solver import SCALAR_TOL, DualCertificate, SdpProblem, _check_matches, solve
+from .solver import SCALAR_TOL, DualCertificate, SdpProblem, _check_matches, _lift, solve
 
 MULTIPLICITY_RTOL = 1e-6
 SPECTRAL_RTOL = 1e-8
@@ -192,10 +192,8 @@ def epm_certificate(analysis: EpmAnalysis, a: np.ndarray) -> DualCertificate:
     with the smallest singular value; all scalar slacks vanish because every
     detection probability is strictly positive.
     """
-    a = _witness(analysis, a)
-    cols = analysis.recips.u[:, _last(analysis)]
-    x_mat = analysis.p * cols @ a @ cols.conj().T
-    return DualCertificate(X=x_mat, z=np.zeros(analysis.recips.m))
+    reduced = DualCertificate(X=analysis.p * _witness(analysis, a), z=np.zeros(analysis.recips.m))
+    return _lift(analysis.recips.u[:, _last(analysis)], reduced)
 
 
 def epm_test_spectral(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimalityResult:

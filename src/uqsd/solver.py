@@ -14,10 +14,14 @@ gap and vanishing complementary products certifies global optimality.
 ``solve`` is a feasible-start primal-dual path-following interior-point
 method with Nesterov-Todd scaling and Mehrotra predictor-corrector steps.
 Both cone blocks are handled natively in complex Hermitian arithmetic.
-Because every Q_i is rank one, the Newton step reduces to an m x m
-positive definite system ``|G* G|^2 + diag(z / p)`` with ``G = T^{-1} C``,
-where C stacks the reciprocal states, so one iteration costs
-O(r^3 + m r^2 + m^3). It factors X and S once: T^{-1} comes from those
+Every Q_i lies in the span of the reciprocal states C = U sigma V*, and
+off it the slack is the identity (facial reduction; Permenter and Parrilo
+2018). So ``solve`` takes one thin SVD of C and iterates on the n x m
+matrix sigma V*, n = min(r, m); each candidate is lifted back to U X U*
+(``_lift``) and scored on C. As every Q_i is rank one, the Newton step
+reduces to an m x m positive definite system ``|G* G|^2 + diag(z / p)``
+with ``G = T^{-1} sigma V*``, so one iteration costs O(m^3) after the
+O(r m^2) SVD. It factors X and S once: T^{-1} comes from those
 Cholesky factors and one SVD (``_nt_scaling``). The whole Newton step then
 runs in the NT-scaled space, where X and S are both diag(lam): the
 directions, both PSD step lengths (``_max_step_psd``; Toh, Todd and
@@ -180,6 +184,11 @@ def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
     return (c.conj() * (x_mat @ c)).sum(axis=0).real
 
 
+def _lift(w: np.ndarray, cert: DualCertificate) -> DualCertificate:
+    """The certificate with X, given in the basis of W's orthonormal columns, as W X W*."""
+    return replace(cert, X=w @ cert.X @ w.conj().T)
+
+
 def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     """NT factors (lam, T^{-1}) with T* X T = T^{-1} S T^{-*} = diag(lam).
 
@@ -215,9 +224,9 @@ def _polish_face(c: np.ndarray, p: np.ndarray, gap: float) -> tuple[int, np.ndar
     rank of an optimal X, and at least one probability above
     ``max(1e-7, tau)``.
     """
-    r, m = c.shape
+    n, m = c.shape
     tau = np.sqrt(max(gap, 1e-16))
-    k = int(np.sum(np.linalg.eigvalsh(np.eye(r) - _apply(c, p)) <= tau))
+    k = int(np.sum(np.linalg.eigvalsh(np.eye(n) - _apply(c, p)) <= tau))
     if k == 0 or k * k > m:
         return None
     active = np.nonzero(p > max(1e-7, tau))[0]
@@ -237,33 +246,33 @@ def _kkt_polish(
 
     ``face`` is the face dimension k and the active set from
     ``_polish_face``. The unknowns are the active probabilities and an
-    r x k factor F with X = F F*, started from the top k eigenpairs of X,
-    and the equations are ``S F = 0`` with
+    n x k factor F with X = F F* (n the rows of c), started from the top k
+    eigenpairs of X, and the equations are ``S F = 0`` with
     ``S = I - sum p_i Q_i``, together with the trace equalities
     ``|F* q_i|^2 = eta_i`` on the active set.
 
     Each step is solved blockwise in the eigenbasis of S. Where S is
-    invertible, its r - k eigenvalues above tau, the rows of ``S dF`` give
+    invertible, its n - k eigenvalues above tau, the rows of ``S dF`` give
     that part of dF in closed form; what is left is one small least-squares
     system in dp and the k x k null-space block of dF, so no array grows
-    with r k. F is fixed only up to F U with U unitary; the rows
+    with n k. F is fixed only up to F U with U unitary; the rows
     ``F* dF`` Hermitian take that k^2-dimensional gauge out of the step.
     Each step is halved until the residual falls (damped Gauss-Newton).
     Quadratic local convergence wipes out the O(sqrt(gap)) support
     misalignment that the interior-point iterates carry. Returns None when
     the polished probabilities exceed one.
     """
-    r, m = c.shape
+    n, m = c.shape
     k, active = face
     q_act = c[:, active]
     eta_act = eta[active]
     p_act = p[active]
     w, vecs = np.linalg.eigh(x_mat)
-    f = vecs[:, r - k :] * np.sqrt(np.maximum(w[r - k :], 0.0))
+    f = vecs[:, n - k :] * np.sqrt(np.maximum(w[n - k :], 0.0))
     n_act, kk = active.size, k * k
 
     def residual(p_a, f_mat):
-        s_mat = np.eye(r) - _apply(q_act, p_a)
+        s_mat = np.eye(n) - _apply(q_act, p_a)
         overlaps = q_act.conj().T @ f_mat
         r1 = s_mat @ f_mat
         r2 = np.sum(np.abs(overlaps) ** 2, axis=1) - eta_act
@@ -400,14 +409,8 @@ def _checks(residuals: dict[str, float]) -> dict[str, bool]:
     return {k: residuals[k] <= _TOLERANCES[k] for k in residuals}
 
 
-def _certified(
-    c: np.ndarray,
-    eta: np.ndarray,
-    candidate: tuple[np.ndarray, DualCertificate] | None,
-):
+def _certified(c: np.ndarray, eta: np.ndarray, candidate: tuple[np.ndarray, DualCertificate]):
     """(candidate, its ``_residuals``) when the pair (p, cert) passes every check, else None."""
-    if candidate is None:
-        return None
     scored = _residuals(c, eta, *candidate)
     return (candidate, scored) if all(_checks(scored[0]).values()) else None
 
@@ -426,19 +429,24 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     """
     if not isinstance(max_iters, (int, np.integer)) or not 1 <= max_iters <= 100_000:
         raise ValidationError("max_iters must be an integer in [1, 100000]")
-    c = problem.reciprocals
-    r, m = c.shape
-    eta = -problem.cost
+    recips, eta = problem.reciprocals, -problem.cost
     if np.min(eta) <= 0.0:
         raise ValidationError("cost must be the negated vector of positive priors")
-    eye_r = np.eye(r, dtype=complex)
+    # Off the span of C the slack is the identity, so the iterations run on
+    # U* C = sigma V*, of n = min(r, m) rows, and candidates are lifted by U.
+    u, sv, vh = np.linalg.svd(recips, full_matrices=False)
+    c = sv[:, None] * vh
+    n, m = c.shape
+    eye_n = np.eye(n, dtype=complex)
     norms2 = np.einsum("ri,ri->i", c.conj(), c).real
-    top_sv = np.linalg.svd(c, compute_uv=False)[0]
+
+    def scored(pair):
+        return None if pair is None else _certified(recips, eta, (pair[0], _lift(u, pair[1])))
 
     # Strictly feasible start: p halfway inside the operator constraint,
     # X a multiple of the identity large enough that every z_i > 0.
-    p = np.full(m, 0.5 / top_sv**2)
-    x_mat = (2.0 * eta.max() / norms2.min()) * eye_r
+    p = np.full(m, 0.5 / sv[0] ** 2)
+    x_mat = (2.0 * eta.max() / norms2.min()) * eye_n
 
     status = SolveStatus.MAX_ITERATIONS
     trace: list[IterateTrace] = []
@@ -446,12 +454,12 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     polish_attempts = 0
 
     for it in range(max_iters + 1):
-        s0 = eye_r - _apply(c, p)
+        s0 = eye_n - _apply(c, p)
         z = _apply_adjoint(c, x_mat) - eta
         gap = float(np.vdot(x_mat, s0).real + p @ z)
         primal = float(problem.cost @ p)
         dual = float(-np.trace(x_mat).real)
-        mu = gap / (r + m)
+        mu = gap / (n + m)
         trace.append(IterateTrace(it, primal, dual, gap, mu))
         iterations = it
         # The iterate is strictly feasible, so its bracket is [eta.p, Tr X]
@@ -464,12 +472,12 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         if width <= np.sqrt(_TOLERANCES["gap"]):
             found = None
             if width <= _TOLERANCES["gap"]:
-                found = _certified(c, eta, (p, DualCertificate(X=x_mat, z=z)))
+                found = scored((p, DualCertificate(X=x_mat, z=z)))
                 stage = "iterate"
             face = None if found is not None else _polish_face(c, p, gap)
             if face is not None:
                 polish_attempts += 1
-                found = _certified(c, eta, _kkt_polish(c, p, x_mat, eta, face))
+                found = scored(_kkt_polish(c, p, x_mat, eta, face))
                 stage = "polish"
             if found is not None:
                 (p, certificate), (residuals, _, (lower, upper)) = found
@@ -531,8 +539,8 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         x_mat = (x_mat + x_mat.conj().T) / 2
 
     if status is not SolveStatus.OPTIMAL:
-        certificate = DualCertificate(X=x_mat, z=z)
-        residuals, _, (lower, upper) = _residuals(c, eta, p, certificate)
+        certificate = _lift(u, DualCertificate(X=x_mat, z=z))
+        residuals, _, (lower, upper) = _residuals(recips, eta, p, certificate)
 
     primal = float(problem.cost @ p)
     dual = float(-np.trace(certificate.X).real)
@@ -566,8 +574,8 @@ def verify_certificate(
     operators below the identity), dual feasibility (X psd, z >= 0, the
     trace equalities), the two complementary slackness products, and a
     vanishing relative width 1 - lower/upper of the certified P_D bracket.
-    Verification always returns a report; it never raises on a failing
-    candidate.
+    Any finite candidate of the right shapes gets a report, passing or not;
+    a wrong shape or a non-finite entry of p, X or z raises ValidationError.
     """
     _check_matches(ensemble, recips)
     p = np.asarray(p, dtype=float).ravel()
@@ -576,6 +584,9 @@ def verify_certificate(
         raise ValidationError("certificate or probability vector shape mismatch")
     if certificate.z.shape[0] != ensemble.m:
         raise ValidationError("dual slack vector has the wrong length")
+    for name, a in (("p", p), ("X", certificate.X), ("z", certificate.z)):
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"{name} contains non-finite entries")
 
     residuals, traces, _ = _residuals(c, ensemble.priors, p, certificate)
     checks = _checks(residuals)

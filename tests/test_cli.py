@@ -85,6 +85,20 @@ class TestSolveCommand:
         assert abs(doc["measurement"]["detection_probability"] - pd) <= 1e-12
         assert "tolerances" in doc
 
+    def test_embedded_bundled_input(self, capsys):
+        # The three states mapped into C^8 by an isometry: the solve runs on
+        # their span and lifts X back to 8 x 8, with the unembedded P_D.
+        docs = [
+            run_json(capsys, ["solve", str(DATA / f"{name}.json"), "--json"])
+            for name in ("three_states", "embedded_three_states")
+        ]
+        assert [code for code, _ in docs] == [0, 0]
+        (_, base), (_, embedded) = docs
+        assert embedded["verification"]["passed"] is True
+        assert len(embedded["solve"]["X"]) == 8
+        pd = embedded["measurement"]["detection_probability"]
+        assert pd == pytest.approx(base["measurement"]["detection_probability"], rel=1e-12)
+
     def test_measurement_is_factored(self, tmp_path, capsys):
         # The measurement is written as p plus the reciprocal columns; the
         # dense operators rebuilt from them form the unambiguous measurement.

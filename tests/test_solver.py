@@ -5,6 +5,7 @@ import pytest
 
 from uqsd import (
     DualCertificate,
+    SdpProblem,
     SolveStatus,
     StateEnsemble,
     ValidationError,
@@ -16,7 +17,7 @@ from uqsd import (
     solve,
     verify_certificate,
 )
-from uqsd.solver import _bracket, _max_step_psd, _nt_scaling
+from uqsd.solver import _bracket, _lift, _max_step_psd, _nt_scaling
 
 from helpers import (
     cyclic_profile_ensemble,
@@ -151,15 +152,28 @@ class TestSolve:
         _, _, shuffled = solve_ensemble(permuted)
         assert np.max(np.abs(base.p[perm] - shuffled.p)) <= 1e-7
 
-    def test_unitary_invariance(self, rng):
+    def test_unitary_invariance(self):
+        # A Haar rotation of the states, or an isometric embedding into
+        # C^(r+7), poses the same problem on the same span, so the solve
+        # takes the same path: status, iteration count and certifying stage
+        # are identical, and P_D agrees to rounding.
         from helpers import haar_unitary
 
-        e = random_ensemble(rng, 5, 3)
-        w = haar_unitary(rng, 5)
-        rotated = StateEnsemble(w @ e.states, e.priors)
-        _, _, base = solve_ensemble(e)
-        _, _, spun = solve_ensemble(rotated)
-        assert np.max(np.abs(base.p - spun.p)) <= 1e-7
+        rng = np.random.default_rng(7)
+        for k in range(100):
+            m = int(rng.integers(1, 9))
+            r = m + int(rng.integers(0, 5))
+            e = StateEnsemble(gaussian_states(rng, r, m), spread_priors(rng, m))
+            _, _, base = solve_ensemble(e)
+            for w in (haar_unitary(rng, r), haar_unitary(rng, r + 7)[:, :r]):
+                _, _, moved = solve_ensemble(StateEnsemble(w @ e.states, e.priors))
+                assert (moved.status, moved.iterations, moved.certified_by) == (
+                    base.status,
+                    base.iterations,
+                    base.certified_by,
+                ), k
+                assert moved.primal_value == pytest.approx(base.primal_value, rel=1e-12), k
+                assert np.max(np.abs(base.p - moved.p)) <= 1e-7, k
 
     def test_feasibility_of_returned_point(self, rng):
         for _ in range(10):
@@ -271,6 +285,17 @@ class TestVerifyCertificate:
         with pytest.raises(ValidationError):
             verify_certificate(three_states_uniform, three_states_reciprocals,
                                np.zeros(3), cert)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["p", "X", "z"])
+    def test_non_finite_candidate_raises(self, three_states_uniform, name, bad):
+        rs, _, report = solve_ensemble(three_states_uniform)
+        fields = {"p": report.p, "X": report.certificate.X, "z": report.certificate.z}
+        fields = {key: value.copy() for key, value in fields.items()}
+        fields[name].flat[0] = bad
+        cert = DualCertificate(X=fields["X"], z=fields["z"])
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite"):
+            verify_certificate(three_states_uniform, rs, fields["p"], cert)
 
     def test_reciprocals_of_another_ensemble_raise(self):
         three = load_ensemble(DATA / "three_states.json")
@@ -472,10 +497,28 @@ def test_polish_reaches_closed_form_on_degenerate_faces():
         assert verify_certificate(e, rs, report.p, report.certificate).passed, name
 
 
-@pytest.mark.parametrize("name", ["three_states", "three_states_weighted", "near_parallel"])
+@pytest.mark.parametrize(
+    "name", ["three_states", "three_states_weighted", "near_parallel", "embedded_three_states"]
+)
 def test_report_residuals_are_the_verification_residuals(name):
     e = load_ensemble(DATA / f"{name}.json")
     rs, _, report = solve_ensemble(e)
     assert report.status is SolveStatus.OPTIMAL
     ver = verify_certificate(e, rs, report.p, report.certificate)
     assert report.residuals == ver.residuals
+
+
+def test_span_solve_lifts_to_a_verified_certificate():
+    # The problem on the span of the reciprocals, sigma V* from the thin SVD
+    # C = U sigma V*, solved through the public API: lifted by U its answer
+    # is a certificate of the original r > m set, and lifted by a wrong
+    # isometry (two columns of U swapped) it is not.
+    e = random_ensemble(np.random.default_rng(16), 7, 3)
+    rs = reciprocal_states(e)
+    u, sv, vh = np.linalg.svd(rs.reciprocals, full_matrices=False)
+    report = solve(SdpProblem(cost=-e.priors, reciprocals=sv[:, None] * vh))
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.certificate.X.shape == (3, 3)
+    assert verify_certificate(e, rs, report.p, _lift(u, report.certificate)).passed
+    swapped = u[:, [1, 0, 2]]
+    assert not verify_certificate(e, rs, report.p, _lift(swapped, report.certificate)).passed
