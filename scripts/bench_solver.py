@@ -14,10 +14,17 @@ with one BLAS thread, and one JSON line is printed with:
   eigenvalues above 1e-6 of the largest;
 * ``ru_maxrss_kb``: the peak resident set of the process.
 
+``--kernels`` adds ``kernel_ms_per_solve``: the process-CPU ms per solve
+spent in each solver kernel, the NT scaling (``_nt_scaling``), the PSD step
+lengths (``_max_steps_psd``), the Gauss-Newton polish (``_kkt_polish``) and
+the certificate residuals (``_residuals``). The script wraps those functions
+only under this flag, so the default timing runs the solver unwrapped; the
+wrappers' own cost inflates ``ms_per_iteration`` slightly.
+
 Every answer must be Optimal and pass ``verify_certificate``; the script
 exits 1 otherwise. Run from the repository root:
 
-    PYTHONPATH=src python scripts/bench_solver.py [--pool 64] [--smoke]
+    PYTHONPATH=src python scripts/bench_solver.py [--pool 64] [--smoke] [--kernels]
 
 Point PYTHONPATH at another checkout's ``src`` to time that tree on the same
 instances. ``--smoke`` solves a small pool at r = m = 6, for CI.
@@ -38,6 +45,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from uqsd import solver as solver_module  # noqa: E402
 from uqsd import (  # noqa: E402
     StateEnsemble,
     build_sdp,
@@ -49,6 +57,7 @@ from uqsd import (  # noqa: E402
 
 DEGENERATE = Path(__file__).resolve().parents[1] / "data" / "degenerate_epm.json"
 SEED = 1
+KERNELS = ("_nt_scaling", "_max_steps_psd", "_kkt_polish", "_residuals")
 
 
 def dense_pool(dim: int, size: int) -> list[StateEnsemble]:
@@ -61,6 +70,25 @@ def dense_pool(dim: int, size: int) -> list[StateEnsemble]:
     return pool
 
 
+def wrap_kernels() -> dict[str, float]:
+    """Wrap each of KERNELS in the solver module to add its process CPU to the returned dict."""
+    totals = dict.fromkeys(KERNELS, 0.0)
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                totals[name] += time.process_time() - start
+
+        return wrapper
+
+    for name in KERNELS:
+        setattr(solver_module, name, timed(name, getattr(solver_module, name)))
+    return totals
+
+
 def face_dim(x_mat: np.ndarray) -> int:
     w = np.linalg.eigvalsh(x_mat)
     return int(np.sum(w > 1e-6 * w[-1]))
@@ -71,9 +99,11 @@ def main() -> int:
     parser.add_argument("--pool", type=int, default=64)
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--smoke", action="store_true", help="4 instances at r = m = 6")
+    parser.add_argument("--kernels", action="store_true", help="CPU per solve in each solver kernel")
     args = parser.parse_args()
     if args.smoke:
         args.pool, args.dim = 4, 6
+    kernel_cpu = wrap_kernels() if args.kernels else {}
 
     ensembles = dense_pool(args.dim, args.pool) + [load_ensemble(DEGENERATE)]
     iterations = polish_attempts = 0
@@ -91,25 +121,29 @@ def main() -> int:
         polish_attempts += report.polish_attempts
         stages[str(report.certified_by)] += 1
         faces[face_dim(report.certificate.X)] += 1
+        # verify_certificate's own _residuals call is not part of the solve.
+        in_solve = dict(kernel_cpu)
         ver = verify_certificate(ens, recips, report.p, report.certificate)
+        kernel_cpu.update(in_solve)
         failures += report.status.value != "Optimal" or not ver.passed
 
-    print(
-        json.dumps(
-            {
-                "instances": len(ensembles),
-                "dim": args.dim,
-                "iterations": iterations,
-                "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
-                "cpu_s": round(cpu, 4),
-                "certified_by": dict(sorted(stages.items())),
-                "polish_attempts": polish_attempts,
-                "face_dims": {str(k): v for k, v in sorted(faces.items())},
-                "failures": failures,
-                "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            }
-        )
-    )
+    result = {
+        "instances": len(ensembles),
+        "dim": args.dim,
+        "iterations": iterations,
+        "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
+        "cpu_s": round(cpu, 4),
+        "certified_by": dict(sorted(stages.items())),
+        "polish_attempts": polish_attempts,
+        "face_dims": {str(k): v for k, v in sorted(faces.items())},
+        "failures": failures,
+        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    }
+    if args.kernels:
+        result["kernel_ms_per_solve"] = {
+            name: round(1e3 * t / len(ensembles), 4) for name, t in kernel_cpu.items()
+        }
+    print(json.dumps(result))
     return 1 if failures else 0
 
 

@@ -21,12 +21,12 @@ matrix sigma V*, n = min(r, m); each candidate is lifted back to U X U*
 (``_lift``) and scored on C. As every Q_i is rank one, the Newton step
 reduces to an m x m positive definite system ``|G* G|^2 + diag(z / p)``
 with ``G = T^{-1} sigma V*``, so one iteration costs O(m^3) after the
-O(r m^2) SVD. It factors X and S once: T^{-1} comes from those
-Cholesky factors and one SVD (``_nt_scaling``). The whole Newton step then
-runs in the NT-scaled space, where X and S are both diag(lam): the
-directions, both PSD step lengths (``_max_step_psd``; Toh, Todd and
-Tutuncu 1999) and the predicted gap are formed there, and only the step
-taken is mapped back to X. numpy is all the solver needs.
+O(r m^2) SVD. T^{-1} comes from the Cholesky factor L_x of X and one eigh
+of L_x* S L_x (``_nt_scaling``). The whole Newton step then runs in the
+NT-scaled space, where X and S are both diag(lam): the directions, the PSD
+step lengths (``_max_steps_psd``, both of the predictor from one eigvalsh;
+Toh, Todd and Tutuncu 1999) and the predicted gap are formed there, and
+only the step taken is mapped back to X. numpy is all the solver needs.
 
 Optimality is decided by one predicate, the residual check of
 ``verify_certificate``. Its gap test is scale free: any pair (p, X) gives
@@ -192,23 +192,33 @@ def _lift(w: np.ndarray, cert: DualCertificate) -> DualCertificate:
 def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     """NT factors (lam, T^{-1}) with T* X T = T^{-1} S T^{-*} = diag(lam).
 
-    From X = L_x L_x*, S = L_s L_s* and L_x* L_s = U diag(lam) V*: T = L_s V
-    lam^{-1/2} and T^{-1} = lam^{-1/2} U* L_x*, so X = T^{-*} diag(lam) T^{-1}.
-    LinAlgError unless X, S are PD.
+    From X = L_x L_x* and L_x* S L_x = U diag(lam^2) U*, whose eigenvalues are
+    those of X S: T = L_x^{-*} U lam^{1/2} and T^{-1} = lam^{-1/2} U* L_x*, so
+    X = T^{-*} diag(lam) T^{-1}. LinAlgError unless X, S are PD.
     """
     chol_x = np.linalg.cholesky(x_mat)
-    chol_s = np.linalg.cholesky(s_mat)
-    u, lam, _ = np.linalg.svd(chol_x.conj().T @ chol_s)
-    t_inv = (u.conj().T @ chol_x.conj().T) / np.sqrt(lam)[:, None]
-    return lam, t_inv
+    lam2, u = np.linalg.eigh(chol_x.conj().T @ s_mat @ chol_x)
+    if not (lam2[0] > 0.0 and np.isfinite(lam2).all()):
+        raise np.linalg.LinAlgError("S is not positive definite")
+    lam = np.sqrt(lam2)
+    return lam, (u.conj().T @ chol_x.conj().T) / np.sqrt(lam)[:, None]
+
+
+def _max_steps_psd(lam: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
+    """Largest a with diag(lam) + a*D psd, and the same for -diag(lam) - D.
+
+    D is an NT-scaled direction; as -diag(lam) - D scales to -I - Y with
+    Y = lam^{-1/2} D lam^{-1/2}, both come from lambda_min(Y) and lambda_max(Y).
+    """
+    root = np.sqrt(lam)
+    y = direction / np.outer(root, root)
+    w = np.linalg.eigvalsh((y + y.conj().T) / 2)
+    return tuple(np.inf if v >= 0.0 else 1.0 / -v for v in (w[0], -1.0 - w[-1]))
 
 
 def _max_step_psd(lam: np.ndarray, direction: np.ndarray) -> float:
     """Largest a with diag(lam) + a*D psd, for D a direction in the NT-scaled space."""
-    root = np.sqrt(lam)
-    y = direction / np.outer(root, root)
-    w_min = np.linalg.eigvalsh((y + y.conj().T) / 2)[0]
-    return np.inf if w_min >= 0.0 else 1.0 / (-w_min)
+    return _max_steps_psd(lam, direction)[0]
 
 
 def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
@@ -514,8 +524,10 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         # the Schur right-hand side rc / p + z + eta is eta.
         lam_mat = np.diag(lam)
         dp_a, ds_sc, dx_sc, dz_a = newton(-lam_mat, eta)
-        ap = min(1.0, _max_step_psd(lam, ds_sc), _max_step_vec(p, dp_a))
-        ad = min(1.0, _max_step_psd(lam, dx_sc), _max_step_vec(z, dz_a))
+        # The affine dx_sc is -diag(lam) - ds_sc: both PSD steps from one spectrum.
+        step_s, step_x = _max_steps_psd(lam, ds_sc)
+        ap = min(1.0, step_s, _max_step_vec(p, dp_a))
+        ad = min(1.0, step_x, _max_step_vec(z, dz_a))
         gap_aff = float(
             np.vdot(lam_mat + ad * dx_sc, lam_mat + ap * ds_sc).real
             + (p + ap * dp_a) @ (z + ad * dz_a)

@@ -84,6 +84,18 @@ def max_step_reference(m_mat: np.ndarray, d_mat: np.ndarray) -> float:
     return np.inf if w_min >= 0.0 else 1.0 / (-w_min)
 
 
+def nt_scaling_reference(x_mat: np.ndarray, s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """NT factors (lam, T^{-1}) from both Cholesky factors and one SVD: the reference construction.
+
+    From X = L_x L_x*, S = L_s L_s* and L_x* L_s = U diag(lam) V*:
+    T^{-1} = lam^{-1/2} U* L_x*, with lam in descending order.
+    """
+    chol_x = np.linalg.cholesky(x_mat)
+    chol_s = np.linalg.cholesky(s_mat)
+    u, lam, _ = np.linalg.svd(chol_x.conj().T @ chol_s)
+    return lam, (u.conj().T @ chol_x.conj().T) / np.sqrt(lam)[:, None]
+
+
 def sign_group_elements() -> np.ndarray:
     u1 = np.eye(4)
     u2 = np.diag([1.0, -1.0, 1.0, -1.0])

@@ -17,14 +17,16 @@ from uqsd import (
     solve,
     verify_certificate,
 )
-from uqsd.solver import _bracket, _lift, _max_step_psd, _nt_scaling
+from uqsd.solver import _bracket, _lift, _max_step_psd, _max_steps_psd, _nt_scaling
 
 from helpers import (
     cyclic_profile_ensemble,
     f_matrix,
     gaussian_states,
+    haar_unitary,
     max_step_reference,
     near_parallel_pair,
+    nt_scaling_reference,
     outer_products,
     random_ensemble,
     spread_priors,
@@ -256,6 +258,62 @@ class TestStepLength:
             else:
                 assert step_s == pytest.approx(max_step_reference(s_mat, ds), rel=1e-10)
                 assert step_x == pytest.approx(max_step_reference(x_mat, dx), rel=1e-10)
+
+    @pytest.mark.parametrize("mu", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("r", [2, 5, 12])
+    def test_nt_scaling_matches_reference_on_complementary_pairs(self, rng, r, mu):
+        # X and S share eigenvectors with complementary spectra (1, mu, ...) and
+        # (mu, 1, ...), as near the end of a solve. Both constructions are
+        # backward stable in X and S, so each recovers lam only to about eps / mu
+        # relative; 1e-8 where that is finer.
+        tol = max(1e-8, np.finfo(float).eps / mu)
+        for _ in range(5):
+            q = haar_unitary(rng, r)
+            small = np.arange(r) % 2 == 1
+            x_mat = (q * np.where(small, mu, 1.0)) @ q.conj().T
+            s_mat = (q * np.where(small, 1.0, mu)) @ q.conj().T
+            x_mat, s_mat = (x_mat + x_mat.conj().T) / 2, (s_mat + s_mat.conj().T) / 2
+            lam, t_inv = _nt_scaling(x_mat, s_mat)
+            lam_ref, _ = nt_scaling_reference(x_mat, s_mat)
+            assert np.allclose(np.sort(lam), np.sort(lam_ref), rtol=tol, atol=0.0)
+            t_nt = np.linalg.inv(t_inv)
+            scale = 4.0 * tol * lam.max()
+            assert np.max(np.abs(t_nt.conj().T @ x_mat @ t_nt - np.diag(lam))) <= scale
+            assert np.max(np.abs(t_inv @ s_mat @ t_inv.conj().T - np.diag(lam))) <= scale
+
+    @pytest.mark.parametrize("broken", ["indefinite X", "indefinite S", "non-finite S"])
+    def test_nt_scaling_raises_unless_both_pd(self, rng, broken):
+        x_mat, s_mat = self._pd(rng, 4), self._pd(rng, 4)
+        shift = 2.0 * np.eye(4) * max(np.linalg.eigvalsh(x_mat)[0], np.linalg.eigvalsh(s_mat)[0])
+        if broken == "indefinite X":
+            x_mat = x_mat - shift
+        elif broken == "indefinite S":
+            s_mat = s_mat - shift
+        else:
+            s_mat[1, 2] = s_mat[2, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _nt_scaling(x_mat, s_mat)
+
+    @pytest.mark.parametrize("kind", ["generic", "ds psd", "dx psd"])
+    @pytest.mark.parametrize("r", [2, 5, 12])
+    def test_predictor_steps_from_one_spectrum(self, rng, r, kind):
+        # The affine direction has dx_sc = -diag(lam) - ds_sc; one eigvalsh
+        # gives the steps along both.
+        for _ in range(10):
+            lam = rng.uniform(1e-3, 2.0, r)
+            ds = self._hermitian(rng, r)
+            if kind == "ds psd":
+                ds = ds @ ds
+            elif kind == "dx psd":
+                ds = -np.diag(lam) - ds @ ds
+            dx = -np.diag(lam) - ds
+            step_s, step_x = _max_steps_psd(lam, ds)
+            assert step_s == pytest.approx(_max_step_psd(lam, ds), rel=1e-12)
+            assert step_x == pytest.approx(_max_step_psd(lam, dx), rel=1e-12)
+            assert step_s == pytest.approx(max_step_reference(np.diag(lam), ds), rel=1e-10)
+            assert step_x == pytest.approx(max_step_reference(np.diag(lam), dx), rel=1e-10)
+            if kind != "generic":
+                assert (step_s == np.inf, step_x == np.inf) == (kind == "ds psd", kind == "dx psd")
 
 
 class TestVerifyCertificate:
