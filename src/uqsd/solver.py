@@ -209,10 +209,12 @@ def _max_steps_psd(lam: np.ndarray, direction: np.ndarray) -> tuple[float, float
 
     D is an NT-scaled direction; as -diag(lam) - D scales to -I - Y with
     Y = lam^{-1/2} D lam^{-1/2}, both come from lambda_min(Y) and lambda_max(Y).
+    D must be exactly Hermitian, as every direction of the solver is (each
+    comes from ``_apply`` or is built symmetrically, like ``k_sc``); Y then is
+    too, since ``outer(root, root)`` is exactly symmetric.
     """
     root = np.sqrt(lam)
-    y = direction / np.outer(root, root)
-    w = np.linalg.eigvalsh((y + y.conj().T) / 2)
+    w = np.linalg.eigvalsh(direction / np.outer(root, root))
     return tuple(np.inf if v >= 0.0 else 1.0 / -v for v in (w[0], -1.0 - w[-1]))
 
 

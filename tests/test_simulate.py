@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,42 @@ class TestSimulate:
         meas = measurement_from_probs(three_states_reciprocals, np.zeros(3))
         with pytest.raises(ValidationError, match=f"at most {MAX_TRIALS}"):
             simulate(three_states_uniform, meas, n_trials, seed=0)
+
+    def test_memory_does_not_grow_with_trials(self, three_states_uniform,
+                                              three_states_reciprocals):
+        # One multinomial draw over the m x (m + 1) cells: no per-trial arrays.
+        meas = measurement_from_probs(three_states_reciprocals, [0.0, 1 / 6, 1 / 6])
+        n = 10**6
+        tracemalloc.start()
+        try:
+            result = simulate(three_states_uniform, meas, n, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert result.counts.sum() == n
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_cell_tracks_its_probability(self, three_states_uniform,
+                                               three_states_reciprocals, seed):
+        # Counts are Multinomial(n, eta_i T_ij): each cell is binomial, within
+        # 6 sigma of n eta_i T_ij; cross cells have probability exactly zero.
+        rng = np.random.default_rng(seed)
+        cases = [(three_states_uniform,
+                  measurement_from_probs(three_states_reciprocals, [0.0, 1 / 6, 1 / 6]))]
+        for shape in [(5, 4), (4, 4)]:
+            e = random_ensemble(rng, *shape)
+            rs = reciprocal_states(e)
+            cases.append((e, measurement_from_probs(rs, solve(build_sdp(e, rs)).p)))
+        n = 10**6
+        for e, meas in cases:
+            counts = simulate(e, meas, n, seed=seed).counts
+            cell = (e.priors / e.priors.sum())[:, None] * outcome_probabilities(e, meas)
+            m = e.m
+            cross = np.ones((m, m + 1), dtype=bool)
+            cross[:, 0] = False
+            cross[np.arange(m), np.arange(m) + 1] = False
+            assert counts.sum() == n
+            assert np.all(counts[cross] == 0)
+            sigma = np.sqrt(n * cell * (1.0 - cell))
+            assert np.all(np.abs(counts - n * cell)[~cross] <= 6.0 * sigma[~cross])

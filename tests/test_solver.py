@@ -226,6 +226,11 @@ class TestStepLength:
     @staticmethod
     def _hermitian(rng, r):
         a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        return TestStepLength._herm(a)
+
+    @staticmethod
+    def _herm(a):
+        # _max_steps_psd takes exactly Hermitian directions, as the solver makes them.
         return (a + a.conj().T) / 2
 
     @staticmethod
@@ -251,8 +256,8 @@ class TestStepLength:
                 dx, ds = dx @ dx, ds @ ds
             lam, t_inv = _nt_scaling(x_mat, s_mat)
             t_nt = np.linalg.inv(t_inv)
-            step_s = _max_step_psd(lam, t_inv @ ds @ t_inv.conj().T)
-            step_x = _max_step_psd(lam, t_nt.conj().T @ dx @ t_nt)
+            step_s = _max_step_psd(lam, self._herm(t_inv @ ds @ t_inv.conj().T))
+            step_x = _max_step_psd(lam, self._herm(t_nt.conj().T @ dx @ t_nt))
             if psd_direction:
                 assert step_s == step_x == np.inf
             else:
@@ -303,9 +308,9 @@ class TestStepLength:
             lam = rng.uniform(1e-3, 2.0, r)
             ds = self._hermitian(rng, r)
             if kind == "ds psd":
-                ds = ds @ ds
+                ds = self._herm(ds @ ds)
             elif kind == "dx psd":
-                ds = -np.diag(lam) - ds @ ds
+                ds = -np.diag(lam) - self._herm(ds @ ds)
             dx = -np.diag(lam) - ds
             step_s, step_x = _max_steps_psd(lam, ds)
             assert step_s == pytest.approx(_max_step_psd(lam, ds), rel=1e-12)
