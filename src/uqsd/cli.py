@@ -171,8 +171,17 @@ def _run_sdp(args, ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Mea
     return exit_code, measurement_from_probs(recips, report.p)
 
 
+@collector_paused()
+def _load_states(path) -> StateEnsemble:
+    """The states of an ensemble document, or the expansion of a symmetry spec."""
+    doc = read_document(path)
+    if "group" in doc:
+        return sym_mod.expand(sym_mod.load_symmetry_spec(doc))
+    return load_ensemble(doc)
+
+
 def _sdp_pipeline(args):
-    ensemble = load_ensemble(args.file)
+    ensemble = _load_states(args.file)
     recips = reciprocal_states(ensemble)
     doc = {"input": _input_summary(ensemble), "pipeline": "sdp", "tolerances": _tolerances(args)}
     exit_code, measurement = _run_sdp(args, ensemble, recips, doc)
@@ -194,11 +203,7 @@ def _epm_tests_doc(lp, spectral) -> dict:
 
 
 def _epm_pipeline(args):
-    if args.gu:
-        spec = sym_mod.load_symmetry_spec(args.file)
-        ensemble = sym_mod.expand(spec)
-    else:
-        ensemble = load_ensemble(args.file)
+    ensemble = _load_states(args.file)
     recips = reciprocal_states(ensemble)
     analysis = epm_mod.epm_analysis(recips)
     measurement = epm_mod.compute_epm(ensemble, recips)
@@ -356,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_epm = sub.add_parser("epm", parents=[common],
                            help="equal-probability measurement analysis")
-    p_epm.add_argument("--gu", action="store_true",
-                       help="input is a symmetry spec; analyze its expansion")
     p_epm.add_argument("--make-priors", metavar="B1,B2,...",
                        help="generate priors that make the EPM optimal from these weights, "
                             "the diagonal of the witness A")
@@ -380,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pipeline", choices=["sdp", "epm", "gu", "cgu"], default="sdp")
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    # The epm runner reads the epm subcommand's options.
-    p_sim.set_defaults(func=cmd_simulate, gu=False, make_priors=None)
+    # The epm runner reads the epm subcommand's --make-priors.
+    p_sim.set_defaults(func=cmd_simulate, make_priors=None)
     return parser
 
 

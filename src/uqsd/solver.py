@@ -218,11 +218,6 @@ def _max_steps_psd(lam: np.ndarray, direction: np.ndarray) -> tuple[float, float
     return tuple(np.inf if v >= 0.0 else 1.0 / -v for v in (w[0], -1.0 - w[-1]))
 
 
-def _max_step_psd(lam: np.ndarray, direction: np.ndarray) -> float:
-    """Largest a with diag(lam) + a*D psd, for D a direction in the NT-scaled space."""
-    return _max_steps_psd(lam, direction)[0]
-
-
 def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0.0
     return float(np.min(-v[neg] / dv[neg], initial=np.inf))
@@ -542,8 +537,8 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         k_sc = 2.0 * resid / (lam[:, None] + lam[None, :])
         rc = sigma * mu - p * z - dp_a * dz_a
         dp, ds_sc, dx_sc, dz = newton(k_sc, rc / p - _apply_adjoint(g, k_sc))
-        ap = min(1.0, STEP_FRACTION * min(_max_step_psd(lam, ds_sc), _max_step_vec(p, dp)))
-        ad = min(1.0, STEP_FRACTION * min(_max_step_psd(lam, dx_sc), _max_step_vec(z, dz)))
+        ap = min(1.0, STEP_FRACTION * min(_max_steps_psd(lam, ds_sc)[0], _max_step_vec(p, dp)))
+        ad = min(1.0, STEP_FRACTION * min(_max_steps_psd(lam, dx_sc)[0], _max_step_vec(z, dz)))
         trace[-1] = replace(trace[-1], primal_step=ap, dual_step=ad, sigma=sigma)
 
         # Only the step taken leaves the scaled space.

@@ -444,16 +444,18 @@ def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
         raise ValidationError("groups act on different dimensions")
     theta = np.zeros((g.order, q.order))
     residual = 0.0
+    rounding = g.dim * np.finfo(float).eps
     for i, u in enumerate(g.elements):
         for block, phases in zip(_blocks(q.elements), _blocks(theta[i])):
             lhs = u @ block
             rhs = block @ u
-            # Tr(rhs^H lhs) from the matrix product: the sign of a zero imaginary
-            # part, and with it theta = +pi or -pi, depends on the summation.
-            overlap = np.trace(rhs.conj().transpose(0, 2, 1) @ lhs, axis1=1, axis2=2) / g.dim
+            overlap = np.einsum("kab,kab->k", rhs.conj(), lhs) / g.dim
             phases[:] = np.where(np.abs(overlap) > 0, np.angle(overlap), 0.0)
-            phased = np.exp(1j * phases)[:, None, None] * rhs
-            residual = max(residual, float(np.max(np.linalg.norm(lhs - phased, axis=(1, 2)))))
+            # Tr(rhs^H lhs) summed elementwise; the sign of a zero imaginary part
+            # depends on the order of summation, so an overlap that is real and
+            # negative within d eps (the rounding of the products) reads +pi.
+            phases[(overlap.real < 0) & (np.abs(overlap.imag) <= rounding)] = np.pi
+            residual = max(residual, _max_norm(lhs - np.exp(1j * phases)[:, None, None] * rhs))
     commutes = residual <= PHASE_TOL
     phase_free = commutes and bool(np.max(np.abs(np.exp(1j * theta) - 1.0)) <= PHASE_TOL)
     return PhaseCommutation(

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uqsd.epm
+import uqsd.solver
 import uqsd.symmetry
+from uqsd import load_ensemble
 from uqsd.cli import main
 from uqsd.formats import decode_complex, encode_complex
 
@@ -24,6 +27,7 @@ from helpers import (
     sign_group_generator,
     three_state_matrix,
 )
+from oracles import two_state_pd
 
 
 @pytest.fixture()
@@ -155,6 +159,16 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "MaxIterations" in out
 
+    def test_numerical_failure_exit_code(self, three_states_file, monkeypatch, capsys):
+        def failing(x_mat, s_mat):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(uqsd.solver, "_nt_scaling", failing)
+        code, doc = run_json(capsys, ["solve", three_states_file, "--json"])
+        assert code == 3
+        assert doc["solve"]["status"] == "NumericalFailure"
+        assert "verification" not in doc and "measurement" not in doc
+
     def test_removed_gap_flag_exits_2(self, capsys):
         path = Path(__file__).resolve().parents[1] / "data" / "three_states.json"
         with pytest.raises(SystemExit) as exc:
@@ -271,10 +285,33 @@ def test_deeply_nested_document_exit_2(tmp_path, capsys):
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))}
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The commands of README's CLI block, each without its leading ``uqsd``."""
+    text = (DATA.parent / "README.md").read_text()
+    block = text.split("## CLI\n\n```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_cli_commands(monkeypatch, capsys):
+    # Every command as the README prints it, run from the repository root.
+    monkeypatch.chdir(DATA.parent)
+    commands = readme_cli_commands()
+    assert ["solve", "data/near_parallel.json"] in commands
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    # Two states at 1 - |s| = 1e-8: P_D against the Jaeger-Shimony closed form.
+    _, doc = run_json(capsys, ["solve", "data/near_parallel.json", "--json"])
+    ensemble = load_ensemble("data/near_parallel.json")
+    reference = two_state_pd(ensemble.states, ensemble.priors)
+    assert doc["measurement"]["detection_probability"] == pytest.approx(reference, rel=1e-6)
+
+
 SUBCOMMANDS = [
     ["solve"],
     ["epm"],
-    ["epm", "--gu"],
     ["gu"],
     ["cgu"],
     ["group-verify"],
@@ -306,7 +343,7 @@ PARITY_INPUTS = {**BUNDLED, "non-optimal-cgu": non_optimal_cgu_doc()}
         ["epm", "near_parallel.json"],
         ["epm", "degenerate_epm.json"],
         ["epm", "three_states.json", "--make-priors", "1.0"],
-        ["epm", "sign_group_gu.json", "--gu"],
+        ["epm", "sign_group_gu.json"],
         ["gu", "sign_group_gu.json"],
         ["cgu", "pauli_pair_cgu.json"],
         ["simulate", "three_states_weighted.json", "--pipeline", "epm", "--trials", "200"],
@@ -468,11 +505,18 @@ class TestEpmCommand:
         assert "verification" not in doc
         assert "exact_test_tol" not in doc["tolerances"]
 
-    def test_gu_flag(self, gu_spec_file, capsys):
-        code, doc = run_json(capsys, ["epm", gu_spec_file, "--gu", "--json"])
+    def test_symmetry_spec_input(self, gu_spec_file, capsys):
+        code, doc = run_json(capsys, ["epm", gu_spec_file, "--json"])
         assert code == 0
         assert abs(doc["epm"]["p"] - 2 / 9) <= 1e-10
         assert doc["epm"]["tests"]["spectral"]["verdict"] == "Optimal"
+
+    def test_removed_gu_flag_exits_2(self, gu_spec_file, capsys):
+        # The document's own 'group' field marks a symmetry spec.
+        with pytest.raises(SystemExit) as exc:
+            main(["epm", gu_spec_file, "--gu"])
+        assert exc.value.code == 2
+        assert "--gu" in capsys.readouterr().err
 
     def test_make_priors(self, three_states_file, capsys):
         code, doc = run_json(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqsd.epm
 from uqsd import (
     EpmVerdict,
     StateEnsemble,
+    SymmetrySpec,
     ValidationError,
     build_sdp,
     compute_epm,
@@ -18,6 +21,7 @@ from uqsd import (
     epm_certificate,
     epm_test_lp,
     epm_test_spectral,
+    expand,
     load_ensemble,
     priors_for_epm,
     reciprocal_states,
@@ -31,8 +35,10 @@ from helpers import (
     cyclic_profile_ensemble,
     dense_operators,
     gram_power,
+    gu_generator_with_full_orbit,
     haar_unitary,
     random_ensemble,
+    random_gu_group,
     sign_group_elements,
     sign_group_generator,
 )
@@ -231,6 +237,24 @@ class TestLpTest:
             assert result.A is None
             assert result.residual >= 1 / 6 - 1e-12
             assert optimum > analysis.p * 1.01
+
+    def test_straddling_bracket_is_inconclusive(self, monkeypatch):
+        # At s > 1 the verdict is read off the reduced solve's certified
+        # bracket. One that straddles sigma_m^2 (1 + SCALAR_TOL) decides
+        # nothing: no witness, and the residual is the gap to the upper end.
+        e = load_ensemble(Path(__file__).resolve().parents[1] / "data" / "degenerate_epm.json")
+        analysis = epm_analysis(reciprocal_states(e))
+        assert analysis.s == 2
+        lower, upper = analysis.p, analysis.p * (1.0 + 3.0 * SCALAR_TOL)
+
+        def straddling(problem):
+            return dataclasses.replace(solve(problem), lower=lower, upper=upper)
+
+        monkeypatch.setattr(uqsd.epm, "solve", straddling)
+        result = epm_test_lp(e, analysis)
+        assert result.verdict is EpmVerdict.INCONCLUSIVE
+        assert result.A is None
+        assert result.residual == pytest.approx(1.0 - analysis.p / upper, rel=1e-12)
 
     def test_state_outside_the_smallest_singular_space_not_optimal(self, rng):
         # The hand-built system above plus a fourth state orthogonal to it:
@@ -548,6 +572,32 @@ def test_degenerate_epm_optimal_lifts_to_a_passing_certificate(seed, shift):
     lp = epm_test_lp(e, analysis)
     if lp.verdict is EpmVerdict.OPTIMAL:
         assert _lift_passes(e, analysis, lp.A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), degenerate=st.booleans())
+def test_spectral_optimal_implies_exact_optimal_with_passing_certificate(seed, degenerate):
+    # The spectral test is sufficient, so whenever it proves the EPM optimal
+    # the exact test must agree and its lifted witness must verify. Uniform
+    # priors on Haar-conjugated cyclic GU sets, or on cyclic orbits with
+    # repeated DFT magnitudes (s > 1) turned by a Haar unitary: symmetry
+    # makes every moment ratio equal, so the spectral test says Optimal.
+    rng = np.random.default_rng(seed)
+    if degenerate:
+        m = int(rng.integers(3, 9))
+        base = cyclic_profile_ensemble(rng.choice([0.3, 0.45, 0.8, 1.0], size=m), rng)
+        e = StateEnsemble(haar_unitary(rng, m) @ base.states, base.priors)
+    else:
+        size = int(rng.integers(2, 9))
+        group = random_gu_group(rng, "conjugated", size, size + int(rng.integers(0, 3)))
+        e = expand(SymmetrySpec(group=group, generators=gu_generator_with_full_orbit(rng, group)))
+    rs = reciprocal_states(e)
+    analysis = epm_analysis(rs)
+    assert epm_test_spectral(e, analysis).verdict is EpmVerdict.OPTIMAL
+    lp = epm_test_lp(e, analysis)
+    assert lp.verdict is EpmVerdict.OPTIMAL
+    cert = epm_certificate(analysis, lp.A)
+    assert verify_certificate(e, rs, compute_epm(e, rs).probs, cert).passed
 
 
 def test_import_and_solve_load_no_scipy():

@@ -17,7 +17,7 @@ from uqsd import (
     solve,
     verify_certificate,
 )
-from uqsd.solver import _bracket, _lift, _max_step_psd, _max_steps_psd, _nt_scaling
+from uqsd.solver import _bracket, _lift, _max_steps_psd, _nt_scaling
 
 from helpers import (
     cyclic_profile_ensemble,
@@ -204,6 +204,31 @@ class TestSolve:
         assert set(report.residuals) == RESIDUAL_KEYS
         assert report.certified_by is None
 
+    def test_numerical_failure_returns_the_scored_last_iterate(
+        self, monkeypatch, three_states_uniform
+    ):
+        calls = []
+
+        def failing(x_mat, s_mat):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("forced")
+            return _nt_scaling(x_mat, s_mat)
+
+        monkeypatch.setattr("uqsd.solver._nt_scaling", failing)
+        rs, _, report = solve_ensemble(three_states_uniform)
+        assert report.status is SolveStatus.NUMERICAL_FAILURE
+        assert report.iterations == 2 and report.certified_by is None
+        # The iterate the scaling failed on, unclipped, scored as verify_certificate scores it.
+        last = report.trace[-1]
+        assert report.primal_value == last.primal_value
+        # The dual value is read off the lifted X, which rounds differently.
+        assert report.dual_value == pytest.approx(last.dual_value, rel=1e-12)
+        assert last.primal_step is None
+        ver = verify_certificate(three_states_uniform, rs, report.p, report.certificate)
+        assert report.residuals == ver.residuals and not ver.passed
+        assert report.lower <= report.upper
+
     def test_single_state(self):
         e = StateEnsemble(np.array([[1.0], [0.0]], dtype=complex), np.array([1.0]))
         _, _, report = solve_ensemble(e)
@@ -256,8 +281,8 @@ class TestStepLength:
                 dx, ds = dx @ dx, ds @ ds
             lam, t_inv = _nt_scaling(x_mat, s_mat)
             t_nt = np.linalg.inv(t_inv)
-            step_s = _max_step_psd(lam, self._herm(t_inv @ ds @ t_inv.conj().T))
-            step_x = _max_step_psd(lam, self._herm(t_nt.conj().T @ dx @ t_nt))
+            step_s = _max_steps_psd(lam, self._herm(t_inv @ ds @ t_inv.conj().T))[0]
+            step_x = _max_steps_psd(lam, self._herm(t_nt.conj().T @ dx @ t_nt))[0]
             if psd_direction:
                 assert step_s == step_x == np.inf
             else:
@@ -313,8 +338,7 @@ class TestStepLength:
                 ds = -np.diag(lam) - self._herm(ds @ ds)
             dx = -np.diag(lam) - ds
             step_s, step_x = _max_steps_psd(lam, ds)
-            assert step_s == pytest.approx(_max_step_psd(lam, ds), rel=1e-12)
-            assert step_x == pytest.approx(_max_step_psd(lam, dx), rel=1e-12)
+            assert step_x == pytest.approx(_max_steps_psd(lam, dx)[0], rel=1e-12)
             assert step_s == pytest.approx(max_step_reference(np.diag(lam), ds), rel=1e-10)
             assert step_x == pytest.approx(max_step_reference(np.diag(lam), dx), rel=1e-10)
             if kind != "generic":

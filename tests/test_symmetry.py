@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqsd import (
     EpmVerdict,
@@ -173,6 +175,42 @@ def pauli_pair_spec():
     base = np.array([2.0, 1.0, 3.0, 1.0], dtype=complex) / np.sqrt(15)
     gens = np.column_stack([base, inner.elements[1] @ base])
     return SymmetrySpec(group=outer, generators=gens, generator_group=inner)
+
+
+def phase_pair_spec(rng, kind: str) -> SymmetrySpec:
+    """A CGU spec on C^(n k), k in {n, n + 1}, conjugated by one Haar unitary.
+
+    The outer group is the shift S_n (x) I_k. The generators are the orbit of
+    a random unit vector under the generator group: Z_n (x) I_k for
+    ``"phases"`` (S Z = omega Z S, so the groups commute up to the phases
+    omega^{jl}), I_n (x) S_k for ``"commuting"``, and a Haar-conjugated copy
+    of the outer group for ``"unrelated"``.
+    """
+    n = int(rng.integers(2, 5))
+    k = n + int(rng.integers(0, 2))
+    outer = np.kron(cyclic_shift(n), np.eye(k))
+    if kind == "phases":
+        inner = np.kron(np.diag(np.exp(2j * np.pi * np.arange(n) / n)), np.eye(k))
+    elif kind == "commuting":
+        inner = np.kron(np.eye(n), cyclic_shift(k))
+    else:
+        v = haar_unitary(rng, n * k)
+        inner = v @ outer @ v.conj().T
+    w = haar_unitary(rng, n * k)
+
+    def conjugated_powers(g, order):
+        return UnitaryGroup(np.array(
+            [w @ np.linalg.matrix_power(g, j) @ w.conj().T for j in range(order)]
+        ))
+
+    inner_group = conjugated_powers(inner, k if kind == "commuting" else n)
+    base = rng.normal(size=n * k) + 1j * rng.normal(size=n * k)
+    base /= np.linalg.norm(base)
+    return SymmetrySpec(
+        group=conjugated_powers(outer, n),
+        generators=np.column_stack([v @ base for v in inner_group.elements]),
+        generator_group=inner_group,
+    )
 
 
 class TestUnitaryGroup:
@@ -483,6 +521,19 @@ class TestCommutePhase:
                 expected = np.exp(-2j * np.pi * j * k / m)
                 assert abs(np.exp(1j * result.theta[j, k]) - expected) <= 1e-10
 
+    @pytest.mark.parametrize("d", [4, 16, 40])
+    def test_real_negative_overlap_reads_plus_pi(self, d):
+        # Shift and clock on C^d commute up to omega^{jk}, which is -1 where
+        # jk = d/2 mod d. There the overlap's imaginary part is zero up to
+        # rounding, whose sign depends on the summation; theta reads +pi.
+        shift = cyclic_group(cyclic_shift(d), d)
+        clock = cyclic_group(np.diag(np.exp(2j * np.pi * np.arange(d) / d)), d)
+        result = check_commute_phase(shift, clock)
+        assert result.commutes and not result.phase_free
+        minus_one = np.abs(np.exp(1j * result.theta) + 1.0) <= 1e-10
+        assert minus_one.any()
+        assert np.all(result.theta[minus_one] == np.pi)
+
     def test_memory_stays_a_few_blocks(self):
         # The shift on C^16 against the order-256 group of phases omega^a times
         # clock powers Z^b (omega = e^{2 pi i / 16}), eight blocks: each shift
@@ -566,6 +617,19 @@ class TestSolveCgu:
         spec = pauli_pair_spec()
         sol = solve_cgu(SymmetrySpec(group=spec.group, generators=spec.generators))
         assert sol.phase is None
+        assert sol.verdict is EpmVerdict.OPTIMAL
+        ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
+        assert ver.passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["phases", "commuting", "unrelated"]))
+def test_commuting_phase_evidence_implies_verified_optimum(seed, kind):
+    # The phase condition is the paper's sufficient condition for CGU sets:
+    # whenever the evidence commutes, the exact test must say Optimal and
+    # its certificate must verify.
+    sol = solve_cgu(phase_pair_spec(np.random.default_rng(seed), kind))
+    if sol.phase.commutes:
         assert sol.verdict is EpmVerdict.OPTIMAL
         ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
         assert ver.passed
