@@ -14,7 +14,7 @@ its closure residual and the number of multiplication-table rows it
 formed. ``peak`` is the ``tracemalloc`` peak of one more, untimed
 ``verify_group`` call, in MiB: what the check itself allocates beyond the
 group. ``ru_maxrss`` is the peak resident set of the process so far in
-MB, which the group's construction and the ``read`` column's parse
+MB, which building the group and writing its document as nested lists
 dominate. Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_verify_group.py [ORDER ...] [--smoke]

@@ -36,7 +36,7 @@ from .ensemble import (
     reciprocal_states,
 )
 from .errors import ValidationError
-from .formats import collector_paused, encode_complex, encode_real_vector, read_document
+from .formats import encode_complex, encode_real_vector, read_document
 from .simulate import simulate
 from .solver import (
     OPERATOR_TOL,
@@ -171,7 +171,6 @@ def _run_sdp(args, ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Mea
     return exit_code, measurement_from_probs(recips, report.p)
 
 
-@collector_paused()
 def _load_states(path) -> StateEnsemble:
     """The states of an ensemble document, or the expansion of a symmetry spec."""
     doc = read_document(path)
@@ -306,7 +305,6 @@ def _cmd_pipeline(args) -> int:
     return exit_code
 
 
-@collector_paused()
 def cmd_group_verify(args) -> int:
     doc_in = read_document(args.file)
     if "group" not in doc_in:

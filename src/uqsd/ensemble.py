@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import LinearDependenceError, ValidationError
 from .formats import (
-    collector_paused,
     decode_complex,
     decode_real_vector,
     encode_complex,
@@ -168,6 +167,8 @@ class Measurement:
 
 def _count(doc: Mapping[str, Any], key: str) -> int:
     value = doc[key]
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -175,7 +176,6 @@ def _count(doc: Mapping[str, Any], key: str) -> int:
     return value
 
 
-@collector_paused()
 def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
     """Load and validate an ensemble document.
 

@@ -49,7 +49,7 @@ from .epm import (
     epm_test_lp,
 )
 from .errors import LinearDependenceError, ValidationError
-from .formats import collector_paused, decode_complex, read_document
+from .formats import decode_complex, read_document
 from .solver import DualCertificate
 
 UNITARITY_TOL = 1e-10
@@ -517,7 +517,6 @@ def decode_group(obj, where: str = "group") -> UnitaryGroup:
     return UnitaryGroup(decode_complex(obj, 3, where))
 
 
-@collector_paused()
 def load_symmetry_spec(source) -> SymmetrySpec:
     """Load a symmetry spec document: group matrices plus generator vectors."""
     doc = read_document(source)

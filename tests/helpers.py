@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from uqsd import StateEnsemble, UnitaryGroup
 from uqsd.errors import ValidationError
+from uqsd.formats import decode_complex
 
 
 def three_state_matrix() -> np.ndarray:
@@ -35,6 +39,21 @@ def reference_decode_complex(obj, ndim: int, where: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{where}: entries must be finite")
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
+def reference_read_pairs(path, key: str, ndim: int) -> np.ndarray:
+    """Field ``key`` of a JSON file read as ``json.loads`` plus the nested-list decoder.
+
+    The reference for ``read_document``'s array reader: the whole text
+    becomes Python lists, which ``decode_complex`` walks. Errors are
+    ``ValidationError`` with the messages ``read_document`` gives.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    return decode_complex(doc[key], ndim, key)
 
 
 def f_matrix(problem, p) -> np.ndarray:

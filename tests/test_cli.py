@@ -283,6 +283,13 @@ def test_deeply_nested_document_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_utf8_document_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"r": 1, "m": 1, "note": "\xff\xfe", "states": [[[1, 0]]]}')
+    assert main(["solve", str(path)]) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))}
 
