@@ -64,7 +64,7 @@ _MAX_AXES = 4
 # The marks of an array's text: each number a run of b"0"s, JSON whitespace dropped.
 _MARKS = bytes.maketrans(b"0123456789+-.eE", b"0" * 15)
 _JSON_WHITESPACE = b" \t\n\r"
-# Bytes of marks per vectorized pass of the slot check.
+# Bytes of marks per numpy pass of the slot check.
 _WINDOW = 1 << 16
 # Characters per json.loads: its list and text copy stay small next to the array.
 _CHUNK = 1 << 16
@@ -136,8 +136,10 @@ def _decode_real(obj: Any, ndim: int, expected: str, where: str) -> np.ndarray:
     which names ``where``, opens with ``expected``.
     """
     if isinstance(obj, np.ndarray) and obj.dtype == float:
-        # The list walk names what an array of another depth holds.
-        a = obj if obj.ndim == ndim else _decode_nested(obj.tolist(), ndim, expected)
+        # read_document's arrays are C-ordered with no empty axis. The list
+        # walk checks any other float array and names what it holds.
+        taken = obj.ndim == ndim and obj.size and obj.flags.c_contiguous
+        a = obj if taken else _decode_nested(obj.tolist(), ndim, expected)
     else:
         a = _decode_nested(obj, ndim, expected)
     if not np.isfinite(a).all():
@@ -178,12 +180,9 @@ def _skeleton(shape: list[int]) -> bytes:
 def _numbers_in_slots(marks: bytes) -> bool:
     """Whether no number in ``marks`` directly follows a ``]`` or precedes a ``[``.
 
-    A substring search is quickest on short marks, but long ones are mostly
-    ``0``s, where it advances a byte at a time; numpy compares those pairs
-    window by window instead.
+    Numpy compares the pairs window by window, which keeps its temporaries
+    small.
     """
-    if len(marks) <= _WINDOW:
-        return b"]0" not in marks and b"0[" not in marks
     close, number, open_ = b"]0["
     a = np.frombuffer(marks, np.uint8)
     for i in range(0, a.size - 1, _WINDOW):

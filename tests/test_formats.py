@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqsd.ensemble import load_ensemble
 from uqsd.errors import ValidationError
 from uqsd.formats import decode_complex, decode_real_vector, encode_complex, read_document
 from uqsd.symmetry import load_symmetry_spec
@@ -154,6 +155,37 @@ def test_real_vector_rejects_naming_the_field(obj):
 def test_real_vector_reads_numbers():
     v = decode_real_vector([1, 0.25, -0.0, np.float64(2.5)], "priors")
     assert v.dtype == float and v.tolist() == [1.0, 0.25, -0.0, 2.5]
+
+
+# Float arrays an in-memory mapping may hold but read_document never returns.
+ODD_ARRAYS = {
+    "fortran": np.asfortranarray(np.arange(8.0).reshape(4, 2)),
+    "reversed-pairs": np.arange(8.0).reshape(4, 2)[:, ::-1],
+    "strided-rows": np.arange(16.0).reshape(8, 2)[::2],
+    "empty": np.empty((0, 2)),
+    "empty-pairs": np.empty((3, 0)),
+}
+
+
+@pytest.mark.parametrize("a", ODD_ARRAYS.values(), ids=ODD_ARRAYS.keys())
+def test_float_arrays_of_any_layout_decode_like_their_lists(a):
+    try:
+        expected = decode_complex(a.tolist(), 1, "x")
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as raised:
+            decode_complex(a, 1, "x")
+        assert str(raised.value) == str(exc)
+    else:
+        assert_bitwise(decode_complex(a, 1, "x"), expected)
+
+
+def test_fortran_ordered_mapping_value_loads_like_its_lists():
+    states = np.asfortranarray([[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.8]]])
+    doc = {"r": 2, "m": 2, "states": states}
+    assert not states.flags.c_contiguous
+    ensemble = load_ensemble(doc)
+    expected = load_ensemble({**doc, "states": states.tolist()})
+    assert ensemble.states.tobytes() == expected.states.tobytes()
 
 
 def json_leaves():
