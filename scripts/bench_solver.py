@@ -1,17 +1,22 @@
 """Time ``solve`` on a seeded dense pool plus the bundled degenerate EPM set.
 
-The pool holds ``--pool`` random complex Gaussian ensembles with r = m =
-``--dim`` and priors uniform in [0.5, 1.5] before normalisation, drawn from
-seed 1; ``data/degenerate_epm.json`` (smallest singular value of
-multiplicity two) is solved after it. Each solve is timed in process CPU
+The pool holds ``--pool`` random complex Gaussian ensembles of m = ``--dim``
+states in r = ``--rows`` dimensions (default r = m) and priors uniform in
+[0.5, 1.5] before normalisation, drawn from seed 1; ``--rows`` above
+``--dim`` times the r >> m case, where ``solve`` works on the n = m rows of
+the span and scores its answer on the r x m reciprocals.
+``data/degenerate_epm.json`` (smallest singular value of multiplicity two)
+is solved after the pool. Each solve is timed in process CPU
 with one BLAS thread, and one JSON line is printed with:
 
 * ``iterations``: interior-point steps over every solve;
-* ``ms_per_iteration``: process-CPU ms of all solves over those steps;
+* ``ms_per_iteration``: process-CPU ms of all solves over those steps, and
+  ``ms_per_solve`` the same CPU over the number of sets;
 * ``certified_by``: how many answers the iterate and the polish certified,
   and ``polish_attempts`` in total;
 * ``face_dims``: a histogram of the rank of the returned X, counting the
-  eigenvalues above 1e-6 of the largest;
+  eigenvalues above 1e-6 of the largest (read off the singular values of
+  the certificate's factor F when it has one, X = F F*);
 * ``ru_maxrss_kb``: the peak resident set of the process.
 
 ``--kernels`` adds ``kernel_ms_per_solve``: the process-CPU ms per solve
@@ -24,10 +29,12 @@ wrappers' own cost inflates ``ms_per_iteration`` slightly.
 Every answer must be Optimal and pass ``verify_certificate``; the script
 exits 1 otherwise. Run from the repository root:
 
-    PYTHONPATH=src python scripts/bench_solver.py [--pool 64] [--smoke] [--kernels]
+    PYTHONPATH=src python scripts/bench_solver.py [--pool 64] [--dim 32] [--rows R]
+        [--smoke] [--kernels]
 
 Point PYTHONPATH at another checkout's ``src`` to time that tree on the same
-instances. ``--smoke`` solves a small pool at r = m = 6, for CI.
+instances. ``--smoke`` solves a small pool at m = 6 (r = 6 unless
+``--rows`` is given), for CI.
 """
 
 import os
@@ -60,11 +67,11 @@ SEED = 1
 KERNELS = ("_nt_scaling", "_max_steps_psd", "_kkt_polish", "_residuals")
 
 
-def dense_pool(dim: int, size: int) -> list[StateEnsemble]:
+def dense_pool(rows: int, dim: int, size: int) -> list[StateEnsemble]:
     rng = np.random.default_rng(SEED)
     pool = []
     for _ in range(size):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
         w = rng.uniform(0.5, 1.5, dim)
         pool.append(StateEnsemble(a / np.linalg.norm(a, axis=0), w / w.sum()))
     return pool
@@ -89,23 +96,31 @@ def wrap_kernels() -> dict[str, float]:
     return totals
 
 
-def face_dim(x_mat: np.ndarray) -> int:
-    w = np.linalg.eigvalsh(x_mat)
-    return int(np.sum(w > 1e-6 * w[-1]))
+def face_dim(certificate) -> int:
+    factor = getattr(certificate, "F", None)
+    if factor is None:
+        w = np.linalg.eigvalsh(certificate.X)
+    else:
+        w = np.linalg.svd(factor, compute_uv=False) ** 2
+    return int(np.sum(w > 1e-6 * np.max(w)))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pool", type=int, default=64)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--smoke", action="store_true", help="4 instances at r = m = 6")
+    parser.add_argument("--dim", type=int, default=32, help="states per set, m")
+    parser.add_argument("--rows", type=int, help="dimension r of the states (default: --dim)")
+    parser.add_argument("--smoke", action="store_true", help="4 instances at m = 6")
     parser.add_argument("--kernels", action="store_true", help="CPU per solve in each solver kernel")
     args = parser.parse_args()
     if args.smoke:
         args.pool, args.dim = 4, 6
+    rows = args.dim if args.rows is None else args.rows
+    if rows < args.dim:
+        parser.error("--rows must be at least --dim")
     kernel_cpu = wrap_kernels() if args.kernels else {}
 
-    ensembles = dense_pool(args.dim, args.pool) + [load_ensemble(DEGENERATE)]
+    ensembles = dense_pool(rows, args.dim, args.pool) + [load_ensemble(DEGENERATE)]
     iterations = polish_attempts = 0
     cpu = 0.0
     stages: Counter = Counter()
@@ -120,7 +135,7 @@ def main() -> int:
         iterations += report.iterations
         polish_attempts += report.polish_attempts
         stages[str(report.certified_by)] += 1
-        faces[face_dim(report.certificate.X)] += 1
+        faces[face_dim(report.certificate)] += 1
         # verify_certificate's own _residuals call is not part of the solve.
         in_solve = dict(kernel_cpu)
         ver = verify_certificate(ens, recips, report.p, report.certificate)
@@ -130,8 +145,10 @@ def main() -> int:
     result = {
         "instances": len(ensembles),
         "dim": args.dim,
+        "rows": rows,
         "iterations": iterations,
         "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
+        "ms_per_solve": round(1e3 * cpu / len(ensembles), 4),
         "cpu_s": round(cpu, 4),
         "certified_by": dict(sorted(stages.items())),
         "polish_attempts": polish_attempts,

@@ -13,9 +13,11 @@ row also prints the report of the last ``verify_group`` call: its verdict,
 its closure residual and the number of multiplication-table rows it
 formed. ``peak`` is the ``tracemalloc`` peak of one more, untimed
 ``verify_group`` call, in MiB: what the check itself allocates beyond the
-group. ``ru_maxrss`` is the peak resident set of the process so far in
-MB, which building the group and writing its document as nested lists
-dominate. Run from the repository root:
+group. ``read peak`` is the same for one more, untimed read of the
+document, in MiB: what reading and decoding it allocate, which the
+process-wide ``ru_maxrss`` cannot show. ``ru_maxrss`` is the peak resident
+set of the process so far in MB, which building the group and writing its
+document as nested lists dominate. Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_verify_group.py [ORDER ...] [--smoke]
 
@@ -107,7 +109,7 @@ def main() -> int:
     failures = 0
     print(
         f"{'order':>5}  {'group':<10}  {'ms/call':>9}  {'read ms':>9}  "
-        "passed  closure   rows  peak MiB  ru_maxrss"
+        "passed  closure   rows  peak MiB  read peak  ru_maxrss"
     )
     with tempfile.TemporaryDirectory() as tmp:
         for order in args.orders:
@@ -119,11 +121,11 @@ def main() -> int:
                 peak = peak_mib(lambda: verify_group(group))
                 path = Path(tmp) / f"{kind}{order}.json"
                 path.write_text(json.dumps({"group": [encode_complex(u) for u in group.elements]}))
-                read_seconds, _ = time_per_call(
-                    lambda: decode_group(read_document(path)["group"]),
-                    args.blocks,
-                    args.block_seconds,
-                )
+                def read():
+                    return decode_group(read_document(path)["group"])
+
+                read_seconds, _ = time_per_call(read, args.blocks, args.block_seconds)
+                read_peak = peak_mib(read)
                 path.unlink()
                 failures += not report.passed
                 rows = getattr(report, "rows", "-")
@@ -131,7 +133,7 @@ def main() -> int:
                 print(
                     f"{order:>5}  {kind:<10}  {1e3 * seconds:>9.2f}  {1e3 * read_seconds:>9.2f}  "
                     f"{str(report.passed):<6}  {report.closure:.2e}  {rows:>4}  {peak:>8.2f}  "
-                    f"{peak_mb:>6.1f} MB"
+                    f"{read_peak:>9.2f}  {peak_mb:>6.1f} MB"
                 )
                 del group
     return 1 if failures else 0

@@ -38,7 +38,15 @@ from .ensemble import (
     measurement_from_probs,
 )
 from .errors import ValidationError
-from .solver import SCALAR_TOL, DualCertificate, SdpProblem, _check_matches, _lift, solve
+from .solver import (
+    SCALAR_TOL,
+    DualCertificate,
+    SdpProblem,
+    _check_matches,
+    _lift,
+    _psd_factor,
+    solve,
+)
 
 MULTIPLICITY_RTOL = 1e-6
 SPECTRAL_RTOL = 1e-8
@@ -125,9 +133,14 @@ def _last(analysis: EpmAnalysis) -> np.ndarray:
 
 
 def _witness(analysis: EpmAnalysis, a: np.ndarray) -> np.ndarray:
+    """A as a complex s x s array, checked finite, Hermitian and psd."""
     a = np.asarray(a, dtype=complex)
     if a.shape != (analysis.s, analysis.s):
         raise ValidationError(f"A must be {analysis.s} x {analysis.s}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("A must be finite")
+    if np.max(np.abs(a - a.conj().T)) > 1e-10 or np.linalg.eigvalsh(a)[0] < -1e-10:
+        raise ValidationError("A must be Hermitian positive semidefinite")
     return a
 
 
@@ -157,8 +170,12 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
         lower = upper = p * float(np.max(eta / analysis.last_rows.sum(axis=0)))
     a = np.ones((1, 1))
     if analysis.s > 1 and lower <= threshold:
+        # The reduced reciprocals V_s* / sigma_m have orthonormal rows, so
+        # their span factors are (I_s, 1 / sigma_m, V_s*).
         rows = analysis.recips.vh[_last(analysis)]
-        report = solve(SdpProblem(cost=-eta, reciprocals=rows / analysis.recips.sigma[-1]))
+        sigma_m = analysis.recips.sigma[-1]
+        span = (np.eye(analysis.s), np.full(analysis.s, 1.0 / sigma_m), rows)
+        report = solve(SdpProblem(cost=-eta, reciprocals=rows / sigma_m, span=span))
         lower, upper, a = report.lower, report.upper, report.certificate.X / p
     if upper <= threshold:
         return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, A=a, residual=1.0 - p / upper)
@@ -174,10 +191,6 @@ def priors_for_epm(analysis: EpmAnalysis, a: np.ndarray) -> np.ndarray:
     ``diag(b)`` gives the mix of the squared last rows of V* with weights b.
     """
     a = _witness(analysis, a)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("A must be finite")
-    if np.max(np.abs(a - a.conj().T)) > 1e-10 or np.linalg.eigvalsh(a)[0] < -1e-10:
-        raise ValidationError("A must be Hermitian positive semidefinite")
     trace = np.trace(a).real
     if abs(trace - 1.0) > 1e-10:
         raise ValidationError(f"A must have unit trace within 1e-10 (trace={trace!r})")
@@ -189,10 +202,13 @@ def epm_certificate(analysis: EpmAnalysis, a: np.ndarray) -> DualCertificate:
     """Dual certificate for an optimal EPM with witness A.
 
     X is ``sigma_m^2 U_s A U_s*``, with U_s the left singular vectors paired
-    with the smallest singular value; all scalar slacks vanish because every
-    detection probability is strictly positive.
+    with the smallest singular value, held as its factor ``sigma_m U_s G``
+    for A = G G* (one s x s eigh), of at most s columns; all scalar slacks
+    vanish because every detection probability is strictly positive. ``A``
+    must be s x s, finite, Hermitian and psd.
     """
-    reduced = DualCertificate(X=analysis.p * _witness(analysis, a), z=np.zeros(analysis.recips.m))
+    g = _psd_factor(_witness(analysis, a))[0]
+    reduced = DualCertificate(F=np.sqrt(analysis.p) * g, z=np.zeros(analysis.recips.m))
     return _lift(analysis.recips.u[:, _last(analysis)], reduced)
 
 

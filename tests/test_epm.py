@@ -490,6 +490,15 @@ class TestEpmCertificate:
         ver = verify_certificate(three_states_weighted, rs, meas.probs, cert)
         assert ver.passed
 
+    @pytest.mark.parametrize(
+        "a", [[[1.0, 0.0], [0.0, -0.5]], [[0.5, 0.5], [0.0, 0.5]], [[np.nan, 0.0], [0.0, 1.0]]]
+    )
+    def test_rejects_a_witness_that_is_not_finite_hermitian_psd(self, rng, a):
+        # The certificate holds a factor of A, and such an A has none.
+        e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
+        with pytest.raises(ValidationError, match="A must be"):
+            epm_certificate(epm_analysis(reciprocal_states(e)), np.array(a))
+
     def test_rank_matches_witness_support(self, rng):
         e = cyclic_profile_ensemble([0.8, 0.45, 0.3, 0.3], rng)
         rs = reciprocal_states(e)

@@ -17,7 +17,15 @@ from uqsd import (
     solve,
     verify_certificate,
 )
-from uqsd.solver import _bracket, _lift, _max_steps_psd, _nt_scaling
+from uqsd.solver import (
+    _bracket,
+    _iterate_certificate,
+    _lift,
+    _max_steps_psd,
+    _nt_scaling,
+    _psd_factor,
+    _residuals,
+)
 
 from helpers import (
     cyclic_profile_ensemble,
@@ -64,6 +72,28 @@ class TestBuildSdp:
         f0 = f_matrix(problem, np.zeros(3))
         assert np.allclose(f0, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), atol=1e-14)
         assert np.linalg.eigvalsh(f0)[0] >= 0.0
+
+    @pytest.mark.parametrize("r, m", [(3, 3), (9, 4)])
+    def test_span_factors_are_those_of_the_reciprocals(self, r, m):
+        # build_sdp hands over the reciprocal set's factors, in the order an
+        # SVD of C would give, and a problem built without them gets that SVD.
+        e = random_ensemble(np.random.default_rng(r), r, m)
+        rs = reciprocal_states(e)
+        for problem in (build_sdp(e, rs), SdpProblem(cost=-e.priors, reciprocals=rs.reciprocals)):
+            u, sv, vh = problem.span
+            assert u.shape == (r, m) and sv.shape == (m,) and vh.shape == (m, m)
+            assert np.all(np.diff(sv) <= 0.0)
+            assert np.allclose(sv, np.linalg.svd(rs.reciprocals, compute_uv=False), rtol=1e-12)
+            assert np.allclose((u * sv) @ vh, rs.reciprocals, atol=1e-12)
+            assert np.allclose(u.conj().T @ u, np.eye(m), atol=1e-12)
+
+    def test_span_factors_of_the_wrong_shape_raise(self, three_states_reciprocals):
+        u, sv, vh = build_sdp(load_ensemble(DATA / "three_states.json"),
+                              three_states_reciprocals).span
+        c = three_states_reciprocals.reciprocals
+        for span in ((u[:, :2], sv, vh), (u, sv[:2], vh), (u, sv, vh[:, :2])):
+            with pytest.raises(ValidationError, match="span factors"):
+                SdpProblem(cost=-np.full(3, 1 / 3), reciprocals=c, span=span)
 
     def test_orthonormal_blocks(self, orthonormal_ensemble):
         rs = reciprocal_states(orthonormal_ensemble)
@@ -392,6 +422,106 @@ class TestVerifyCertificate:
             verify_certificate(three, other, report.p, report.certificate)
 
 
+def assert_scored_alike(ver, twin):
+    """Same checks, and residuals, traces and dual value within 1e-12 (relative above one)."""
+    assert ver.checks == twin.checks
+    pairs = [(ver.residuals[k], twin.residuals[k]) for k in RESIDUAL_KEYS]
+    pairs += list(zip(ver.detail["trace_products"], twin.detail["trace_products"]))
+    pairs.append((ver.detail["dual_value"], twin.detail["dual_value"]))
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (a, b)
+
+
+class TestFactoredCertificate:
+    # A factored certificate is scored on its factor F in O(r m k); a dense
+    # one on the factor of its psd part from one eigh. Both must give the
+    # same verdicts on the same X = F F*.
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("r, m", [(4, 4), (6, 6), (40, 4), (64, 6)])
+    def test_factored_and_dense_certificates_score_alike(self, r, m, k):
+        rng = np.random.default_rng(100 * r + 10 * m + k)
+        e = random_ensemble(rng, r, m)
+        rs = reciprocal_states(e)
+        report = solve(build_sdp(e, rs))
+        assert report.status is SolveStatus.OPTIMAL
+        scale = np.sqrt(-report.dual_value / (r * k))
+        candidates = [(report.p, report.certificate.F, report.certificate.z)]
+        for _ in range(4):
+            f = scale * (rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)))
+            candidates.append((report.p * rng.uniform(0.5, 1.5, m), f, rng.uniform(0, 0.1, m)))
+        verdicts = []
+        for p, f, z in candidates:
+            ver = verify_certificate(e, rs, p, DualCertificate(F=f, z=z))
+            twin = verify_certificate(e, rs, p, DualCertificate(X=f @ f.conj().T, z=z))
+            assert_scored_alike(ver, twin)
+            verdicts.append(ver.passed)
+        assert verdicts == [True, False, False, False, False]
+
+    def test_perturbed_factor_fails(self):
+        rng = np.random.default_rng(3)
+        e = random_ensemble(rng, 40, 4)
+        rs = reciprocal_states(e)
+        report = solve(build_sdp(e, rs))
+        f, z = report.certificate.F, report.certificate.z
+        assert verify_certificate(e, rs, report.p, report.certificate).passed
+        noise = rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape)
+        for bumped in (1.01 * f, f + 1e-3 * np.linalg.norm(f) * noise):
+            ver = verify_certificate(e, rs, report.p, DualCertificate(F=bumped, z=z))
+            assert not ver.passed
+
+    @pytest.mark.parametrize("flaw", ["rows", "vector", "nan", "inf"])
+    def test_malformed_factor_raises(self, three_states_uniform, flaw):
+        rs, _, report = solve_ensemble(three_states_uniform)
+        f = report.certificate.F.copy()
+        if flaw == "rows":
+            f = np.vstack([f, f[:1]])
+        elif flaw == "vector":
+            f = f[:, 0]
+        else:
+            f.flat[0] = {"nan": np.nan, "inf": np.inf}[flaw]
+        match = "shape mismatch" if flaw in ("rows", "vector") else "^F contains non-finite"
+        with pytest.raises(ValidationError, match=match):
+            verify_certificate(three_states_uniform, rs, report.p,
+                               DualCertificate(F=f, z=report.certificate.z))
+
+    def test_iterate_certificate_is_factored_only_when_psd(self):
+        # A PD iterate is carried as F with F F* = X; an indefinite one stays
+        # dense, so that its lift still fails dual_psd by its lambda_min.
+        z = np.zeros(2)
+        pd = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        cert = _iterate_certificate(pd, z)
+        assert np.allclose(cert.F @ cert.F.conj().T, pd, atol=1e-14)
+        indefinite = np.diag([1.0, -1e-3]).astype(complex)
+        cert = _iterate_certificate(indefinite, z)
+        assert cert.F is None and np.array_equal(cert.X, indefinite)
+        lifted = _lift(np.eye(3)[:, :2], cert)
+        c = np.eye(3)[:, :2].astype(complex)
+        assert _residuals(c, np.full(2, 0.5), np.zeros(2), lifted)[0]["dual_psd"] == 1e-3
+
+    def test_takes_exactly_one_of_x_and_f(self):
+        with pytest.raises(ValidationError, match="exactly one"):
+            DualCertificate(X=np.eye(2), F=np.eye(2), z=np.zeros(2))
+        with pytest.raises(ValidationError, match="exactly one"):
+            DualCertificate(z=np.zeros(2))
+
+    def test_scoring_forms_no_dense_x(self, monkeypatch):
+        # At r >> m, solve and verify_certificate work on the factor alone:
+        # no SVD in solve, and X is formed only when read.
+        e = random_ensemble(np.random.default_rng(8), 200, 5)
+        rs = reciprocal_states(e)
+        problem = build_sdp(e, rs)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("solve took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        report = solve(problem)
+        assert report.status is SolveStatus.OPTIMAL
+        assert verify_certificate(e, rs, report.p, report.certificate).passed
+        assert report.certificate.F.shape[0] == 200 and "X" not in vars(report.certificate)
+        assert report.certificate.X.shape == (200, 200)
+
+
 def feasible_pair(ensemble):
     """A strictly feasible primal point p and dual matrix X, far from optimal."""
     rs = reciprocal_states(ensemble)
@@ -401,8 +531,13 @@ def feasible_pair(ensemble):
     return rs, p, alpha * np.eye(ensemble.r)
 
 
-def bracket(rs, ensemble, p, x_mat):
-    lower, upper, _, _ = _bracket(rs.reciprocals, ensemble.priors, p, x_mat)
+def bracket(rs, ensemble, p, x):
+    """The bracket of (p, X) for a dense X, or for a certificate on the factor its checks use."""
+    if isinstance(x, DualCertificate) and x.F is not None:
+        f = x.F
+    else:
+        f = _psd_factor(x.X if isinstance(x, DualCertificate) else x)[0]
+    lower, upper, _, _ = _bracket(rs.reciprocals, ensemble.priors, p, f)
     return lower, upper
 
 
@@ -454,7 +589,7 @@ class TestBracket:
         # Optimal or not, lower/upper are the bracket of the returned pair,
         # and the "gap" residual is its relative width.
         rs, _, report = solve_ensemble(three_states_uniform, max_iters=max_iters)
-        lower, upper = bracket(rs, three_states_uniform, report.p, report.certificate.X)
+        lower, upper = bracket(rs, three_states_uniform, report.p, report.certificate)
         assert (report.lower, report.upper) == (lower, upper)
         assert report.residuals["gap"] == 1.0 - lower / upper
         assert (report.status is SolveStatus.OPTIMAL) == (max_iters == 100)
