@@ -175,7 +175,7 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
         rows = analysis.recips.vh[_last(analysis)]
         sigma_m = analysis.recips.sigma[-1]
         span = (np.eye(analysis.s), np.full(analysis.s, 1.0 / sigma_m), rows)
-        report = solve(SdpProblem(cost=-eta, reciprocals=rows / sigma_m, span=span))
+        report = solve(SdpProblem(cost=-eta, reciprocals=rows / sigma_m, _span=span))
         lower, upper, a = report.lower, report.upper, report.certificate.X / p
     if upper <= threshold:
         return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, A=a, residual=1.0 - p / upper)

@@ -25,15 +25,15 @@ the Newton step reduces to an m x m positive definite system
 costs O(m^3). T^{-1} comes from the Cholesky factor L_x of X and one eigh
 of L_x* S L_x (``_nt_scaling``). The whole Newton step then runs in the
 NT-scaled space, where X and S are both diag(lam): the directions, the PSD
-step lengths (``_max_steps_psd``, both of the predictor from one eigvalsh
-and both of the corrector from one stacked eigvalsh; Toh, Todd and Tutuncu
-1999) and the predicted gap are formed there, and only the step taken is
-mapped back to X. numpy is all the solver needs.
+step lengths (``_max_steps_psd``, both of the predictor from one eigvalsh;
+Toh, Todd and Tutuncu 1999) and the predicted gap are formed there, and
+only the step taken is mapped back to X. numpy is all the solver needs.
 
 Candidates are scored in factored form: a dual X = F F* with F of r x k
 costs O(r m k) to check (``_bracket``, ``_residuals``), and no r x r matrix
 is formed. An optimal X has rank k with k^2 <= m (Pataki 1998), and the
-polish returns exactly such a factor.
+polish returns exactly such a factor; a dense X, such as an iterate's, is
+factored by the one eigh that also gives its lambda_min.
 
 Optimality is decided by one predicate, the residual check of
 ``verify_certificate``. Its gap test is scale free: any pair (p, X) gives
@@ -49,7 +49,7 @@ ends the solve as Optimal. The iteration cap is the only setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Any
@@ -91,33 +91,28 @@ class SdpProblem:
     followed by the m scalar blocks ``p_i``, with Q_i the rank-one outer
     products of the ``reciprocals`` columns.
 
-    ``span`` is the thin SVD ``(U, sigma, V*)`` of the reciprocals, with
-    ``C = U diag(sigma) V*`` and sigma descending, on which ``solve``
-    iterates. ``build_sdp`` passes the factors its ``ReciprocalSet``
-    already holds; without them the constructor takes the SVD once.
+    ``solve`` iterates on the thin SVD ``(U, sigma, V*)`` of the
+    reciprocals, sigma descending, held as ``_thin_svd``: taken here, unless
+    ``build_sdp`` or the reduced problem of ``epm_test_lp`` passes the
+    factors it already holds as the internal ``_span`` argument. ``_span``
+    is not a field, so ``dataclasses.replace`` takes the SVD of the new
+    reciprocals.
     """
 
     cost: np.ndarray
     reciprocals: np.ndarray
-    span: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    _span: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _span):
         cost = np.asarray(self.cost, dtype=float).ravel()
         recips = np.asarray(self.reciprocals, dtype=complex)
         if recips.ndim != 2 or cost.shape[0] != recips.shape[1]:
             raise ValidationError("cost length must match the number of reciprocal columns")
-        if self.span is None:
-            u, sv, vh = np.linalg.svd(recips, full_matrices=False)
-        else:
-            u, sv, vh = self.span
-            u, sv, vh = np.asarray(u, complex), np.asarray(sv, float), np.asarray(vh, complex)
-            r, m = recips.shape
-            n = min(r, m)
-            if u.shape != (r, n) or sv.shape != (n,) or vh.shape != (n, m):
-                raise ValidationError("span factors must be r x n, n and n x m with n = min(r, m)")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "reciprocals", recips)
-        object.__setattr__(self, "span", (u, sv, vh))
+        if _span is None:
+            _span = np.linalg.svd(recips, full_matrices=False)
+        object.__setattr__(self, "_thin_svd", _span)
 
     @property
     def r(self) -> int:
@@ -214,7 +209,7 @@ def build_sdp(ensemble: StateEnsemble, recips: ReciprocalSet) -> SdpProblem:
     """
     _check_matches(ensemble, recips)
     span = (recips.u[:, ::-1], 1.0 / recips.sigma[::-1], recips.vh[::-1])
-    return SdpProblem(cost=-ensemble.priors, reciprocals=recips.reciprocals, span=span)
+    return SdpProblem(cost=-ensemble.priors, reciprocals=recips.reciprocals, _span=span)
 
 
 def _apply(c: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -248,16 +243,6 @@ def _psd_factor(x_mat: np.ndarray) -> tuple[np.ndarray, float]:
     return vecs[:, keep] * np.sqrt(w[keep]), float(w[0])
 
 
-def _iterate_certificate(x_mat: np.ndarray, z: np.ndarray) -> DualCertificate:
-    """The certificate of an interior-point iterate X, factored unless X is indefinite.
-
-    An interior X is PD, so F F* is X itself; an X that lost definiteness
-    (a numerical failure) stays dense, so that ``dual_psd`` reports it.
-    """
-    f, bottom = _psd_factor(x_mat)
-    return DualCertificate(F=f, z=z) if bottom >= 0.0 else DualCertificate(X=x_mat, z=z)
-
-
 def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     """NT factors (lam, T^{-1}) with T* X T = T^{-1} S T^{-*} = diag(lam).
 
@@ -273,24 +258,18 @@ def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     return lam, (u.conj().T @ chol_x.conj().T) / np.sqrt(lam)[:, None]
 
 
-def _max_steps_psd(lam: np.ndarray, directions: np.ndarray):
+def _max_steps_psd(lam: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
     """Largest a with diag(lam) + a*D psd, and the same for -diag(lam) - D.
 
-    D is an NT-scaled direction, n x n, or a stack of them, (k, n, n), whose
-    spectra come from one eigvalsh; a stack gives one pair per direction. As
-    -diag(lam) - D scales to -I - Y with Y = lam^{-1/2} D lam^{-1/2}, both
-    come from lambda_min(Y) and lambda_max(Y). D must be exactly Hermitian,
-    as every direction of the solver is (each comes from ``_apply`` or is
-    built symmetrically, like ``k_sc``); Y then is too, since
-    ``outer(root, root)`` is exactly symmetric.
+    D is an NT-scaled direction; as -diag(lam) - D scales to -I - Y with
+    Y = lam^{-1/2} D lam^{-1/2}, both come from lambda_min(Y) and lambda_max(Y).
+    D must be exactly Hermitian, as every direction of the solver is (each
+    comes from ``_apply`` or is built symmetrically, like ``k_sc``); Y then is
+    too, since ``outer(root, root)`` is exactly symmetric.
     """
     root = np.sqrt(lam)
-    w = np.linalg.eigvalsh(directions / np.outer(root, root))
-    pairs = [
-        tuple(np.inf if v >= 0.0 else 1.0 / -v for v in (row[0], -1.0 - row[-1]))
-        for row in w.reshape(-1, w.shape[-1])
-    ]
-    return pairs if w.ndim > 1 else pairs[0]
+    w = np.linalg.eigvalsh(direction / np.outer(root, root))
+    return tuple(np.inf if v >= 0.0 else 1.0 / -v for v in (w[0], -1.0 - w[-1]))
 
 
 def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
@@ -528,7 +507,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         raise ValidationError("cost must be the negated vector of positive priors")
     # Off the span of C the slack is the identity, so the iterations run on
     # U* C = sigma V*, of n = min(r, m) rows, and candidates are lifted by U.
-    u, sv, vh = problem.span
+    u, sv, vh = problem._thin_svd
     c = sv[:, None] * vh
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)
@@ -566,7 +545,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         if width <= np.sqrt(_TOLERANCES["gap"]):
             found = None
             if width <= _TOLERANCES["gap"]:
-                found = scored((p, _iterate_certificate(x_mat, z)))
+                found = scored((p, DualCertificate(X=x_mat, z=z)))
                 stage = "iterate"
             face = None if found is not None else _polish_face(s0, p, gap)
             if face is not None:
@@ -589,16 +568,19 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
             g = t_inv @ c
             schur = np.abs(g.conj().T @ g) ** 2 + np.diag(z / p)
             schur_sym = (schur + schur.T) / 2
-            np.linalg.cholesky(schur_sym)
+            # numpy has no triangular solve: the four solves of the step apply
+            # L^{-T} L^{-1} from one inversion of the Cholesky factor L, in
+            # place of four LU factorizations.
+            chol_inv = np.linalg.inv(np.linalg.cholesky(schur_sym))
         except np.linalg.LinAlgError:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
         def newton(k_sc: np.ndarray, rhs: np.ndarray):
-            dp = np.linalg.solve(schur_sym, rhs)
+            dp = chol_inv.T @ (chol_inv @ rhs)
             # One round of iterative refinement; the Schur system grows
             # ill-conditioned as the complementarity products vanish.
-            dp += np.linalg.solve(schur_sym, rhs - schur @ dp)
+            dp += chol_inv.T @ (chol_inv @ (rhs - schur @ dp))
             ds_sc = -_apply(g, dp)
             dx_sc = k_sc - ds_sc
             return dp, ds_sc, dx_sc, _apply_adjoint(g, dx_sc)
@@ -624,9 +606,8 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         k_sc = 2.0 * resid / (lam[:, None] + lam[None, :])
         rc = sigma * mu - p * z - dp_a * dz_a
         dp, ds_sc, dx_sc, dz = newton(k_sc, rc / p - _apply_adjoint(g, k_sc))
-        (step_s, _), (step_x, _) = _max_steps_psd(lam, np.stack([ds_sc, dx_sc]))
-        ap = min(1.0, STEP_FRACTION * min(step_s, _max_step_vec(p, dp)))
-        ad = min(1.0, STEP_FRACTION * min(step_x, _max_step_vec(z, dz)))
+        ap = min(1.0, STEP_FRACTION * min(_max_steps_psd(lam, ds_sc)[0], _max_step_vec(p, dp)))
+        ad = min(1.0, STEP_FRACTION * min(_max_steps_psd(lam, dx_sc)[0], _max_step_vec(z, dz)))
         trace[-1] = replace(trace[-1], primal_step=ap, dual_step=ad, sigma=sigma)
 
         # Only the step taken leaves the scaled space.
@@ -636,7 +617,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         x_mat = (x_mat + x_mat.conj().T) / 2
 
     if status is not SolveStatus.OPTIMAL:
-        certificate = _lift(u, _iterate_certificate(x_mat, z))
+        certificate = _lift(u, DualCertificate(X=x_mat, z=z))
         residuals, _, (lower, upper) = _residuals(recips, eta, p, certificate)
 
     primal = float(problem.cost @ p)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from uqsd import (
 )
 from uqsd.solver import (
     _bracket,
-    _iterate_certificate,
     _lift,
     _max_steps_psd,
     _nt_scaling,
@@ -76,24 +76,21 @@ class TestBuildSdp:
     @pytest.mark.parametrize("r, m", [(3, 3), (9, 4)])
     def test_span_factors_are_those_of_the_reciprocals(self, r, m):
         # build_sdp hands over the reciprocal set's factors, in the order an
-        # SVD of C would give, and a problem built without them gets that SVD.
+        # SVD of C would give; a problem built without them, or replaced with
+        # new reciprocals, gets that SVD.
         e = random_ensemble(np.random.default_rng(r), r, m)
         rs = reciprocal_states(e)
-        for problem in (build_sdp(e, rs), SdpProblem(cost=-e.priors, reciprocals=rs.reciprocals)):
-            u, sv, vh = problem.span
+        built = build_sdp(e, rs)
+        halved = replace(built, reciprocals=rs.reciprocals / 2)
+        assert np.allclose(halved._thin_svd[1], built._thin_svd[1] / 2, rtol=1e-12)
+        restored = replace(halved, reciprocals=rs.reciprocals)
+        for problem in (built, restored, SdpProblem(cost=-e.priors, reciprocals=rs.reciprocals)):
+            u, sv, vh = problem._thin_svd
             assert u.shape == (r, m) and sv.shape == (m,) and vh.shape == (m, m)
             assert np.all(np.diff(sv) <= 0.0)
             assert np.allclose(sv, np.linalg.svd(rs.reciprocals, compute_uv=False), rtol=1e-12)
             assert np.allclose((u * sv) @ vh, rs.reciprocals, atol=1e-12)
             assert np.allclose(u.conj().T @ u, np.eye(m), atol=1e-12)
-
-    def test_span_factors_of_the_wrong_shape_raise(self, three_states_reciprocals):
-        u, sv, vh = build_sdp(load_ensemble(DATA / "three_states.json"),
-                              three_states_reciprocals).span
-        c = three_states_reciprocals.reciprocals
-        for span in ((u[:, :2], sv, vh), (u, sv[:2], vh), (u, sv, vh[:, :2])):
-            with pytest.raises(ValidationError, match="span factors"):
-                SdpProblem(cost=-np.full(3, 1 / 3), reciprocals=c, span=span)
 
     def test_orthonormal_blocks(self, orthonormal_ensemble):
         rs = reciprocal_states(orthonormal_ensemble)
@@ -484,17 +481,15 @@ class TestFactoredCertificate:
             verify_certificate(three_states_uniform, rs, report.p,
                                DualCertificate(F=f, z=report.certificate.z))
 
-    def test_iterate_certificate_is_factored_only_when_psd(self):
-        # A PD iterate is carried as F with F F* = X; an indefinite one stays
-        # dense, so that its lift still fails dual_psd by its lambda_min.
+    def test_dense_certificate_is_scored_on_its_psd_part(self):
+        # A dense X is factored as X+ by one eigh, whose lambda_min gives
+        # dual_psd; its lift keeps both.
         z = np.zeros(2)
-        pd = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-        cert = _iterate_certificate(pd, z)
-        assert np.allclose(cert.F @ cert.F.conj().T, pd, atol=1e-14)
         indefinite = np.diag([1.0, -1e-3]).astype(complex)
-        cert = _iterate_certificate(indefinite, z)
-        assert cert.F is None and np.array_equal(cert.X, indefinite)
-        lifted = _lift(np.eye(3)[:, :2], cert)
+        f, bottom = _psd_factor(indefinite)
+        assert bottom == -1e-3 and np.allclose(f @ f.conj().T, np.diag([1.0, 0.0]))
+        lifted = _lift(np.eye(3)[:, :2], DualCertificate(X=indefinite, z=z))
+        assert lifted.F is None
         c = np.eye(3)[:, :2].astype(complex)
         assert _residuals(c, np.full(2, 0.5), np.zeros(2), lifted)[0]["dual_psd"] == 1e-3
 
