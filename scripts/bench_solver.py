@@ -14,9 +14,9 @@ with one BLAS thread, and one JSON line is printed with:
   ``ms_per_solve`` the same CPU over the number of sets;
 * ``certified_by``: how many answers the iterate and the polish certified,
   and ``polish_attempts`` in total;
-* ``face_dims``: a histogram of the rank of the returned X, counting the
-  eigenvalues above 1e-6 of the largest (read off the singular values of
-  the certificate's factor F when it has one, X = F F*);
+* ``face_dims``: a histogram of the rank of the returned X = F F*,
+  counting the eigenvalues above 1e-6 of the largest, read off the
+  singular values of the certificate's factor F;
 * ``ru_maxrss_kb``: the peak resident set of the process.
 
 ``--kernels`` adds ``kernel_ms_per_solve``: the process-CPU ms per solve
@@ -97,11 +97,7 @@ def wrap_kernels() -> dict[str, float]:
 
 
 def face_dim(certificate) -> int:
-    factor = getattr(certificate, "F", None)
-    if factor is None:
-        w = np.linalg.eigvalsh(certificate.X)
-    else:
-        w = np.linalg.svd(factor, compute_uv=False) ** 2
+    w = np.linalg.svd(certificate.F, compute_uv=False) ** 2
     return int(np.sum(w > 1e-6 * np.max(w)))
 
 

@@ -44,7 +44,6 @@ from .solver import (
     SdpProblem,
     _check_matches,
     _lift,
-    _psd_factor,
     solve,
 )
 
@@ -202,13 +201,13 @@ def epm_certificate(analysis: EpmAnalysis, a: np.ndarray) -> DualCertificate:
     """Dual certificate for an optimal EPM with witness A.
 
     X is ``sigma_m^2 U_s A U_s*``, with U_s the left singular vectors paired
-    with the smallest singular value, held as its factor ``sigma_m U_s G``
-    for A = G G* (one s x s eigh), of at most s columns; all scalar slacks
-    vanish because every detection probability is strictly positive. ``A``
-    must be s x s, finite, Hermitian and psd.
+    with the smallest singular value: the s x s certificate of
+    ``sigma_m^2 A``, factored by its constructor, lifted by U_s to a factor
+    of at most s columns. All scalar slacks vanish because every detection
+    probability is strictly positive. ``A`` must be s x s, finite,
+    Hermitian and psd.
     """
-    g = _psd_factor(_witness(analysis, a))[0]
-    reduced = DualCertificate(F=np.sqrt(analysis.p) * g, z=np.zeros(analysis.recips.m))
+    reduced = DualCertificate(X=analysis.p * _witness(analysis, a), z=np.zeros(analysis.recips.m))
     return _lift(analysis.recips.u[:, _last(analysis)], reduced)
 
 

@@ -29,11 +29,11 @@ step lengths (``_max_steps_psd``, both of the predictor from one eigvalsh;
 Toh, Todd and Tutuncu 1999) and the predicted gap are formed there, and
 only the step taken is mapped back to X. numpy is all the solver needs.
 
-Candidates are scored in factored form: a dual X = F F* with F of r x k
-costs O(r m k) to check (``_bracket``, ``_residuals``), and no r x r matrix
-is formed. An optimal X has rank k with k^2 <= m (Pataki 1998), and the
-polish returns exactly such a factor; a dense X, such as an iterate's, is
-factored by the one eigh that also gives its lambda_min.
+A certificate holds X = F F* by its r x k factor F alone and is scored in
+O(r m k) (``_bracket``, ``_residuals``). A dense X is factored once, where
+it enters (``DualCertificate``), and ``solve`` factors each iterate on the
+n x n span before the lift, so no r x r matrix is formed. An optimal X has
+rank k with k^2 <= m (Pataki 1998); the polish returns such a factor.
 
 Optimality is decided by one predicate, the residual check of
 ``verify_certificate``. Its gap test is scale free: any pair (p, X) gives
@@ -125,24 +125,39 @@ class SdpProblem:
 
 @dataclass(frozen=True, init=False)
 class DualCertificate:
-    """Dual witness: Hermitian PSD matrix X and nonnegative slack vector z.
+    """Dual witness: Hermitian PSD matrix X = F F* and nonnegative slack vector z.
 
-    X is given either densely, ``DualCertificate(X=x, z=z)``, or by an
-    r x k factor, ``DualCertificate(F=f, z=z)`` with X = F F*, which is PSD
-    by construction and is checked in O(r m k). ``F`` is None for a dense
-    certificate; the ``X`` of a factored one is formed when first read.
+    The r x k factor F is the only stored form, psd by construction and
+    checked in O(r m k). ``DualCertificate(F=f, z=z)`` takes it as given.
+    ``DualCertificate(X=x, z=z)`` takes a finite, square, Hermitian X and
+    factors its psd part X+ = V diag(w+) V* with one eigh, F = V sqrt(w+);
+    ``dual_psd`` keeps max(0, -lambda_min(X)) (0 for a factor) and ``X``
+    the matrix given. The ``X`` of a factor is formed when first read.
     """
 
     z: np.ndarray
-    F: np.ndarray | None
+    F: np.ndarray
+    dual_psd: float = field(default=0.0, init=False)
 
     def __init__(self, X=None, z=None, *, F=None):
-        if (X is None) == (F is None) or z is None:
+        if (X is not None) == (F is not None) or z is None:
             raise ValidationError("a dual certificate takes z and exactly one of X and F")
         object.__setattr__(self, "z", np.asarray(z, dtype=float).ravel())
-        object.__setattr__(self, "F", None if F is None else np.asarray(F, dtype=complex))
         if X is not None:
-            object.__setattr__(self, "X", np.asarray(X, dtype=complex))
+            x_mat = np.asarray(X, dtype=complex)
+            if x_mat.ndim != 2 or x_mat.shape[0] != x_mat.shape[1]:
+                raise ValidationError("certificate or probability vector shape mismatch")
+            size = float(np.abs(x_mat).max(initial=0.0))
+            if not np.isfinite(size):
+                raise ValidationError("X contains non-finite entries")
+            if np.abs(x_mat - x_mat.conj().T).max(initial=0.0) > 1e-10 * max(1.0, size):
+                raise ValidationError("X must be Hermitian")
+            w, vecs = np.linalg.eigh((x_mat + x_mat.conj().T) / 2)
+            keep = w > 0.0
+            F = vecs[:, keep] * np.sqrt(w[keep])
+            object.__setattr__(self, "X", x_mat)
+            object.__setattr__(self, "dual_psd", max(0.0, -float(w[0])) if w.size else 0.0)
+        object.__setattr__(self, "F", np.asarray(F, dtype=complex))
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -224,23 +239,13 @@ def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
 
 
 def _lift(w: np.ndarray, cert: DualCertificate) -> DualCertificate:
-    """The certificate with X, given in the basis of W's orthonormal columns, as W X W*.
+    """The certificate with X = F F*, given in the basis of W's orthonormal columns, as W X W*.
 
-    A factored X = F F* lifts to the factor W F.
+    That is the factor W F; ``dual_psd`` carries over, as W is an isometry.
     """
-    if cert.F is None:
-        return DualCertificate(X=w @ cert.X @ w.conj().T, z=cert.z)
-    return DualCertificate(F=w @ cert.F, z=cert.z)
-
-
-def _psd_factor(x_mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """A factor F = V sqrt(w+) of the psd part X+ of a Hermitian X, and lambda_min(X).
-
-    One eigh, X = V diag(w) V*; the columns of nonpositive w are dropped.
-    """
-    w, vecs = np.linalg.eigh((x_mat + x_mat.conj().T) / 2)
-    keep = w > 0.0
-    return vecs[:, keep] * np.sqrt(w[keep]), float(w[0])
+    lifted = DualCertificate(F=w @ cert.F, z=cert.z)
+    object.__setattr__(lifted, "dual_psd", cert.dual_psd)
+    return lifted
 
 
 def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
@@ -298,7 +303,7 @@ def _polish_face(s_mat: np.ndarray, p: np.ndarray, gap: float) -> tuple[int, np.
 def _kkt_polish(
     c: np.ndarray,
     p: np.ndarray,
-    x_mat: np.ndarray,
+    x_factor: np.ndarray,
     eta: np.ndarray,
     face: tuple[int, np.ndarray],
 ) -> tuple[np.ndarray, DualCertificate] | None:
@@ -307,9 +312,10 @@ def _kkt_polish(
     ``face`` is the face dimension k and the active set from
     ``_polish_face``. The unknowns are the active probabilities and an
     n x k factor F with X = F F* (n the rows of c), started from the top k
-    eigenpairs of X, and the equations are ``S F = 0`` with
-    ``S = I - sum p_i Q_i``, together with the trace equalities
-    ``|F* q_i|^2 = eta_i`` on the active set.
+    columns of the iterate's factor ``x_factor`` (zero-padded below rank
+    k), and the equations are ``S F = 0`` with ``S = I - sum p_i Q_i``,
+    together with the trace equalities ``|F* q_i|^2 = eta_i`` on the
+    active set.
 
     Each step is solved blockwise in the eigenbasis of S. Where S is
     invertible, its n - k eigenvalues above tau, the rows of ``S dF`` give
@@ -327,8 +333,9 @@ def _kkt_polish(
     q_act = c[:, active]
     eta_act = eta[active]
     p_act = p[active]
-    w, vecs = np.linalg.eigh(x_mat)
-    f = vecs[:, n - k :] * np.sqrt(np.maximum(w[n - k :], 0.0))
+    f = x_factor[:, -k:]
+    if f.shape[1] < k:
+        f = np.hstack([np.zeros((n, k - f.shape[1]), dtype=complex), f])
     n_act, kk = active.size, k * k
 
     def residual(p_a, f_mat):
@@ -423,11 +430,9 @@ def _bracket(
 
     p+ = max(p, 0) scaled by 1/max(1, lambda_max(sum_i p+_i Q_i)) is primal
     feasible, and X scaled by t = max(1, max_i eta_i / Tr(Q_i X)) is dual
-    feasible, so their objectives bound the optimum. A dense X enters as a
-    factor of X+, its projection on the psd cone (``_psd_factor``). The
-    traces are |F* c_i|^2 and Tr X = |F|^2, so the cost is O(r m k).
-    Returns (lower, upper, lambda_max, F* C); upper is inf when X misses
-    some Q_i.
+    feasible, so their objectives bound the optimum. The traces are
+    |F* c_i|^2 and Tr X = |F|^2, so the cost is O(r m k). Returns
+    (lower, upper, lambda_max, F* C); upper is inf when X misses some Q_i.
     """
     p_plus = np.maximum(p, 0.0)
     top = _operator_top(c, p_plus)
@@ -450,20 +455,19 @@ def _residuals(
     P_D bracket; returned with the trace products Tr(Q_i X) they are
     computed from and the bracket (lower, upper).
 
-    Everything is computed from a factor F: the certificate's own, which
-    is psd by construction, or one of X+ from the eigh of a dense X, whose
-    lambda_min gives ``dual_psd``. The slack X S = F M, with
-    M = F* - (F* C) diag(p) C*, has the norm of R M for F = Q R, so no
-    r x r matrix is formed.
+    Everything is computed from the certificate's factor F, psd by
+    construction; ``dual_psd`` is the one the certificate carries. The
+    slack X S = F M, with M = F* - (F* C) diag(p) C*, has the norm of R M
+    for F = Q R, so no r x r matrix is formed.
     """
-    f, bottom = (cert.F, 0.0) if cert.F is not None else _psd_factor(cert.X)
+    f = cert.F
     lower, upper, top, overlaps = _bracket(c, eta, p, f)
     traces = np.sum(np.abs(overlaps) ** 2, axis=0)
     slack = f.conj().T - (overlaps * p) @ c.conj().T
     residuals = {
         "primal_nonneg": float(max(0.0, -np.min(p))),
         "primal_operator": max(0.0, top - 1.0),
-        "dual_psd": max(0.0, -bottom),
+        "dual_psd": cert.dual_psd,
         "dual_nonneg": float(max(0.0, -np.min(cert.z))),
         "dual_equality": float(np.max(np.abs(traces - cert.z - eta))),
         "slack_operator": float(np.linalg.norm(np.linalg.qr(f, mode="r") @ slack)),
@@ -471,11 +475,6 @@ def _residuals(
         "gap": 1.0 - lower / upper,
     }
     return residuals, traces, (lower, upper)
-
-
-def _trace(cert: DualCertificate) -> float:
-    """Tr X, as |F|^2 for a factored certificate."""
-    return float(np.trace(cert.X).real if cert.F is None else np.vdot(cert.F, cert.F).real)
 
 
 def _checks(residuals: dict[str, float]) -> dict[str, bool]:
@@ -544,13 +543,14 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         width = gap / -dual
         if width <= np.sqrt(_TOLERANCES["gap"]):
             found = None
+            iterate = DualCertificate(X=x_mat, z=z)
             if width <= _TOLERANCES["gap"]:
-                found = scored((p, DualCertificate(X=x_mat, z=z)))
+                found = scored((p, iterate))
                 stage = "iterate"
             face = None if found is not None else _polish_face(s0, p, gap)
             if face is not None:
                 polish_attempts += 1
-                found = scored(_kkt_polish(c, p, x_mat, eta, face))
+                found = scored(_kkt_polish(c, p, iterate.F, eta, face))
                 stage = "polish"
             if found is not None:
                 (p, certificate), (residuals, _, (lower, upper)) = found
@@ -621,7 +621,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
         residuals, _, (lower, upper) = _residuals(recips, eta, p, certificate)
 
     primal = float(problem.cost @ p)
-    dual = -_trace(certificate)
+    dual = -float(np.vdot(certificate.F, certificate.F).real)
     gap = primal - dual
     return SolveReport(
         p=p,
@@ -653,23 +653,18 @@ def verify_certificate(
     trace equalities), the two complementary slackness products, and a
     vanishing relative width 1 - lower/upper of the certified P_D bracket.
     Any finite candidate of the right shapes gets a report, passing or not;
-    a wrong shape or a non-finite entry of p, X (or its factor F) or z
-    raises ValidationError. A factored certificate is checked in O(r m k).
+    a wrong shape or a non-finite entry of p, F or z raises ValidationError,
+    as ``DualCertificate`` does for a dense X. The cost is O(r m k).
     """
     _check_matches(ensemble, recips)
     p = np.asarray(p, dtype=float).ravel()
     c = recips.reciprocals
-    if certificate.F is None:
-        dual = ("X", certificate.X)
-        dual_shape_ok = certificate.X.shape == (ensemble.r, ensemble.r)
-    else:
-        dual = ("F", certificate.F)
-        dual_shape_ok = certificate.F.ndim == 2 and certificate.F.shape[0] == ensemble.r
-    if p.shape[0] != ensemble.m or not dual_shape_ok:
+    f = certificate.F
+    if p.shape[0] != ensemble.m or f.ndim != 2 or f.shape[0] != ensemble.r:
         raise ValidationError("certificate or probability vector shape mismatch")
     if certificate.z.shape[0] != ensemble.m:
         raise ValidationError("dual slack vector has the wrong length")
-    for name, a in (("p", p), dual, ("z", certificate.z)):
+    for name, a in (("p", p), ("F", f), ("z", certificate.z)):
         if not np.all(np.isfinite(a)):
             raise ValidationError(f"{name} contains non-finite entries")
 
@@ -678,7 +673,7 @@ def verify_certificate(
     detail = {
         "trace_products": traces,
         "primal_value": float(-ensemble.priors @ p),
-        "dual_value": -_trace(certificate),
+        "dual_value": -float(np.vdot(f, f).real),
     }
     return VerificationReport(
         residuals=residuals,

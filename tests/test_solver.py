@@ -20,10 +20,10 @@ from uqsd import (
 )
 from uqsd.solver import (
     _bracket,
+    _kkt_polish,
     _lift,
     _max_steps_psd,
     _nt_scaling,
-    _psd_factor,
     _residuals,
 )
 
@@ -407,9 +407,20 @@ class TestVerifyCertificate:
         fields = {"p": report.p, "X": report.certificate.X, "z": report.certificate.z}
         fields = {key: value.copy() for key, value in fields.items()}
         fields[name].flat[0] = bad
-        cert = DualCertificate(X=fields["X"], z=fields["z"])
         with pytest.raises(ValidationError, match=f"^{name} contains non-finite"):
+            cert = DualCertificate(X=fields["X"], z=fields["z"])
             verify_certificate(three_states_uniform, rs, fields["p"], cert)
+
+    def test_non_hermitian_x_raises(self):
+        # Only the Hermitian part of X is scored, so an antisymmetric part,
+        # however large, would pass every check: the constructor rejects it.
+        e = load_ensemble(DATA / "three_states.json")
+        rs, _, report = solve_ensemble(e)
+        x_mat, z = report.certificate.X, report.certificate.z
+        assert verify_certificate(e, rs, report.p, DualCertificate(X=x_mat, z=z)).passed
+        skew = np.array([[0.0, 2.4, -1.0], [-2.4, 0.0, 0.5], [1.0, -0.5, 0.0]])
+        with pytest.raises(ValidationError, match="^X must be Hermitian$"):
+            DualCertificate(X=x_mat + skew, z=z)
 
     def test_reciprocals_of_another_ensemble_raise(self):
         three = load_ensemble(DATA / "three_states.json")
@@ -486,10 +497,10 @@ class TestFactoredCertificate:
         # dual_psd; its lift keeps both.
         z = np.zeros(2)
         indefinite = np.diag([1.0, -1e-3]).astype(complex)
-        f, bottom = _psd_factor(indefinite)
-        assert bottom == -1e-3 and np.allclose(f @ f.conj().T, np.diag([1.0, 0.0]))
-        lifted = _lift(np.eye(3)[:, :2], DualCertificate(X=indefinite, z=z))
-        assert lifted.F is None
+        cert = DualCertificate(X=indefinite, z=z)
+        assert cert.dual_psd == 1e-3 and np.allclose(cert.F @ cert.F.conj().T, np.diag([1.0, 0.0]))
+        lifted = _lift(np.eye(3)[:, :2], cert)
+        assert lifted.F.shape == (3, 1) and lifted.dual_psd == 1e-3
         c = np.eye(3)[:, :2].astype(complex)
         assert _residuals(c, np.full(2, 0.5), np.zeros(2), lifted)[0]["dual_psd"] == 1e-3
 
@@ -501,7 +512,9 @@ class TestFactoredCertificate:
 
     def test_scoring_forms_no_dense_x(self, monkeypatch):
         # At r >> m, solve and verify_certificate work on the factor alone:
-        # no SVD in solve, and X is formed only when read.
+        # no SVD in solve, and X is formed only when read. The last iterate
+        # of a capped solve (max_iters=2) is factored on the span before its
+        # lift too, and scored as verify_certificate scores it.
         e = random_ensemble(np.random.default_rng(8), 200, 5)
         rs = reciprocal_states(e)
         problem = build_sdp(e, rs)
@@ -510,11 +523,14 @@ class TestFactoredCertificate:
             raise AssertionError("solve took an SVD")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        report = solve(problem)
-        assert report.status is SolveStatus.OPTIMAL
-        assert verify_certificate(e, rs, report.p, report.certificate).passed
-        assert report.certificate.F.shape[0] == 200 and "X" not in vars(report.certificate)
-        assert report.certificate.X.shape == (200, 200)
+        for max_iters, status in ((100, SolveStatus.OPTIMAL), (2, SolveStatus.MAX_ITERATIONS)):
+            report = solve(problem, max_iters=max_iters)
+            assert report.status is status
+            ver = verify_certificate(e, rs, report.p, report.certificate)
+            assert ver.passed == (status is SolveStatus.OPTIMAL)
+            assert report.residuals == ver.residuals
+            assert report.certificate.F.shape[0] == 200 and "X" not in vars(report.certificate)
+            assert report.certificate.X.shape == (200, 200)
 
 
 def feasible_pair(ensemble):
@@ -527,12 +543,10 @@ def feasible_pair(ensemble):
 
 
 def bracket(rs, ensemble, p, x):
-    """The bracket of (p, X) for a dense X, or for a certificate on the factor its checks use."""
-    if isinstance(x, DualCertificate) and x.F is not None:
-        f = x.F
-    else:
-        f = _psd_factor(x.X if isinstance(x, DualCertificate) else x)[0]
-    lower, upper, _, _ = _bracket(rs.reciprocals, ensemble.priors, p, f)
+    """The bracket of (p, X) on the factor its checks use, for a certificate or a dense X."""
+    if not isinstance(x, DualCertificate):
+        x = DualCertificate(X=x, z=np.zeros(ensemble.m))
+    lower, upper, _, _ = _bracket(rs.reciprocals, ensemble.priors, p, x.F)
     return lower, upper
 
 
@@ -712,6 +726,20 @@ def test_polish_reaches_closed_form_on_degenerate_faces():
         best = rs.sigma[-1] ** 2
         assert abs(-report.primal_value - best) <= 1e-12 * best, name
         assert verify_certificate(e, rs, report.p, report.certificate).passed, name
+
+
+def test_polish_starts_a_low_rank_factor_with_zero_columns():
+    # An iterate with fewer than k positive eigenvalues has a factor of fewer
+    # than k columns; the polish runs from zero columns in place of the rest.
+    e = load_ensemble(DATA / "degenerate_epm.json")
+    rs, problem, report = solve_ensemble(e)
+    u, sv, vh = problem._thin_svd
+    c = sv[:, None] * vh
+    narrow = (u.conj().T @ report.certificate.F)[:, -1:]
+    face = (2, np.nonzero(report.p > 1e-7)[0])
+    padded = np.hstack([np.zeros_like(narrow), narrow])
+    got, want = (_kkt_polish(c, report.p, f, e.priors, face) for f in (narrow, padded))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1].F, want[1].F)
 
 
 @pytest.mark.parametrize(
