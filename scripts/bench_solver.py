@@ -17,6 +17,9 @@ with one BLAS thread, and one JSON line is printed with:
 * ``face_dims``: a histogram of the rank of the returned X = F F*,
   counting the eigenvalues above 1e-6 of the largest, read off the
   singular values of the certificate's factor F;
+* ``step_quantiles``: the 10th and 50th percentiles of the primal and dual
+  step lengths of every step taken, read from ``SolveReport.trace``; short
+  steps are what make a solve take more iterations;
 * ``ru_maxrss_kb``: the peak resident set of the process.
 
 ``--kernels`` adds ``kernel_ms_per_solve``: the process-CPU ms per solve
@@ -121,6 +124,7 @@ def main() -> int:
     cpu = 0.0
     stages: Counter = Counter()
     faces: Counter = Counter()
+    steps: dict[str, list[float]] = {"primal": [], "dual": []}
     failures = 0
     for ens in ensembles:
         recips = reciprocal_states(ens)
@@ -132,6 +136,9 @@ def main() -> int:
         polish_attempts += report.polish_attempts
         stages[str(report.certified_by)] += 1
         faces[face_dim(report.certificate)] += 1
+        stepped = report.trace[:-1]
+        steps["primal"] += [t.primal_step for t in stepped]
+        steps["dual"] += [t.dual_step for t in stepped]
         # verify_certificate's own _residuals call is not part of the solve.
         in_solve = dict(kernel_cpu)
         ver = verify_certificate(ens, recips, report.p, report.certificate)
@@ -149,6 +156,10 @@ def main() -> int:
         "certified_by": dict(sorted(stages.items())),
         "polish_attempts": polish_attempts,
         "face_dims": {str(k): v for k, v in sorted(faces.items())},
+        "step_quantiles": {
+            side: {f"p{q}": round(float(np.percentile(v, q)), 4) for q in (10, 50)}
+            for side, v in steps.items()
+        },
         "failures": failures,
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }

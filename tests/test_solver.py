@@ -273,6 +273,60 @@ class TestSolve:
             assert 0.0 < t.primal_step <= 1.0 and 0.0 < t.dual_step <= 1.0
             assert 0.0 <= t.sigma <= 1.0
 
+    def test_iteration_budget(self):
+        # The corrector's step fraction grows with the predictor's longer
+        # step (0.9 up to 0.99). With a fixed 0.99 the 30 random 16 x 16
+        # sets took 298 iterations and the 14-point two-state sweep 54; the
+        # budget is the midpoint to the 254 they take now. On the sweep the
+        # predictor's primal step is always full, so the fraction stays 0.99
+        # and the sweep must take no more.
+        rng = np.random.default_rng(1)
+        total = 0
+        for _ in range(30):
+            e = StateEnsemble(gaussian_states(rng, 16, 16), spread_priors(rng, 16))
+            report = solve_ensemble(e)[2]
+            assert report.status is SolveStatus.OPTIMAL
+            total += report.iterations
+        assert total <= 276, total
+        sweep = 0
+        for priors in ([0.5, 0.5], [0.3, 0.7]):
+            for delta in np.logspace(-2, -8, 7):
+                e = StateEnsemble(near_parallel_pair(rng, delta), np.array(priors))
+                report = solve_ensemble(e)[2]
+                assert report.status is SolveStatus.OPTIMAL
+                sweep += report.iterations
+        assert sweep <= 54, sweep
+
+    def test_iterate_certificate_built_only_when_read(self, monkeypatch):
+        # The iterate is factored into a DualCertificate only when it is
+        # scored (it reaches _lift) or polished (its factor reaches
+        # _kkt_polish). data/near_parallel.json passes 3 iterates within
+        # the polish gate, and the polish declines all of them.
+        built, read = [], []
+        init = DualCertificate.__init__
+
+        def counting_init(self, X=None, z=None, *, F=None):
+            init(self, X, z, F=F)
+            if X is not None:
+                built.append(self)
+
+        def reading(fn, pick):
+            def wrapper(*args):
+                read.append(pick(*args))
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(DualCertificate, "__init__", counting_init)
+        monkeypatch.setattr("uqsd.solver._lift", reading(_lift, lambda w, cert: cert.F))
+        monkeypatch.setattr(
+            "uqsd.solver._kkt_polish", reading(_kkt_polish, lambda c, p, f, eta, face: f)
+        )
+        report = solve_ensemble(load_ensemble(DATA / "near_parallel.json"))[2]
+        assert report.status is SolveStatus.OPTIMAL and report.polish_attempts == 0
+        assert len(built) == 1
+        assert all(any(cert.F is f for f in read) for cert in built)
+
 
 class TestStepLength:
     @staticmethod
