@@ -61,6 +61,8 @@ class StateEnsemble:
     def __post_init__(self):
         states = np.atleast_2d(np.asarray(self.states, dtype=complex))
         priors = np.asarray(self.priors, dtype=float).ravel()
+        if states.ndim != 2:
+            raise ValidationError(f"field 'states' must have 2 axes, got {states.ndim}")
         if not np.all(np.isfinite(states)):
             raise ValidationError("states contain non-finite entries")
         if not np.all(np.isfinite(priors)):
@@ -110,10 +112,11 @@ class ReciprocalSet:
     """Reciprocal states of an ensemble with cached thin SVD factors.
 
     ``reciprocals`` holds the dual-basis vectors as columns. ``u``,
-    ``sigma``, ``vh`` are the thin SVD factors of the state matrix: ``u``
-    is the r x m isometry onto the span of the states, ``sigma`` the m
-    positive singular values in descending order, ``vh`` the m x m matrix
-    V*. Every frame-operator quantity is a function of these factors, since
+    ``sigma``, ``vh`` are the thin SVD factors of the state matrix, of rank
+    n = min(r, m): ``u`` is the r x n isometry onto the span of the states,
+    ``sigma`` the n positive singular values in descending order, ``vh``
+    the n x m matrix V*, so that ``reciprocals`` is ``(u / sigma) @ vh``.
+    Every frame-operator quantity is a function of these factors, since
     the frame operator is ``u diag(sigma^2) u*``.
     """
 
@@ -176,6 +179,18 @@ def _count(doc: Mapping[str, Any], key: str) -> int:
     return value
 
 
+def _unit_columns(rows: np.ndarray, what: str) -> np.ndarray:
+    """The vectors ``rows`` as columns, renormalized within ``RENORMALIZE_TOL`` of unit norm."""
+    cols = np.ascontiguousarray(rows.T)
+    norms = np.linalg.norm(cols, axis=0)
+    if np.min(norms) == 0.0 or np.max(np.abs(norms - 1.0)) > RENORMALIZE_TOL:
+        raise ValidationError(
+            f"{what} must be unit norm within {RENORMALIZE_TOL:g}; "
+            f"worst deviation {np.max(np.abs(norms - 1.0)):.3e}"
+        )
+    return cols / norms
+
+
 def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
     """Load and validate an ensemble document.
 
@@ -196,14 +211,7 @@ def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
             f"'states' lists {states.shape[0]} columns of {states.shape[1]} entries, "
             f"but the document declares m={m}, r={r}"
         )
-    states = np.ascontiguousarray(states.T)
-    norms = np.linalg.norm(states, axis=0)
-    if np.min(norms) == 0.0 or np.max(np.abs(norms - 1.0)) > RENORMALIZE_TOL:
-        raise ValidationError(
-            f"state columns must be unit norm within {RENORMALIZE_TOL:g}; "
-            f"worst deviation {np.max(np.abs(norms - 1.0)):.3e}"
-        )
-    states = states / norms
+    states = _unit_columns(states, "state columns")
     if doc.get("priors") is None:
         priors = np.full(m, 1.0 / m)
     else:
@@ -260,6 +268,8 @@ def measurement_from_probs(recips: ReciprocalSet, probs: np.ndarray) -> Measurem
     p = np.asarray(probs, dtype=float).ravel()
     if p.shape[0] != recips.m:
         raise ValidationError(f"expected {recips.m} probabilities, got {p.shape[0]}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("detection probabilities contain non-finite entries")
     if np.min(p) < -PROB_TOL or np.max(p) > 1.0 + PROB_TOL:
         raise ValidationError(
             f"detection probabilities must lie in [0, 1]; got range "

@@ -169,12 +169,12 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
         lower = upper = p * float(np.max(eta / analysis.last_rows.sum(axis=0)))
     a = np.ones((1, 1))
     if analysis.s > 1 and lower <= threshold:
-        # The reduced reciprocals V_s* / sigma_m have orthonormal rows, so
-        # their span factors are (I_s, 1 / sigma_m, V_s*).
-        rows = analysis.recips.vh[_last(analysis)]
-        sigma_m = analysis.recips.sigma[-1]
-        span = (np.eye(analysis.s), np.full(analysis.s, 1.0 / sigma_m), rows)
-        report = solve(SdpProblem(cost=-eta, reciprocals=rows / sigma_m, _span=span))
+        # The reduced states sigma_m V_s* have orthonormal rows, so their thin
+        # SVD is (I_s, sigma_m, V_s*), held reversed since ``solve`` reverses it.
+        rows, sigma_m = analysis.recips.vh[_last(analysis)], analysis.recips.sigma[-1]
+        u, sigma = np.eye(analysis.s)[:, ::-1], np.full(analysis.s, sigma_m)
+        reduced = ReciprocalSet(reciprocals=rows / sigma_m, u=u, sigma=sigma, vh=rows[::-1])
+        report = solve(SdpProblem(cost=-eta, recips=reduced))
         lower, upper, a = report.lower, report.upper, report.certificate.X / p
     if upper <= threshold:
         return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, A=a, residual=1.0 - p / upper)

@@ -98,10 +98,14 @@ def simulate(
 ) -> SimulationResult:
     """Simulate ``n_trials`` preparations and measurements, at most ``MAX_TRIALS``.
 
+    ``n_trials`` and ``seed`` must be integers; a bool or a float is rejected.
     The counts are drawn from their exact law, Multinomial(n_trials,
     eta_i T_ij) with eta the normalised priors and T the
     ``outcome_probabilities`` table, in time and memory O(m^2).
     """
+    for name, value in (("n_trials", n_trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValidationError(f"n_trials must be at least 1 and at most {MAX_TRIALS}")
     if seed < 0:

@@ -17,10 +17,10 @@ Both cone blocks are handled natively in complex Hermitian arithmetic.
 Every Q_i lies in the span of the reciprocal states C = U sigma V*, and
 off it the slack is the identity (facial reduction; Permenter and Parrilo
 2018). So ``solve`` iterates on the n x m matrix sigma V*, n = min(r, m),
-from the thin SVD factors the ``SdpProblem`` carries (``build_sdp`` takes
-them from the ``ReciprocalSet``, so no SVD runs here); each candidate is
-lifted back by U (``_lift``) and scored on C. As every Q_i is rank one,
-the Newton step reduces to an m x m positive definite system
+with the factors read off the problem's ``ReciprocalSet``, which holds
+those of the states, so no SVD runs here; each candidate is lifted back
+by U (``_lift``) and scored on C. As every Q_i is rank one, the Newton
+step reduces to an m x m positive definite system
 ``|G* G|^2 + diag(z / p)`` with ``G = T^{-1} sigma V*``, so one iteration
 costs O(m^3). T^{-1} comes from the Cholesky factor L_x of X and one eigh
 of L_x* S L_x (``_nt_scaling``). The whole Newton step then runs in the
@@ -60,7 +60,7 @@ ends the solve as Optimal. The iteration cap is the only setting.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Any
@@ -93,42 +93,26 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Cost vector plus the data defining the block constraint F(p) >= 0.
+    """Cost vector plus the reciprocal set defining the block constraint F(p) >= 0.
 
     ``F(p)`` is block diagonal: the r x r block ``I - sum_i p_i Q_i``
     followed by the m scalar blocks ``p_i``, with Q_i the rank-one outer
-    products of the ``reciprocals`` columns.
-
-    ``solve`` iterates on the thin SVD ``(U, sigma, V*)`` of the
-    reciprocals, sigma descending, held as ``_thin_svd``: taken here, unless
-    ``build_sdp`` or the reduced problem of ``epm_test_lp`` passes the
-    factors it already holds as the internal ``_span`` argument. ``_span``
-    is not a field, so ``dataclasses.replace`` takes the SVD of the new
-    reciprocals.
+    products of the columns of ``recips.reciprocals``. ``solve`` iterates
+    on the SVD factors ``recips`` holds.
     """
 
     cost: np.ndarray
-    reciprocals: np.ndarray
-    _span: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
+    recips: ReciprocalSet
 
-    def __post_init__(self, _span):
+    def __post_init__(self):
+        if not isinstance(self.recips, ReciprocalSet):
+            raise ValidationError("field 'recips' must be a ReciprocalSet")
         cost = np.asarray(self.cost, dtype=float).ravel()
-        recips = np.asarray(self.reciprocals, dtype=complex)
-        if recips.ndim != 2 or cost.shape[0] != recips.shape[1]:
+        if not np.all(np.isfinite(cost)):
+            raise ValidationError("field 'cost' contains non-finite entries")
+        if cost.shape[0] != self.recips.m:
             raise ValidationError("cost length must match the number of reciprocal columns")
         object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "reciprocals", recips)
-        if _span is None:
-            _span = np.linalg.svd(recips, full_matrices=False)
-        object.__setattr__(self, "_thin_svd", _span)
-
-    @property
-    def r(self) -> int:
-        return self.reciprocals.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.reciprocals.shape[1]
 
 
 @dataclass(frozen=True, init=False)
@@ -224,15 +208,9 @@ def _check_matches(ensemble: StateEnsemble, recips: ReciprocalSet) -> None:
 
 
 def build_sdp(ensemble: StateEnsemble, recips: ReciprocalSet) -> SdpProblem:
-    """Assemble the discrimination problem for an ensemble.
-
-    The span factors come from the reciprocal set: the states are
-    U diag(sigma) V*, so C = U diag(1/sigma) V*, whose singular values
-    1/sigma descend once the factors are reversed.
-    """
+    """Assemble the discrimination problem for an ensemble: cost -priors on its reciprocal set."""
     _check_matches(ensemble, recips)
-    span = (recips.u[:, ::-1], 1.0 / recips.sigma[::-1], recips.vh[::-1])
-    return SdpProblem(cost=-ensemble.priors, reciprocals=recips.reciprocals, _span=span)
+    return SdpProblem(cost=-ensemble.priors, recips=recips)
 
 
 def _apply(c: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -509,12 +487,15 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     """
     if not isinstance(max_iters, (int, np.integer)) or not 1 <= max_iters <= 100_000:
         raise ValidationError("max_iters must be an integer in [1, 100000]")
-    recips, eta = problem.reciprocals, -problem.cost
+    recips, eta = problem.recips.reciprocals, -problem.cost
     if np.min(eta) <= 0.0:
         raise ValidationError("cost must be the negated vector of positive priors")
     # Off the span of C the slack is the identity, so the iterations run on
     # U* C = sigma V*, of n = min(r, m) rows, and candidates are lifted by U.
-    u, sv, vh = problem._thin_svd
+    # The states are U S V*, so C = U S^-1 V*, whose singular values 1/S
+    # descend once the factors are reversed.
+    rs = problem.recips
+    u, sv, vh = rs.u[:, ::-1], 1.0 / rs.sigma[::-1], rs.vh[::-1]
     c = sv[:, None] * vh
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)

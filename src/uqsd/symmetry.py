@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Measurement, ReciprocalSet, StateEnsemble, reciprocal_states
+from .ensemble import Measurement, ReciprocalSet, StateEnsemble, _unit_columns, reciprocal_states
 from .epm import (
     EpmOptimalityResult,
     EpmVerdict,
@@ -524,11 +524,7 @@ def load_symmetry_spec(source) -> SymmetrySpec:
         raise ValidationError("symmetry document needs 'group' and 'generators' fields")
     group = decode_group(doc["group"])
     gens = decode_complex(doc["generators"], 2, "generators")
-    generators = np.ascontiguousarray(gens.T)
-    norms = np.linalg.norm(generators, axis=0)
-    if np.min(norms) == 0.0 or np.max(np.abs(norms - 1.0)) > 1e-6:
-        raise ValidationError("generator vectors must be unit norm within 1e-6")
-    generators = generators / norms
+    generators = _unit_columns(gens, "generator vectors")
     generator_group = None
     if doc.get("generator_group") is not None:
         generator_group = decode_group(doc["generator_group"], "generator_group")

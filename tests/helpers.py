@@ -59,8 +59,8 @@ def reference_read_pairs(path, key: str, ndim: int) -> np.ndarray:
 def f_matrix(problem, p) -> np.ndarray:
     """The full (r+m) x (r+m) block-diagonal constraint matrix F(p) of an SdpProblem."""
     p = np.asarray(p, dtype=float).ravel()
-    c = problem.reciprocals
-    r, m = problem.r, problem.m
+    c = problem.recips.reciprocals
+    r, m = c.shape
     out = np.zeros((r + m, r + m), dtype=complex)
     block = np.eye(r, dtype=complex) - (c * p) @ c.conj().T
     out[:r, :r] = (block + block.conj().T) / 2

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ from helpers import (
     random_ensemble,
     three_state_matrix,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 # Worked three-state example, values as printed to 3 significant figures.
 RECIPROCALS_PRINTED = np.array(
@@ -102,6 +106,10 @@ class TestLoadEnsemble:
         states = np.column_stack([[1, 0], [0, 1], [1 / np.sqrt(2), 1 / np.sqrt(2)]])
         with pytest.raises(LinearDependenceError):
             load_ensemble(ensemble_doc(states))
+
+    def test_states_with_three_axes_rejected(self):
+        with pytest.raises(ValidationError, match="^field 'states' must have 2 axes, got 3"):
+            StateEnsemble(np.eye(2)[:, :, None], np.array([0.5, 0.5]))
 
     def test_roundtrip(self, three_states_uniform):
         again = load_ensemble(dump_ensemble(three_states_uniform))
@@ -208,6 +216,13 @@ class TestMeasurement:
         assert meas.probs.min() >= 0.0 and meas.probs.max() <= 1.0
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             measurement_from_probs(three_states_reciprocals, [-0.2, 0.1, 0.1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, value):
+        # NaN fails both range comparisons; it must not reach the eigensolver.
+        rs = reciprocal_states(load_ensemble(DATA / "three_states.json"))
+        with pytest.raises(ValidationError, match="non-finite"):
+            measurement_from_probs(rs, [value, 0.1, 0.1])
 
     def test_overshooting_probabilities_rejected(self, three_states_reciprocals):
         # 0.2 > 1/6 pushes the conclusive operators past the identity.

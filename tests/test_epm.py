@@ -479,6 +479,25 @@ class TestCrossModuleConsistency:
             test(load_ensemble(data / "three_states.json"), analysis)
 
 
+def test_reduced_problem_takes_no_svd(monkeypatch):
+    # At s = 2 the reduced problem is solved on the factors the reciprocal
+    # set already holds: no SVD runs in epm_test_lp, and its witness lifts
+    # to a certificate that passes.
+    e = load_ensemble(Path(__file__).resolve().parents[1] / "data" / "degenerate_epm.json")
+    rs = reciprocal_states(e)
+    analysis = epm_analysis(rs)
+    assert analysis.s == 2
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    lp = epm_test_lp(e, analysis)
+    assert lp.verdict is EpmVerdict.OPTIMAL
+    cert = epm_certificate(analysis, lp.A)
+    assert verify_certificate(e, rs, compute_epm(e, rs).probs, cert).passed
+
+
 class TestEpmCertificate:
     def test_weighted_three_state_scalar(self, three_states_weighted):
         rs = reciprocal_states(three_states_weighted)

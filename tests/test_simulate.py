@@ -119,6 +119,24 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="at least 1"):
             simulate(three_states_uniform, meas, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_trials, seed, name",
+        [(1000.5, 0, "n_trials"), (1000.0, 0, "n_trials"), (True, 0, "n_trials"),
+         (1000, 1.5, "seed"), (1000, False, "seed")],
+    )
+    def test_non_integer_trials_or_seed(self, three_states_uniform, three_states_reciprocals,
+                                        n_trials, seed, name):
+        # A fractional count would be reported as n_trials while the counts
+        # sum to its floor.
+        meas = measurement_from_probs(three_states_reciprocals, [0.0, 1 / 6, 1 / 6])
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            simulate(three_states_uniform, meas, n_trials, seed=seed)
+
+    def test_numpy_integers_accepted(self, three_states_uniform, three_states_reciprocals):
+        meas = measurement_from_probs(three_states_reciprocals, [0.0, 1 / 6, 1 / 6])
+        result = simulate(three_states_uniform, meas, np.int64(1000), seed=np.uint32(7))
+        assert result.counts.sum() == 1000
+
     @pytest.mark.parametrize("n_trials", [10**15, 2**62])
     def test_trial_cap(self, three_states_uniform, three_states_reciprocals, n_trials):
         # Far above MAX_TRIALS; numpy would refuse these sizes at once.

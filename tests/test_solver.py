@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 
 from uqsd import (
     DualCertificate,
+    ReciprocalSet,
     SdpProblem,
     SolveStatus,
     StateEnsemble,
@@ -73,24 +74,21 @@ class TestBuildSdp:
         assert np.allclose(f0, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), atol=1e-14)
         assert np.linalg.eigvalsh(f0)[0] >= 0.0
 
-    @pytest.mark.parametrize("r, m", [(3, 3), (9, 4)])
-    def test_span_factors_are_those_of_the_reciprocals(self, r, m):
-        # build_sdp hands over the reciprocal set's factors, in the order an
-        # SVD of C would give; a problem built without them, or replaced with
-        # new reciprocals, gets that SVD.
-        e = random_ensemble(np.random.default_rng(r), r, m)
-        rs = reciprocal_states(e)
-        built = build_sdp(e, rs)
-        halved = replace(built, reciprocals=rs.reciprocals / 2)
-        assert np.allclose(halved._thin_svd[1], built._thin_svd[1] / 2, rtol=1e-12)
-        restored = replace(halved, reciprocals=rs.reciprocals)
-        for problem in (built, restored, SdpProblem(cost=-e.priors, reciprocals=rs.reciprocals)):
-            u, sv, vh = problem._thin_svd
-            assert u.shape == (r, m) and sv.shape == (m,) and vh.shape == (m, m)
-            assert np.all(np.diff(sv) <= 0.0)
-            assert np.allclose(sv, np.linalg.svd(rs.reciprocals, compute_uv=False), rtol=1e-12)
-            assert np.allclose((u * sv) @ vh, rs.reciprocals, atol=1e-12)
-            assert np.allclose(u.conj().T @ u, np.eye(m), atol=1e-12)
+    def test_problem_holds_the_reciprocal_set(self, three_states_uniform,
+                                              three_states_reciprocals):
+        problem = build_sdp(three_states_uniform, three_states_reciprocals)
+        assert problem.recips is three_states_reciprocals
+        assert [f.name for f in fields(SdpProblem)] == ["cost", "recips"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, three_states_reciprocals, value):
+        cost = np.array([value, -1 / 3, -1 / 3])
+        with pytest.raises(ValidationError, match="^field 'cost' contains non-finite"):
+            SdpProblem(cost=cost, recips=three_states_reciprocals)
+
+    def test_bare_reciprocals_rejected(self, three_states_reciprocals):
+        with pytest.raises(ValidationError, match="^field 'recips' must be a ReciprocalSet"):
+            SdpProblem(cost=-np.full(3, 1 / 3), recips=three_states_reciprocals.reciprocals)
 
     def test_orthonormal_blocks(self, orthonormal_ensemble):
         rs = reciprocal_states(orthonormal_ensemble)
@@ -786,8 +784,9 @@ def test_polish_starts_a_low_rank_factor_with_zero_columns():
     # An iterate with fewer than k positive eigenvalues has a factor of fewer
     # than k columns; the polish runs from zero columns in place of the rest.
     e = load_ensemble(DATA / "degenerate_epm.json")
-    rs, problem, report = solve_ensemble(e)
-    u, sv, vh = problem._thin_svd
+    rs, _, report = solve_ensemble(e)
+    # The span factors of C in the order solve iterates on, singular values descending.
+    u, sv, vh = rs.u[:, ::-1], 1.0 / rs.sigma[::-1], rs.vh[::-1]
     c = sv[:, None] * vh
     narrow = (u.conj().T @ report.certificate.F)[:, -1:]
     face = (2, np.nonzero(report.p > 1e-7)[0])
@@ -808,14 +807,17 @@ def test_report_residuals_are_the_verification_residuals(name):
 
 
 def test_span_solve_lifts_to_a_verified_certificate():
-    # The problem on the span of the reciprocals, sigma V* from the thin SVD
-    # C = U sigma V*, solved through the public API: lifted by U its answer
-    # is a certificate of the original r > m set, and lifted by a wrong
-    # isometry (two columns of U swapped) it is not.
+    # The problem on the span of the states, U* states = S V*, solved through
+    # the public API as its own reciprocal set (I, S, V*): lifted by U its
+    # answer is a certificate of the original r > m set, and lifted by a
+    # wrong isometry (two columns of U swapped) it is not.
     e = random_ensemble(np.random.default_rng(16), 7, 3)
     rs = reciprocal_states(e)
-    u, sv, vh = np.linalg.svd(rs.reciprocals, full_matrices=False)
-    report = solve(SdpProblem(cost=-e.priors, reciprocals=sv[:, None] * vh))
+    u = rs.u
+    span = ReciprocalSet(
+        reciprocals=rs.vh / rs.sigma[:, None], u=np.eye(3), sigma=rs.sigma, vh=rs.vh
+    )
+    report = solve(SdpProblem(cost=-e.priors, recips=span))
     assert report.status is SolveStatus.OPTIMAL
     assert report.certificate.X.shape == (3, 3)
     assert verify_certificate(e, rs, report.p, _lift(u, report.certificate)).passed

@@ -707,6 +707,23 @@ class TestSpecLoading:
         with pytest.raises(ValidationError, match="non-empty"):
             SymmetrySpec(group=group, generators=np.zeros((2, 0)))
 
+    @pytest.mark.parametrize("offset, ok", [(1e-8, True), (1e-3, False)])
+    def test_generator_renormalized_within_tolerance(self, sign_group_spec, offset, ok):
+        from uqsd.formats import encode_complex
+
+        gen = sign_group_spec.generators[:, 0]
+        doc = {
+            "group": [encode_complex(u) for u in sign_group_spec.group.elements],
+            "generators": [encode_complex(gen * (1 + offset))],
+        }
+        if ok:
+            spec = load_symmetry_spec(doc)
+            assert abs(np.linalg.norm(spec.generators[:, 0]) - 1.0) <= 1e-15
+            assert np.allclose(spec.generators[:, 0], gen, atol=1e-15)
+        else:
+            with pytest.raises(ValidationError, match="unit norm within 1e-06"):
+                load_symmetry_spec(doc)
+
     def test_missing_fields(self):
         with pytest.raises(ValidationError, match="generators"):
             load_symmetry_spec({"group": [[[1.0, 0.0]]]})
