@@ -13,7 +13,9 @@ with one BLAS thread, and one JSON line is printed with:
 * ``ms_per_iteration``: process-CPU ms of all solves over those steps, and
   ``ms_per_solve`` the same CPU over the number of sets;
 * ``certified_by``: how many answers the iterate and the polish certified,
-  and ``polish_attempts`` in total;
+  ``polish_attempts`` in total, and ``polish_failed``, the attempts that
+  did not certify, mostly from an active set that leaves out a constraint
+  of the optimal face or keeps one that is not on it;
 * ``face_dims``: a histogram of the rank of the returned X = F F*,
   counting the eigenvalues above 1e-6 of the largest, read off the
   singular values of the certificate's factor F;
@@ -120,7 +122,7 @@ def main() -> int:
     kernel_cpu = wrap_kernels() if args.kernels else {}
 
     ensembles = dense_pool(rows, args.dim, args.pool) + [load_ensemble(DEGENERATE)]
-    iterations = polish_attempts = 0
+    iterations = polish_attempts = polish_failed = 0
     cpu = 0.0
     stages: Counter = Counter()
     faces: Counter = Counter()
@@ -134,6 +136,7 @@ def main() -> int:
         cpu += time.process_time() - start
         iterations += report.iterations
         polish_attempts += report.polish_attempts
+        polish_failed += report.polish_attempts - (report.certified_by == "polish")
         stages[str(report.certified_by)] += 1
         faces[face_dim(report.certificate)] += 1
         stepped = report.trace[:-1]
@@ -155,6 +158,7 @@ def main() -> int:
         "cpu_s": round(cpu, 4),
         "certified_by": dict(sorted(stages.items())),
         "polish_attempts": polish_attempts,
+        "polish_failed": polish_failed,
         "face_dims": {str(k): v for k, v in sorted(faces.items())},
         "step_quantiles": {
             side: {f"p{q}": round(float(np.percentile(v, q)), 4) for q in (10, 50)}

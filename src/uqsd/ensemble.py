@@ -59,7 +59,7 @@ class StateEnsemble:
     priors: np.ndarray
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=complex))
+        states = np.asarray(self.states, dtype=complex)
         priors = np.asarray(self.priors, dtype=float).ravel()
         if states.ndim != 2:
             raise ValidationError(f"field 'states' must have 2 axes, got {states.ndim}")

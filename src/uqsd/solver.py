@@ -268,19 +268,25 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg], initial=np.inf))
 
 
-def _polish_face(s_mat: np.ndarray, p: np.ndarray, gap: float) -> tuple[int, np.ndarray] | None:
+def _polish_face(
+    s_mat: np.ndarray, p: np.ndarray, z: np.ndarray, gap: float
+) -> tuple[int, np.ndarray] | None:
     """Face dimension k and active set for ``_kkt_polish``, or None when there is no face.
 
     k is the number of eigenvalues of the slack ``S = I - sum_i p_i Q_i``
     within ``tau = sqrt(gap)``; the polish needs 1 <= k and k^2 <= m, the
-    bound of Pataki (1998) on the rank of an optimal X, and at least one
-    probability above ``max(1e-7, tau)``.
+    bound of Pataki (1998) on the rank of an optimal X. The active set is
+    read off complementarity, p_i z_i -> 0: the probabilities above their
+    dual slack z_i (the indicator of El-Bakry, Tapia and Zhang 1994), and
+    above 1e-7; the polish needs at least one. An absolute threshold such
+    as sqrt(gap) drops a small p_i on the optimal face, whose trace
+    equality the polish then cannot meet.
     """
     tau = np.sqrt(max(gap, 1e-16))
     k = int(np.sum(np.linalg.eigvalsh(s_mat) <= tau))
     if k == 0 or k * k > p.size:
         return None
-    active = np.nonzero(p > max(1e-7, tau))[0]
+    active = np.nonzero((p > z) & (p > 1e-7))[0]
     if active.size == 0:
         return None
     return k, active
@@ -504,10 +510,14 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     def scored(pair):
         return None if pair is None else _certified(recips, eta, (pair[0], _lift(u, pair[1])))
 
-    # Strictly feasible start: p halfway inside the operator constraint,
-    # X a multiple of the identity large enough that every z_i > 0.
-    p = np.full(m, 0.5 / sv[0] ** 2)
-    x_mat = (2.0 * eta.max() / norms2.min()) * eye_n
+    # Strictly feasible start, scaled by the norms of the constraint data
+    # (Toh, Todd and Tutuncu 1999): p along the Jacobi weights 1 / |c_i|^2,
+    # halfway inside the operator constraint, and X the smallest multiple of
+    # the identity that gives every z_i >= eta_i. With equal norms, as for
+    # any two states, this is the uniform p = 0.5 / sigma_max^2.
+    weights = 1.0 / norms2
+    p = (0.5 / _operator_top(c, weights)) * weights
+    x_mat = (2.0 * np.max(eta / norms2)) * eye_n
 
     status = SolveStatus.MAX_ITERATIONS
     trace: list[IterateTrace] = []
@@ -537,7 +547,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
                 iterate = DualCertificate(X=x_mat, z=z)
                 found = scored((p, iterate))
                 stage = "iterate"
-            face = None if found is not None else _polish_face(s0, p, gap)
+            face = None if found is not None else _polish_face(s0, p, z, gap)
             if face is not None:
                 if iterate is None:
                     iterate = DualCertificate(X=x_mat, z=z)

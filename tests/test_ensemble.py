@@ -111,6 +111,12 @@ class TestLoadEnsemble:
         with pytest.raises(ValidationError, match="^field 'states' must have 2 axes, got 3"):
             StateEnsemble(np.eye(2)[:, :, None], np.array([0.5, 0.5]))
 
+    def test_states_with_one_axis_rejected(self):
+        # A 1-D vector is not read as a single row, which would be r states
+        # in dimension 1 and fail the independence check instead.
+        with pytest.raises(ValidationError, match="^field 'states' must have 2 axes, got 1$"):
+            StateEnsemble(np.array([1.0, 0.0]), np.array([1.0]))
+
     def test_roundtrip(self, three_states_uniform):
         again = load_ensemble(dump_ensemble(three_states_uniform))
         assert np.allclose(again.states, three_states_uniform.states)

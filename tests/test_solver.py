@@ -20,6 +20,7 @@ from uqsd import (
     verify_certificate,
 )
 from uqsd.solver import (
+    _apply,
     _bracket,
     _kkt_polish,
     _lift,
@@ -294,6 +295,50 @@ class TestSolve:
                 assert report.status is SolveStatus.OPTIMAL
                 sweep += report.iterations
         assert sweep <= 54, sweep
+
+    def test_start_is_norm_scaled(self, monkeypatch):
+        # The start takes p along 1 / |c_i|^2, halfway inside the operator
+        # constraint, and X = 2 max_i(eta_i / |c_i|^2) I, so that every
+        # z_i >= eta_i. For two states the norms are equal, and the start is
+        # the uniform p = 0.5 / sigma_max(C)^2 it always was.
+        rng = np.random.default_rng(3)
+        e = StateEnsemble(near_parallel_pair(rng, 1e-3), np.array([0.3, 0.7]))
+        rs, _, report = solve_ensemble(e)
+        sigma_max = np.linalg.norm(rs.reciprocals, 2)
+        expected = -0.5 * e.priors.sum() / sigma_max**2
+        assert report.trace[0].primal_value == pytest.approx(expected, rel=1e-12)
+
+        starts = []
+        apply = _apply
+
+        def recording(c, p):
+            if not starts:
+                starts.append((c, p.copy()))
+            return apply(c, p)
+
+        monkeypatch.setattr("uqsd.solver._apply", recording)
+        e = StateEnsemble(gaussian_states(rng, 16, 16), spread_priors(rng, 16))
+        rs, _, report = solve_ensemble(e)
+        c, p = starts[0]
+        norms2 = np.sum(np.abs(c) ** 2, axis=0)
+        assert np.ptp(p * norms2) <= 1e-12 * np.max(p * norms2)
+        assert np.linalg.eigvalsh(apply(c, p))[-1] == pytest.approx(0.5, abs=1e-12)
+        dual = -2.0 * c.shape[0] * np.max(e.priors / norms2)
+        assert report.trace[0].dual_value == pytest.approx(dual, rel=1e-12)
+
+    def test_polish_active_set_from_complementarity(self):
+        # The polish's active set is p_i > z_i (and p_i > 1e-7). On the 30
+        # sets of test_iteration_budget an absolute threshold p_i > sqrt(gap)
+        # left 8 of 38 polishes uncertified; the complementarity rule leaves
+        # 3 of 33. The bound is the midpoint.
+        rng = np.random.default_rng(1)
+        failed = 0
+        for _ in range(30):
+            e = StateEnsemble(gaussian_states(rng, 16, 16), spread_priors(rng, 16))
+            report = solve_ensemble(e)[2]
+            assert report.status is SolveStatus.OPTIMAL
+            failed += report.polish_attempts - (report.certified_by == "polish")
+        assert failed <= 5, failed
 
     def test_iterate_certificate_built_only_when_read(self, monkeypatch):
         # The iterate is factored into a DualCertificate only when it is
