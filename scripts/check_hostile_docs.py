@@ -2,11 +2,12 @@
 
 The documents are invalid UTF-8, a ``[1,,0]`` pair, a trailing comma, a
 ``1E400`` entry and a 100 000-deep ``states`` array. Each is written to a
-temporary file and passed to the ``uqsd`` console script; the script prints
-the exit codes and exits 1 unless every one is 2. Run it where ``uqsd`` is
-installed:
+temporary file and passed to ``python -m uqsd.cli solve`` under the running
+interpreter; the script prints the exit codes and exits 1 unless every one
+is 2. Run it from the repository root, with uqsd installed or with
+``PYTHONPATH=src``:
 
-    python scripts/check_hostile_docs.py
+    PYTHONPATH=src python scripts/check_hostile_docs.py
 """
 
 import pathlib
@@ -30,7 +31,7 @@ def main() -> int:
         for name, data in DOCS.items():
             path = pathlib.Path(tmp, name + ".json")
             path.write_bytes(data)
-            codes[name] = subprocess.run(["uqsd", "solve", str(path)]).returncode
+            codes[name] = subprocess.run([sys.executable, "-m", "uqsd.cli", "solve", str(path)]).returncode
     print(codes)
     return int(any(code != 2 for code in codes.values()))
 

@@ -2,11 +2,12 @@
 
 Subcommands: ``solve`` (SDP pipeline), ``epm`` (equal-probability
 measurement analysis), ``gu`` / ``cgu`` (closed-form symmetric
-pipelines), ``group-verify`` (group axiom check) and ``simulate``
-(Monte-Carlo validation of the measurement of the pipeline that
-``--pipeline`` names). Each pipeline (sdp, epm, gu, cgu) has one runner,
-shared by its subcommand and by ``simulate``. Reports print as text by
-default; ``--json`` emits the full structured document.
+pipelines), ``group-verify`` (group axiom check, plus the phase fit
+against a generator group) and ``simulate`` (Monte-Carlo validation of
+the measurement of the pipeline that ``--pipeline`` names). Each pipeline
+(sdp, epm, gu, cgu) has one runner, shared by its subcommand and by
+``simulate``. Reports print as text by default; ``--json`` emits the
+full structured document.
 
 Exit codes: 0 success, 1 stdout closed before the report was written,
 2 validation or input error, 3 solver non-convergence, 4 certificate
@@ -250,22 +251,6 @@ def _epm_pipeline(args):
     return doc, ensemble, measurement, exit_code
 
 
-def _symmetric_doc(sol: sym_mod.SymmetricSolution) -> dict:
-    doc = {
-        "verdict": sol.verdict.value,
-        "p": sol.p,
-        "reciprocal_generators": encode_complex(sol.reciprocal_generators),
-    }
-    if sol.phase is not None:
-        doc["phase"] = {
-            "theta": [list(map(float, row)) for row in sol.phase.theta],
-            "residual": sol.phase.residual,
-            "commutes": sol.phase.commutes,
-            "phase_free": sol.phase.phase_free,
-        }
-    return doc
-
-
 def _symmetric_pipeline(args):
     spec = sym_mod.load_symmetry_spec(args.file)
     sol = sym_mod.solve_gu(spec) if args.pipeline == "gu" else sym_mod.solve_cgu(spec)
@@ -273,7 +258,11 @@ def _symmetric_pipeline(args):
         "input": _input_summary(sol.ensemble),
         "pipeline": args.pipeline,
         "tolerances": _tolerances(args),
-        "symmetry": _symmetric_doc(sol),
+        "symmetry": {
+            "verdict": sol.verdict.value,
+            "p": sol.p,
+            "reciprocal_generators": encode_complex(sol.reciprocal_generators),
+        },
         "measurement": _measurement_doc(sol.ensemble, sol.measurement),
     }
     if sol.verdict is not epm_mod.EpmVerdict.OPTIMAL:
@@ -316,6 +305,12 @@ def cmd_group_verify(args) -> int:
         "pipeline": "group-verify",
         "group": dataclasses.asdict(report),
     }
+    if doc_in.get("generator_group") is not None:
+        # Evidence only: the exit code stays the axiom verdict.
+        phase = sym_mod.check_commute_phase(
+            group, sym_mod.decode_group(doc_in["generator_group"], "generator_group")
+        )
+        doc["phase"] = {**dataclasses.asdict(phase), "theta": phase.theta.tolist()}
     _print_report(doc, args.json)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

@@ -170,10 +170,10 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
     a = np.ones((1, 1))
     if analysis.s > 1 and lower <= threshold:
         # The reduced states sigma_m V_s* have orthonormal rows, so their thin
-        # SVD is (I_s, sigma_m, V_s*), held reversed since ``solve`` reverses it.
+        # SVD is (I_s, sigma_m, V_s*).
         rows, sigma_m = analysis.recips.vh[_last(analysis)], analysis.recips.sigma[-1]
-        u, sigma = np.eye(analysis.s)[:, ::-1], np.full(analysis.s, sigma_m)
-        reduced = ReciprocalSet(reciprocals=rows / sigma_m, u=u, sigma=sigma, vh=rows[::-1])
+        u, sigma = np.eye(analysis.s), np.full(analysis.s, sigma_m)
+        reduced = ReciprocalSet(reciprocals=rows / sigma_m, u=u, sigma=sigma, vh=rows)
         report = solve(SdpProblem(cost=-eta, recips=reduced))
         lower, upper, a = report.lower, report.upper, report.certificate.X / p
     if upper <= threshold:

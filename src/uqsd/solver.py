@@ -497,12 +497,10 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     if np.min(eta) <= 0.0:
         raise ValidationError("cost must be the negated vector of positive priors")
     # Off the span of C the slack is the identity, so the iterations run on
-    # U* C = sigma V*, of n = min(r, m) rows, and candidates are lifted by U.
-    # The states are U S V*, so C = U S^-1 V*, whose singular values 1/S
-    # descend once the factors are reversed.
+    # U* C = S^-1 V*, of n = min(r, m) rows, and candidates are lifted by U:
+    # the states are U S V*, so C = U S^-1 V*.
     rs = problem.recips
-    u, sv, vh = rs.u[:, ::-1], 1.0 / rs.sigma[::-1], rs.vh[::-1]
-    c = sv[:, None] * vh
+    u, c = rs.u, rs.vh / rs.sigma[:, None]
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)
     norms2 = np.einsum("ri,ri->i", c.conj(), c).real

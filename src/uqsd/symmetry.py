@@ -10,8 +10,8 @@ generator's identity image. The verdict on the equal-probability
 measurement (EPM) is the exact test's, ``epm_test_lp``. The paper's GU
 result (the EPM is optimal under uniform priors) and its CGU result
 (optimal when the generators are themselves GU under a group commuting
-with the outer group up to phases) are cases of that test; the phase
-commutation is reported as evidence.
+with the outer group up to phases) are cases of that test, so the solve
+does not fit the phases; ``check_commute_phase`` fits them on request.
 
 Groups are supplied explicitly as matrices. Identity, closure and
 inverses are checked numerically against the nearest group element, one
@@ -322,7 +322,6 @@ class SymmetricSolution:
     p: float
     certificate: DualCertificate | None
     optimality: EpmOptimalityResult
-    phase: PhaseCommutation | None = None
 
     @property
     def verdict(self) -> EpmVerdict:
@@ -463,11 +462,13 @@ def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
     )
 
 
-def _epm_solution(spec: SymmetrySpec, phase: PhaseCommutation | None) -> SymmetricSolution:
-    """The EPM of the expanded set and its exact test ``epm_test_lp``.
+def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
+    """EPM for a CGU set with the exact test ``epm_test_lp``'s verdict.
 
-    The verdict is the exact test's; the certificate lifts its witness A
-    and is present exactly when the verdict is Optimal.
+    The certificate lifts the test's witness A and is present exactly when
+    the verdict is Optimal. Callers can fall back to the SDP solver
+    whenever it is not. The paper's phase condition on a generator group
+    decides nothing here; ``check_commute_phase`` tests it on its own.
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
@@ -487,7 +488,6 @@ def _epm_solution(spec: SymmetrySpec, phase: PhaseCommutation | None) -> Symmetr
         p=analysis.p,
         certificate=certificate,
         optimality=optimality,
-        phase=phase,
     )
 
 
@@ -495,21 +495,7 @@ def solve_gu(spec: SymmetrySpec) -> SymmetricSolution:
     """EPM for a GU set with the exact test's verdict, Optimal by the GU result."""
     if not spec.is_gu:
         raise ValidationError("spec has multiple generators; use solve_cgu")
-    return _epm_solution(spec, None)
-
-
-def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
-    """EPM for a CGU set with the exact test's verdict.
-
-    When the spec has a generator group, ``phase`` reports whether it
-    commutes with the outer group up to phases, the paper's sufficient
-    condition; it is evidence and decides nothing. Callers can fall back
-    to the SDP solver whenever the verdict is not Optimal.
-    """
-    phase = None
-    if spec.generator_group is not None:
-        phase = check_commute_phase(spec.group, spec.generator_group)
-    return _epm_solution(spec, phase)
+    return solve_cgu(spec)
 
 
 def decode_group(obj, where: str = "group") -> UnitaryGroup:

@@ -235,6 +235,9 @@ def false_imaginary_parts(obj):
         (["gu"], {"group": false_imaginary_parts(SIGN_GROUP),
                   "generators": [encode_complex(sign_group_generator())]}),
         (["group-verify"], {"group": false_imaginary_parts(SIGN_GROUP)}),
+        (["group-verify"], {"group": SIGN_GROUP, "generator_group": [encode_complex(np.eye(2))]}),
+        (["group-verify"], {"group": SIGN_GROUP,
+                            "generator_group": [encode_complex(2.0 * np.eye(4))]}),
         (["gu"], {"group": SIGN_GROUP,
                   "generators": false_imaginary_parts([encode_complex(sign_group_generator())])}),
         (["solve"], {"r": 2, "m": 2, "states": [[[1.0, 0.0], [10**400, 0.0]], TWO_STATES[1]]}),
@@ -262,6 +265,8 @@ def false_imaginary_parts(obj):
         "bool-states",
         "bool-group-gu",
         "bool-group-verify",
+        "generator-group-dimension-verify",
+        "non-unitary-generator-group-verify",
         "bool-generators",
         "huge-int-states",
         "numeric-string-priors",
@@ -650,6 +655,44 @@ class TestSymmetryCommands:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         assert main(["group-verify", str(path)]) == 2
+
+    def test_group_verify_phase_evidence(self, capsys):
+        # The generator group's phases are group-verify's evidence; they
+        # match check_commute_phase on the decoded groups bit for bit.
+        code, doc = run_json(capsys, ["group-verify", str(DATA / "pauli_pair_cgu.json"), "--json"])
+        assert code == 0
+        raw = BUNDLED["pauli_pair_cgu.json"]
+        fit = uqsd.symmetry.check_commute_phase(
+            uqsd.symmetry.decode_group(raw["group"]),
+            uqsd.symmetry.decode_group(raw["generator_group"], "generator_group"),
+        )
+        assert doc["phase"]["commutes"] is True
+        assert doc["phase"]["phase_free"] is False
+        assert doc["phase"]["theta"] == fit.theta.tolist()
+        assert doc["phase"]["residual"] == fit.residual
+
+    def test_group_verify_without_generator_group_has_no_phase(self, capsys):
+        code, doc = run_json(capsys, ["group-verify", str(DATA / "sign_group_gu.json"), "--json"])
+        assert code == 0
+        assert "phase" not in doc
+
+    @pytest.mark.parametrize(
+        "name, order, rows",
+        [("pauli_pair_cgu.json", 2, 1), ("sign_group_gu.json", 4, 2)],
+    )
+    def test_group_verify_text_has_no_phase(self, capsys, name, order, rows):
+        # The phase evidence is JSON only; the text report is the axioms'.
+        assert main(["group-verify", str(DATA / name)]) == 0
+        assert capsys.readouterr().out == (
+            f"group:    order={order} dim=4\n"
+            "pipeline: group-verify\n"
+            "group axioms: pass\n"
+            "  unitarity: 0.000e+00\n"
+            "  identity: 0.000e+00\n"
+            "  closure: 0.000e+00\n"
+            "  inverses: 0.000e+00\n"
+            f"  rows: {rows} of {order}\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -830,9 +830,8 @@ def test_polish_starts_a_low_rank_factor_with_zero_columns():
     # than k columns; the polish runs from zero columns in place of the rest.
     e = load_ensemble(DATA / "degenerate_epm.json")
     rs, _, report = solve_ensemble(e)
-    # The span factors of C in the order solve iterates on, singular values descending.
-    u, sv, vh = rs.u[:, ::-1], 1.0 / rs.sigma[::-1], rs.vh[::-1]
-    c = sv[:, None] * vh
+    # The span factors of C that solve iterates on: C = U S^-1 V*.
+    u, c = rs.u, rs.vh / rs.sigma[:, None]
     narrow = (u.conj().T @ report.certificate.F)[:, -1:]
     face = (2, np.nonzero(report.p > 1e-7)[0])
     padded = np.hstack([np.zeros_like(narrow), narrow])

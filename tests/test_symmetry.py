@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from uqsd import (
     verify_group,
 )
 import uqsd.symmetry
+from uqsd.cli import main
 from uqsd.symmetry import GROUP_MATCH_TOL, UNITARITY_TOL, _probe
 
 from helpers import (
@@ -563,10 +566,11 @@ class TestCommutePhase:
 
 class TestSolveCgu:
     def test_pauli_pair_optimal(self):
-        sol = solve_cgu(pauli_pair_spec())
+        spec = pauli_pair_spec()
+        sol = solve_cgu(spec)
         assert sol.verdict is EpmVerdict.OPTIMAL
-        assert sol.phase is not None and sol.phase.commutes
-        assert not sol.phase.phase_free
+        phase = check_commute_phase(spec.group, spec.generator_group)
+        assert phase.commutes and not phase.phase_free
         rs = reciprocal_states(sol.ensemble)
         ver = verify_certificate(sol.ensemble, rs, sol.measurement.probs, sol.certificate)
         assert ver.passed
@@ -612,11 +616,11 @@ class TestSolveCgu:
         ) - 1e-12
 
     def test_pauli_pair_without_generator_group_optimal(self):
-        # With no generator group there is no phase evidence; the exact
-        # test's witness alone proves the EPM optimal.
+        # The groups commute up to phases, but the spec leaves the generator
+        # group out; the exact test's witness alone proves the EPM optimal.
         spec = pauli_pair_spec()
+        assert check_commute_phase(spec.group, spec.generator_group).commutes
         sol = solve_cgu(SymmetrySpec(group=spec.group, generators=spec.generators))
-        assert sol.phase is None
         assert sol.verdict is EpmVerdict.OPTIMAL
         ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
         assert ver.passed
@@ -628,11 +632,25 @@ def test_commuting_phase_evidence_implies_verified_optimum(seed, kind):
     # The phase condition is the paper's sufficient condition for CGU sets:
     # whenever the evidence commutes, the exact test must say Optimal and
     # its certificate must verify.
-    sol = solve_cgu(phase_pair_spec(np.random.default_rng(seed), kind))
-    if sol.phase.commutes:
+    spec = phase_pair_spec(np.random.default_rng(seed), kind)
+    sol = solve_cgu(spec)
+    if check_commute_phase(spec.group, spec.generator_group).commutes:
         assert sol.verdict is EpmVerdict.OPTIMAL
         ver = verify_certificate(sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate)
         assert ver.passed
+
+
+def test_solve_cgu_fits_no_phases(monkeypatch, capsys):
+    # The exact test decides the verdict, so neither solve_cgu nor the cgu
+    # subcommand fits the phases of the generator group.
+    def refuse(*args):
+        raise AssertionError("check_commute_phase called")
+
+    monkeypatch.setattr(uqsd.symmetry, "check_commute_phase", refuse)
+    assert solve_cgu(pauli_pair_spec()).verdict is EpmVerdict.OPTIMAL
+    data = Path(__file__).resolve().parents[1] / "data"
+    assert main(["cgu", str(data / "pauli_pair_cgu.json"), "--json"]) == 0
+    assert "phase" not in json.loads(capsys.readouterr().out)["symmetry"]
 
 
 class TestStructuralProperties:
