@@ -9,7 +9,9 @@ the span and scores its answer on the r x m reciprocals.
 is solved after the pool. Each solve is timed in process CPU
 with one BLAS thread, and one JSON line is printed with:
 
-* ``iterations``: interior-point steps over every solve;
+* ``iterations``: interior-point steps over every solve, and
+  ``max_iterations`` the most that any one solve took, the headroom under
+  the solver's fixed ``ITERATION_CAP``;
 * ``ms_per_iteration``: process-CPU ms of all solves over those steps, and
   ``ms_per_solve`` the same CPU over the number of sets;
 * ``certified_by``: how many answers the iterate and the polish certified,
@@ -122,7 +124,7 @@ def main() -> int:
     kernel_cpu = wrap_kernels() if args.kernels else {}
 
     ensembles = dense_pool(rows, args.dim, args.pool) + [load_ensemble(DEGENERATE)]
-    iterations = polish_attempts = polish_failed = 0
+    iterations = max_iterations = polish_attempts = polish_failed = 0
     cpu = 0.0
     stages: Counter = Counter()
     faces: Counter = Counter()
@@ -135,6 +137,7 @@ def main() -> int:
         report = solve(problem)
         cpu += time.process_time() - start
         iterations += report.iterations
+        max_iterations = max(max_iterations, report.iterations)
         polish_attempts += report.polish_attempts
         polish_failed += report.polish_attempts - (report.certified_by == "polish")
         stages[str(report.certified_by)] += 1
@@ -153,6 +156,7 @@ def main() -> int:
         "dim": args.dim,
         "rows": rows,
         "iterations": iterations,
+        "max_iterations": max_iterations,
         "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
         "ms_per_solve": round(1e3 * cpu / len(ensembles), 4),
         "cpu_s": round(cpu, 4),

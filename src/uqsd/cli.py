@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from . import epm as epm_mod
+from . import solver as solver_mod
 from . import symmetry as sym_mod
 from .ensemble import (
     Measurement,
@@ -55,8 +56,9 @@ EXIT_SOLVER = 3
 EXIT_CERTIFICATE = 4
 
 
-def _tolerances(args) -> dict:
-    return {"max_iters": args.max_iters, "operator_tol": OPERATOR_TOL, "scalar_tol": SCALAR_TOL}
+def _tolerances() -> dict:
+    return {"max_iters": solver_mod.ITERATION_CAP, "operator_tol": OPERATOR_TOL,
+            "scalar_tol": SCALAR_TOL}
 
 
 def _input_summary(ensemble: StateEnsemble) -> dict:
@@ -162,9 +164,9 @@ def _print_report(doc: dict, as_json: bool) -> None:
         print(f"  rows: {rep['rows']} of {summary['order']}")
 
 
-def _run_sdp(args, ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Measurement | None]:
+def _run_sdp(ensemble: StateEnsemble, recips, doc: dict) -> tuple[int, Measurement | None]:
     """Solve and verify into ``doc``; the exit code and, if Optimal, the measurement."""
-    report = solve(build_sdp(ensemble, recips), max_iters=args.max_iters)
+    report = solve(build_sdp(ensemble, recips))
     doc["solve"] = _solve_doc(report)
     if report.status is not SolveStatus.OPTIMAL:
         return EXIT_SOLVER, None
@@ -183,8 +185,8 @@ def _load_states(path) -> StateEnsemble:
 def _sdp_pipeline(args):
     ensemble = _load_states(args.file)
     recips = reciprocal_states(ensemble)
-    doc = {"input": _input_summary(ensemble), "pipeline": "sdp", "tolerances": _tolerances(args)}
-    exit_code, measurement = _run_sdp(args, ensemble, recips, doc)
+    doc = {"input": _input_summary(ensemble), "pipeline": "sdp", "tolerances": _tolerances()}
+    exit_code, measurement = _run_sdp(ensemble, recips, doc)
     if measurement is not None:
         doc["measurement"] = _measurement_doc(ensemble, measurement)
     return doc, ensemble, measurement, exit_code
@@ -257,7 +259,7 @@ def _symmetric_pipeline(args):
     doc = {
         "input": _input_summary(sol.ensemble),
         "pipeline": args.pipeline,
-        "tolerances": _tolerances(args),
+        "tolerances": _tolerances(),
         "symmetry": {
             "verdict": sol.verdict.value,
             "p": sol.p,
@@ -268,7 +270,7 @@ def _symmetric_pipeline(args):
     if sol.verdict is not epm_mod.EpmVerdict.OPTIMAL:
         # The EPM is not proven optimal; the SDP solver decides. The
         # measurement stays the EPM.
-        exit_code, _ = _run_sdp(args, sol.ensemble, sol.recips, doc)
+        exit_code, _ = _run_sdp(sol.ensemble, sol.recips, doc)
     else:
         exit_code = _verification(
             doc, sol.ensemble, sol.recips, sol.measurement.probs, sol.certificate
@@ -341,14 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--max-iters", type=int, default=100,
-                              help="iteration cap (default 100)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("file", help="input document (JSON)")
 
-    p_solve = sub.add_parser("solve", parents=[common, solver_flags],
+    p_solve = sub.add_parser("solve", parents=[common],
                              help="solve the discrimination SDP and verify the certificate")
     p_solve.set_defaults(func=_cmd_pipeline, pipeline="sdp")
 
@@ -359,11 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "the diagonal of the witness A")
     p_epm.set_defaults(func=_cmd_pipeline, pipeline="epm")
 
-    p_gu = sub.add_parser("gu", parents=[common, solver_flags],
+    p_gu = sub.add_parser("gu", parents=[common],
                           help="closed-form pipeline for a single-generator symmetric set")
     p_gu.set_defaults(func=_cmd_pipeline, pipeline="gu")
 
-    p_cgu = sub.add_parser("cgu", parents=[common, solver_flags],
+    p_cgu = sub.add_parser("cgu", parents=[common],
                            help="closed-form pipeline for a multi-generator symmetric set")
     p_cgu.set_defaults(func=_cmd_pipeline, pipeline="cgu")
 
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="check the group axioms of a symmetry spec")
     p_gv.set_defaults(func=cmd_group_verify)
 
-    p_sim = sub.add_parser("simulate", parents=[common, solver_flags],
+    p_sim = sub.add_parser("simulate", parents=[common],
                            help="Monte-Carlo validation of a measurement")
     p_sim.add_argument("--pipeline", choices=["sdp", "epm", "gu", "cgu"], default="sdp")
     p_sim.add_argument("--trials", type=int, default=100_000)

@@ -55,7 +55,7 @@ own objectives, so its width is gap / Tr X. ``solve`` tries the iterate
 once that width is within the gap tolerance, and a Gauss-Newton polish of
 the full optimality system on the active face once it is within the
 square root of that tolerance; the first candidate that passes the check
-ends the solve as Optimal. The iteration cap is the only setting.
+ends the solve as Optimal. ``solve`` has no settings.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .errors import ValidationError
 
 OPERATOR_TOL = 1e-6
 SCALAR_TOL = 1e-7
+ITERATION_CAP = 100
 # Tolerance of each check of verify_certificate, keyed like its residuals.
 _TOLERANCES = {
     "primal_nonneg": SCALAR_TOL,
@@ -417,14 +418,14 @@ def _kkt_polish(
 
 def _bracket(
     c: np.ndarray, eta: np.ndarray, p: np.ndarray, f: np.ndarray
-) -> tuple[float, float, float, np.ndarray]:
+) -> tuple[float, float, float, np.ndarray, np.ndarray]:
     """Certified bounds lower <= P_D* <= upper from any pair (p, X = F F*).
 
     p+ = max(p, 0) scaled by 1/max(1, lambda_max(sum_i p+_i Q_i)) is primal
     feasible, and X scaled by t = max(1, max_i eta_i / Tr(Q_i X)) is dual
     feasible, so their objectives bound the optimum. The traces are
     |F* c_i|^2 and Tr X = |F|^2, so the cost is O(r m k). Returns
-    (lower, upper, lambda_max, F* C); upper is inf when X misses some Q_i.
+    (lower, upper, lambda_max, F* C, traces); upper is inf if X misses a Q_i.
     """
     p_plus = np.maximum(p, 0.0)
     top = _operator_top(c, p_plus)
@@ -433,7 +434,7 @@ def _bracket(
     with np.errstate(divide="ignore"):
         t = max(1.0, float(np.max(eta / traces)))
     upper = t * float(np.vdot(f, f).real) if np.isfinite(t) else np.inf
-    return float(eta @ p_plus) / max(1.0, top), upper, top, overlaps
+    return float(eta @ p_plus) / max(1.0, top), upper, top, overlaps, traces
 
 
 def _residuals(
@@ -453,8 +454,7 @@ def _residuals(
     for F = Q R, so no r x r matrix is formed.
     """
     f = cert.F
-    lower, upper, top, overlaps = _bracket(c, eta, p, f)
-    traces = np.sum(np.abs(overlaps) ** 2, axis=0)
+    lower, upper, top, overlaps, traces = _bracket(c, eta, p, f)
     slack = f.conj().T - (overlaps * p) @ c.conj().T
     residuals = {
         "primal_nonneg": float(max(0.0, -np.min(p))),
@@ -479,20 +479,18 @@ def _certified(c: np.ndarray, eta: np.ndarray, candidate: tuple[np.ndarray, Dual
     return (candidate, scored) if all(_checks(scored[0]).values()) else None
 
 
-def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
+def solve(problem: SdpProblem) -> SolveReport:
     """Solve the discrimination SDP to guaranteed global optimality.
 
     Status Optimal means the returned pair passes the checks of
     ``verify_certificate``: the first iterate, or else the Gauss-Newton
     polish of an iterate, that passes them is returned. Any other status
-    returns the last iterate; ``max_iters`` caps the number of
+    returns the last iterate; ``ITERATION_CAP`` caps the number of
     interior-point steps. The ``trace`` has the objective pair at every
     iterate and the step lengths and sigma of each step; all iterates are
     primal and dual feasible by construction, so every traced gap is
     nonnegative.
     """
-    if not isinstance(max_iters, (int, np.integer)) or not 1 <= max_iters <= 100_000:
-        raise ValidationError("max_iters must be an integer in [1, 100000]")
     recips, eta = problem.recips.reciprocals, -problem.cost
     if np.min(eta) <= 0.0:
         raise ValidationError("cost must be the negated vector of positive priors")
@@ -522,7 +520,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
     certified_by = None
     polish_attempts = 0
 
-    for it in range(max_iters + 1):
+    for it in range(ITERATION_CAP + 1):
         s0 = eye_n - _apply(c, p)
         z = _apply_adjoint(c, x_mat) - eta
         gap = float(np.vdot(x_mat, s0).real + p @ z)
@@ -557,7 +555,7 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
                 status = SolveStatus.OPTIMAL
                 certified_by = stage
                 break
-        if it == max_iters:
+        if it == ITERATION_CAP:
             break
 
         try:
@@ -567,20 +565,16 @@ def solve(problem: SdpProblem, *, max_iters: int = 100) -> SolveReport:
             # K = T^{-*} K_sc T^{-1}, and W^{-1} = T^{-*} T^{-1}.
             g = t_inv @ c
             schur = np.abs(g.conj().T @ g) ** 2 + np.diag(z / p)
-            schur_sym = (schur + schur.T) / 2
-            # numpy has no triangular solve: the four solves of the step apply
-            # L^{-T} L^{-1} from one inversion of the Cholesky factor L, in
-            # place of four LU factorizations.
-            chol_inv = np.linalg.inv(np.linalg.cholesky(schur_sym))
+            # numpy has no triangular solve: both solves of the step apply
+            # L^{-T} L^{-1} from one inversion of the Cholesky factor L of
+            # schur's lower triangle, in place of two LU factorizations.
+            chol_inv = np.linalg.inv(np.linalg.cholesky(schur))
         except np.linalg.LinAlgError:
             status = SolveStatus.NUMERICAL_FAILURE
             break
 
         def newton(k_sc: np.ndarray, rhs: np.ndarray):
             dp = chol_inv.T @ (chol_inv @ rhs)
-            # One round of iterative refinement; the Schur system grows
-            # ill-conditioned as the complementarity products vanish.
-            dp += chol_inv.T @ (chol_inv @ (rhs - schur @ dp))
             ds_sc = -_apply(g, dp)
             dx_sc = k_sc - ds_sc
             return dp, ds_sc, dx_sc, _apply_adjoint(g, dx_sc)

@@ -39,7 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Measurement, ReciprocalSet, StateEnsemble, _unit_columns, reciprocal_states
+from .ensemble import (
+    UNIT_NORM_TOL,
+    Measurement,
+    ReciprocalSet,
+    StateEnsemble,
+    _unit_columns,
+    reciprocal_states,
+)
 from .epm import (
     EpmOptimalityResult,
     EpmVerdict,
@@ -278,8 +285,7 @@ class SymmetrySpec:
                 f"generators live in dimension {gens.shape[0]} but the group "
                 f"acts on dimension {self.group.dim}"
             )
-        norms = np.linalg.norm(gens, axis=0)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if np.max(np.abs(np.linalg.norm(gens, axis=0) - 1.0)) > UNIT_NORM_TOL:
             raise ValidationError("generating vectors must have unit norm")
         if self.generator_group is not None:
             q = self.generator_group

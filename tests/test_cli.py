@@ -154,8 +154,9 @@ class TestSolveCommand:
     def test_missing_file_exit_code(self, capsys):
         assert main(["solve", "/nonexistent/nowhere.json"]) == 2
 
-    def test_solver_failure_exit_code(self, three_states_file, capsys):
-        assert main(["solve", three_states_file, "--max-iters", "2"]) == 3
+    def test_solver_failure_exit_code(self, three_states_file, monkeypatch, capsys):
+        monkeypatch.setattr(uqsd.solver, "ITERATION_CAP", 2)
+        assert main(["solve", three_states_file]) == 3
         out = capsys.readouterr().out
         assert "MaxIterations" in out
 
@@ -175,6 +176,14 @@ class TestSolveCommand:
             main(["solve", str(path), "--tol-gap", "1e-8"])
         assert exc.value.code == 2
         assert "--tol-gap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "gu", "cgu", "simulate"])
+    def test_removed_iteration_flag_exits_2(self, capsys, command):
+        path = DATA / "sign_group_gu.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), "--max-iters", "50"])
+        assert exc.value.code == 2
+        assert "--max-iters" in capsys.readouterr().err
 
     def test_text_output_prints_bracket_width(self, three_states_file, capsys):
         assert main(["solve", three_states_file]) == 0
@@ -419,11 +428,12 @@ def test_simulate_runs_the_named_pipeline(tmp_path, capsys, name, kind):
 
 
 @pytest.mark.parametrize("kind", ["sdp", "cgu"])
-def test_simulate_returns_runner_failure_without_simulating(tmp_path, capsys, kind):
+def test_simulate_returns_runner_failure_without_simulating(tmp_path, monkeypatch, capsys, kind):
     path = tmp_path / "input.json"
     doc = non_optimal_cgu_doc() if kind == "cgu" else BUNDLED["three_states.json"]
     path.write_text(json.dumps(doc))
-    argv = ["simulate", str(path), "--pipeline", kind, "--max-iters", "2", "--json"]
+    monkeypatch.setattr(uqsd.solver, "ITERATION_CAP", 2)
+    argv = ["simulate", str(path), "--pipeline", kind, "--json"]
     code, out = run_json(capsys, argv)
     assert code == 3
     assert out["solve"]["status"] == "MaxIterations"
@@ -624,10 +634,11 @@ class TestSymmetryCommands:
         assert out["solve"]["status"] == "Optimal"
         assert out["verification"]["passed"] is True
 
-    def test_fallback_reports_its_iteration_cap(self, tmp_path, capsys):
+    def test_fallback_reports_its_iteration_cap(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cgu.json"
         path.write_text(json.dumps(non_optimal_cgu_doc()))
-        code, out = run_json(capsys, ["cgu", str(path), "--max-iters", "50", "--json"])
+        monkeypatch.setattr(uqsd.solver, "ITERATION_CAP", 50)
+        code, out = run_json(capsys, ["cgu", str(path), "--json"])
         assert code == 0
         assert out["tolerances"]["max_iters"] == 50
         assert out["solve"]["status"] == "Optimal"
