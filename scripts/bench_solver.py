@@ -11,18 +11,27 @@ with one BLAS thread, and one JSON line is printed with:
 
 * ``iterations``: interior-point steps over every solve, and
   ``max_iterations`` the most that any one solve took, the headroom under
-  the solver's fixed ``ITERATION_CAP``;
+  the solver's fixed ``ITERATION_CAP``. A solve's ``iterations`` is the sum
+  over its working-set rounds and any fallback to the full solve, each
+  under its own cap;
+* ``rounds``: the runs of the interior-point core over every solve (1 per
+  solve below the solver's ``WORKING_SET_MIN_M`` states), and
+  ``working_set`` the mean number of columns the last run solved on (m
+  for a full solve);
 * ``ms_per_iteration``: process-CPU ms of all solves over those steps, and
   ``ms_per_solve`` the same CPU over the number of sets;
 * ``certified_by``: how many answers the iterate and the polish certified,
   ``polish_attempts`` in total, and ``polish_failed``, the attempts that
-  did not certify, mostly from an active set that leaves out a constraint
-  of the optimal face or keeps one that is not on it;
+  did not certify their round, mostly from an active set that leaves out
+  a constraint of the optimal face or keeps one that is not on it. The
+  script counts each round's stage by wrapping the solver's core, at a
+  cost of microseconds per round;
 * ``face_dims``: a histogram of the rank of the returned X = F F*,
   counting the eigenvalues above 1e-6 of the largest, read off the
   singular values of the certificate's factor F;
 * ``step_quantiles``: the 10th and 50th percentiles of the primal and dual
-  step lengths of every step taken, read from ``SolveReport.trace``; short
+  step lengths of every step taken in every round, read from
+  ``SolveReport.trace``; short
   steps are what make a solve take more iterations;
 * ``ru_maxrss_kb``: the peak resident set of the process.
 
@@ -30,7 +39,7 @@ with one BLAS thread, and one JSON line is printed with:
 spent in each solver kernel, the NT scaling (``_nt_scaling``), the PSD step
 lengths (``_max_steps_psd``), the Gauss-Newton polish (``_kkt_polish``) and
 the certificate residuals (``_residuals``). The script wraps those functions
-only under this flag, so the default timing runs the solver unwrapped; the
+only under this flag, so the default timing runs the kernels unwrapped; the
 wrappers' own cost inflates ``ms_per_iteration`` slightly.
 
 Every answer must be Optimal and pass ``verify_certificate``; the script
@@ -103,6 +112,20 @@ def wrap_kernels() -> dict[str, float]:
     return totals
 
 
+def count_round_stages() -> Counter:
+    """Wrap the solver's core to count the stage that certified each round it runs."""
+    stages: Counter = Counter()
+    core = solver_module._solve_core
+
+    def counted(problem):
+        report = core(problem)
+        stages[report.certified_by] += 1
+        return report
+
+    solver_module._solve_core = counted
+    return stages
+
+
 def face_dim(certificate) -> int:
     w = np.linalg.svd(certificate.F, compute_uv=False) ** 2
     return int(np.sum(w > 1e-6 * np.max(w)))
@@ -122,9 +145,10 @@ def main() -> int:
     if rows < args.dim:
         parser.error("--rows must be at least --dim")
     kernel_cpu = wrap_kernels() if args.kernels else {}
+    round_stages = count_round_stages()
 
     ensembles = dense_pool(rows, args.dim, args.pool) + [load_ensemble(DEGENERATE)]
-    iterations = max_iterations = polish_attempts = polish_failed = 0
+    iterations = max_iterations = polish_attempts = rounds = working_set = 0
     cpu = 0.0
     stages: Counter = Counter()
     faces: Counter = Counter()
@@ -137,12 +161,14 @@ def main() -> int:
         report = solve(problem)
         cpu += time.process_time() - start
         iterations += report.iterations
+        rounds += report.rounds
+        working_set += report.working_set
         max_iterations = max(max_iterations, report.iterations)
         polish_attempts += report.polish_attempts
-        polish_failed += report.polish_attempts - (report.certified_by == "polish")
         stages[str(report.certified_by)] += 1
         faces[face_dim(report.certificate)] += 1
-        stepped = report.trace[:-1]
+        # Each round's last iterate takes no step.
+        stepped = [t for t in report.trace if t.primal_step is not None]
         steps["primal"] += [t.primal_step for t in stepped]
         steps["dual"] += [t.dual_step for t in stepped]
         # verify_certificate's own _residuals call is not part of the solve.
@@ -151,12 +177,15 @@ def main() -> int:
         kernel_cpu.update(in_solve)
         failures += report.status.value != "Optimal" or not ver.passed
 
+    polish_failed = polish_attempts - round_stages["polish"]
     result = {
         "instances": len(ensembles),
         "dim": args.dim,
         "rows": rows,
         "iterations": iterations,
         "max_iterations": max_iterations,
+        "rounds": rounds,
+        "working_set": round(working_set / len(ensembles), 2),
         "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
         "ms_per_solve": round(1e3 * cpu / len(ensembles), 4),
         "cpu_s": round(cpu, 4),

@@ -56,6 +56,37 @@ once that width is within the gap tolerance, and a Gauss-Newton polish of
 the full optimality system on the active face once it is within the
 square root of that tolerance; the first candidate that passes the check
 ends the solve as Optimal. ``solve`` has no settings.
+
+From ``WORKING_SET_MIN_M`` = 24 columns up, ``solve`` first iterates on a
+working set W of the columns, the working-set meta-algorithm of Johnson
+and Guestrin ("Blitz", 2015). The optimum of a random set detects few of
+its states (about 6 of 32 and 7 of 64), and complementarity, p_i z_i = 0,
+puts its X in the span of the detected reciprocals. So the problem on any
+W that holds the detected states has the same optimum, and its pair, with
+p = 0 off W, is a pair of the whole problem. W starts as the
+``WORKING_SET_SEED`` = 12 states of largest eta_i / |c_i|^2, the value of
+all weight on state i, sorted stably, so that ties go to the lower index.
+Each round solves the problem on the columns C[:, W], from their own thin
+SVD, with the full interior-point core (``_solve_core``). It then reads
+the dual slack z_i = |F* c_i|^2 - eta_i of every state off the round's
+factor F, in O(r m k), and adds to W every state with z_i < -SCALAR_TOL.
+When none is added, the pair is scored on all of C by the checks every
+candidate passes, and that check is the proof of optimality, so no
+screening rule is needed. A round that does not end Optimal, a W of more
+than ``WORKING_SET_MAX_SHARE`` = 3/4 of the columns (a round on it costs
+(3/4)^3, over 40%, of the full solve), or a final pair that fails the
+checks sends the problem to the full core.
+
+The constants come from a sweep over random r = m sets (complex Gaussian
+states, priors uniform in [0.5, 1.5]): process CPU per reciprocal set,
+solve and verification, one BLAS thread, full core -> working set. With
+w = 12, m = 24 went 7.3 -> 4.4 ms, m = 32 11.4 -> 8.1 ms and m = 64
+44 -> 10 ms, in 1.1-1.6 rounds on average and at most 3, and no set fell
+back; w = 8 and 16 were within the noise of 12. At m = 16, 6 sets in 48
+fell back, and where r >> m every state tends to be detected: at
+r = 256, m = 16, W grew to all 16 states on every set, and a solve took
+9.0 ms against 5.3. Below 24 states the full core runs alone, as it does
+for every sub-problem.
 """
 
 from __future__ import annotations
@@ -67,12 +98,15 @@ from typing import Any
 
 import numpy as np
 
-from .ensemble import ReciprocalSet, StateEnsemble, _operator_top
+from .ensemble import ReciprocalSet, StateEnsemble, _operator_top, _reciprocal_set
 from .errors import ValidationError
 
 OPERATOR_TOL = 1e-6
 SCALAR_TOL = 1e-7
 ITERATION_CAP = 100
+WORKING_SET_MIN_M = 24
+WORKING_SET_SEED = 12
+WORKING_SET_MAX_SHARE = 0.75
 # Tolerance of each check of verify_certificate, keyed like its residuals.
 _TOLERANCES = {
     "primal_nonneg": SCALAR_TOL,
@@ -190,6 +224,10 @@ class SolveReport:
     # iterates whose face test failed.
     certified_by: str | None = None
     polish_attempts: int = 0
+    # The rounds run and the final number of columns solved on, 1 and m on
+    # the full path (module docstring).
+    rounds: int = 1
+    working_set: int = 0
 
 
 @dataclass(frozen=True)
@@ -479,8 +517,8 @@ def _certified(c: np.ndarray, eta: np.ndarray, candidate: tuple[np.ndarray, Dual
     return (candidate, scored) if all(_checks(scored[0]).values()) else None
 
 
-def solve(problem: SdpProblem) -> SolveReport:
-    """Solve the discrimination SDP to guaranteed global optimality.
+def _solve_core(problem: SdpProblem) -> SolveReport:
+    """The interior-point solve on all columns of the problem (module docstring).
 
     Status Optimal means the returned pair passes the checks of
     ``verify_certificate``: the first iterate, or else the Gauss-Newton
@@ -492,8 +530,6 @@ def solve(problem: SdpProblem) -> SolveReport:
     nonnegative.
     """
     recips, eta = problem.recips.reciprocals, -problem.cost
-    if np.min(eta) <= 0.0:
-        raise ValidationError("cost must be the negated vector of positive priors")
     # Off the span of C the slack is the identity, so the iterations run on
     # U* C = S^-1 V*, of n = min(r, m) rows, and candidates are lifted by U:
     # the states are U S V*, so C = U S^-1 V*.
@@ -634,6 +670,85 @@ def solve(problem: SdpProblem) -> SolveReport:
         trace=tuple(trace),
         certified_by=certified_by,
         polish_attempts=polish_attempts,
+        working_set=m,
+    )
+
+
+def _working_set(problem: SdpProblem, rounds: list[SolveReport]) -> SolveReport | None:
+    """The working-set solve (module docstring), or None where it falls back.
+
+    Appends each round's report on the sub-problem to ``rounds``. The
+    returned report is the last round's, with its pair put on all m
+    columns and scored there.
+    """
+    recips, eta = problem.recips.reciprocals, -problem.cost
+    m = eta.size
+    norms2 = np.einsum("ri,ri->i", recips.conj(), recips).real
+    within = np.zeros(m, dtype=bool)
+    within[np.argsort(-eta / norms2, kind="stable")[:WORKING_SET_SEED]] = True
+    while True:
+        cols = np.flatnonzero(within)
+        sub = _solve_core(
+            SdpProblem(cost=problem.cost[cols], recips=_reciprocal_set(recips[:, cols]))
+        )
+        rounds.append(sub)
+        if sub.status is not SolveStatus.OPTIMAL:
+            return None
+        # The dual slack of every state for the round's X = F F*, in O(r m k).
+        f = sub.certificate.F
+        z = np.sum(np.abs(f.conj().T @ recips) ** 2, axis=0) - eta
+        grow = ~within & (z < -SCALAR_TOL)
+        if not grow.any():
+            break
+        within |= grow
+        if np.count_nonzero(within) > WORKING_SET_MAX_SHARE * m:
+            return None
+    p = np.zeros(m)
+    p[cols] = sub.p
+    z[cols] = sub.certificate.z
+    certificate = DualCertificate(F=f, z=z)
+    object.__setattr__(certificate, "dual_psd", sub.certificate.dual_psd)
+    found = _certified(recips, eta, (p, certificate))
+    if found is None:
+        return None
+    (p, certificate), (residuals, _, (lower, upper)) = found
+    return replace(
+        sub,
+        p=p,
+        certificate=certificate,
+        residuals=residuals,
+        lower=lower,
+        upper=upper,
+        working_set=cols.size,
+    )
+
+
+def solve(problem: SdpProblem) -> SolveReport:
+    """Solve the discrimination SDP to guaranteed global optimality.
+
+    Status Optimal means the returned pair passes the checks of
+    ``verify_certificate`` on the whole problem. From
+    ``WORKING_SET_MIN_M`` columns up, ``solve`` first solves on a growing
+    working set, and runs the full solve only where that fails (module
+    docstring).
+    ``iterations``, ``polish_attempts`` and ``trace`` add up every round
+    and the fallback, and ``certified_by`` is the last round's stage.
+    """
+    if np.min(-problem.cost) <= 0.0:
+        raise ValidationError("cost must be the negated vector of positive priors")
+    if problem.recips.m < WORKING_SET_MIN_M:
+        return _solve_core(problem)
+    rounds: list[SolveReport] = []
+    report = _working_set(problem, rounds)
+    if report is None:
+        report = _solve_core(problem)
+        rounds.append(report)
+    return replace(
+        report,
+        iterations=sum(r.iterations for r in rounds),
+        polish_attempts=sum(r.polish_attempts for r in rounds),
+        trace=tuple(t for r in rounds for t in r.trace),
+        rounds=len(rounds),
     )
 
 

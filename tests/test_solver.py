@@ -19,6 +19,7 @@ from uqsd import (
     solve,
     verify_certificate,
 )
+from uqsd import solver as solver_module
 from uqsd.solver import (
     _apply,
     _bracket,
@@ -367,6 +368,88 @@ class TestSolve:
         assert report.status is SolveStatus.OPTIMAL and report.polish_attempts == 0
         assert len(built) == 1
         assert all(any(cert.F is f for f in read) for cert in built)
+
+
+def epm_optimal_set(seed, m):
+    """m Gaussian states in C^m with the priors that make the EPM optimal, from witness [[1]]."""
+    states = gaussian_states(np.random.default_rng(seed), m, m)
+    analysis = epm_analysis(reciprocal_states(StateEnsemble(states, np.full(m, 1 / m))))
+    assert analysis.s == 1
+    return StateEnsemble(states, priors_for_epm(analysis, np.ones((1, 1)))), analysis.p
+
+
+def full_core_report(monkeypatch, problem):
+    """The report of the full interior-point solve, with the working set switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr("uqsd.solver.WORKING_SET_MIN_M", problem.recips.m + 1)
+        return solve(problem)
+
+
+class TestWorkingSet:
+    # From WORKING_SET_MIN_M states up, solve iterates on a working set of
+    # columns and scores the answer on all of them (module docstring).
+
+    @pytest.mark.parametrize("m", [24, 32, 64])
+    def test_matches_the_full_core(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        for _ in range(2):
+            e = StateEnsemble(gaussian_states(rng, m, m), spread_priors(rng, m))
+            rs, problem, report = solve_ensemble(e)
+            full = full_core_report(monkeypatch, problem)
+            assert report.status is full.status is SolveStatus.OPTIMAL
+            assert (full.rounds, full.working_set) == (1, m)
+            assert report.primal_value == pytest.approx(full.primal_value, rel=1e-9)
+            assert report.working_set < m and report.rounds >= 1
+            assert verify_certificate(e, rs, report.p, report.certificate).passed
+
+    def test_full_path_below_the_threshold(self):
+        e = random_ensemble(np.random.default_rng(3), 8, 8)
+        report = solve_ensemble(e)[2]
+        assert (report.rounds, report.working_set) == (1, 8)
+
+    def test_every_state_detected(self):
+        # EPM-optimal priors put p_i = sigma_m^2 > 0 on every state, so the
+        # working set must grow to all of them or fall back to the full
+        # solve; either way the answer is the EPM's P_D and certified.
+        e, epm_p = epm_optimal_set(5, 32)
+        rs, _, report = solve_ensemble(e)
+        assert report.status is SolveStatus.OPTIMAL
+        assert verify_certificate(e, rs, report.p, report.certificate).passed
+        assert e.priors @ report.p == pytest.approx(epm_p, rel=1e-7)
+        assert report.working_set == 32 and report.rounds >= 2
+
+    def test_permutation_invariance(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            e = StateEnsemble(gaussian_states(rng, 32, 32), spread_priors(rng, 32))
+            perm = rng.permutation(32)
+            base = solve_ensemble(e)[2]
+            shuffled = solve_ensemble(StateEnsemble(e.states[:, perm], e.priors[perm]))[2]
+            assert shuffled.status is base.status is SolveStatus.OPTIMAL
+            assert shuffled.primal_value == pytest.approx(base.primal_value, rel=1e-10)
+            assert np.max(np.abs(base.p[perm] - shuffled.p)) <= 1e-7
+
+    def test_report_adds_up_every_round_and_the_fallback(self, monkeypatch):
+        # With no room to grow, the first round that adds a state falls back
+        # to the full solve: two runs of the core, whose iterations, polish
+        # attempts and traces the report sums.
+        runs = []
+        core = solver_module._solve_core
+
+        def recorded(problem):
+            runs.append(core(problem))
+            return runs[-1]
+
+        monkeypatch.setattr("uqsd.solver._solve_core", recorded)
+        monkeypatch.setattr("uqsd.solver.WORKING_SET_MAX_SHARE", 0.0)
+        report = solve_ensemble(epm_optimal_set(5, 32)[0])[2]
+        assert [r.working_set for r in runs] == [solver_module.WORKING_SET_SEED, 32]
+        assert (report.rounds, report.working_set) == (2, 32)
+        assert report.iterations == sum(r.iterations for r in runs)
+        assert report.polish_attempts == sum(r.polish_attempts for r in runs)
+        assert report.trace == runs[0].trace + runs[1].trace
+        assert report.certified_by == runs[1].certified_by
+        assert report.status is SolveStatus.OPTIMAL
 
 
 class TestStepLength:
