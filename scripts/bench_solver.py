@@ -15,17 +15,19 @@ with one BLAS thread, and one JSON line is printed with:
   over its working-set rounds and any fallback to the full solve, each
   under its own cap;
 * ``rounds``: the runs of the interior-point core over every solve (1 per
-  solve below the solver's ``WORKING_SET_MIN_M`` states), and
-  ``working_set`` the mean number of columns the last run solved on (m
-  for a full solve);
+  solve below the solver's ``WORKING_SET_MIN_M`` states), ``screened``
+  the runs among them that the working set's screen stopped early, on an
+  iterate that violates a state outside the set, and ``working_set`` the
+  mean number of columns the last run solved on (m for a full solve);
 * ``ms_per_iteration``: process-CPU ms of all solves over those steps, and
   ``ms_per_solve`` the same CPU over the number of sets;
 * ``certified_by``: how many answers the iterate and the polish certified,
   ``polish_attempts`` in total, and ``polish_failed``, the attempts that
   did not certify their round, mostly from an active set that leaves out
   a constraint of the optimal face or keeps one that is not on it. The
-  script counts each round's stage by wrapping the solver's core, at a
-  cost of microseconds per round;
+  script counts each round's stage, and the stopped runs, by wrapping the
+  solver's core and its stop predicate, at a cost of microseconds per
+  round;
 * ``face_dims``: a histogram of the rank of the returned X = F F*,
   counting the eigenvalues above 1e-6 of the largest, read off the
   singular values of the certificate's factor F;
@@ -113,12 +115,20 @@ def wrap_kernels() -> dict[str, float]:
 
 
 def count_round_stages() -> Counter:
-    """Wrap the solver's core to count the stage that certified each round it runs."""
+    """Wrap the solver's core to count the stage that certified each run, and the runs stopped.
+
+    A run that its stop predicate ends counts under ``"screened"``.
+    """
     stages: Counter = Counter()
     core = solver_module._solve_core
 
-    def counted(problem):
-        report = core(problem)
+    def counted(problem, stop=None):
+        def counted_stop(width, x_mat):
+            hit = stop(width, x_mat)
+            stages["screened"] += hit
+            return hit
+
+        report = core(problem, None if stop is None else counted_stop)
         stages[report.certified_by] += 1
         return report
 
@@ -185,6 +195,7 @@ def main() -> int:
         "iterations": iterations,
         "max_iterations": max_iterations,
         "rounds": rounds,
+        "screened": round_stages["screened"],
         "working_set": round(working_set / len(ensembles), 2),
         "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
         "ms_per_solve": round(1e3 * cpu / len(ensembles), 4),

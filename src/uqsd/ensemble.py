@@ -264,8 +264,14 @@ def _operator_top(c: np.ndarray, p: np.ndarray) -> float:
     """lambda_max of the conclusive sum C diag(p) C* for p >= 0.
 
     C diag(p) C* and diag(sqrt p) C*C diag(sqrt p) share their nonzero
-    eigenvalues, so it is read off the m x m matrix.
+    eigenvalues, so it is read off that matrix on the support of p, as a
+    zero p_i adds a zero row and column; 0 for p = 0.
     """
+    support = np.flatnonzero(p)
+    if support.size == 0:
+        return 0.0
+    if support.size < p.size:
+        c, p = c[:, support], p[support]
     root = np.sqrt(p)
     weighted = root[:, None] * (c.conj().T @ c) * root[None, :]
     return float(np.linalg.eigvalsh((weighted + weighted.conj().T) / 2)[-1])

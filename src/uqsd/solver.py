@@ -65,17 +65,37 @@ puts its X in the span of the detected reciprocals. So the problem on any
 W that holds the detected states has the same optimum, and its pair, with
 p = 0 off W, is a pair of the whole problem. W starts as the
 ``WORKING_SET_SEED`` = 12 states of largest eta_i / |c_i|^2, the value of
-all weight on state i, sorted stably, so that ties go to the lower index.
-Each round solves the problem on the columns C[:, W], from their own thin
-SVD, with the full interior-point core (``_solve_core``). It then reads
-the dual slack z_i = |F* c_i|^2 - eta_i of every state off the round's
-factor F, in O(r m k), and adds to W every state with z_i < -SCALAR_TOL.
-When none is added, the pair is scored on all of C by the checks every
-candidate passes, and that check is the proof of optimality, so no
-screening rule is needed. A round that does not end Optimal, a W of more
-than ``WORKING_SET_MAX_SHARE`` = 3/4 of the columns (a round on it costs
-(3/4)^3, over 40%, of the full solve), or a final pair that fails the
-checks sends the problem to the full core.
+all weight on state i; scores within 1e-12 relative tie, as those of an
+orbit of a symmetric set do up to rounding, and ties go to the lower
+index. Each round solves the problem on the columns C[:, W], from their
+own thin SVD, with the full interior-point core (``_solve_core``). It then
+reads the dual slack z_i = |F* c_i|^2 - eta_i of every state off the
+round's factor F, in O(r m k), and adds to W every state with
+z_i < -SCALAR_TOL. When none is added, the pair is scored on all of C by
+the checks every candidate passes, and that check is the proof of
+optimality, so no safe screening rule is needed. A round that does not
+end Optimal, a W of more than ``WORKING_SET_MAX_SHARE`` = 3/4 of the
+columns (a round on it costs (3/4)^3, over 40%, of the full solve), or a
+final pair that fails the checks sends the problem to the full core.
+
+A round need not converge to find a violated state. Its core gets a stop
+predicate (``_screen``) that, at each iterate of relative width at most
+``SCREEN_WIDTH`` = 1e-2, reads z_i = b_i* X b_i - eta_i of every state
+off W from the iterate's X on the round's span, with B = U_W* C formed
+once per round, in O(n^2 m). At the first iterate where some
+z_i < -SCALAR_TOL the run stops, before its candidates are scored or
+polished, and exactly those states join W under the rule above. This is
+how primal-dual column generation prices columns, from the well-centred
+iterate of a master problem stopped early (Gondzio, Gonzalez-Brevis and
+Munari 2013). A stopped run counts in ``rounds`` and adds its iterations
+and trace; it proves nothing, and the end-of-round check and the full-set
+score stay the only proof. On the seed-1 r = m = 32 pool of
+``scripts/bench_solver.py`` the screen stopped 24 of 89 runs and took the
+iterations from 613 to 566 and the polishes from 100 to 71, with P_D
+bitwise unchanged. The gate sweep on that pool, in iterations: every
+iterate 532, 1e-1 533, 3e-2 554, 1e-2 566, 1e-3 596 and sqrt(1e-7) 608.
+From 1e-1 up, two more polishes failed and one set was certified by its
+iterate instead of its polish; 1e-2 keeps a factor 10 from there.
 
 The constants come from a sweep over random r = m sets (complex Gaussian
 states, priors uniform in [0.5, 1.5]): process CPU per reciprocal set,
@@ -107,6 +127,7 @@ ITERATION_CAP = 100
 WORKING_SET_MIN_M = 24
 WORKING_SET_SEED = 12
 WORKING_SET_MAX_SHARE = 0.75
+SCREEN_WIDTH = 1e-2
 # Tolerance of each check of verify_certificate, keyed like its residuals.
 _TOLERANCES = {
     "primal_nonneg": SCALAR_TOL,
@@ -224,8 +245,8 @@ class SolveReport:
     # iterates whose face test failed.
     certified_by: str | None = None
     polish_attempts: int = 0
-    # The rounds run and the final number of columns solved on, 1 and m on
-    # the full path (module docstring).
+    # The runs of the core, stopped rounds included, and the final number of
+    # columns solved on, 1 and m on the full path (module docstring).
     rounds: int = 1
     working_set: int = 0
 
@@ -517,17 +538,19 @@ def _certified(c: np.ndarray, eta: np.ndarray, candidate: tuple[np.ndarray, Dual
     return (candidate, scored) if all(_checks(scored[0]).values()) else None
 
 
-def _solve_core(problem: SdpProblem) -> SolveReport:
+def _solve_core(problem: SdpProblem, stop=None) -> SolveReport:
     """The interior-point solve on all columns of the problem (module docstring).
 
     Status Optimal means the returned pair passes the checks of
     ``verify_certificate``: the first iterate, or else the Gauss-Newton
     polish of an iterate, that passes them is returned. Any other status
     returns the last iterate; ``ITERATION_CAP`` caps the number of
-    interior-point steps. The ``trace`` has the objective pair at every
-    iterate and the step lengths and sigma of each step; all iterates are
-    primal and dual feasible by construction, so every traced gap is
-    nonnegative.
+    interior-point steps. ``stop``, if given, is called at every iterate,
+    before its candidates, with the iterate's relative width and its X on
+    the span, and ends the run there, as the cap does, when it returns
+    True. The ``trace`` has the objective pair at every iterate and the
+    step lengths and sigma of each step; all iterates are primal and dual
+    feasible by construction, so every traced gap is nonnegative.
     """
     recips, eta = problem.recips.reciprocals, -problem.cost
     # Off the span of C the slack is the identity, so the iterations run on
@@ -573,6 +596,8 @@ def _solve_core(problem: SdpProblem) -> SolveReport:
         # verify_certificate ends the solve. The iterate's certificate is
         # factored only for a candidate that reads it.
         width = gap / -dual
+        if stop is not None and stop(width, x_mat):
+            break
         if width <= np.sqrt(_TOLERANCES["gap"]):
             found = iterate = None
             if width <= _TOLERANCES["gap"]:
@@ -674,33 +699,65 @@ def _solve_core(problem: SdpProblem) -> SolveReport:
     )
 
 
+def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The ``WORKING_SET_SEED`` states of largest eta_i / |c_i|^2 (module docstring).
+
+    Scores within 1e-12 relative of the next larger one tie, so that the
+    rounding noise of a symmetric set does not order an orbit, and ties go
+    to the lower index.
+    """
+    score = eta / np.einsum("ri,ri->i", recips.conj(), recips).real
+    order = np.argsort(-score, kind="stable")
+    ranked = score[order]
+    tier = np.cumsum(np.r_[0, ranked[1:] < ranked[:-1] * (1.0 - 1e-12)])
+    return order[np.lexsort((order, tier))][:WORKING_SET_SEED]
+
+
+def _screen(b: np.ndarray, eta: np.ndarray, violated: np.ndarray):
+    """The stop predicate of a round: True at an iterate that violates a state off W.
+
+    ``b`` holds the states off W in the round's span basis, so at an
+    iterate X on that span, z_i = b_i* X b_i - eta_i. From ``SCREEN_WIDTH``
+    down, the predicate writes z < -SCALAR_TOL into ``violated``.
+    """
+
+    def stop(width: float, x_mat: np.ndarray) -> bool:
+        if width > SCREEN_WIDTH:
+            return False
+        violated[:] = _apply_adjoint(b, x_mat) - eta < -SCALAR_TOL
+        return bool(violated.any())
+
+    return stop
+
+
 def _working_set(problem: SdpProblem, rounds: list[SolveReport]) -> SolveReport | None:
     """The working-set solve (module docstring), or None where it falls back.
 
-    Appends each round's report on the sub-problem to ``rounds``. The
-    returned report is the last round's, with its pair put on all m
-    columns and scored there.
+    Appends each round's report on the sub-problem to ``rounds``, with the
+    runs the screen stopped. The returned report is the last round's, with
+    its pair put on all m columns and scored there.
     """
     recips, eta = problem.recips.reciprocals, -problem.cost
     m = eta.size
-    norms2 = np.einsum("ri,ri->i", recips.conj(), recips).real
     within = np.zeros(m, dtype=bool)
-    within[np.argsort(-eta / norms2, kind="stable")[:WORKING_SET_SEED]] = True
+    within[_working_set_seed(recips, eta)] = True
     while True:
-        cols = np.flatnonzero(within)
-        sub = _solve_core(
-            SdpProblem(cost=problem.cost[cols], recips=_reciprocal_set(recips[:, cols]))
-        )
+        cols, outside = np.flatnonzero(within), np.flatnonzero(~within)
+        sub_recips = _reciprocal_set(recips[:, cols])
+        violated = np.zeros(outside.size, dtype=bool)
+        stop = _screen(sub_recips.u.conj().T @ recips[:, outside], eta[outside], violated)
+        sub = _solve_core(SdpProblem(cost=problem.cost[cols], recips=sub_recips), stop)
         rounds.append(sub)
-        if sub.status is not SolveStatus.OPTIMAL:
-            return None
-        # The dual slack of every state for the round's X = F F*, in O(r m k).
-        f = sub.certificate.F
-        z = np.sum(np.abs(f.conj().T @ recips) ** 2, axis=0) - eta
-        grow = ~within & (z < -SCALAR_TOL)
-        if not grow.any():
-            break
-        within |= grow
+        if not violated.any():
+            if sub.status is not SolveStatus.OPTIMAL:
+                return None
+            # The dual slack of every state for the round's X = F F*, in O(r m k).
+            f = sub.certificate.F
+            z = np.sum(np.abs(f.conj().T @ recips) ** 2, axis=0) - eta
+            violated = z[outside] < -SCALAR_TOL
+            if not violated.any():
+                break
+        within[outside[violated]] = True
         if np.count_nonzero(within) > WORKING_SET_MAX_SHARE * m:
             return None
     p = np.zeros(m)
@@ -731,8 +788,9 @@ def solve(problem: SdpProblem) -> SolveReport:
     ``WORKING_SET_MIN_M`` columns up, ``solve`` first solves on a growing
     working set, and runs the full solve only where that fails (module
     docstring).
-    ``iterations``, ``polish_attempts`` and ``trace`` add up every round
-    and the fallback, and ``certified_by`` is the last round's stage.
+    ``iterations``, ``polish_attempts`` and ``trace`` add up every round,
+    those the screen stopped included, and the fallback, and
+    ``certified_by`` is the last round's stage.
     """
     if np.min(-problem.cost) <= 0.0:
         raise ValidationError("cost must be the negated vector of positive priors")

@@ -21,7 +21,13 @@ from uqsd import (
     solve,
     verify_certificate,
 )
-from uqsd.ensemble import BIORTHOGONALITY_TOL, PSD_EIG_FLOOR, PROB_TOL, _reciprocal_set
+from uqsd.ensemble import (
+    BIORTHOGONALITY_TOL,
+    PSD_EIG_FLOOR,
+    PROB_TOL,
+    _operator_top,
+    _reciprocal_set,
+)
 from uqsd.formats import encode_complex
 
 from helpers import (
@@ -228,6 +234,15 @@ class TestGramOperators:
             rs = reciprocal_states(e)
             lam = np.linalg.eigvalsh(outer_products(rs.reciprocals).sum(axis=0))[-1]
             assert abs(lam - 1.0 / rs.sigma[-1] ** 2) <= 1e-8 * lam
+
+    def test_operator_top_reads_the_support(self, rng):
+        # Zero weights add zero rows and columns to the m x m Gram form, and
+        # an all-zero p gives the zero operator.
+        c = reciprocal_states(random_ensemble(rng, 6, 5)).reciprocals
+        p = np.array([0.0, 0.3, 0.0, 0.2, 0.1])
+        dense = np.linalg.eigvalsh((outer_products(c) * p[:, None, None]).sum(axis=0))[-1]
+        assert _operator_top(c, p) == pytest.approx(dense, rel=1e-12)
+        assert _operator_top(c, np.zeros(5)) == 0.0
 
 
 class TestMeasurement:

@@ -10,6 +10,7 @@ from uqsd import (
     SdpProblem,
     SolveStatus,
     StateEnsemble,
+    SymmetrySpec,
     ValidationError,
     build_sdp,
     epm_analysis,
@@ -17,6 +18,7 @@ from uqsd import (
     priors_for_epm,
     reciprocal_states,
     solve,
+    solve_cgu,
     verify_certificate,
 )
 from uqsd import solver as solver_module
@@ -28,10 +30,13 @@ from uqsd.solver import (
     _max_steps_psd,
     _nt_scaling,
     _residuals,
+    _working_set_seed,
 )
 
 from helpers import (
+    cyclic_group,
     cyclic_profile_ensemble,
+    cyclic_shift,
     f_matrix,
     gaussian_states,
     graded_ensemble,
@@ -407,16 +412,30 @@ class TestWorkingSet:
         report = solve_ensemble(e)[2]
         assert (report.rounds, report.working_set) == (1, 8)
 
-    def test_every_state_detected(self):
+    def test_every_state_detected(self, monkeypatch):
         # EPM-optimal priors put p_i = sigma_m^2 > 0 on every state, so the
         # working set must grow to all of them or fall back to the full
-        # solve; either way the answer is the EPM's P_D and certified.
+        # solve; either way the answer is the EPM's P_D and certified. The
+        # screen stops the first round within a few iterations.
         e, epm_p = epm_optimal_set(5, 32)
-        rs, _, report = solve_ensemble(e)
+        rs, problem, report = solve_ensemble(e)
         assert report.status is SolveStatus.OPTIMAL
         assert verify_certificate(e, rs, report.p, report.certificate).passed
         assert e.priors @ report.p == pytest.approx(epm_p, rel=1e-7)
         assert report.working_set == 32 and report.rounds >= 2
+        assert report.iterations <= full_core_report(monkeypatch, problem).iterations + 3
+
+    def test_seed_ties_go_to_the_lower_index(self):
+        # The CGU set of Z_8 (x) I_4 with 4 random generators: 4 orbits of 8
+        # states, whose seed scores are equal on each orbit only up to
+        # rounding. The seed is the top orbit, 8-15, and the lowest 4
+        # states of the next one, 16-23.
+        rng = np.random.default_rng(3)
+        gens = gaussian_states(rng, 32, 4)
+        group = cyclic_group(np.kron(cyclic_shift(8), np.eye(4)), 8)
+        sol = solve_cgu(SymmetrySpec(group=group, generators=gens))
+        seed = _working_set_seed(sol.recips.reciprocals, sol.ensemble.priors)
+        assert sorted(seed) == list(range(8, 20))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -432,20 +451,27 @@ class TestWorkingSet:
     def test_report_adds_up_every_round_and_the_fallback(self, monkeypatch):
         # With no room to grow, the first round that adds a state falls back
         # to the full solve: two runs of the core, whose iterations, polish
-        # attempts and traces the report sums.
-        runs = []
+        # attempts and traces the report sums. On this set the screen stops
+        # the first run, which counts like a completed round.
+        runs, hits = [], []
         core = solver_module._solve_core
 
-        def recorded(problem):
-            runs.append(core(problem))
+        def recorded(problem, stop=None):
+            def counted(width, x_mat):
+                hits.append(stop(width, x_mat))
+                return hits[-1]
+
+            runs.append(core(problem, None if stop is None else counted))
             return runs[-1]
 
         monkeypatch.setattr("uqsd.solver._solve_core", recorded)
         monkeypatch.setattr("uqsd.solver.WORKING_SET_MAX_SHARE", 0.0)
         report = solve_ensemble(epm_optimal_set(5, 32)[0])[2]
         assert [r.working_set for r in runs] == [solver_module.WORKING_SET_SEED, 32]
+        assert hits[-1] and hits.count(True) == 1 and runs[0].certified_by is None
         assert (report.rounds, report.working_set) == (2, 32)
         assert report.iterations == sum(r.iterations for r in runs)
+        assert runs[0].iterations > 0 and len(runs[0].trace) == runs[0].iterations + 1
         assert report.polish_attempts == sum(r.polish_attempts for r in runs)
         assert report.trace == runs[0].trace + runs[1].trace
         assert report.certified_by == runs[1].certified_by
