@@ -270,8 +270,7 @@ def _operator_top(c: np.ndarray, p: np.ndarray) -> float:
     support = np.flatnonzero(p)
     if support.size == 0:
         return 0.0
-    if support.size < p.size:
-        c, p = c[:, support], p[support]
+    c, p = c[:, support], p[support]
     root = np.sqrt(p)
     weighted = root[:, None] * (c.conj().T @ c) * root[None, :]
     return float(np.linalg.eigvalsh((weighted + weighted.conj().T) / 2)[-1])
