@@ -122,15 +122,16 @@ def count_round_stages() -> Counter:
     stages: Counter = Counter()
     core = solver_module._solve_core
 
-    def counted(problem, stop=None):
+    def counted(rs, eta, stop=None):
         def counted_stop(width, x_mat):
             hit = stop(width, x_mat)
             stages["screened"] += hit
             return hit
 
-        report = core(problem, None if stop is None else counted_stop)
-        stages[report.certified_by] += 1
-        return report
+        # A run is (status, found, trace, certified_by, polish_attempts).
+        run = core(rs, eta, None if stop is None else counted_stop)
+        stages[run[3]] += 1
+        return run
 
     solver_module._solve_core = counted
     return stages

@@ -57,28 +57,34 @@ the full optimality system on the active face once it is within the
 square root of that tolerance; the first candidate that passes the check
 ends the solve as Optimal. ``solve`` has no settings.
 
-From ``WORKING_SET_MIN_M`` = 24 columns up, ``solve`` first iterates on a
-working set W of the columns, the working-set meta-algorithm of Johnson
-and Guestrin ("Blitz", 2015). The optimum of a random set detects few of
-its states (about 6 of 32 and 7 of 64), and complementarity, p_i z_i = 0,
-puts its X in the span of the detected reciprocals. So the problem on any
-W that holds the detected states has the same optimum, and its pair, with
-p = 0 off W, is a pair of the whole problem. W starts as the
-``WORKING_SET_SEED`` = 12 states of largest eta_i / |c_i|^2, the value of
-all weight on state i; scores within 1e-12 relative tie, as those of an
-orbit of a symmetric set do up to rounding, and ties go to the lower
-index. Each round solves the problem on the columns C[:, W], from their
-own thin SVD, with the full interior-point core (``_solve_core``). It then
-reads the dual slack z_i = |F* c_i|^2 - eta_i of every state off the
-round's factor F, in O(r m k), and adds to W every state with
-z_i < -SCALAR_TOL. When none is added, the pair is scored on all of C by
-the checks every candidate passes, and that check is the proof of
-optimality, so no safe screening rule is needed. A round that does not
-end Optimal, a W of more than ``WORKING_SET_MAX_SHARE`` = 3/4 of the
-columns (a round on it costs (3/4)^3, over 40%, of the full solve), or a
-final pair that fails the checks sends the problem to the full core.
+The interior-point loop alone is ``_solve_core``: it runs on one
+``ReciprocalSet`` and its priors and returns its first certified
+candidate with its residuals, or else its last iterate on the span,
+neither lifted nor scored, and builds no report. ``solve`` is the one
+loop around it: each round runs the core on a working set W of the
+columns, the working-set meta-algorithm of Johnson and Guestrin ("Blitz",
+2015). The optimum of a random set detects few of its states (about 6 of
+32 and 7 of 64), and complementarity, p_i z_i = 0, puts its X in the span
+of the detected reciprocals. So the problem on any W that holds the
+detected states has the same optimum, and its pair, with p = 0 off W, is
+a pair of the whole problem. Below ``WORKING_SET_MIN_M`` = 24 columns W
+is all of them. Above, W starts as the ``WORKING_SET_SEED`` = 12 states
+of largest eta_i / |c_i|^2, the value of all weight on state i; scores
+within 1e-12 relative tie, as those of an orbit of a symmetric set do up
+to rounding, and ties go to the lower index. A round on fewer than all
+columns runs on C[:, W], from its own thin SVD, then reads the dual slack
+z_i = |F* c_i|^2 - eta_i of every state off the run's factor F, in
+O(r m k), and adds to W every state with z_i < -SCALAR_TOL. When none is
+added, the pair is scored on all of C by the checks every candidate
+passes, and that check is the proof of optimality, so no safe screening
+rule is needed. A run that does not end Optimal, a W of more than
+``WORKING_SET_MAX_SHARE`` = 3/4 of the columns (a round on it costs
+(3/4)^3, over 40%, of the full solve), or a final pair that fails the
+checks sets W to all columns for one more round, on the problem's own
+``ReciprocalSet``. Only the pair the loop returns is lifted, if it is an
+iterate, and scored on all of C.
 
-A round need not converge to find a violated state. Its core gets a stop
+A round need not converge to find a violated state. Its run gets a stop
 predicate (``_screen``) that, at each iterate of relative width at most
 ``SCREEN_WIDTH`` = 1e-2, reads z_i = b_i* X b_i - eta_i of every state
 off W from the iterate's X on the round's span, with B = U_W* C formed
@@ -105,8 +111,7 @@ w = 12, m = 24 went 7.3 -> 4.4 ms, m = 32 11.4 -> 8.1 ms and m = 64
 back; w = 8 and 16 were within the noise of 12. At m = 16, 6 sets in 48
 fell back, and where r >> m every state tends to be detected: at
 r = 256, m = 16, W grew to all 16 states on every set, and a solve took
-9.0 ms against 5.3. Below 24 states the full core runs alone, as it does
-for every sub-problem.
+9.0 ms against 5.3.
 """
 
 from __future__ import annotations
@@ -538,25 +543,27 @@ def _certified(c: np.ndarray, eta: np.ndarray, candidate: tuple[np.ndarray, Dual
     return (candidate, scored) if all(_checks(scored[0]).values()) else None
 
 
-def _solve_core(problem: SdpProblem, stop=None) -> SolveReport:
-    """The interior-point solve on all columns of the problem (module docstring).
+def _solve_core(rs: ReciprocalSet, eta: np.ndarray, stop=None):
+    """The interior-point run on all columns of ``rs`` with priors ``eta`` (module docstring).
 
-    Status Optimal means the returned pair passes the checks of
-    ``verify_certificate``: the first iterate, or else the Gauss-Newton
-    polish of an iterate, that passes them is returned. Any other status
-    returns the last iterate; ``ITERATION_CAP`` caps the number of
-    interior-point steps. ``stop``, if given, is called at every iterate,
-    before its candidates, with the iterate's relative width and its X on
-    the span, and ends the run there, as the cap does, when it returns
-    True. The ``trace`` has the objective pair at every iterate and the
-    step lengths and sigma of each step; all iterates are primal and dual
-    feasible by construction, so every traced gap is nonnegative.
+    Returns (status, found, trace, certified_by, polish_attempts). Status
+    Optimal means ``found`` is the first candidate that passes the checks
+    of ``verify_certificate`` on the columns of ``rs``, the iterate or else
+    the Gauss-Newton polish of an iterate, as ((p, certificate lifted to r
+    rows), its ``_residuals``). Any other status leaves the last iterate in
+    ``found`` as (p, X, z) on the span, neither lifted nor scored;
+    ``ITERATION_CAP`` caps the number of interior-point steps. ``stop``, if
+    given, is called at every iterate, before its candidates, with the
+    iterate's relative width and its X on the span, and ends the run there,
+    as the cap does, when it returns True. The ``trace`` has the objective
+    pair at every iterate and the step lengths and sigma of each step; all
+    iterates are primal and dual feasible by construction, so every traced
+    gap is nonnegative.
     """
-    recips, eta = problem.recips.reciprocals, -problem.cost
+    recips, cost = rs.reciprocals, -eta
     # Off the span of C the slack is the identity, so the iterations run on
     # U* C = S^-1 V*, of n = min(r, m) rows, and candidates are lifted by U:
     # the states are U S V*, so C = U S^-1 V*.
-    rs = problem.recips
     u, c = rs.u, rs.vh / rs.sigma[:, None]
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)
@@ -583,17 +590,16 @@ def _solve_core(problem: SdpProblem, stop=None) -> SolveReport:
         s0 = eye_n - _apply(c, p)
         z = _apply_adjoint(c, x_mat) - eta
         gap = float(np.vdot(x_mat, s0).real + p @ z)
-        primal = float(problem.cost @ p)
+        primal = float(cost @ p)
         dual = float(-np.trace(x_mat).real)
         mu = gap / (n + m)
         trace.append(IterateTrace(it, primal, dual, gap, mu))
-        iterations = it
         # The iterate is strictly feasible, so its bracket is [eta.p, Tr X]
         # and its width gap / Tr X. Certificate candidates: the iterate itself
         # once that width is within tolerance, then its polish from width
         # sqrt(tol), since the polish converges quadratically and one step
         # from there reaches tol. The first that passes the checks of
-        # verify_certificate ends the solve. The iterate's certificate is
+        # verify_certificate ends the run. The iterate's certificate is
         # factored only for a candidate that reads it.
         width = gap / -dual
         if stop is not None and stop(width, x_mat):
@@ -612,7 +618,6 @@ def _solve_core(problem: SdpProblem, stop=None) -> SolveReport:
                 found = scored(_kkt_polish(c, p, iterate.F, eta, face))
                 stage = "polish"
             if found is not None:
-                (p, certificate), (residuals, _, (lower, upper)) = found
                 status = SolveStatus.OPTIMAL
                 certified_by = stage
                 break
@@ -675,28 +680,8 @@ def _solve_core(problem: SdpProblem, stop=None) -> SolveReport:
         x_mat = (x_mat + x_mat.conj().T) / 2
 
     if status is not SolveStatus.OPTIMAL:
-        certificate = _lift(u, DualCertificate(X=x_mat, z=z))
-        residuals, _, (lower, upper) = _residuals(recips, eta, p, certificate)
-
-    primal = float(problem.cost @ p)
-    dual = -float(np.vdot(certificate.F, certificate.F).real)
-    gap = primal - dual
-    return SolveReport(
-        p=p,
-        certificate=certificate,
-        primal_value=primal,
-        dual_value=dual,
-        gap=gap,
-        iterations=iterations,
-        status=status,
-        residuals=residuals,
-        lower=lower,
-        upper=upper,
-        trace=tuple(trace),
-        certified_by=certified_by,
-        polish_attempts=polish_attempts,
-        working_set=m,
-    )
+        found = p, x_mat, z
+    return status, found, trace, certified_by, polish_attempts
 
 
 def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -730,83 +715,83 @@ def _screen(b: np.ndarray, eta: np.ndarray, violated: np.ndarray):
     return stop
 
 
-def _working_set(problem: SdpProblem, rounds: list[SolveReport]) -> SolveReport | None:
-    """The working-set solve (module docstring), or None where it falls back.
-
-    Appends each round's report on the sub-problem to ``rounds``, with the
-    runs the screen stopped. The returned report is the last round's, with
-    its pair put on all m columns and scored there.
-    """
-    recips, eta = problem.recips.reciprocals, -problem.cost
-    m = eta.size
-    within = np.zeros(m, dtype=bool)
-    within[_working_set_seed(recips, eta)] = True
-    while True:
-        cols, outside = np.flatnonzero(within), np.flatnonzero(~within)
-        sub_recips = _reciprocal_set(recips[:, cols])
-        violated = np.zeros(outside.size, dtype=bool)
-        stop = _screen(sub_recips.u.conj().T @ recips[:, outside], eta[outside], violated)
-        sub = _solve_core(SdpProblem(cost=problem.cost[cols], recips=sub_recips), stop)
-        rounds.append(sub)
-        if not violated.any():
-            if sub.status is not SolveStatus.OPTIMAL:
-                return None
-            # The dual slack of every state for the round's X = F F*, in O(r m k).
-            f = sub.certificate.F
-            z = np.sum(np.abs(f.conj().T @ recips) ** 2, axis=0) - eta
-            violated = z[outside] < -SCALAR_TOL
-            if not violated.any():
-                break
-        within[outside[violated]] = True
-        if np.count_nonzero(within) > WORKING_SET_MAX_SHARE * m:
-            return None
-    p = np.zeros(m)
-    p[cols] = sub.p
-    z[cols] = sub.certificate.z
-    certificate = DualCertificate(F=f, z=z)
-    object.__setattr__(certificate, "dual_psd", sub.certificate.dual_psd)
-    found = _certified(recips, eta, (p, certificate))
-    if found is None:
-        return None
-    (p, certificate), (residuals, _, (lower, upper)) = found
-    return replace(
-        sub,
-        p=p,
-        certificate=certificate,
-        residuals=residuals,
-        lower=lower,
-        upper=upper,
-        working_set=cols.size,
-    )
-
-
 def solve(problem: SdpProblem) -> SolveReport:
     """Solve the discrimination SDP to guaranteed global optimality.
 
     Status Optimal means the returned pair passes the checks of
-    ``verify_certificate`` on the whole problem. From
-    ``WORKING_SET_MIN_M`` columns up, ``solve`` first solves on a growing
-    working set, and runs the full solve only where that fails (module
-    docstring).
-    ``iterations``, ``polish_attempts`` and ``trace`` add up every round,
-    those the screen stopped included, and the fallback, and
-    ``certified_by`` is the last round's stage.
+    ``verify_certificate`` on the whole problem. One loop runs the core on
+    a growing working set of the columns, or on all of them (module
+    docstring). ``iterations``, ``polish_attempts`` and ``trace`` add up
+    every run, those the screen stopped included, and ``certified_by`` is
+    the last run's stage.
     """
-    if np.min(-problem.cost) <= 0.0:
+    rs, eta = problem.recips, -problem.cost
+    if np.min(eta) <= 0.0:
         raise ValidationError("cost must be the negated vector of positive priors")
-    if problem.recips.m < WORKING_SET_MIN_M:
-        return _solve_core(problem)
-    rounds: list[SolveReport] = []
-    report = _working_set(problem, rounds)
-    if report is None:
-        report = _solve_core(problem)
-        rounds.append(report)
-    return replace(
-        report,
-        iterations=sum(r.iterations for r in rounds),
-        polish_attempts=sum(r.polish_attempts for r in rounds),
-        trace=tuple(t for r in rounds for t in r.trace),
-        rounds=len(rounds),
+    recips, m = rs.reciprocals, rs.m
+    within = np.full(m, m < WORKING_SET_MIN_M)
+    if m >= WORKING_SET_MIN_M:
+        within[_working_set_seed(recips, eta)] = True
+    trace: list[IterateTrace] = []
+    rounds = polish_attempts = 0
+    while True:
+        cols, outside = within.nonzero()[0], (~within).nonzero()[0]
+        run_rs, stop = rs, None
+        violated = np.zeros(outside.size, dtype=bool)
+        if outside.size:
+            run_rs = _reciprocal_set(recips[:, cols])
+            stop = _screen(run_rs.u.conj().T @ recips[:, outside], eta[outside], violated)
+        status, found, run_trace, certified_by, attempts = _solve_core(run_rs, eta[cols], stop)
+        rounds += 1
+        trace += run_trace
+        polish_attempts += attempts
+        if not outside.size:
+            break
+        if status is SolveStatus.OPTIMAL and not violated.any():
+            # The dual slack of every state for the run's X = F F*, in O(r m k).
+            (p_w, cert_w), _ = found
+            z = np.sum(np.abs(cert_w.F.conj().T @ recips) ** 2, axis=0) - eta
+            violated = z[outside] < -SCALAR_TOL
+            if not violated.any():
+                p = np.zeros(m)
+                p[cols] = p_w
+                z[cols] = cert_w.z
+                certificate = DualCertificate(F=cert_w.F, z=z)
+                object.__setattr__(certificate, "dual_psd", cert_w.dual_psd)
+                found = _certified(recips, eta, (p, certificate))
+                if found is not None:
+                    break
+        within[outside[violated]] = True
+        # A run that ends with no violated state and no pair of the whole
+        # problem, or a W over the share, falls back to all columns.
+        if not violated.any() or np.count_nonzero(within) > WORKING_SET_MAX_SHARE * m:
+            within[:] = True
+    if status is not SolveStatus.OPTIMAL:
+        p, x_mat, z = found
+        certificate = _lift(rs.u, DualCertificate(X=x_mat, z=z))
+        found = (p, certificate), _residuals(recips, eta, p, certificate)
+    (p, certificate), (residuals, _, (lower, upper)) = found
+    # The run's own objective, over the columns it solved: summing over all
+    # m columns rounds differently.
+    primal = float(problem.cost[cols] @ p[cols])
+    dual = -float(np.vdot(certificate.F, certificate.F).real)
+    return SolveReport(
+        p=p,
+        certificate=certificate,
+        primal_value=primal,
+        dual_value=dual,
+        gap=primal - dual,
+        # Each run traces its iterations + 1 iterates.
+        iterations=len(trace) - rounds,
+        status=status,
+        residuals=residuals,
+        lower=lower,
+        upper=upper,
+        trace=tuple(trace),
+        certified_by=certified_by,
+        polish_attempts=polish_attempts,
+        rounds=rounds,
+        working_set=cols.size,
     )
 
 

@@ -453,29 +453,81 @@ class TestWorkingSet:
         # to the full solve: two runs of the core, whose iterations, polish
         # attempts and traces the report sums. On this set the screen stops
         # the first run, which counts like a completed round.
-        runs, hits = [], []
+        sets, runs, hits = [], [], []
         core = solver_module._solve_core
 
-        def recorded(problem, stop=None):
+        def recorded(rs, eta, stop=None):
             def counted(width, x_mat):
                 hits.append(stop(width, x_mat))
                 return hits[-1]
 
-            runs.append(core(problem, None if stop is None else counted))
+            sets.append(rs)
+            runs.append(core(rs, eta, None if stop is None else counted))
             return runs[-1]
 
         monkeypatch.setattr("uqsd.solver._solve_core", recorded)
         monkeypatch.setattr("uqsd.solver.WORKING_SET_MAX_SHARE", 0.0)
         report = solve_ensemble(epm_optimal_set(5, 32)[0])[2]
-        assert [r.working_set for r in runs] == [solver_module.WORKING_SET_SEED, 32]
-        assert hits[-1] and hits.count(True) == 1 and runs[0].certified_by is None
+        # A run is (status, found, trace, certified_by, polish_attempts); its
+        # iterations are those of its last traced iterate.
+        traces = [run[2] for run in runs]
+        iterations = [trace[-1].iteration for trace in traces]
+        assert [rs.m for rs in sets] == [solver_module.WORKING_SET_SEED, 32]
+        assert hits[-1] and hits.count(True) == 1 and runs[0][3] is None
         assert (report.rounds, report.working_set) == (2, 32)
-        assert report.iterations == sum(r.iterations for r in runs)
-        assert runs[0].iterations > 0 and len(runs[0].trace) == runs[0].iterations + 1
-        assert report.polish_attempts == sum(r.polish_attempts for r in runs)
-        assert report.trace == runs[0].trace + runs[1].trace
-        assert report.certified_by == runs[1].certified_by
+        assert report.iterations == sum(iterations)
+        assert iterations[0] > 0 and len(traces[0]) == iterations[0] + 1
+        assert report.polish_attempts == sum(run[4] for run in runs)
+        assert report.trace == tuple(traces[0] + traces[1])
+        assert report.certified_by == runs[1][3]
         assert report.status is SolveStatus.OPTIMAL
+
+    def test_scores_only_the_returned_pair(self, monkeypatch):
+        # The screen stops the first round, whose iterate is neither lifted
+        # nor scored; every _residuals call is on all 32 columns.
+        widths = []
+
+        def recorded(c, *args):
+            widths.append(c.shape[1])
+            return _residuals(c, *args)
+
+        monkeypatch.setattr("uqsd.solver._residuals", recorded)
+        report = solve_ensemble(epm_optimal_set(5, 32)[0])[2]
+        assert report.rounds >= 2 and report.status is SolveStatus.OPTIMAL
+        assert set(widths) == {32}
+
+    @pytest.mark.parametrize("broken", ["capped", "failed"])
+    def test_rounds_that_do_not_end_optimal(self, monkeypatch, broken):
+        # A capped first round falls back to a capped full solve, scored on
+        # all of C; a first round whose scaling fails falls back to a full
+        # solve that ends Optimal.
+        rng = np.random.default_rng(32)
+        e = StateEnsemble(gaussian_states(rng, 32, 32), spread_priors(rng, 32))
+        calls = []
+
+        def failing(x_mat, s_mat):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return _nt_scaling(x_mat, s_mat)
+
+        if broken == "capped":
+            monkeypatch.setattr("uqsd.solver.ITERATION_CAP", 2)
+        else:
+            monkeypatch.setattr("uqsd.solver._nt_scaling", failing)
+        rs, _, report = solve_ensemble(e)
+        assert (report.rounds, report.working_set) == (2, 32)
+        ver = verify_certificate(e, rs, report.p, report.certificate)
+        if broken == "capped":
+            assert report.status is SolveStatus.MAX_ITERATIONS
+            assert report.iterations == 4 and report.certified_by is None
+            assert set(report.residuals) == RESIDUAL_KEYS
+            bounds = _bracket(rs.reciprocals, e.priors, report.p, report.certificate.F)[:2]
+            assert (report.lower, report.upper) == bounds
+            assert report.residuals == ver.residuals and not ver.passed
+        else:
+            assert report.status is SolveStatus.OPTIMAL and ver.passed
+            assert report.trace[0].primal_step is None
 
 
 class TestStepLength:
