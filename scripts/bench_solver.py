@@ -35,6 +35,9 @@ with one BLAS thread, and one JSON line is printed with:
   step lengths of every step taken in every round, read from
   ``SolveReport.trace``; short
   steps are what make a solve take more iterations;
+* ``stage_ms_per_set``: the process-CPU ms per set of each pipeline stage,
+  the ``StateEnsemble`` constructor, ``reciprocal_states``, ``solve`` (the
+  time behind ``ms_per_solve``) and ``verify_certificate``;
 * ``ru_maxrss_kb``: the peak resident set of the process.
 
 ``--kernels`` adds ``kernel_ms_per_solve``: the process-CPU ms per solve
@@ -85,32 +88,35 @@ SEED = 1
 KERNELS = ("_nt_scaling", "_max_steps_psd", "_kkt_polish", "_residuals")
 
 
-def dense_pool(rows: int, dim: int, size: int) -> list[StateEnsemble]:
+def dense_pool(rows: int, dim: int, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (states, priors) arrays of the pool; the pipeline builds each ensemble."""
     rng = np.random.default_rng(SEED)
     pool = []
     for _ in range(size):
         a = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
         w = rng.uniform(0.5, 1.5, dim)
-        pool.append(StateEnsemble(a / np.linalg.norm(a, axis=0), w / w.sum()))
+        pool.append((a / np.linalg.norm(a, axis=0), w / w.sum()))
     return pool
+
+
+def timed(totals: dict[str, float], name: str, fn):
+    """``fn``, wrapped to add its process CPU to ``totals[name]``."""
+
+    def wrapper(*args, **kwargs):
+        start = time.process_time()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[name] += time.process_time() - start
+
+    return wrapper
 
 
 def wrap_kernels() -> dict[str, float]:
     """Wrap each of KERNELS in the solver module to add its process CPU to the returned dict."""
     totals = dict.fromkeys(KERNELS, 0.0)
-
-    def timed(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.process_time()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                totals[name] += time.process_time() - start
-
-        return wrapper
-
     for name in KERNELS:
-        setattr(solver_module, name, timed(name, getattr(solver_module, name)))
+        setattr(solver_module, name, timed(totals, name, getattr(solver_module, name)))
     return totals
 
 
@@ -158,19 +164,20 @@ def main() -> int:
     kernel_cpu = wrap_kernels() if args.kernels else {}
     round_stages = count_round_stages()
 
-    ensembles = dense_pool(rows, args.dim, args.pool) + [load_ensemble(DEGENERATE)]
+    degenerate = load_ensemble(DEGENERATE)
+    sets = dense_pool(rows, args.dim, args.pool) + [(degenerate.states, degenerate.priors)]
+    stage_fns = (StateEnsemble, reciprocal_states, solve, verify_certificate)
+    stage_cpu = {fn.__name__: 0.0 for fn in stage_fns}
+    stage = {fn.__name__: timed(stage_cpu, fn.__name__, fn) for fn in stage_fns}
     iterations = max_iterations = polish_attempts = rounds = working_set = 0
-    cpu = 0.0
     stages: Counter = Counter()
     faces: Counter = Counter()
     steps: dict[str, list[float]] = {"primal": [], "dual": []}
     failures = 0
-    for ens in ensembles:
-        recips = reciprocal_states(ens)
-        problem = build_sdp(ens, recips)
-        start = time.process_time()
-        report = solve(problem)
-        cpu += time.process_time() - start
+    for states, priors in sets:
+        ens = stage["StateEnsemble"](states, priors)
+        recips = stage["reciprocal_states"](ens)
+        report = stage["solve"](build_sdp(ens, recips))
         iterations += report.iterations
         rounds += report.rounds
         working_set += report.working_set
@@ -184,22 +191,23 @@ def main() -> int:
         steps["dual"] += [t.dual_step for t in stepped]
         # verify_certificate's own _residuals call is not part of the solve.
         in_solve = dict(kernel_cpu)
-        ver = verify_certificate(ens, recips, report.p, report.certificate)
+        ver = stage["verify_certificate"](ens, recips, report.p, report.certificate)
         kernel_cpu.update(in_solve)
         failures += report.status.value != "Optimal" or not ver.passed
 
     polish_failed = polish_attempts - round_stages["polish"]
+    cpu = stage_cpu["solve"]
     result = {
-        "instances": len(ensembles),
+        "instances": len(sets),
         "dim": args.dim,
         "rows": rows,
         "iterations": iterations,
         "max_iterations": max_iterations,
         "rounds": rounds,
         "screened": round_stages["screened"],
-        "working_set": round(working_set / len(ensembles), 2),
+        "working_set": round(working_set / len(sets), 2),
         "ms_per_iteration": round(1e3 * cpu / max(iterations, 1), 4),
-        "ms_per_solve": round(1e3 * cpu / len(ensembles), 4),
+        "ms_per_solve": round(1e3 * cpu / len(sets), 4),
         "cpu_s": round(cpu, 4),
         "certified_by": dict(sorted(stages.items())),
         "polish_attempts": polish_attempts,
@@ -210,11 +218,12 @@ def main() -> int:
             for side, v in steps.items()
         },
         "failures": failures,
+        "stage_ms_per_set": {name: round(1e3 * t / len(sets), 4) for name, t in stage_cpu.items()},
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
     if args.kernels:
         result["kernel_ms_per_solve"] = {
-            name: round(1e3 * t / len(ensembles), 4) for name, t in kernel_cpu.items()
+            name: round(1e3 * t / len(sets), 4) for name, t in kernel_cpu.items()
         }
     print(json.dumps(result))
     return 1 if failures else 0

@@ -1,7 +1,8 @@
-"""Check that ``uqsd solve`` exits 2 on five hostile input documents.
+"""Check that ``uqsd solve`` exits 2 on six hostile input documents.
 
 The documents are invalid UTF-8, a ``[1,,0]`` pair, a trailing comma, a
-``1E400`` entry and a 100 000-deep ``states`` array. Each is written to a
+``1E400`` entry, a 100 000-deep ``states`` array and two equal states,
+which parse and validate but have no reciprocal set. Each is written to a
 temporary file and passed to ``python -m uqsd.cli solve`` under the running
 interpreter; the script prints the exit codes and exits 1 unless every one
 is 2. Run it from the repository root, with uqsd installed or with
@@ -22,6 +23,7 @@ DOCS = {
     "trailing-comma": HEAD + b"[[[1, 0],]]}",
     "huge-exponent": HEAD + b"[[[1E400, 0]]]}",
     "deep-states": HEAD + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "duplicate-column": b'{"r": 2, "m": 2, "states": [[[1, 0], [0, 0]], [[1, 0], [0, 0]]]}',
 }
 
 

@@ -7,7 +7,8 @@ independent; the reciprocal states are then the dual basis of the state
 family inside its span, satisfying ``<recip_i | state_k> = delta_ik``, and
 every conclusive measurement operator is a scaled outer product of a
 reciprocal state. The inconclusive operator is whatever remains of the
-identity.
+identity. ``reciprocal_states`` decides independence, from the singular
+values it computes anyway, so every ``ReciprocalSet`` has independent states.
 
 All containers are immutable value types; operations are pure functions,
 so values can be shared freely across threads.
@@ -47,7 +48,9 @@ def _frozen_array(a: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Unit-norm state columns plus prior probabilities.
+    """Unit-norm state columns plus prior probabilities, at most r of them.
+
+    ``reciprocal_states``, not the constructor, decides linear independence.
 
     Attributes
     ----------
@@ -88,12 +91,6 @@ class StateEnsemble:
         if abs(priors.sum() - 1.0) > PRIOR_SUM_TOL:
             raise ValidationError(
                 f"priors must sum to 1 within {PRIOR_SUM_TOL:g} (sum={priors.sum()!r})"
-            )
-        sv = np.linalg.svd(states, compute_uv=False)
-        if sv[-1] <= INDEPENDENCE_RTOL * sv[0]:
-            raise LinearDependenceError(
-                "states are linearly dependent (singular value ratio "
-                f"{sv[-1] / sv[0]:.3e}); unambiguous discrimination is impossible"
             )
         object.__setattr__(self, "states", _frozen_array(states, complex))
         object.__setattr__(self, "priors", _frozen_array(priors, float))
@@ -198,7 +195,7 @@ def load_ensemble(source: str | Path | Mapping[str, Any]) -> StateEnsemble:
     ``r``, ``m``, ``states`` (m columns of r ``[re, im]`` pairs) and
     optional ``priors`` (defaults to uniform). Columns whose norm is off
     by at most ``RENORMALIZE_TOL`` are renormalized; larger deviations are
-    rejected as modeling errors.
+    rejected as modeling errors. ``reciprocal_states`` checks independence.
     """
     doc = read_document(source)
     for key in ("r", "m", "states"):
@@ -234,11 +231,17 @@ def dump_ensemble(ensemble: StateEnsemble) -> dict[str, Any]:
 def reciprocal_states(ensemble: StateEnsemble) -> ReciprocalSet:
     """Compute the dual basis of the ensemble and cache its thin SVD.
 
-    The reciprocals are evaluated through the SVD, ``U pinv(S)* V*``,
-    which is better conditioned than forming the Gram inverse directly.
-    The biorthogonality tolerance scales with sigma_max / sigma_min, as rounding does.
+    Raises ``LinearDependenceError`` when sigma_min <= ``INDEPENDENCE_RTOL``
+    sigma_max, before dividing by sigma. The reciprocals ``U pinv(S)* V*``
+    are better conditioned than a Gram inverse formed directly. The
+    biorthogonality tolerance scales with sigma_max / sigma_min, as rounding does.
     """
     u, sigma, vh = np.linalg.svd(ensemble.states, full_matrices=False)
+    if sigma[-1] <= INDEPENDENCE_RTOL * sigma[0]:
+        raise LinearDependenceError(
+            "states are linearly dependent (singular value ratio "
+            f"{sigma[-1] / sigma[0]:.3e}); unambiguous discrimination is impossible"
+        )
     reciprocals = (u / sigma) @ vh
     residual = np.max(np.abs(reciprocals.conj().T @ ensemble.states - np.eye(ensemble.m)))
     if residual > BIORTHOGONALITY_TOL * sigma[0] / sigma[-1]:

@@ -55,7 +55,7 @@ from .epm import (
     epm_certificate,
     epm_test_lp,
 )
-from .errors import LinearDependenceError, ValidationError
+from .errors import ValidationError
 from .formats import decode_complex, read_document
 from .solver import DualCertificate
 
@@ -418,7 +418,7 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
 
     Columns are ordered generator-major: all group images of the first
     generator, then of the second, and so on. Raises when the group axioms
-    fail or the generated set is linearly dependent.
+    fail.
     """
     report = verify_group(spec.group)
     if not report.passed:
@@ -430,13 +430,7 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
     # Unitary images of unit vectors; rescale away rounding drift.
     states = states / np.linalg.norm(states, axis=0)
     m = states.shape[1]
-    try:
-        return StateEnsemble(states, np.full(m, 1.0 / m))
-    except LinearDependenceError:
-        raise LinearDependenceError(
-            "generated state set is linearly dependent; unambiguous "
-            "discrimination is impossible for this spec"
-        ) from None
+    return StateEnsemble(states, np.full(m, 1.0 / m))
 
 
 def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:

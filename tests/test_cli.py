@@ -386,6 +386,58 @@ def test_one_epm_analysis_per_run(monkeypatch, capsys, argv):
     assert len(calls) == 1
 
 
+SPEC_PIPELINES = {"sign_group_gu.json": ("gu", "cgu"), "pauli_pair_cgu.json": ("cgu",)}
+ONE_SVD_RUNS = [
+    *([command, name] for name in BUNDLED for command in ("solve", "epm")),
+    *([kind, name] for name, kinds in SPEC_PIPELINES.items() for kind in kinds),
+    *(
+        ["simulate", name, "--pipeline", kind, "--trials", "200"]
+        for name in BUNDLED
+        for kind in ("sdp", "epm", *SPEC_PIPELINES.get(name, ()))
+    ),
+    ["epm", "three_states.json", "--make-priors", "1.0"],
+    ["epm", "sign_group_gu.json", "--make-priors", "1.0"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_SVD_RUNS, ids=" ".join)
+def test_one_svd_of_the_states_per_run(monkeypatch, capsys, argv):
+    # The reciprocal set's thin SVD is the only factorization of the states:
+    # the independence check reads its singular values. Below the working
+    # set's m, no round takes an SVD of a column subset.
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    command, name, *rest = argv
+    code, doc = run_json(capsys, [command, str(DATA / name), *rest, "--json"])
+    assert code == 0
+    r, m = doc["input"]["r"], doc["input"]["m"]
+    assert m < uqsd.solver.WORKING_SET_MIN_M
+    assert shapes == [(r, m)]
+
+
+@pytest.mark.parametrize("command", ["solve", "epm", "simulate", "gu"])
+def test_collapsed_orbit_exits_2(tmp_path, capsys, command):
+    # A generator with no weight on one Fourier mode of the cyclic shift:
+    # its orbit is a valid ensemble, and reciprocal_states rejects it.
+    m = 4
+    fourier = np.fft.fft(np.eye(m)) / np.sqrt(m)
+    gen = fourier.conj().T @ (np.array([0.0, 1.0, 1.0, 1.0]) / np.sqrt(3))
+    shift = np.roll(np.eye(m), 1, axis=0)
+    path = tmp_path / "collapsed.json"
+    path.write_text(json.dumps({
+        "group": [encode_complex(np.linalg.matrix_power(shift, k)) for k in range(m)],
+        "generators": [encode_complex(gen)],
+    }))
+    assert main([command, str(path)]) == 2
+    assert "linearly dependent" in capsys.readouterr().err
+
+
 def test_closed_stdout_is_not_an_input_error():
     # The read end of the pipe is closed before the child starts, so its
     # first write to stdout fails with EPIPE.

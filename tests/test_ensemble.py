@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +79,16 @@ class TestLoadEnsemble:
         assert np.allclose(e.states, np.eye(2))
 
     def test_duplicated_column_rejected(self):
+        # The document is well formed; its reciprocal set does not exist.
+        # sigma_min is exactly 0, and dividing by it before the check would
+        # form infinite reciprocals whose nan residual passes biorthogonality.
         states = np.column_stack([np.array([1, 0]), np.array([1, 0])])
-        with pytest.raises(LinearDependenceError, match="linearly dependent"):
-            load_ensemble(ensemble_doc(states, [0.5, 0.5]))
+        e = load_ensemble(ensemble_doc(states, [0.5, 0.5]))
+        assert np.linalg.svd(e.states, compute_uv=False)[-1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearDependenceError, match="linearly dependent"):
+                reciprocal_states(e)
 
     def test_column_normalized_within_tolerance(self):
         states = three_state_matrix() * (1 + 5e-7)
@@ -167,7 +175,7 @@ class TestReciprocalStates:
         assert np.max(np.abs(rebuilt - three_states_uniform.states)) <= 1e-10 * scale
 
     def test_ill_conditioned_set_the_constructor_accepts(self, rng):
-        # Singular value ratio ~1.6e-9, above the constructor's 1e-10 floor;
+        # Singular value ratio ~1.6e-9, above the 1e-10 independence floor;
         # the biorthogonality rounding grows like eps sigma_max / sigma_min.
         spectrum = np.diag(np.geomspace(1.0, 1e-9, 6))
         states = haar_unitary(rng, 6) @ spectrum @ haar_unitary(rng, 6)
