@@ -26,8 +26,7 @@ with one BLAS thread, and one JSON line is printed with:
   did not certify their round, mostly from an active set that leaves out
   a constraint of the optimal face or keeps one that is not on it. The
   script counts each round's stage, and the stopped runs, by wrapping the
-  solver's core and its stop predicate, at a cost of microseconds per
-  round;
+  solver's core, at a cost of microseconds per round;
 * ``face_dims``: a histogram of the rank of the returned X = F F*,
   counting the eigenvalues above 1e-6 of the largest, read off the
   singular values of the certificate's factor F;
@@ -123,20 +122,17 @@ def wrap_kernels() -> dict[str, float]:
 def count_round_stages() -> Counter:
     """Wrap the solver's core to count the stage that certified each run, and the runs stopped.
 
-    A run that its stop predicate ends counts under ``"screened"``.
+    A run whose returned mask of violated states off its working set has a
+    True, the screen stopped, counts under ``"screened"``.
     """
     stages: Counter = Counter()
     core = solver_module._solve_core
 
-    def counted(rs, eta, stop=None):
-        def counted_stop(width, x_mat):
-            hit = stop(width, x_mat)
-            stages["screened"] += hit
-            return hit
-
-        # A run is (status, found, trace, certified_by, polish_attempts).
-        run = core(rs, eta, None if stop is None else counted_stop)
+    def counted(*args):
+        # A run is (status, found, trace, certified_by, polish_attempts, violated).
+        run = core(*args)
         stages[run[3]] += 1
+        stages["screened"] += bool(run[5].any())
         return run
 
     solver_module._solve_core = counted

@@ -251,18 +251,6 @@ def reciprocal_states(ensemble: StateEnsemble) -> ReciprocalSet:
     return ReciprocalSet(reciprocals=reciprocals, u=u, sigma=sigma, vh=vh)
 
 
-def _reciprocal_set(columns: np.ndarray) -> ReciprocalSet:
-    """The ``ReciprocalSet`` whose reciprocals are ``columns``, from one thin SVD.
-
-    Columns C = W s Y* are the dual basis of the states W s^-1 Y*, so the
-    set's factors are those of C in reverse order: ``sigma = 1 / s``
-    descending, and ``reciprocals == (u / sigma) @ vh``. The columns must
-    have full rank.
-    """
-    w, s, yh = np.linalg.svd(columns, full_matrices=False)
-    return ReciprocalSet(reciprocals=columns, u=w[:, ::-1], sigma=1.0 / s[::-1], vh=yh[::-1])
-
-
 def _operator_top(c: np.ndarray, p: np.ndarray) -> float:
     """lambda_max of the conclusive sum C diag(p) C* for p >= 0.
 

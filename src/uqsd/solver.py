@@ -14,20 +14,22 @@ gap and vanishing complementary products certifies global optimality.
 ``solve`` is a feasible-start primal-dual path-following interior-point
 method with Nesterov-Todd scaling and Mehrotra predictor-corrector steps.
 Both cone blocks are handled natively in complex Hermitian arithmetic.
-Every Q_i lies in the span of the reciprocal states C = U sigma V*, and
-off it the slack is the identity (facial reduction; Permenter and Parrilo
-2018). So ``solve`` iterates on the n x m matrix sigma V*, n = min(r, m),
-with the factors read off the problem's ``ReciprocalSet``, which holds
-those of the states, so no SVD runs here; each candidate is lifted back
-by U (``_lift``) and scored on C. As every Q_i is rank one, the Newton
-step reduces to an m x m positive definite system
-``|G* G|^2 + diag(z / p)`` with ``G = T^{-1} sigma V*``, so one iteration
-costs O(m^3). T^{-1} comes from the Cholesky factor L_x of X and one eigh
-of L_x* S L_x (``_nt_scaling``). The whole Newton step then runs in the
-NT-scaled space, where X and S are both diag(lam): the directions, the PSD
-step lengths (``_max_steps_psd``, both of the predictor from one eigvalsh;
-Toh, Todd and Tutuncu 1999) and the predicted gap are formed there, and
-only the step taken is mapped back to X. numpy is all the solver needs.
+Every Q_i lies in the span of the reciprocal states C, and off it the
+slack is the identity (facial reduction; Permenter and Parrilo 2018). So
+the solver iterates on the coordinates U* C of C in an orthonormal basis U
+of that span, an n x m matrix with n = min(r, m), and any basis will do;
+each candidate is lifted back by U (``_lift``) and scored on C. On all
+columns, U and U* C = S^-1 V* are read off the problem's
+``ReciprocalSet``, which holds the factors of the states U S V*, so no SVD
+runs here. As every Q_i is rank one, the Newton step reduces to an m x m
+positive definite system ``|G* G|^2 + diag(z / p)`` with
+``G = T^{-1} U* C``, so one iteration costs O(m^3). T^{-1} comes from the
+Cholesky factor L_x of X and one eigh of L_x* S L_x (``_nt_scaling``). The
+whole Newton step then runs in the NT-scaled space, where X and S are both
+diag(lam): the directions, the PSD step lengths (``_max_steps_psd``, both
+of the predictor from one eigvalsh; Toh, Todd and Tutuncu 1999) and the
+predicted gap are formed there, and only the step taken is mapped back to
+X. numpy is all the solver needs.
 
 Each corrector step takes the fraction 0.9 + 0.09 max(ap, ad) of the
 distance to the cone boundary, with ap and ad the predictor's step lengths
@@ -57,23 +59,27 @@ the full optimality system on the active face once it is within the
 square root of that tolerance; the first candidate that passes the check
 ends the solve as Optimal. ``solve`` has no settings.
 
-The interior-point loop alone is ``_solve_core``: it runs on one
-``ReciprocalSet`` and its priors and returns its first certified
-candidate with its residuals, or else its last iterate on the span,
-neither lifted nor scored, and builds no report. ``solve`` is the one
-loop around it: each round runs the core on a working set W of the
-columns, the working-set meta-algorithm of Johnson and Guestrin ("Blitz",
-2015). The optimum of a random set detects few of its states (about 6 of
-32 and 7 of 64), and complementarity, p_i z_i = 0, puts its X in the span
-of the detected reciprocals. So the problem on any W that holds the
-detected states has the same optimum, and its pair, with p = 0 off W, is
-a pair of the whole problem. Below ``WORKING_SET_MIN_M`` = 24 columns W
-is all of them. Above, W starts as the ``WORKING_SET_SEED`` = 12 states
-of largest eta_i / |c_i|^2, the value of all weight on state i; scores
-within 1e-12 relative tie, as those of an orbit of a symmetric set do up
-to rounding, and ties go to the lower index. A round on fewer than all
-columns runs on C[:, W], from its own thin SVD, then reads the dual slack
-z_i = |F* c_i|^2 - eta_i of every state off the run's factor F, in
+The interior-point loop alone is ``_solve_core``, a function of plain
+arrays: the run's reciprocal columns, an orthonormal basis of their span,
+their coordinates in it and their priors, and on a working-set round the
+coordinates and priors of the states off the set. It returns its first
+certified candidate with its residuals, or else its last iterate on the
+span, neither lifted nor scored, and builds no report; each iterate gets
+one ``IterateTrace``, built once with the step taken from it. ``solve``
+is the one loop around it: each round runs the core on a working set W of
+the columns, the working-set meta-algorithm of Johnson and Guestrin
+("Blitz", 2015). The optimum of a random set detects few of its states
+(about 6 of 32 and 7 of 64), and complementarity, p_i z_i = 0, puts its X
+in the span of the detected reciprocals. So the problem on any W that
+holds the detected states has the same optimum, and its pair, with p = 0
+off W, is a pair of the whole problem. Below ``WORKING_SET_MIN_M`` = 24
+columns W is all of them. Above, W starts as the ``WORKING_SET_SEED`` = 12
+states of largest eta_i / |c_i|^2, the value of all weight on state i;
+scores within 1e-12 relative tie, as those of an orbit of a symmetric set
+do up to rounding, and ties go to the lower index. A round on fewer than
+all columns takes one QR of them, C[:, W] = Q R, and runs on the basis Q
+and the coordinates R. It then reads the dual slack
+z_i = |F* c_i|^2 - eta_i of every state off W off the run's factor F, in
 O(r m k), and adds to W every state with z_i < -SCALAR_TOL. When none is
 added, the pair is scored on all of C by the checks every candidate
 passes, and that check is the proof of optimality, so no safe screening
@@ -81,16 +87,16 @@ rule is needed. A run that does not end Optimal, a W of more than
 ``WORKING_SET_MAX_SHARE`` = 3/4 of the columns (a round on it costs
 (3/4)^3, over 40%, of the full solve), or a final pair that fails the
 checks sets W to all columns for one more round, on the problem's own
-``ReciprocalSet``. Only the pair the loop returns is lifted, if it is an
-iterate, and scored on all of C.
+factors. Only the pair the loop returns is lifted, if it is an iterate,
+and scored on all of C.
 
-A round need not converge to find a violated state. Its run gets a stop
-predicate (``_screen``) that, at each iterate of relative width at most
-``SCREEN_WIDTH`` = 1e-2, reads z_i = b_i* X b_i - eta_i of every state
-off W from the iterate's X on the round's span, with B = U_W* C formed
-once per round, in O(n^2 m). At the first iterate where some
-z_i < -SCALAR_TOL the run stops, before its candidates are scored or
-polished, and exactly those states join W under the rule above. This is
+A round need not converge to find a violated state. The core screens
+every iterate of relative width at most ``SCREEN_WIDTH`` = 1e-2: it reads
+z_i = b_i* X b_i - eta_i of every state off W from the iterate's X on the
+round's span, with B = Q* C[:, off W] formed once per round, in
+O(n^2 m). At the first iterate where some z_i < -SCALAR_TOL the run
+stops, before its candidates are scored or polished, and returns that
+mask, and exactly those states join W under the rule above. This is
 how primal-dual column generation prices columns, from the well-centred
 iterate of a master problem stopped early (Gondzio, Gonzalez-Brevis and
 Munari 2013). A stopped run counts in ``rounds`` and adds its iterations
@@ -116,14 +122,14 @@ r = 256, m = 16, W grew to all 16 states on every set, and a solve took
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from .ensemble import ReciprocalSet, StateEnsemble, _operator_top, _reciprocal_set
+from .ensemble import ReciprocalSet, StateEnsemble, _operator_top
 from .errors import ValidationError
 
 OPERATOR_TOL = 1e-6
@@ -158,8 +164,8 @@ class SdpProblem:
 
     ``F(p)`` is block diagonal: the r x r block ``I - sum_i p_i Q_i``
     followed by the m scalar blocks ``p_i``, with Q_i the rank-one outer
-    products of the columns of ``recips.reciprocals``. ``solve`` iterates
-    on the SVD factors ``recips`` holds.
+    products of the columns of ``recips.reciprocals``. On all columns,
+    ``solve`` iterates on the SVD factors ``recips`` holds.
     """
 
     cost: np.ndarray
@@ -543,31 +549,32 @@ def _certified(c: np.ndarray, eta: np.ndarray, candidate: tuple[np.ndarray, Dual
     return (candidate, scored) if all(_checks(scored[0]).values()) else None
 
 
-def _solve_core(rs: ReciprocalSet, eta: np.ndarray, stop=None):
-    """The interior-point run on all columns of ``rs`` with priors ``eta`` (module docstring).
+def _solve_core(recips, u, c, eta, b, eta_off):
+    """The interior-point run on the columns ``recips`` with priors ``eta`` (module docstring).
 
-    Returns (status, found, trace, certified_by, polish_attempts). Status
-    Optimal means ``found`` is the first candidate that passes the checks
-    of ``verify_certificate`` on the columns of ``rs``, the iterate or else
-    the Gauss-Newton polish of an iterate, as ((p, certificate lifted to r
-    rows), its ``_residuals``). Any other status leaves the last iterate in
-    ``found`` as (p, X, z) on the span, neither lifted nor scored;
-    ``ITERATION_CAP`` caps the number of interior-point steps. ``stop``, if
-    given, is called at every iterate, before its candidates, with the
-    iterate's relative width and its X on the span, and ends the run there,
-    as the cap does, when it returns True. The ``trace`` has the objective
-    pair at every iterate and the step lengths and sigma of each step; all
-    iterates are primal and dual feasible by construction, so every traced
-    gap is nonnegative.
+    ``u`` is an orthonormal basis of their span and ``c = u* recips`` their
+    coordinates, on which the run iterates; ``b`` holds the coordinates in
+    that basis of the states off the working set, with priors ``eta_off``,
+    both empty on a full run. Returns (status, found, trace, certified_by,
+    polish_attempts, violated). Status Optimal means ``found`` is the first
+    candidate that passes the checks of ``verify_certificate`` on
+    ``recips``, the iterate or else the Gauss-Newton polish of an iterate,
+    as ((p, certificate lifted by ``u``), its ``_residuals``). Any other
+    status leaves the last iterate in ``found`` as (p, X, z) on the span,
+    neither lifted nor scored; ``ITERATION_CAP`` caps the number of
+    interior-point steps. From relative width ``SCREEN_WIDTH`` down, each
+    iterate, before its candidates, sets the mask ``violated`` to
+    z_i < -SCALAR_TOL with z_i = b_i* X b_i - eta_off_i, and the first
+    iterate where it holds a True ends the run, as the cap does. The
+    ``trace`` has the objective pair at every iterate and the step lengths
+    and sigma of each step; all iterates are primal and dual feasible by
+    construction, so every traced gap is nonnegative.
     """
-    recips, cost = rs.reciprocals, -eta
-    # Off the span of C the slack is the identity, so the iterations run on
-    # U* C = S^-1 V*, of n = min(r, m) rows, and candidates are lifted by U:
-    # the states are U S V*, so C = U S^-1 V*.
-    u, c = rs.u, rs.vh / rs.sigma[:, None]
+    cost = -eta
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)
     norms2 = np.einsum("ri,ri->i", c.conj(), c).real
+    violated = np.zeros(eta_off.size, dtype=bool)
 
     def scored(pair):
         return None if pair is None else _certified(recips, eta, (pair[0], _lift(u, pair[1])))
@@ -586,6 +593,8 @@ def _solve_core(rs: ReciprocalSet, eta: np.ndarray, stop=None):
     certified_by = None
     polish_attempts = 0
 
+    # Every exit is a break, at the latest at the cap, and the iterate it
+    # leaves is traced after the loop, without a step.
     for it in range(ITERATION_CAP + 1):
         s0 = eye_n - _apply(c, p)
         z = _apply_adjoint(c, x_mat) - eta
@@ -593,7 +602,7 @@ def _solve_core(rs: ReciprocalSet, eta: np.ndarray, stop=None):
         primal = float(cost @ p)
         dual = float(-np.trace(x_mat).real)
         mu = gap / (n + m)
-        trace.append(IterateTrace(it, primal, dual, gap, mu))
+        point = it, primal, dual, gap, mu
         # The iterate is strictly feasible, so its bracket is [eta.p, Tr X]
         # and its width gap / Tr X. Certificate candidates: the iterate itself
         # once that width is within tolerance, then its polish from width
@@ -602,8 +611,10 @@ def _solve_core(rs: ReciprocalSet, eta: np.ndarray, stop=None):
         # verify_certificate ends the run. The iterate's certificate is
         # factored only for a candidate that reads it.
         width = gap / -dual
-        if stop is not None and stop(width, x_mat):
-            break
+        if eta_off.size and width <= SCREEN_WIDTH:
+            violated = _apply_adjoint(b, x_mat) - eta_off < -SCALAR_TOL
+            if violated.any():
+                break
         if width <= np.sqrt(_TOLERANCES["gap"]):
             found = iterate = None
             if width <= _TOLERANCES["gap"]:
@@ -671,7 +682,7 @@ def _solve_core(rs: ReciprocalSet, eta: np.ndarray, stop=None):
         frac = 0.9 + 0.09 * max(ap, ad)
         ap = min(1.0, frac * min(_max_steps_psd(lam, ds_sc)[0], _max_step_vec(p, dp)))
         ad = min(1.0, frac * min(_max_steps_psd(lam, dx_sc)[0], _max_step_vec(z, dz)))
-        trace[-1] = replace(trace[-1], primal_step=ap, dual_step=ad, sigma=sigma)
+        trace.append(IterateTrace(*point, ap, ad, sigma))
 
         # Only the step taken leaves the scaled space.
         dx = t_inv.conj().T @ dx_sc @ t_inv
@@ -679,9 +690,10 @@ def _solve_core(rs: ReciprocalSet, eta: np.ndarray, stop=None):
         x_mat = x_mat + ad * dx
         x_mat = (x_mat + x_mat.conj().T) / 2
 
+    trace.append(IterateTrace(*point))
     if status is not SolveStatus.OPTIMAL:
         found = p, x_mat, z
-    return status, found, trace, certified_by, polish_attempts
+    return status, found, trace, certified_by, polish_attempts, violated
 
 
 def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -696,23 +708,6 @@ def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
     ranked = score[order]
     tier = np.cumsum(np.r_[0, ranked[1:] < ranked[:-1] * (1.0 - 1e-12)])
     return order[np.lexsort((order, tier))][:WORKING_SET_SEED]
-
-
-def _screen(b: np.ndarray, eta: np.ndarray, violated: np.ndarray):
-    """The stop predicate of a round: True at an iterate that violates a state off W.
-
-    ``b`` holds the states off W in the round's span basis, so at an
-    iterate X on that span, z_i = b_i* X b_i - eta_i. From ``SCREEN_WIDTH``
-    down, the predicate writes z < -SCALAR_TOL into ``violated``.
-    """
-
-    def stop(width: float, x_mat: np.ndarray) -> bool:
-        if width > SCREEN_WIDTH:
-            return False
-        violated[:] = _apply_adjoint(b, x_mat) - eta < -SCALAR_TOL
-        return bool(violated.any())
-
-    return stop
 
 
 def solve(problem: SdpProblem) -> SolveReport:
@@ -736,18 +731,21 @@ def solve(problem: SdpProblem) -> SolveReport:
     rounds = polish_attempts = 0
     while True:
         cols, outside = within.nonzero()[0], (~within).nonzero()[0]
-        run_rs, stop = rs, None
-        violated = np.zeros(outside.size, dtype=bool)
         if outside.size:
-            run_rs = _reciprocal_set(recips[:, cols])
-            stop = _screen(run_rs.u.conj().T @ recips[:, outside], eta[outside], violated)
-        status, found, run_trace, certified_by, attempts = _solve_core(run_rs, eta[cols], stop)
+            run_recips = recips[:, cols]
+            u, c = np.linalg.qr(run_recips)
+        else:
+            # The problem's own factors: the states are U S V*, so C = U S^-1 V*.
+            run_recips, u, c = recips, rs.u, rs.vh / rs.sigma[:, None]
+        status, found, run_trace, certified_by, attempts, violated = _solve_core(
+            run_recips, u, c, eta[cols], u.conj().T @ recips[:, outside], eta[outside]
+        )
         rounds += 1
         trace += run_trace
         polish_attempts += attempts
         if not outside.size:
             break
-        if status is SolveStatus.OPTIMAL and not violated.any():
+        if status is SolveStatus.OPTIMAL:
             # The dual slack of every state for the run's X = F F*, in O(r m k).
             (p_w, cert_w), _ = found
             z = np.sum(np.abs(cert_w.F.conj().T @ recips) ** 2, axis=0) - eta
@@ -768,7 +766,7 @@ def solve(problem: SdpProblem) -> SolveReport:
             within[:] = True
     if status is not SolveStatus.OPTIMAL:
         p, x_mat, z = found
-        certificate = _lift(rs.u, DualCertificate(X=x_mat, z=z))
+        certificate = _lift(u, DualCertificate(X=x_mat, z=z))
         found = (p, certificate), _residuals(recips, eta, p, certificate)
     (p, certificate), (residuals, _, (lower, upper)) = found
     # The run's own objective, over the columns it solved: summing over all

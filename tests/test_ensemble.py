@@ -27,7 +27,6 @@ from uqsd.ensemble import (
     PSD_EIG_FLOOR,
     PROB_TOL,
     _operator_top,
-    _reciprocal_set,
 )
 from uqsd.formats import encode_complex
 
@@ -194,20 +193,6 @@ class TestReciprocalStates:
         rs = reciprocal_states(e)
         assert rs.u.shape == (7, 3) and rs.vh.shape == (3, 3)
         assert np.allclose(rs.u.conj().T @ rs.u, np.eye(3), atol=1e-12)
-
-    def test_column_subset_keeps_the_set_invariants(self, rng):
-        # The set of chosen reciprocal columns, from their own thin SVD:
-        # sigma descending, isometric u, orthonormal rows of vh, and the
-        # columns themselves as (u / sigma) @ vh.
-        rs = reciprocal_states(random_ensemble(rng, 9, 6))
-        columns = rs.reciprocals[:, [4, 0, 2]]
-        sub = _reciprocal_set(columns)
-        assert sub.u.shape == (9, 3) and sub.vh.shape == (3, 3)
-        assert np.all(np.diff(sub.sigma) <= 0.0)
-        assert np.array_equal(sub.reciprocals, columns)
-        assert np.allclose((sub.u / sub.sigma) @ sub.vh, columns, atol=1e-12)
-        assert np.allclose(sub.u.conj().T @ sub.u, np.eye(3), atol=1e-12)
-        assert np.allclose(sub.vh @ sub.vh.conj().T, np.eye(3), atol=1e-12)
 
 
 class TestGramOperators:

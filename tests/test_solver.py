@@ -453,27 +453,23 @@ class TestWorkingSet:
         # to the full solve: two runs of the core, whose iterations, polish
         # attempts and traces the report sums. On this set the screen stops
         # the first run, which counts like a completed round.
-        sets, runs, hits = [], [], []
+        widths, runs = [], []
         core = solver_module._solve_core
 
-        def recorded(rs, eta, stop=None):
-            def counted(width, x_mat):
-                hits.append(stop(width, x_mat))
-                return hits[-1]
-
-            sets.append(rs)
-            runs.append(core(rs, eta, None if stop is None else counted))
+        def recorded(recips, *args):
+            widths.append(recips.shape[1])
+            runs.append(core(recips, *args))
             return runs[-1]
 
         monkeypatch.setattr("uqsd.solver._solve_core", recorded)
         monkeypatch.setattr("uqsd.solver.WORKING_SET_MAX_SHARE", 0.0)
         report = solve_ensemble(epm_optimal_set(5, 32)[0])[2]
-        # A run is (status, found, trace, certified_by, polish_attempts); its
-        # iterations are those of its last traced iterate.
+        # A run is (status, found, trace, certified_by, polish_attempts,
+        # violated); its iterations are those of its last traced iterate.
         traces = [run[2] for run in runs]
         iterations = [trace[-1].iteration for trace in traces]
-        assert [rs.m for rs in sets] == [solver_module.WORKING_SET_SEED, 32]
-        assert hits[-1] and hits.count(True) == 1 and runs[0][3] is None
+        assert widths == [solver_module.WORKING_SET_SEED, 32]
+        assert [run[5].any() for run in runs] == [True, False] and runs[0][3] is None
         assert (report.rounds, report.working_set) == (2, 32)
         assert report.iterations == sum(iterations)
         assert iterations[0] > 0 and len(traces[0]) == iterations[0] + 1
@@ -481,6 +477,24 @@ class TestWorkingSet:
         assert report.trace == tuple(traces[0] + traces[1])
         assert report.certified_by == runs[1][3]
         assert report.status is SolveStatus.OPTIMAL
+
+    def test_rounds_take_no_svd(self, monkeypatch):
+        # Each round iterates on one QR of its columns; the only SVD of a
+        # pipeline is that of the states, in reciprocal_states.
+        rng = np.random.default_rng(32)
+        e = StateEnsemble(gaussian_states(rng, 32, 32), spread_priors(rng, 32))
+        problem = build_sdp(e, reciprocal_states(e))
+        svd = np.linalg.svd
+        shapes = []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = solve(problem)
+        assert report.status is SolveStatus.OPTIMAL and report.working_set < 32
+        assert shapes == []
 
     def test_scores_only_the_returned_pair(self, monkeypatch):
         # The screen stops the first round, whose iterate is neither lifted
@@ -931,6 +945,24 @@ class TestIllConditionedSets:
             assert verify_certificate(e, rs, report.p, report.certificate).passed, m
             assert report.iterations <= 10, report.iterations
 
+    @pytest.mark.parametrize("cond", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 9e8], ids=lambda c: f"{c:.0e}")
+    def test_graded_sets_on_the_working_set(self, monkeypatch, cond):
+        # From WORKING_SET_MIN_M states the rounds run on a QR of their
+        # columns. The answer brackets the optimum as the full core's does;
+        # from 1e5 up their P_D differ by up to 4.8e-8 relative on these
+        # sets, within both certified brackets.
+        rng = np.random.default_rng(int(np.log10(cond) * 10) + 1)
+        for _ in range(3):
+            m = int(rng.integers(24, 41))
+            e = graded_ensemble(rng, cond, m + int(rng.integers(0, 3)), m)
+            rs, problem, report = solve_ensemble(e)
+            full = full_core_report(monkeypatch, problem)
+            for r in (report, full):
+                assert r.status is SolveStatus.OPTIMAL, m
+                assert verify_certificate(e, rs, r.p, r.certificate).passed, m
+            assert report.working_set < m == full.working_set
+            assert max(report.lower, full.lower) <= min(report.upper, full.upper), m
+
 
 def test_optimal_exactly_when_verified():
     # Seeded small instances, 180 and 270 among them: Optimal is reported
@@ -1029,6 +1061,30 @@ def test_report_residuals_are_the_verification_residuals(name):
     assert report.status is SolveStatus.OPTIMAL
     ver = verify_certificate(e, rs, report.p, report.certificate)
     assert report.residuals == ver.residuals
+
+
+def test_core_does_not_depend_on_the_span_basis():
+    # The core sees the span only through an orthonormal basis U and the
+    # coordinates c = U* C; any other basis U Q*, with coordinates Q c, gives
+    # the same run up to rounding.
+    rng = np.random.default_rng(37)
+    for k in range(20):
+        m = int(rng.integers(1, 13))
+        r = m + int(rng.integers(0, 3))
+        e = StateEnsemble(gaussian_states(rng, r, m), spread_priors(rng, m))
+        rs = reciprocal_states(e)
+        c = rs.vh / rs.sigma[:, None]
+        q = haar_unitary(rng, c.shape[0])
+        empty = np.empty((c.shape[0], 0), dtype=complex), np.empty(0)
+        runs = [
+            solver_module._solve_core(rs.reciprocals, u, coords, e.priors, *empty)
+            for u, coords in ((rs.u, c), (rs.u @ q.conj().T, q @ c))
+        ]
+        (status, found, trace, stage, _, _), other = runs
+        assert status is other[0] is SolveStatus.OPTIMAL, k
+        assert (len(trace), stage) == (len(other[2]), other[3]), k
+        pd, other_pd = (e.priors @ run[1][0][0] for run in runs)
+        assert other_pd == pytest.approx(pd, rel=1e-12), k
 
 
 def test_span_solve_lifts_to_a_verified_certificate():
