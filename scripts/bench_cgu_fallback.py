@@ -10,7 +10,8 @@ timed here.
 The solve is timed ``--reps`` times in process CPU with one BLAS thread,
 and one JSON line is printed with the verdict, the solve's status,
 whether ``verify_certificate`` passed, P_D and the EPM's P_D,
-``iterations``, ``rounds`` and ``working_set`` (see
+``iterations``, ``rounds``, ``working_set`` and ``reports_sha256``, the
+digest of every field of the last solve's report (see
 ``scripts/bench_solver.py``), and the median and least CPU ms of a solve.
 The script exits 1 unless the answer is Optimal and passes. Run from the
 repository root:
@@ -30,6 +31,7 @@ import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
+from bench_solver import reports_digest  # noqa: E402
 
 from uqsd import (  # noqa: E402
     SymmetrySpec,
@@ -84,6 +86,7 @@ def main() -> int:
                 "iterations": report.iterations,
                 "rounds": report.rounds,
                 "working_set": report.working_set,
+                "reports_sha256": reports_digest([report]),
                 "cpu_ms_median": round(float(np.median(times)), 2),
                 "cpu_ms_min": round(min(times), 2),
             }

@@ -39,6 +39,25 @@ with one BLAS thread, and one JSON line is printed with:
   time behind ``ms_per_solve``) and ``verify_certificate``;
 * ``ru_maxrss_kb``: the peak resident set of the process.
 
+``reports_sha256`` is one sha256 over every field of every ``SolveReport``,
+in pool order (``reports_digest``): p, the certificate's F, z and
+``dual_psd``, the objective values, gap, iterations, status, residuals,
+lower and upper, each ``IterateTrace``, ``certified_by``,
+``polish_attempts``, ``rounds`` and ``working_set``. Two trees whose
+digests agree return the same answers to the last bit. Scalars enter by
+``repr``, which numpy 2 prints with their type, so compare digests made
+under one numpy version.
+
+``--counts`` adds ``counts_per_solve``: the Python calls, the C calls and
+their sum that one ``solve`` makes, and its ``numpy.linalg`` calls by
+function name, each averaged over the sets. They are exact and repeat from
+run to run, where CPU time on a shared host does not. They are counted by
+a ``sys.setprofile`` hook on a pass of the sets after one unprofiled
+warm-up pass (the first solves in a process make a few one-time calls),
+both run before the timed pass and before any wrapper below, so the timing
+is that of warm code. The hook slows a solve several times over, so the
+flag is off by default.
+
 ``--kernels`` adds ``kernel_ms_per_solve``: the process-CPU ms per solve
 spent in each solver kernel, the NT scaling (``_nt_scaling``), the PSD step
 lengths (``_max_steps_psd``), the Gauss-Newton polish (``_kkt_polish``) and
@@ -50,7 +69,7 @@ Every answer must be Optimal and pass ``verify_certificate``; the script
 exits 1 otherwise. Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_solver.py [--pool 64] [--dim 32] [--rows R]
-        [--smoke] [--kernels]
+        [--smoke] [--kernels] [--counts]
 
 Point PYTHONPATH at another checkout's ``src`` to time that tree on the same
 instances. ``--smoke`` solves a small pool at m = 6 (r = 6 unless
@@ -63,6 +82,8 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
@@ -139,6 +160,73 @@ def count_round_stages() -> Counter:
     return stages
 
 
+def reports_digest(reports) -> str:
+    """sha256, in order, over every field of each report, arrays by dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for report in reports:
+        cert = report.certificate
+        for a in (report.p, cert.F, cert.z):
+            digest.update(repr((a.dtype.str, a.shape)).encode())
+            digest.update(np.ascontiguousarray(a).tobytes())
+        scalars = (
+            cert.dual_psd,
+            report.primal_value,
+            report.dual_value,
+            report.gap,
+            report.iterations,
+            report.status.value,
+            list(report.residuals.items()),
+            report.lower,
+            report.upper,
+            [dataclasses.astuple(t) for t in report.trace],
+            report.certified_by,
+            report.polish_attempts,
+            report.rounds,
+            report.working_set,
+        )
+        # repr round-trips every float exactly, signed zeros included.
+        digest.update(repr(scalars).encode())
+    return digest.hexdigest()
+
+
+def linalg_names() -> dict:
+    """The code of each public ``numpy.linalg`` function's implementation, mapped to its name."""
+    names = {}
+    for name in np.linalg.__all__:
+        impl = getattr(getattr(np.linalg, name), "_implementation", None)
+        if impl is not None:
+            names[impl.__code__] = name
+    return names
+
+
+def count_calls(problems) -> dict:
+    """Python, C and ``numpy.linalg`` calls per ``solve`` of ``problems``, after a warm-up pass."""
+    for problem in problems:
+        solve(problem)
+    names = linalg_names()
+    calls: Counter = Counter()
+    linalg: Counter = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls["python"] += 1
+            name = names.get(frame.f_code)
+            # numpy.linalg's own calls of its functions are part of the outer call.
+            if name and not frame.f_back.f_globals.get("__name__", "").startswith("numpy.linalg"):
+                linalg[name] += 1
+        elif event == "c_call":
+            calls["c"] += 1
+
+    for problem in problems:
+        sys.setprofile(hook)
+        solve(problem)
+        sys.setprofile(None)
+    per = {key: round(calls[key] / len(problems), 2) for key in ("python", "c")}
+    per["total"] = round((calls["python"] + calls["c"]) / len(problems), 2)
+    per["linalg"] = {name: round(v / len(problems), 2) for name, v in sorted(linalg.items())}
+    return per
+
+
 def face_dim(certificate) -> int:
     w = np.linalg.svd(certificate.F, compute_uv=False) ** 2
     return int(np.sum(w > 1e-6 * np.max(w)))
@@ -151,17 +239,21 @@ def main() -> int:
     parser.add_argument("--rows", type=int, help="dimension r of the states (default: --dim)")
     parser.add_argument("--smoke", action="store_true", help="4 instances at m = 6")
     parser.add_argument("--kernels", action="store_true", help="CPU per solve in each solver kernel")
+    parser.add_argument("--counts", action="store_true", help="Python, C and linalg calls per solve")
     args = parser.parse_args()
     if args.smoke:
         args.pool, args.dim = 4, 6
     rows = args.dim if args.rows is None else args.rows
     if rows < args.dim:
         parser.error("--rows must be at least --dim")
-    kernel_cpu = wrap_kernels() if args.kernels else {}
-    round_stages = count_round_stages()
-
     degenerate = load_ensemble(DEGENERATE)
     sets = dense_pool(rows, args.dim, args.pool) + [(degenerate.states, degenerate.priors)]
+    counts = None
+    if args.counts:
+        ensembles = [StateEnsemble(states, priors) for states, priors in sets]
+        counts = count_calls([build_sdp(e, reciprocal_states(e)) for e in ensembles])
+    kernel_cpu = wrap_kernels() if args.kernels else {}
+    round_stages = count_round_stages()
     stage_fns = (StateEnsemble, reciprocal_states, solve, verify_certificate)
     stage_cpu = {fn.__name__: 0.0 for fn in stage_fns}
     stage = {fn.__name__: timed(stage_cpu, fn.__name__, fn) for fn in stage_fns}
@@ -169,11 +261,13 @@ def main() -> int:
     stages: Counter = Counter()
     faces: Counter = Counter()
     steps: dict[str, list[float]] = {"primal": [], "dual": []}
+    reports = []
     failures = 0
     for states, priors in sets:
         ens = stage["StateEnsemble"](states, priors)
         recips = stage["reciprocal_states"](ens)
         report = stage["solve"](build_sdp(ens, recips))
+        reports.append(report)
         iterations += report.iterations
         rounds += report.rounds
         working_set += report.working_set
@@ -216,7 +310,10 @@ def main() -> int:
         "failures": failures,
         "stage_ms_per_set": {name: round(1e3 * t / len(sets), 4) for name, t in stage_cpu.items()},
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "reports_sha256": reports_digest(reports),
     }
+    if counts is not None:
+        result["counts_per_solve"] = counts
     if args.kernels:
         result["kernel_ms_per_solve"] = {
             name: round(1e3 * t / len(sets), 4) for name, t in kernel_cpu.items()

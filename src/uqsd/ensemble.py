@@ -258,7 +258,7 @@ def _operator_top(c: np.ndarray, p: np.ndarray) -> float:
     eigenvalues, so it is read off that matrix on the support of p, as a
     zero p_i adds a zero row and column; 0 for p = 0.
     """
-    support = np.flatnonzero(p)
+    support = p.nonzero()[0]
     if support.size == 0:
         return 0.0
     c, p = c[:, support], p[support]

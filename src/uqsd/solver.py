@@ -209,9 +209,10 @@ class DualCertificate:
             size = float(np.abs(x_mat).max(initial=0.0))
             if not np.isfinite(size):
                 raise ValidationError("X contains non-finite entries")
-            if np.abs(x_mat - x_mat.conj().T).max(initial=0.0) > 1e-10 * max(1.0, size):
+            x_h = x_mat.conj().T
+            if np.abs(x_mat - x_h).max(initial=0.0) > 1e-10 * max(1.0, size):
                 raise ValidationError("X must be Hermitian")
-            w, vecs = np.linalg.eigh((x_mat + x_mat.conj().T) / 2)
+            w, vecs = np.linalg.eigh((x_mat + x_h) / 2)
             keep = w > 0.0
             F = vecs[:, keep] * np.sqrt(w[keep])
             object.__setattr__(self, "X", x_mat)
@@ -290,9 +291,9 @@ def _apply(c: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
-    """Vector of Tr(Q_i X)."""
-    return (c.conj() * (x_mat @ c)).sum(axis=0).real
+def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
+    """Vector of Tr(Q_i X); ``c_conj`` is ``c.conj()``, which the caller forms once."""
+    return np.add.reduce(c_conj * (x_mat @ c), axis=0).real
 
 
 def _lift(w: np.ndarray, cert: DualCertificate) -> DualCertificate:
@@ -313,30 +314,33 @@ def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     X = T^{-*} diag(lam) T^{-1}. LinAlgError unless X, S are PD.
     """
     chol_x = np.linalg.cholesky(x_mat)
-    lam2, u = np.linalg.eigh(chol_x.conj().T @ s_mat @ chol_x)
+    chol_h = chol_x.conj().T
+    lam2, u = np.linalg.eigh(chol_h @ s_mat @ chol_x)
     if not (lam2[0] > 0.0 and np.isfinite(lam2).all()):
         raise np.linalg.LinAlgError("S is not positive definite")
     lam = np.sqrt(lam2)
-    return lam, (u.conj().T @ chol_x.conj().T) / np.sqrt(lam)[:, None]
+    return lam, (u.conj().T @ chol_h) / np.sqrt(lam)[:, None]
 
 
-def _max_steps_psd(lam: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
+def _max_steps_psd(scale: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
     """Largest a with diag(lam) + a*D psd, and the same for -diag(lam) - D.
 
-    D is an NT-scaled direction; as -diag(lam) - D scales to -I - Y with
-    Y = lam^{-1/2} D lam^{-1/2}, both come from lambda_min(Y) and lambda_max(Y).
-    D must be exactly Hermitian, as every direction of the solver is (each
-    comes from ``_apply`` or is built symmetrically, like ``k_sc``); Y then is
-    too, since ``outer(root, root)`` is exactly symmetric.
+    D is an NT-scaled direction and ``scale`` the matrix sqrt(lam_i lam_j),
+    formed once per iteration as ``root[:, None] * root`` with root = sqrt(lam);
+    as -diag(lam) - D scales to -I - Y with Y = D / scale, both come from
+    lambda_min(Y) and lambda_max(Y). D must be exactly Hermitian, as every
+    direction of the solver is (each comes from ``_apply`` or is built
+    symmetrically, like ``k_sc``); Y then is too, since ``scale`` is exactly
+    symmetric, each entry the one product root_i root_j.
     """
-    root = np.sqrt(lam)
-    w = np.linalg.eigvalsh(direction / np.outer(root, root))
-    return tuple(np.inf if v >= 0.0 else 1.0 / -v for v in (w[0], -1.0 - w[-1]))
+    w = np.linalg.eigvalsh(direction / scale)
+    low, high = w[0], -1.0 - w[-1]
+    return (np.inf if low >= 0.0 else 1.0 / -low), (np.inf if high >= 0.0 else 1.0 / -high)
 
 
 def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0.0
-    return float(np.min(-v[neg] / dv[neg], initial=np.inf))
+    return float(np.minimum.reduce(-v[neg] / dv[neg], initial=np.inf))
 
 
 def _polish_face(
@@ -354,10 +358,10 @@ def _polish_face(
     equality the polish then cannot meet.
     """
     tau = np.sqrt(max(gap, 1e-16))
-    k = int(np.sum(np.linalg.eigvalsh(s_mat) <= tau))
+    k = int((np.linalg.eigvalsh(s_mat) <= tau).sum())
     if k == 0 or k * k > p.size:
         return None
-    active = np.nonzero((p > z) & (p > 1e-7))[0]
+    active = ((p > z) & (p > 1e-7)).nonzero()[0]
     if active.size == 0:
         return None
     return k, active
@@ -394,80 +398,89 @@ def _kkt_polish(
     n, m = c.shape
     k, active = face
     q_act = c[:, active]
+    q_h = q_act.conj().T
     eta_act = eta[active]
     p_act = p[active]
     f = x_factor[:, -k:]
     if f.shape[1] < k:
         f = np.hstack([np.zeros((n, k - f.shape[1]), dtype=complex), f])
     n_act, kk = active.size, k * k
+    eye_n = np.eye(n)
 
     def residual(p_a, f_mat):
-        s_mat = np.eye(n) - _apply(q_act, p_a)
-        overlaps = q_act.conj().T @ f_mat
+        s_mat = eye_n - _apply(q_act, p_a)
+        overlaps = q_h @ f_mat
         r1 = s_mat @ f_mat
-        r2 = np.sum(np.abs(overlaps) ** 2, axis=1) - eta_act
+        r2 = (np.abs(overlaps) ** 2).sum(axis=1) - eta_act
         return s_mat, overlaps, r1, r2, np.linalg.norm(np.concatenate([r1.ravel(), r2]))
 
     s_mat, overlaps, r1, r2, norm = residual(p_act, f)
     jac = np.zeros((4 * kk + n_act, n_act + 2 * kk))
+    # The entries of the two diagonal blocks w_N of the null rows; the rest of
+    # those blocks stays zero.
+    diag = np.arange(kk)
+    diag_re, diag_im = (diag, n_act + diag), (kk + diag, n_act + kk + diag)
     eye_k = np.eye(k)
     for _ in range(12):
         if norm <= 1e-13:
             break
         # In the eigenbasis of S: null block N (first k) and range block R.
         w_s, v = np.linalg.eigh(s_mat)
-        qv = v.conj().T @ q_act
-        r1v = v.conj().T @ r1
-        fv = v.conj().T @ f
+        v_h = v.conj().T
+        qv = v_h @ q_act
+        r1v = v_h @ r1
+        fv = v_h @ f
         q_n, q_r, w_n, w_r = qv[:k], qv[k:], w_s[:k], w_s[k:]
+        q_r_conj, ov_conj = q_r.conj(), overlaps.conj()
         # Range rows: w_R Z - Q_R diag(dp) W = -R1_R, with W = Q* F, so
         # Z = (Q_R diag(dp) W - R1_R) / w_R, and Q_R* Z enters the traces.
         z0 = r1v[k:] / w_r[:, None]
-        h = (q_r.conj().T / w_r) @ q_r
+        h = (q_r_conj.T / w_r) @ q_r
         # Null rows, unknowns (dp, Re Y, Im Y) with Y[a, b] at a k + b:
         # w_N Y - Q_N diag(dp) W = -R1_N.
         null_dp = -(q_n[:, None, :] * overlaps.T[None, :, :]).reshape(kk, n_act)
         jac[:kk, :n_act] = null_dp.real
         jac[kk : 2 * kk, :n_act] = null_dp.imag
-        w_rows = np.repeat(w_n, k)
-        jac[:kk, n_act : n_act + kk] = np.diag(w_rows)
-        jac[kk : 2 * kk, n_act + kk :] = np.diag(w_rows)
+        w_rows = w_n.repeat(k)
+        jac[diag_re] = w_rows
+        jac[diag_im] = w_rows
         # Trace rows: d|W_i|^2 = 2 Re (Q* dF W*)_ii with Q* dF = Q_N* Y + Q_R* Z.
         trace_rows = slice(2 * kk, 2 * kk + n_act)
-        jac[trace_rows, :n_act] = 2.0 * (h * (overlaps.conj() @ overlaps.T)).real
-        rho = (q_n.conj().T[:, :, None] * overlaps.conj()[:, None, :]).reshape(n_act, kk)
+        jac[trace_rows, :n_act] = 2.0 * (h * (ov_conj @ overlaps.T)).real
+        rho = (q_n.conj().T[:, :, None] * ov_conj[:, None, :]).reshape(n_act, kk)
         jac[trace_rows, n_act : n_act + kk] = 2.0 * rho.real
         jac[trace_rows, n_act + kk :] = -2.0 * rho.imag
-        shift = 2.0 * np.einsum("ai,ab,ib->i", q_r.conj(), z0, overlaps.conj()).real
+        shift = 2.0 * np.einsum("ai,ab,ib->i", q_r_conj, z0, ov_conj).real
         # Gauge rows: F* dF Hermitian, which leaves out the directions F A
         # (A anti-Hermitian) along which the residual only rotates. With
         # F* dF = F_N* Y + F_R* Z, its coefficients are stacked per unknown.
-        f_n, f_r = fv[:k], fv[k:]
-        g_dp = ((f_r.conj().T / w_r) @ q_r)[:, None, :] * overlaps.T[None, :, :]
+        f_n, f_r_h = fv[:k], fv[k:].conj().T
+        g_dp = ((f_r_h / w_r) @ q_r)[:, None, :] * overlaps.T[None, :, :]
         g_y = (f_n.conj().T[:, None, :, None] * eye_k[None, :, None, :]).reshape(k, k, kk)
         coef = np.concatenate([g_dp, g_y, 1j * g_y], axis=2)
         anti = coef - coef.transpose(1, 0, 2).conj()
         jac[2 * kk + n_act : 3 * kk + n_act] = anti.real.reshape(kk, -1)
         jac[3 * kk + n_act :] = anti.imag.reshape(kk, -1)
-        g0 = f_r.conj().T @ z0
+        g0 = f_r_h @ z0
+        g_anti = g0 - g0.conj().T
         rhs = np.concatenate(
             [
                 -r1v[:k].real.ravel(),
                 -r1v[:k].imag.ravel(),
                 shift - r2,
-                (g0 - g0.conj().T).real.ravel(),
-                (g0 - g0.conj().T).imag.ravel(),
+                g_anti.real.ravel(),
+                g_anti.imag.ravel(),
             ]
         )
         du = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         dp = du[:n_act]
         y = (du[n_act : n_act + kk] + 1j * du[n_act + kk :]).reshape(k, k)
         z = (q_r * dp) @ overlaps / w_r[:, None] - z0
-        d_f = v @ np.vstack([y, z])
+        d_f = v @ np.concatenate([y, z])
         step = 1.0
         while step >= 1.0 / 64:
             p_try = p_act + step * dp
-            if np.min(p_try) > 0.0:
+            if p_try.min() > 0.0:
                 f_try = f + step * d_f
                 trial = residual(p_try, f_try)
                 if trial[-1] < norm:
@@ -480,9 +493,9 @@ def _kkt_polish(
 
     p_new = np.zeros(m)
     p_new[active] = p_act
-    if np.max(p_new) > 1.0 + 1e-9:
+    if p_new.max() > 1.0 + 1e-9:
         return None
-    z_new = np.maximum(np.sum(np.abs(f.conj().T @ c) ** 2, axis=0) - eta, 0.0)
+    z_new = np.maximum((np.abs(f.conj().T @ c) ** 2).sum(axis=0) - eta, 0.0)
     return p_new, DualCertificate(F=f, z=z_new)
 
 
@@ -500,9 +513,9 @@ def _bracket(
     p_plus = np.maximum(p, 0.0)
     top = _operator_top(c, p_plus)
     overlaps = f.conj().T @ c
-    traces = np.sum(np.abs(overlaps) ** 2, axis=0)
+    traces = (np.abs(overlaps) ** 2).sum(axis=0)
     with np.errstate(divide="ignore"):
-        t = max(1.0, float(np.max(eta / traces)))
+        t = max(1.0, float((eta / traces).max()))
     upper = t * float(np.vdot(f, f).real) if np.isfinite(t) else np.inf
     return float(eta @ p_plus) / max(1.0, top), upper, top, overlaps, traces
 
@@ -527,13 +540,13 @@ def _residuals(
     lower, upper, top, overlaps, traces = _bracket(c, eta, p, f)
     slack = f.conj().T - (overlaps * p) @ c.conj().T
     residuals = {
-        "primal_nonneg": float(max(0.0, -np.min(p))),
+        "primal_nonneg": float(max(0.0, -p.min())),
         "primal_operator": max(0.0, top - 1.0),
         "dual_psd": cert.dual_psd,
-        "dual_nonneg": float(max(0.0, -np.min(cert.z))),
-        "dual_equality": float(np.max(np.abs(traces - cert.z - eta))),
+        "dual_nonneg": float(max(0.0, -cert.z.min())),
+        "dual_equality": float(np.abs(traces - cert.z - eta).max()),
         "slack_operator": float(np.linalg.norm(np.linalg.qr(f, mode="r") @ slack)),
-        "slack_scalar": float(np.max(np.abs(cert.z * p))),
+        "slack_scalar": float(np.abs(cert.z * p).max()),
         "gap": 1.0 - lower / upper,
     }
     return residuals, traces, (lower, upper)
@@ -573,8 +586,10 @@ def _solve_core(recips, u, c, eta, b, eta_off):
     cost = -eta
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)
-    norms2 = np.einsum("ri,ri->i", c.conj(), c).real
+    c_conj, b_conj = c.conj(), b.conj()
+    norms2 = np.einsum("ri,ri->i", c_conj, c).real
     violated = np.zeros(eta_off.size, dtype=bool)
+    polish_width = np.sqrt(_TOLERANCES["gap"])
 
     def scored(pair):
         return None if pair is None else _certified(recips, eta, (pair[0], _lift(u, pair[1])))
@@ -586,7 +601,7 @@ def _solve_core(recips, u, c, eta, b, eta_off):
     # any two states, this is the uniform p = 0.5 / sigma_max^2.
     weights = 1.0 / norms2
     p = (0.5 / _operator_top(c, weights)) * weights
-    x_mat = (2.0 * np.max(eta / norms2)) * eye_n
+    x_mat = (2.0 * (eta / norms2).max()) * eye_n
 
     status = SolveStatus.MAX_ITERATIONS
     trace: list[IterateTrace] = []
@@ -597,10 +612,10 @@ def _solve_core(recips, u, c, eta, b, eta_off):
     # leaves is traced after the loop, without a step.
     for it in range(ITERATION_CAP + 1):
         s0 = eye_n - _apply(c, p)
-        z = _apply_adjoint(c, x_mat) - eta
+        z = _apply_adjoint(c, x_mat, c_conj) - eta
         gap = float(np.vdot(x_mat, s0).real + p @ z)
         primal = float(cost @ p)
-        dual = float(-np.trace(x_mat).real)
+        dual = float(-x_mat.trace().real)
         mu = gap / (n + m)
         point = it, primal, dual, gap, mu
         # The iterate is strictly feasible, so its bracket is [eta.p, Tr X]
@@ -612,10 +627,10 @@ def _solve_core(recips, u, c, eta, b, eta_off):
         # factored only for a candidate that reads it.
         width = gap / -dual
         if eta_off.size and width <= SCREEN_WIDTH:
-            violated = _apply_adjoint(b, x_mat) - eta_off < -SCALAR_TOL
+            violated = _apply_adjoint(b, x_mat, b_conj) - eta_off < -SCALAR_TOL
             if violated.any():
                 break
-        if width <= np.sqrt(_TOLERANCES["gap"]):
+        if width <= polish_width:
             found = iterate = None
             if width <= _TOLERANCES["gap"]:
                 iterate = DualCertificate(X=x_mat, z=z)
@@ -641,7 +656,11 @@ def _solve_core(recips, u, c, eta, b, eta_off):
             # both diag(lam): with G = T^{-1} C, Tr(Q_i K) = g_i* K_sc g_i for
             # K = T^{-*} K_sc T^{-1}, and W^{-1} = T^{-*} T^{-1}.
             g = t_inv @ c
-            schur = np.abs(g.conj().T @ g) ** 2 + np.diag(z / p)
+            g_conj = g.conj()
+            # The diagonal is added in place: every entry is >= +0, so the
+            # off-diagonal ones are those of adding diag(z / p), bit for bit.
+            schur = np.abs(g_conj.T @ g) ** 2
+            schur.flat[:: m + 1] += z / p
             # numpy has no triangular solve: both solves of the step apply
             # L^{-T} L^{-1} from one inversion of the Cholesky factor L of
             # schur's lower triangle, in place of two LU factorizations.
@@ -654,15 +673,18 @@ def _solve_core(recips, u, c, eta, b, eta_off):
             dp = chol_inv.T @ (chol_inv @ rhs)
             ds_sc = -_apply(g, dp)
             dx_sc = k_sc - ds_sc
-            return dp, ds_sc, dx_sc, _apply_adjoint(g, dx_sc)
+            return dp, ds_sc, dx_sc, _apply_adjoint(g, dx_sc, g_conj)
 
         # Predictor: the affine right-hand side -lam^2 is K_sc = -diag(lam),
         # the scaled -X, whose traces Tr(Q_i X) are z + eta; with rc = -p z
         # the Schur right-hand side rc / p + z + eta is eta.
-        lam_mat = np.diag(lam)
+        # diag(lam), exactly: lam > 0, so each entry off the diagonal is +0.
+        lam_mat = eye_n.real * lam
+        root = np.sqrt(lam)
+        scale = root[:, None] * root
         dp_a, ds_sc, dx_sc, dz_a = newton(-lam_mat, eta)
         # The affine dx_sc is -diag(lam) - ds_sc: both PSD steps from one spectrum.
-        step_s, step_x = _max_steps_psd(lam, ds_sc)
+        step_s, step_x = _max_steps_psd(scale, ds_sc)
         ap = min(1.0, step_s, _max_step_vec(p, dp_a))
         ad = min(1.0, step_x, _max_step_vec(z, dz_a))
         gap_aff = float(
@@ -672,16 +694,20 @@ def _solve_core(recips, u, c, eta, b, eta_off):
         sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
 
         # Corrector: second-order term evaluated in the scaled space.
+        # resid = diag(sigma mu - lam^2) - H, H = (cross + cross*) / 2, with
+        # the diagonal added in place; 0 - H keeps the signed zeros of that
+        # difference, where -H would flip them.
         cross = ds_sc @ dx_sc
-        resid = np.diag(sigma * mu - lam**2) - (cross + cross.conj().T) / 2
+        resid = 0.0 - (cross + cross.conj().T) / 2
+        resid.flat[:: n + 1] += sigma * mu - lam**2
         k_sc = 2.0 * resid / (lam[:, None] + lam[None, :])
         rc = sigma * mu - p * z - dp_a * dz_a
-        dp, ds_sc, dx_sc, dz = newton(k_sc, rc / p - _apply_adjoint(g, k_sc))
+        dp, ds_sc, dx_sc, dz = newton(k_sc, rc / p - _apply_adjoint(g, k_sc, g_conj))
         # The fraction of the distance to the boundary grows with the
         # predictor's longer step, from 0.9 to 0.99 (module docstring).
         frac = 0.9 + 0.09 * max(ap, ad)
-        ap = min(1.0, frac * min(_max_steps_psd(lam, ds_sc)[0], _max_step_vec(p, dp)))
-        ad = min(1.0, frac * min(_max_steps_psd(lam, dx_sc)[0], _max_step_vec(z, dz)))
+        ap = min(1.0, frac * min(_max_steps_psd(scale, ds_sc)[0], _max_step_vec(p, dp)))
+        ad = min(1.0, frac * min(_max_steps_psd(scale, dx_sc)[0], _max_step_vec(z, dz)))
         trace.append(IterateTrace(*point, ap, ad, sigma))
 
         # Only the step taken leaves the scaled space.
@@ -704,9 +730,9 @@ def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
     to the lower index.
     """
     score = eta / np.einsum("ri,ri->i", recips.conj(), recips).real
-    order = np.argsort(-score, kind="stable")
+    order = (-score).argsort(kind="stable")
     ranked = score[order]
-    tier = np.cumsum(np.r_[0, ranked[1:] < ranked[:-1] * (1.0 - 1e-12)])
+    tier = np.concatenate(([0], (ranked[1:] < ranked[:-1] * (1.0 - 1e-12)).cumsum()))
     return order[np.lexsort((order, tier))][:WORKING_SET_SEED]
 
 
@@ -721,7 +747,7 @@ def solve(problem: SdpProblem) -> SolveReport:
     the last run's stage.
     """
     rs, eta = problem.recips, -problem.cost
-    if np.min(eta) <= 0.0:
+    if eta.min() <= 0.0:
         raise ValidationError("cost must be the negated vector of positive priors")
     recips, m = rs.reciprocals, rs.m
     within = np.full(m, m < WORKING_SET_MIN_M)
@@ -748,7 +774,7 @@ def solve(problem: SdpProblem) -> SolveReport:
         if status is SolveStatus.OPTIMAL:
             # The dual slack of every state for the run's X = F F*, in O(r m k).
             (p_w, cert_w), _ = found
-            z = np.sum(np.abs(cert_w.F.conj().T @ recips) ** 2, axis=0) - eta
+            z = (np.abs(cert_w.F.conj().T @ recips) ** 2).sum(axis=0) - eta
             violated = z[outside] < -SCALAR_TOL
             if not violated.any():
                 p = np.zeros(m)
@@ -818,7 +844,7 @@ def verify_certificate(
     if certificate.z.shape[0] != ensemble.m:
         raise ValidationError("dual slack vector has the wrong length")
     for name, a in (("p", p), ("F", f), ("z", certificate.z)):
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValidationError(f"{name} contains non-finite entries")
 
     residuals, traces, _ = _residuals(c, ensemble.priors, p, certificate)

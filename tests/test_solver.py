@@ -300,6 +300,44 @@ class TestSolve:
                 sweep += report.iterations
         assert sweep <= 54, sweep
 
+    @pytest.mark.parametrize(
+        "seed, m, budget",
+        [
+            # Full path, 5 iterations and one polish of 3 Gauss-Newton steps:
+            # per iteration 2 Cholesky, 1 inverse, the NT eigh and 3 step
+            # spectra; eigvalsh also for the start, the face and the bracket,
+            # eigh for the iterate's certificate and each step, a norm per
+            # polish residual and per scoring, and the scoring's QR.
+            (12, 12, {"cholesky": 10, "inv": 5, "eigh": 9, "eigvalsh": 18, "lstsq": 3, "norm": 5, "qr": 1}),
+            # Two working-set rounds, 12 iterations in all, one QR per round.
+            (38, 32, {"cholesky": 24, "inv": 12, "eigh": 16, "eigvalsh": 41, "lstsq": 3, "norm": 6, "qr": 4}),
+        ],
+        ids=["full-path", "working-set"],
+    )
+    def test_linalg_calls_per_solve(self, monkeypatch, seed, m, budget):
+        # At these sizes every numpy.linalg call costs mostly its Python
+        # wrapper, so a solve's cost follows their number; a further
+        # factorization per iteration fails here.
+        rng = np.random.default_rng(seed)
+        e = StateEnsemble(gaussian_states(rng, m, m), spread_priors(rng, m))
+        problem = build_sdp(e, reciprocal_states(e))
+        calls = dict.fromkeys(budget, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, counted(name, fn))
+        report = solve(problem)
+        assert report.status is SolveStatus.OPTIMAL
+        assert all(calls[name] <= budget.get(name, 0) for name in calls), calls
+
     def test_start_is_norm_scaled(self, monkeypatch):
         # The start takes p along 1 / |c_i|^2, halfway inside the operator
         # constraint, and X = 2 max_i(eta_i / |c_i|^2) I, so that every
@@ -556,6 +594,12 @@ class TestStepLength:
         return (a + a.conj().T) / 2
 
     @staticmethod
+    def _scale(lam):
+        # The matrix sqrt(lam_i lam_j) that _max_steps_psd takes, as the solver forms it.
+        root = np.sqrt(lam)
+        return root[:, None] * root
+
+    @staticmethod
     def _pd(rng, r):
         a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
         return a @ a.conj().T + 0.1 * np.eye(r)
@@ -578,8 +622,9 @@ class TestStepLength:
                 dx, ds = dx @ dx, ds @ ds
             lam, t_inv = _nt_scaling(x_mat, s_mat)
             t_nt = np.linalg.inv(t_inv)
-            step_s = _max_steps_psd(lam, self._herm(t_inv @ ds @ t_inv.conj().T))[0]
-            step_x = _max_steps_psd(lam, self._herm(t_nt.conj().T @ dx @ t_nt))[0]
+            scale = self._scale(lam)
+            step_s = _max_steps_psd(scale, self._herm(t_inv @ ds @ t_inv.conj().T))[0]
+            step_x = _max_steps_psd(scale, self._herm(t_nt.conj().T @ dx @ t_nt))[0]
             if psd_direction:
                 assert step_s == step_x == np.inf
             else:
@@ -634,8 +679,8 @@ class TestStepLength:
             elif kind == "dx psd":
                 ds = -np.diag(lam) - self._herm(ds @ ds)
             dx = -np.diag(lam) - ds
-            step_s, step_x = _max_steps_psd(lam, ds)
-            assert step_x == pytest.approx(_max_steps_psd(lam, dx)[0], rel=1e-12)
+            step_s, step_x = _max_steps_psd(self._scale(lam), ds)
+            assert step_x == pytest.approx(_max_steps_psd(self._scale(lam), dx)[0], rel=1e-12)
             assert step_s == pytest.approx(max_step_reference(np.diag(lam), ds), rel=1e-10)
             assert step_x == pytest.approx(max_step_reference(np.diag(lam), dx), rel=1e-10)
             if kind != "generic":
