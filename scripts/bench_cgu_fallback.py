@@ -11,8 +11,10 @@ The solve is timed ``--reps`` times in process CPU with one BLAS thread,
 and one JSON line is printed with the verdict, the solve's status,
 whether ``verify_certificate`` passed, P_D and the EPM's P_D,
 ``iterations``, ``rounds``, ``working_set`` and ``reports_sha256``, the
-digest of every field of the last solve's report (see
-``scripts/bench_solver.py``), and the median and least CPU ms of a solve.
+digest of every field of the last solve's report, ``counts_per_solve``,
+the exact Python, C and ``numpy.linalg`` calls of one solve (both as in
+``scripts/bench_solver.py``, counted before the timed solves), and the
+median and least CPU ms of a solve.
 The script exits 1 unless the answer is Optimal and passes. Run from the
 repository root:
 
@@ -31,7 +33,7 @@ import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
-from bench_solver import reports_digest  # noqa: E402
+from bench_solver import count_calls, reports_digest  # noqa: E402
 
 from uqsd import (  # noqa: E402
     SymmetrySpec,
@@ -65,6 +67,7 @@ def main() -> int:
     gens /= np.linalg.norm(gens, axis=0)
     sol = solve_cgu(SymmetrySpec(group=outer_shift_group(l, k), generators=gens))
     problem = build_sdp(sol.ensemble, sol.recips)
+    counts = count_calls([problem])
     times = []
     for _ in range(args.reps):
         start = time.process_time()
@@ -87,6 +90,7 @@ def main() -> int:
                 "rounds": report.rounds,
                 "working_set": report.working_set,
                 "reports_sha256": reports_digest([report]),
+                "counts_per_solve": counts,
                 "cpu_ms_median": round(float(np.median(times)), 2),
                 "cpu_ms_min": round(min(times), 2),
             }

@@ -16,15 +16,18 @@ with one BLAS thread, and one JSON line is printed with:
   under its own cap;
 * ``rounds``: the runs of the interior-point core over every solve (1 per
   solve below the solver's ``WORKING_SET_MIN_M`` states), ``screened``
-  the runs among them that the working set's screen stopped early, on an
-  iterate that violates a state outside the set, and ``working_set`` the
-  mean number of columns the last run solved on (m for a full solve);
+  the runs among them that a state outside the working set ended: the
+  screen stopped them early, on an iterate that violates such a state, or
+  a candidate failed its checks with a negative slack there; and
+  ``working_set`` the mean number of columns the last run solved on (m
+  for a full solve);
 * ``ms_per_iteration``: process-CPU ms of all solves over those steps, and
   ``ms_per_solve`` the same CPU over the number of sets;
 * ``certified_by``: how many answers the iterate and the polish certified,
   ``polish_attempts`` in total, and ``polish_failed``, the attempts that
   did not certify their round, mostly from an active set that leaves out
-  a constraint of the optimal face or keeps one that is not on it. The
+  a constraint of the optimal face or keeps one that is not on it, and
+  also a polish whose negative slack outside the working set ended it. The
   script counts each round's stage, and the stopped runs, by wrapping the
   solver's core, at a cost of microseconds per round;
 * ``face_dims``: a histogram of the rank of the returned X = F F*,
@@ -144,7 +147,8 @@ def count_round_stages() -> Counter:
     """Wrap the solver's core to count the stage that certified each run, and the runs stopped.
 
     A run whose returned mask of violated states off its working set has a
-    True, the screen stopped, counts under ``"screened"``.
+    True, which the screen or a failed candidate ended, counts under
+    ``"screened"``.
     """
     stages: Counter = Counter()
     core = solver_module._solve_core

@@ -60,54 +60,50 @@ square root of that tolerance; the first candidate that passes the check
 ends the solve as Optimal. ``solve`` has no settings.
 
 The interior-point loop alone is ``_solve_core``, a function of plain
-arrays: the run's reciprocal columns, an orthonormal basis of their span,
-their coordinates in it and their priors, and on a working-set round the
-coordinates and priors of the states off the set. It returns its first
-certified candidate with its residuals, or else its last iterate on the
-span, neither lifted nor scored, and builds no report; each iterate gets
-one ``IterateTrace``, built once with the step taken from it. ``solve``
-is the one loop around it: each round runs the core on a working set W of
-the columns, the working-set meta-algorithm of Johnson and Guestrin
-("Blitz", 2015). The optimum of a random set detects few of its states
-(about 6 of 32 and 7 of 64), and complementarity, p_i z_i = 0, puts its X
-in the span of the detected reciprocals. So the problem on any W that
-holds the detected states has the same optimum, and its pair, with p = 0
-off W, is a pair of the whole problem. Below ``WORKING_SET_MIN_M`` = 24
-columns W is all of them. Above, W starts as the ``WORKING_SET_SEED`` = 12
-states of largest eta_i / |c_i|^2, the value of all weight on state i;
-scores within 1e-12 relative tie, as those of an orbit of a symmetric set
-do up to rounding, and ties go to the lower index. A round on fewer than
-all columns takes one QR of them, C[:, W] = Q R, and runs on the basis Q
-and the coordinates R. It then reads the dual slack
-z_i = |F* c_i|^2 - eta_i of every state off W off the run's factor F, in
-O(r m k), and adds to W every state with z_i < -SCALAR_TOL. When none is
-added, the pair is scored on all of C by the checks every candidate
-passes, and that check is the proof of optimality, so no safe screening
-rule is needed. A run that does not end Optimal, a W of more than
-``WORKING_SET_MAX_SHARE`` = 3/4 of the columns (a round on it costs
-(3/4)^3, over 40%, of the full solve), or a final pair that fails the
-checks sets W to all columns for one more round, on the problem's own
-factors. Only the pair the loop returns is lifted, if it is an iterate,
-and scored on all of C.
+arrays: the problem's reciprocal columns and priors, a working set W of
+them, and an orthonormal basis of the span of W's columns with their
+coordinates in it. It returns its first certified candidate with its
+residuals, or else its last iterate on the span, unscored, and builds no
+report; each iterate gets one ``IterateTrace``, built once with the step
+taken from it. ``solve`` is the one loop around it, the working-set
+meta-algorithm of Johnson and Guestrin ("Blitz", 2015). The optimum of a
+random set detects few of its states (about 6 of 32 and 7 of 64), and
+complementarity, p_i z_i = 0, puts its X in the span of the detected
+reciprocals, so the problem on any W that holds them has the same
+optimum. Below ``WORKING_SET_MIN_M`` = 24 columns W is all of them.
+Above, W starts as the ``WORKING_SET_SEED`` = 12 states of largest
+eta_i / |c_i|^2, the value of all weight on state i; scores within 1e-12
+relative tie, as on an orbit of a symmetric set up to rounding, and ties
+go to the lower index. A round on fewer than all columns runs on one QR
+of them, C[:, W] = Q R. Each candidate is lifted with p = 0 off W and
+z_i = |F* c_i|^2 - eta_i off W read off its lifted factor F, in
+O(r m k), and scored once on all of C; as in Blitz, that proof of
+optimality is the stopping rule. The first candidate that passes ends
+the solve as Optimal; one that fails with some z_i < 0 off W ends the
+run, and those states join W. The rule is z_i < 0, not < -SCALAR_TOL: a
+z_i just below 0 raises the dual scaling of ``_bracket`` and can fail
+the gap check however long the run goes on W. A run that ends with no
+state to add, or a W over ``WORKING_SET_MAX_SHARE`` = 3/4 of the columns
+(a round on it costs over 40% of the full solve), sets W to all columns
+for one more round, on the problem's own factors.
 
 A round need not converge to find a violated state. The core screens
 every iterate of relative width at most ``SCREEN_WIDTH`` = 1e-2: it reads
 z_i = b_i* X b_i - eta_i of every state off W from the iterate's X on the
 round's span, with B = Q* C[:, off W] formed once per round, in
 O(n^2 m). At the first iterate where some z_i < -SCALAR_TOL the run
-stops, before its candidates are scored or polished, and returns that
-mask, and exactly those states join W under the rule above. This is
-how primal-dual column generation prices columns, from the well-centred
-iterate of a master problem stopped early (Gondzio, Gonzalez-Brevis and
-Munari 2013). A stopped run counts in ``rounds`` and adds its iterations
-and trace; it proves nothing, and the end-of-round check and the full-set
-score stay the only proof. On the seed-1 r = m = 32 pool of
-``scripts/bench_solver.py`` the screen stopped 24 of 89 runs and took the
-iterations from 613 to 566 and the polishes from 100 to 71, with P_D
-bitwise unchanged. The gate sweep on that pool, in iterations: every
-iterate 532, 1e-1 533, 3e-2 554, 1e-2 566, 1e-3 596 and sqrt(1e-7) 608.
-From 1e-1 up, two more polishes failed and one set was certified by its
-iterate instead of its polish; 1e-2 keeps a factor 10 from there.
+stops, before its candidates are scored or polished, and exactly those
+states join W: primal-dual column generation prices columns so, from
+the well-centred iterate of a master problem stopped early (Gondzio,
+Gonzalez-Brevis and Munari 2013). A stopped run counts in ``rounds`` and
+adds its iterations and trace, and proves nothing. On the seed-1
+r = m = 32 pool of ``scripts/bench_solver.py`` the screen stopped 24 of
+89 runs and took the iterations from 613 to 566 and the polishes from
+100 to 71, with P_D bitwise unchanged. The gate sweep on that pool, in
+iterations: every iterate 532, 1e-1 533, 3e-2 554, 1e-2 566, 1e-3 596
+and sqrt(1e-7) 608. From 1e-1 up, two more polishes failed and one set
+was certified by its iterate instead of its polish; 1e-2 keeps a factor
+10 from there.
 
 The constants come from a sweep over random r = m sets (complex Gaussian
 states, priors uniform in [0.5, 1.5]): process CPU per reciprocal set,
@@ -296,12 +292,19 @@ def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray, c_conj: np.ndarray) -> np.n
     return np.add.reduce(c_conj * (x_mat @ c), axis=0).real
 
 
-def _lift(w: np.ndarray, cert: DualCertificate) -> DualCertificate:
-    """The certificate with X = F F*, given in the basis of W's orthonormal columns, as W X W*.
+def _lift(u: np.ndarray, cert: DualCertificate, within=None, recips=None, eta=None):
+    """The certificate with X = F F*, given in the basis of u's orthonormal columns, as u X u*.
 
-    That is the factor W F; ``dual_psd`` carries over, as W is an isometry.
+    That is the factor u F; ``dual_psd`` carries over, as u is an isometry.
+    Given the problem's ``recips`` and ``eta``, a certificate of its columns
+    ``within`` gets z_i = |(u F)* c_i|^2 - eta_i on the others, in O(r m k).
     """
-    lifted = DualCertificate(F=w @ cert.F, z=cert.z)
+    f = u @ cert.F
+    z = cert.z
+    if within is not None:
+        z = (np.abs(f.conj().T @ recips) ** 2).sum(axis=0) - eta
+        z[within] = cert.z
+    lifted = DualCertificate(F=f, z=z)
     object.__setattr__(lifted, "dual_psd", cert.dual_psd)
     return lifted
 
@@ -556,33 +559,27 @@ def _checks(residuals: dict[str, float]) -> dict[str, bool]:
     return {k: residuals[k] <= _TOLERANCES[k] for k in residuals}
 
 
-def _certified(c: np.ndarray, eta: np.ndarray, candidate: tuple[np.ndarray, DualCertificate]):
-    """(candidate, its ``_residuals``) when the pair (p, cert) passes every check, else None."""
-    scored = _residuals(c, eta, *candidate)
-    return (candidate, scored) if all(_checks(scored[0]).values()) else None
+def _solve_core(recips, u, c, eta, within):
+    """The interior-point run on the columns W in ``within`` (module docstring).
 
-
-def _solve_core(recips, u, c, eta, b, eta_off):
-    """The interior-point run on the columns ``recips`` with priors ``eta`` (module docstring).
-
-    ``u`` is an orthonormal basis of their span and ``c = u* recips`` their
-    coordinates, on which the run iterates; ``b`` holds the coordinates in
-    that basis of the states off the working set, with priors ``eta_off``,
-    both empty on a full run. Returns (status, found, trace, certified_by,
-    polish_attempts, violated). Status Optimal means ``found`` is the first
-    candidate that passes the checks of ``verify_certificate`` on
-    ``recips``, the iterate or else the Gauss-Newton polish of an iterate,
-    as ((p, certificate lifted by ``u``), its ``_residuals``). Any other
-    status leaves the last iterate in ``found`` as (p, X, z) on the span,
-    neither lifted nor scored; ``ITERATION_CAP`` caps the number of
-    interior-point steps. From relative width ``SCREEN_WIDTH`` down, each
-    iterate, before its candidates, sets the mask ``violated`` to
-    z_i < -SCALAR_TOL with z_i = b_i* X b_i - eta_off_i, and the first
-    iterate where it holds a True ends the run, as the cap does. The
-    ``trace`` has the objective pair at every iterate and the step lengths
-    and sigma of each step; all iterates are primal and dual feasible by
-    construction, so every traced gap is nonnegative.
+    ``recips`` and ``eta`` are the whole problem's columns and priors, ``u``
+    an orthonormal basis of the span of W's columns and c = u* recips[:, W]
+    their coordinates, on which the run iterates. Returns (status, found,
+    trace, certified_by, polish_attempts, violated). Status Optimal means
+    ``found`` is the first candidate, the iterate or else the Gauss-Newton
+    polish of an iterate, that passes the checks of ``verify_certificate``
+    on all of ``recips``, as ((p, lifted certificate), its ``_residuals``).
+    Otherwise ``found`` is the last iterate as (p, X, z) on the span,
+    unscored. The run ends at ``ITERATION_CAP`` steps, or where the mask
+    ``violated`` of the states off W first holds a True, set by the screen
+    or a failed candidate. The ``trace`` has the objective pair at every
+    iterate and the step lengths and sigma of each step; every traced gap
+    is nonnegative, as all iterates are strictly feasible.
     """
+    off = ~within
+    b, eta_off = u.conj().T @ recips[:, off], eta[off]
+    eta_all, eta = eta, eta[within]
+    whole = (within, recips, eta_all) if eta_off.size else ()
     cost = -eta
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)
@@ -591,8 +588,22 @@ def _solve_core(recips, u, c, eta, b, eta_off):
     violated = np.zeros(eta_off.size, dtype=bool)
     polish_width = np.sqrt(_TOLERANCES["gap"])
 
+    # (found, None) for a candidate that passes every check on all columns, else (None,
+    # stop): the mask z_i < 0 off W of its lifted certificate if that holds a True, or None.
     def scored(pair):
-        return None if pair is None else _certified(recips, eta, (pair[0], _lift(u, pair[1])))
+        if pair is None:
+            return None, None
+        p, cert = pair
+        if whole:
+            p = np.zeros(eta_all.size)
+            p[within] = pair[0]
+        lifted = _lift(u, cert, *whole)
+        scores = _residuals(recips, eta_all, p, lifted)
+        if all(_checks(scores[0]).values()):
+            return ((p, lifted), scores), None
+        if whole and (stop := lifted.z[off] < 0.0).any():
+            return None, stop
+        return None, None
 
     # Strictly feasible start, scaled by the norms of the constraint data
     # (Toh, Todd and Tutuncu 1999): p along the Jacobi weights 1 / |c_i|^2,
@@ -631,21 +642,24 @@ def _solve_core(recips, u, c, eta, b, eta_off):
             if violated.any():
                 break
         if width <= polish_width:
-            found = iterate = None
+            found = iterate = stop = None
             if width <= _TOLERANCES["gap"]:
                 iterate = DualCertificate(X=x_mat, z=z)
-                found = scored((p, iterate))
+                found, stop = scored((p, iterate))
                 stage = "iterate"
-            face = None if found is not None else _polish_face(s0, p, z, gap)
+            face = None if found is not None or stop is not None else _polish_face(s0, p, z, gap)
             if face is not None:
                 if iterate is None:
                     iterate = DualCertificate(X=x_mat, z=z)
                 polish_attempts += 1
-                found = scored(_kkt_polish(c, p, iterate.F, eta, face))
+                found, stop = scored(_kkt_polish(c, p, iterate.F, eta, face))
                 stage = "polish"
             if found is not None:
                 status = SolveStatus.OPTIMAL
                 certified_by = stage
+                break
+            if stop is not None:
+                violated = stop
                 break
         if it == ITERATION_CAP:
             break
@@ -740,11 +754,12 @@ def solve(problem: SdpProblem) -> SolveReport:
     """Solve the discrimination SDP to guaranteed global optimality.
 
     Status Optimal means the returned pair passes the checks of
-    ``verify_certificate`` on the whole problem. One loop runs the core on
-    a growing working set of the columns, or on all of them (module
-    docstring). ``iterations``, ``polish_attempts`` and ``trace`` add up
-    every run, those the screen stopped included, and ``certified_by`` is
-    the last run's stage.
+    ``verify_certificate`` on the whole problem, the one score the core
+    gave it. One loop runs the core on a growing working set of the
+    columns, or on all of them, and scores a last iterate that is not
+    Optimal (module docstring). ``iterations``, ``polish_attempts`` and
+    ``trace`` add up every run, stopped runs included, and
+    ``certified_by`` is the last run's stage.
     """
     rs, eta = problem.recips, -problem.cost
     if eta.min() <= 0.0:
@@ -758,36 +773,19 @@ def solve(problem: SdpProblem) -> SolveReport:
     while True:
         cols, outside = within.nonzero()[0], (~within).nonzero()[0]
         if outside.size:
-            run_recips = recips[:, cols]
-            u, c = np.linalg.qr(run_recips)
+            u, c = np.linalg.qr(recips[:, cols])
         else:
             # The problem's own factors: the states are U S V*, so C = U S^-1 V*.
-            run_recips, u, c = recips, rs.u, rs.vh / rs.sigma[:, None]
-        status, found, run_trace, certified_by, attempts, violated = _solve_core(
-            run_recips, u, c, eta[cols], u.conj().T @ recips[:, outside], eta[outside]
-        )
+            u, c = rs.u, rs.vh / rs.sigma[:, None]
+        status, found, steps, stage, attempts, violated = _solve_core(recips, u, c, eta, within)
         rounds += 1
-        trace += run_trace
+        trace += steps
         polish_attempts += attempts
-        if not outside.size:
+        if status is SolveStatus.OPTIMAL or not outside.size:
             break
-        if status is SolveStatus.OPTIMAL:
-            # The dual slack of every state for the run's X = F F*, in O(r m k).
-            (p_w, cert_w), _ = found
-            z = (np.abs(cert_w.F.conj().T @ recips) ** 2).sum(axis=0) - eta
-            violated = z[outside] < -SCALAR_TOL
-            if not violated.any():
-                p = np.zeros(m)
-                p[cols] = p_w
-                z[cols] = cert_w.z
-                certificate = DualCertificate(F=cert_w.F, z=z)
-                object.__setattr__(certificate, "dual_psd", cert_w.dual_psd)
-                found = _certified(recips, eta, (p, certificate))
-                if found is not None:
-                    break
         within[outside[violated]] = True
-        # A run that ends with no violated state and no pair of the whole
-        # problem, or a W over the share, falls back to all columns.
+        # A run that ends with no violated state, or a W over the share,
+        # falls back to all columns.
         if not violated.any() or np.count_nonzero(within) > WORKING_SET_MAX_SHARE * m:
             within[:] = True
     if status is not SolveStatus.OPTIMAL:
@@ -812,7 +810,7 @@ def solve(problem: SdpProblem) -> SolveReport:
         lower=lower,
         upper=upper,
         trace=tuple(trace),
-        certified_by=certified_by,
+        certified_by=stage,
         polish_attempts=polish_attempts,
         rounds=rounds,
         working_set=cols.size,

@@ -216,6 +216,13 @@ def false_imaginary_parts(obj):
     return [obj[0], False if obj[1] == 0.0 else obj[1]]
 
 
+# The message of the hostile documents below that one validation raise alone reaches.
+HOSTILE_ERRORS = {
+    "top-level-array": "top-level document must be an object",
+    "non-numeric-make-priors": "--make-priors expects comma-separated numbers",
+}
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -253,6 +260,8 @@ def false_imaginary_parts(obj):
         (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": ["0.3", "0.7"]}),
         (["solve"], {"r": 2, "m": 1, "states": TWO_STATES[:1], "priors": [True]}),
         (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": [10**400, 0.5]}),
+        (["solve"], [{"r": 2, "m": 2, "states": TWO_STATES}]),
+        (["epm", "--make-priors", "a,b"], {"r": 2, "m": 2, "states": TWO_STATES}),
     ],
     ids=[
         "non-numeric-priors",
@@ -281,13 +290,17 @@ def false_imaginary_parts(obj):
         "numeric-string-priors",
         "bool-priors",
         "huge-int-priors",
+        "top-level-array",
+        "non-numeric-make-priors",
     ],
 )
-def test_hostile_documents_exit_2(tmp_path, capsys, argv, doc):
+def test_hostile_documents_exit_2(request, tmp_path, capsys, argv, doc):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(doc))
     assert main([*argv, str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert HOSTILE_ERRORS.get(request.node.callspec.id, "") in err
 
 
 def test_deeply_nested_document_exit_2(tmp_path, capsys):

@@ -130,6 +130,22 @@ class TestLoadEnsemble:
         with pytest.raises(ValidationError, match="^field 'states' must have 2 axes, got 1$"):
             StateEnsemble(np.array([1.0, 0.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "states, priors, match",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], [0.5, 0.5], "^states contain non-finite entries$"),
+            (np.eye(2), [np.inf, 0.5], "^priors contain non-finite entries$"),
+            (np.zeros((2, 0)), [], "^ensemble must contain at least one state$"),
+            (2.0 * np.eye(2), [0.5, 0.5], "^state columns must have unit norm"),
+            (np.eye(2), [1.0], "^expected 2 priors, got 1$"),
+        ],
+        ids=["nan-states", "inf-priors", "no-states", "long-columns", "short-priors"],
+    )
+    def test_constructor_rejects(self, states, priors, match):
+        # The arrays as given, past the document reader's own checks.
+        with pytest.raises(ValidationError, match=match):
+            StateEnsemble(np.asarray(states), np.asarray(priors))
+
     def test_roundtrip(self, three_states_uniform):
         again = load_ensemble(dump_ensemble(three_states_uniform))
         assert np.allclose(again.states, three_states_uniform.states)
@@ -244,6 +260,8 @@ class TestMeasurement:
         assert meas.probs.min() >= 0.0 and meas.probs.max() <= 1.0
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             measurement_from_probs(three_states_reciprocals, [-0.2, 0.1, 0.1])
+        with pytest.raises(ValidationError, match="^expected 3 probabilities, got 2$"):
+            measurement_from_probs(three_states_reciprocals, [0.1, 0.1])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_probabilities_rejected(self, value):

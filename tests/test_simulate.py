@@ -39,6 +39,10 @@ class TestOutcomeProbabilities:
         meas = compute_epm(other, reciprocal_states(other))
         with pytest.raises(ValidationError, match="not unambiguous"):
             outcome_probabilities(three_states_uniform, meas)
+        two = StateEnsemble(np.eye(2, dtype=complex), np.array([0.5, 0.5]))
+        meas = measurement_from_probs(reciprocal_states(two), np.zeros(2))
+        with pytest.raises(ValidationError, match="^measurement does not match the ensemble"):
+            outcome_probabilities(three_states_uniform, meas)
 
 
     @pytest.mark.parametrize("shape", [(5, 5), (7, 4)])

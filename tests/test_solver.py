@@ -94,6 +94,20 @@ class TestBuildSdp:
         with pytest.raises(ValidationError, match="^field 'cost' contains non-finite"):
             SdpProblem(cost=cost, recips=three_states_reciprocals)
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda rs: SdpProblem(cost=-np.full(2, 0.5), recips=rs), "^cost length must match"),
+            (lambda rs: solve(SdpProblem(cost=np.full(3, 1 / 3), recips=rs)),
+             "^cost must be the negated vector of positive priors$"),
+            (lambda rs: DualCertificate(X=np.zeros((2, 3)), z=np.zeros(3)), "shape mismatch$"),
+        ],
+        ids=["short-cost", "positive-cost", "non-square-x"],
+    )
+    def test_malformed_input_rejected(self, three_states_reciprocals, build, match):
+        with pytest.raises(ValidationError, match=match):
+            build(three_states_reciprocals)
+
     def test_bare_reciprocals_rejected(self, three_states_reciprocals):
         with pytest.raises(ValidationError, match="^field 'recips' must be a ReciprocalSet"):
             SdpProblem(cost=-np.full(3, 1 / 3), recips=three_states_reciprocals.reciprocals)
@@ -309,8 +323,10 @@ class TestSolve:
             # eigh for the iterate's certificate and each step, a norm per
             # polish residual and per scoring, and the scoring's QR.
             (12, 12, {"cholesky": 10, "inv": 5, "eigh": 9, "eigvalsh": 18, "lstsq": 3, "norm": 5, "qr": 1}),
-            # Two working-set rounds, 12 iterations in all, one QR per round.
-            (38, 32, {"cholesky": 24, "inv": 12, "eigh": 16, "eigvalsh": 41, "lstsq": 3, "norm": 6, "qr": 4}),
+            # Two working-set rounds, 12 iterations in all, one QR per round;
+            # the one scoring, on all columns, takes a QR, a norm and an
+            # eigvalsh, so a second scoring pass fails here.
+            (38, 32, {"cholesky": 24, "inv": 12, "eigh": 16, "eigvalsh": 40, "lstsq": 3, "norm": 5, "qr": 3}),
         ],
         ids=["full-path", "working-set"],
     )
@@ -403,7 +419,7 @@ class TestSolve:
             return wrapper
 
         monkeypatch.setattr(DualCertificate, "__init__", counting_init)
-        monkeypatch.setattr("uqsd.solver._lift", reading(_lift, lambda w, cert: cert.F))
+        monkeypatch.setattr("uqsd.solver._lift", reading(_lift, lambda u, cert, *whole: cert.F))
         monkeypatch.setattr(
             "uqsd.solver._kkt_polish", reading(_kkt_polish, lambda c, p, f, eta, face: f)
         )
@@ -494,9 +510,9 @@ class TestWorkingSet:
         widths, runs = [], []
         core = solver_module._solve_core
 
-        def recorded(recips, *args):
-            widths.append(recips.shape[1])
-            runs.append(core(recips, *args))
+        def recorded(recips, u, c, *args):
+            widths.append(c.shape[1])
+            runs.append(core(recips, u, c, *args))
             return runs[-1]
 
         monkeypatch.setattr("uqsd.solver._solve_core", recorded)
@@ -535,8 +551,13 @@ class TestWorkingSet:
         assert shapes == []
 
     def test_scores_only_the_returned_pair(self, monkeypatch):
-        # The screen stops the first round, whose iterate is neither lifted
-        # nor scored; every _residuals call is on all 32 columns.
+        # Each candidate is scored once, on all 32 columns. On the EPM set the
+        # screen stops the first round, whose iterate is neither lifted nor
+        # scored. The seed-38 set of test_linalg_calls_per_solve is answered
+        # on a working set of 14 columns; its answer is scored once, on all
+        # 32, and never on the 14 alone.
+        rng = np.random.default_rng(38)
+        seeded = StateEnsemble(gaussian_states(rng, 32, 32), spread_priors(rng, 32))
         widths = []
 
         def recorded(c, *args):
@@ -544,9 +565,12 @@ class TestWorkingSet:
             return _residuals(c, *args)
 
         monkeypatch.setattr("uqsd.solver._residuals", recorded)
-        report = solve_ensemble(epm_optimal_set(5, 32)[0])[2]
-        assert report.rounds >= 2 and report.status is SolveStatus.OPTIMAL
-        assert set(widths) == {32}
+        for e, working_set in ((epm_optimal_set(5, 32)[0], 32), (seeded, 14)):
+            widths.clear()
+            report = solve_ensemble(e)[2]
+            assert report.rounds >= 2 and report.status is SolveStatus.OPTIMAL
+            assert report.working_set == working_set
+            assert widths == [32]
 
     @pytest.mark.parametrize("broken", ["capped", "failed"])
     def test_rounds_that_do_not_end_optimal(self, monkeypatch, broken):
@@ -792,20 +816,25 @@ class TestFactoredCertificate:
             ver = verify_certificate(e, rs, report.p, DualCertificate(F=bumped, z=z))
             assert not ver.passed
 
-    @pytest.mark.parametrize("flaw", ["rows", "vector", "nan", "inf"])
+    @pytest.mark.parametrize("flaw", ["rows", "vector", "nan", "inf", "short-z"])
     def test_malformed_factor_raises(self, three_states_uniform, flaw):
         rs, _, report = solve_ensemble(three_states_uniform)
-        f = report.certificate.F.copy()
+        f, z = report.certificate.F.copy(), report.certificate.z
         if flaw == "rows":
             f = np.vstack([f, f[:1]])
         elif flaw == "vector":
             f = f[:, 0]
+        elif flaw == "short-z":
+            z = z[:-1]
         else:
             f.flat[0] = {"nan": np.nan, "inf": np.inf}[flaw]
-        match = "shape mismatch" if flaw in ("rows", "vector") else "^F contains non-finite"
+        match = {
+            "rows": "shape mismatch",
+            "vector": "shape mismatch",
+            "short-z": "^dual slack vector has the wrong length$",
+        }.get(flaw, "^F contains non-finite")
         with pytest.raises(ValidationError, match=match):
-            verify_certificate(three_states_uniform, rs, report.p,
-                               DualCertificate(F=f, z=report.certificate.z))
+            verify_certificate(three_states_uniform, rs, report.p, DualCertificate(F=f, z=z))
 
     def test_dense_certificate_is_scored_on_its_psd_part(self):
         # A dense X is factored as X+ by one eigh, whose lambda_min gives
@@ -1120,9 +1149,8 @@ def test_core_does_not_depend_on_the_span_basis():
         rs = reciprocal_states(e)
         c = rs.vh / rs.sigma[:, None]
         q = haar_unitary(rng, c.shape[0])
-        empty = np.empty((c.shape[0], 0), dtype=complex), np.empty(0)
         runs = [
-            solver_module._solve_core(rs.reciprocals, u, coords, e.priors, *empty)
+            solver_module._solve_core(rs.reciprocals, u, coords, e.priors, np.ones(m, dtype=bool))
             for u, coords in ((rs.u, c), (rs.u @ q.conj().T, q @ c))
         ]
         (status, found, trace, stage, _, _), other = runs

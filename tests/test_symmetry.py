@@ -727,6 +727,21 @@ class TestSpecLoading:
         with pytest.raises(ValidationError, match="non-empty"):
             SymmetrySpec(group=group, generators=np.zeros((2, 0)))
 
+    @pytest.mark.parametrize(
+        "generators, generator_group, match",
+        [
+            (np.array([2.0, 0.0]), None, "^generating vectors must have unit norm$"),
+            (np.eye(2)[:, :1], UnitaryGroup(np.array([np.eye(2), -np.eye(2)], dtype=complex)),
+             "^generator group must act on the same space with one element per generator$"),
+        ],
+        ids=["long-generator", "generator-group-order"],
+    )
+    def test_malformed_generators_rejected(self, generators, generator_group, match):
+        # The arrays as given, past the document reader's own checks.
+        group = UnitaryGroup(np.array([np.eye(2, dtype=complex)]))
+        with pytest.raises(ValidationError, match=match):
+            SymmetrySpec(group=group, generators=generators, generator_group=generator_group)
+
     @pytest.mark.parametrize("offset, ok", [(1e-8, True), (1e-3, False)])
     def test_generator_renormalized_within_tolerance(self, sign_group_spec, offset, ok):
         from uqsd.formats import encode_complex
