@@ -33,7 +33,6 @@ from .errors import LinearDependenceError, ValidationError
 from .simulate import SimulationResult, outcome_probabilities, simulate
 from .solver import (
     DualCertificate,
-    SdpProblem,
     SolveReport,
     SolveStatus,
     VerificationReport,
@@ -66,7 +65,6 @@ __all__ = [
     "measurement_from_probs",
     "detection_probability",
     "inconclusive_probability",
-    "SdpProblem",
     "SolveStatus",
     "SolveReport",
     "DualCertificate",

@@ -41,7 +41,6 @@ from .errors import ValidationError
 from .solver import (
     SCALAR_TOL,
     DualCertificate,
-    SdpProblem,
     _check_matches,
     _lift,
     solve,
@@ -174,7 +173,7 @@ def epm_test_lp(ensemble: StateEnsemble, analysis: EpmAnalysis) -> EpmOptimality
         rows, sigma_m = analysis.recips.vh[_last(analysis)], analysis.recips.sigma[-1]
         u, sigma = np.eye(analysis.s), np.full(analysis.s, sigma_m)
         reduced = ReciprocalSet(reciprocals=rows / sigma_m, u=u, sigma=sigma, vh=rows)
-        report = solve(SdpProblem(cost=-eta, recips=reduced))
+        report = solve((reduced, eta))
         lower, upper, a = report.lower, report.upper, report.certificate.X / p
     if upper <= threshold:
         return EpmOptimalityResult(verdict=EpmVerdict.OPTIMAL, A=a, residual=1.0 - p / upper)

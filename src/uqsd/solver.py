@@ -18,10 +18,10 @@ Every Q_i lies in the span of the reciprocal states C, and off it the
 slack is the identity (facial reduction; Permenter and Parrilo 2018). So
 the solver iterates on the coordinates U* C of C in an orthonormal basis U
 of that span, an n x m matrix with n = min(r, m), and any basis will do;
-each candidate is lifted back by U (``_lift``) and scored on C. On all
-columns, U and U* C = S^-1 V* are read off the problem's
-``ReciprocalSet``, which holds the factors of the states U S V*, so no SVD
-runs here. As every Q_i is rank one, the Newton step reduces to an m x m
+each candidate's factor is lifted back by U and scored on C, and the one
+that passes becomes a certificate of C (``_lift``). On all columns, U
+and U* C = S^-1 V* are read off the problem's ``ReciprocalSet``, which
+holds the factors of the states U S V*, so no SVD runs here. As every Q_i is rank one, the Newton step reduces to an m x m
 positive definite system ``|G* G|^2 + diag(z / p)`` with
 ``G = T^{-1} U* C``, so one iteration costs O(m^3). T^{-1} comes from the
 Cholesky factor L_x of X and one eigh of L_x* S L_x (``_nt_scaling``). The
@@ -57,7 +57,9 @@ own objectives, so its width is gap / Tr X. ``solve`` tries the iterate
 once that width is within the gap tolerance, and a Gauss-Newton polish of
 the full optimality system on the active face once it is within the
 square root of that tolerance; the first candidate that passes the check
-ends the solve as Optimal. ``solve`` has no settings.
+ends the solve as Optimal. ``solve`` has no settings. Its problem is the
+pair (recips, eta) that ``build_sdp`` returns, a ``ReciprocalSet`` and the
+priors, with no record around it; ``solve`` is where the pair is checked.
 
 The interior-point loop alone is ``_solve_core``, a function of plain
 arrays: the problem's reciprocal columns and priors, a working set W of
@@ -75,12 +77,13 @@ Above, W starts as the ``WORKING_SET_SEED`` = 12 states of largest
 eta_i / |c_i|^2, the value of all weight on state i; scores within 1e-12
 relative tie, as on an orbit of a symmetric set up to rounding, and ties
 go to the lower index. A round on fewer than all columns runs on one QR
-of them, C[:, W] = Q R. Each candidate is lifted with p = 0 off W and
-z_i = |F* c_i|^2 - eta_i off W read off its lifted factor F, in
-O(r m k), and scored once on all of C; as in Blitz, that proof of
-optimality is the stopping rule. The first candidate that passes ends
-the solve as Optimal; one that fails with some z_i < 0 off W ends the
-run, and those states join W. The rule is z_i < 0, not < -SCALAR_TOL: a
+of them, C[:, W] = Q R. Each candidate is scored once on all of C, in
+O(r m k), with p = 0 off W and z_i = |F* c_i|^2 - eta_i off W read off
+the traces that the scoring forms from its lifted factor F; as in Blitz,
+that proof of optimality is the stopping rule. The first candidate that
+passes ends the solve as Optimal, and only it is lifted into a
+certificate; one that fails with some z_i < 0 off W ends the run, and
+those states join W. The rule is z_i < 0, not < -SCALAR_TOL: a
 z_i just below 0 raises the dual scaling of ``_bracket`` and can fail
 the gap check however long the run goes on W. A run that ends with no
 state to add, or a W over ``WORKING_SET_MAX_SHARE`` = 3/4 of the columns
@@ -152,30 +155,6 @@ class SolveStatus(str, Enum):
     OPTIMAL = "Optimal"
     MAX_ITERATIONS = "MaxIterations"
     NUMERICAL_FAILURE = "NumericalFailure"
-
-
-@dataclass(frozen=True)
-class SdpProblem:
-    """Cost vector plus the reciprocal set defining the block constraint F(p) >= 0.
-
-    ``F(p)`` is block diagonal: the r x r block ``I - sum_i p_i Q_i``
-    followed by the m scalar blocks ``p_i``, with Q_i the rank-one outer
-    products of the columns of ``recips.reciprocals``. On all columns,
-    ``solve`` iterates on the SVD factors ``recips`` holds.
-    """
-
-    cost: np.ndarray
-    recips: ReciprocalSet
-
-    def __post_init__(self):
-        if not isinstance(self.recips, ReciprocalSet):
-            raise ValidationError("field 'recips' must be a ReciprocalSet")
-        cost = np.asarray(self.cost, dtype=float).ravel()
-        if not np.all(np.isfinite(cost)):
-            raise ValidationError("field 'cost' contains non-finite entries")
-        if cost.shape[0] != self.recips.m:
-            raise ValidationError("cost length must match the number of reciprocal columns")
-        object.__setattr__(self, "cost", cost)
 
 
 @dataclass(frozen=True, init=False)
@@ -275,10 +254,12 @@ def _check_matches(ensemble: StateEnsemble, recips: ReciprocalSet) -> None:
         raise ValidationError("reciprocal set does not match the ensemble dimensions")
 
 
-def build_sdp(ensemble: StateEnsemble, recips: ReciprocalSet) -> SdpProblem:
-    """Assemble the discrimination problem for an ensemble: cost -priors on its reciprocal set."""
+def build_sdp(
+    ensemble: StateEnsemble, recips: ReciprocalSet
+) -> tuple[ReciprocalSet, np.ndarray]:
+    """The discrimination problem of an ensemble, the pair (recips, priors) that ``solve`` takes."""
     _check_matches(ensemble, recips)
-    return SdpProblem(cost=-ensemble.priors, recips=recips)
+    return recips, ensemble.priors
 
 
 def _apply(c: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -292,19 +273,13 @@ def _apply_adjoint(c: np.ndarray, x_mat: np.ndarray, c_conj: np.ndarray) -> np.n
     return np.add.reduce(c_conj * (x_mat @ c), axis=0).real
 
 
-def _lift(u: np.ndarray, cert: DualCertificate, within=None, recips=None, eta=None):
+def _lift(u: np.ndarray, cert: DualCertificate, z=None) -> DualCertificate:
     """The certificate with X = F F*, given in the basis of u's orthonormal columns, as u X u*.
 
-    That is the factor u F; ``dual_psd`` carries over, as u is an isometry.
-    Given the problem's ``recips`` and ``eta``, a certificate of its columns
-    ``within`` gets z_i = |(u F)* c_i|^2 - eta_i on the others, in O(r m k).
+    That is the factor u F; ``dual_psd`` carries over, as u is an isometry,
+    and so does z unless the slacks ``z`` of the whole problem are given.
     """
-    f = u @ cert.F
-    z = cert.z
-    if within is not None:
-        z = (np.abs(f.conj().T @ recips) ** 2).sum(axis=0) - eta
-        z[within] = cert.z
-    lifted = DualCertificate(F=f, z=z)
+    lifted = DualCertificate(F=u @ cert.F, z=cert.z if z is None else z)
     object.__setattr__(lifted, "dual_psd", cert.dual_psd)
     return lifted
 
@@ -524,35 +499,45 @@ def _bracket(
 
 
 def _residuals(
-    c: np.ndarray, eta: np.ndarray, p: np.ndarray, cert: DualCertificate
-) -> tuple[dict[str, float], np.ndarray, tuple[float, float]]:
-    """Residuals of every optimality condition for the pair (p, cert).
+    c: np.ndarray,
+    eta: np.ndarray,
+    p: np.ndarray,
+    f: np.ndarray,
+    z: np.ndarray,
+    dual_psd: float,
+    within: np.ndarray | None = None,
+) -> tuple[dict[str, float], np.ndarray, tuple[float, float], np.ndarray]:
+    """Residuals of every optimality condition for the pair (p, X = F F*) with slacks z.
 
     Primal feasibility (p >= 0 and the conclusive operators below the
     identity), dual feasibility (X psd, z >= 0, the trace equalities), the
     two complementary slackness products, and the relative width of the
     P_D bracket; returned with the trace products Tr(Q_i X) they are
-    computed from and the bracket (lower, upper).
+    computed from, the bracket (lower, upper) and the slacks scored.
 
-    Everything is computed from the certificate's factor F, psd by
-    construction; ``dual_psd`` is the one the certificate carries. The
-    slack X S = F M, with M = F* - (F* C) diag(p) C*, has the norm of R M
-    for F = Q R, so no r x r matrix is formed.
+    Given a mask ``within`` of the columns that z covers, as a working-set
+    candidate's does, the slacks of the others are read off the traces,
+    z_i = Tr(Q_i X) - eta_i. Everything is computed from the factor F,
+    psd by construction; ``dual_psd`` is the one its certificate carries.
+    The slack X S = F M, with M = F* - (F* C) diag(p) C*, has the norm of
+    R M for F = Q R, so no r x r matrix is formed.
     """
-    f = cert.F
     lower, upper, top, overlaps, traces = _bracket(c, eta, p, f)
+    if within is not None:
+        z_within, z = z, traces - eta
+        z[within] = z_within
     slack = f.conj().T - (overlaps * p) @ c.conj().T
     residuals = {
         "primal_nonneg": float(max(0.0, -p.min())),
         "primal_operator": max(0.0, top - 1.0),
-        "dual_psd": cert.dual_psd,
-        "dual_nonneg": float(max(0.0, -cert.z.min())),
-        "dual_equality": float(np.abs(traces - cert.z - eta).max()),
+        "dual_psd": dual_psd,
+        "dual_nonneg": float(max(0.0, -z.min())),
+        "dual_equality": float(np.abs(traces - z - eta).max()),
         "slack_operator": float(np.linalg.norm(np.linalg.qr(f, mode="r") @ slack)),
-        "slack_scalar": float(np.abs(cert.z * p).max()),
+        "slack_scalar": float(np.abs(z * p).max()),
         "gap": 1.0 - lower / upper,
     }
-    return residuals, traces, (lower, upper)
+    return residuals, traces, (lower, upper), z
 
 
 def _checks(residuals: dict[str, float]) -> dict[str, bool]:
@@ -568,7 +553,8 @@ def _solve_core(recips, u, c, eta, within):
     trace, certified_by, polish_attempts, violated). Status Optimal means
     ``found`` is the first candidate, the iterate or else the Gauss-Newton
     polish of an iterate, that passes the checks of ``verify_certificate``
-    on all of ``recips``, as ((p, lifted certificate), its ``_residuals``).
+    on all of ``recips``, as ((p, lifted certificate), its ``_residuals``),
+    the certificate's slacks off W those the scoring read off its traces.
     Otherwise ``found`` is the last iterate as (p, X, z) on the span,
     unscored. The run ends at ``ITERATION_CAP`` steps, or where the mask
     ``violated`` of the states off W first holds a True, set by the screen
@@ -579,7 +565,6 @@ def _solve_core(recips, u, c, eta, within):
     off = ~within
     b, eta_off = u.conj().T @ recips[:, off], eta[off]
     eta_all, eta = eta, eta[within]
-    whole = (within, recips, eta_all) if eta_off.size else ()
     cost = -eta
     n, m = c.shape
     eye_n = np.eye(n, dtype=complex)
@@ -589,19 +574,19 @@ def _solve_core(recips, u, c, eta, within):
     polish_width = np.sqrt(_TOLERANCES["gap"])
 
     # (found, None) for a candidate that passes every check on all columns, else (None,
-    # stop): the mask z_i < 0 off W of its lifted certificate if that holds a True, or None.
+    # stop): the mask z_i < 0 off W of its scored slacks if that holds a True, or None.
+    # Only the candidate that passes is lifted into a certificate.
     def scored(pair):
         if pair is None:
             return None, None
         p, cert = pair
-        if whole:
+        if eta_off.size:
             p = np.zeros(eta_all.size)
             p[within] = pair[0]
-        lifted = _lift(u, cert, *whole)
-        scores = _residuals(recips, eta_all, p, lifted)
+        scores = _residuals(recips, eta_all, p, u @ cert.F, cert.z, cert.dual_psd, within)
         if all(_checks(scores[0]).values()):
-            return ((p, lifted), scores), None
-        if whole and (stop := lifted.z[off] < 0.0).any():
+            return ((p, _lift(u, cert, scores[3])), scores), None
+        if eta_off.size and (stop := scores[3][off] < 0.0).any():
             return None, stop
         return None, None
 
@@ -750,9 +735,11 @@ def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return order[np.lexsort((order, tier))][:WORKING_SET_SEED]
 
 
-def solve(problem: SdpProblem) -> SolveReport:
-    """Solve the discrimination SDP to guaranteed global optimality.
+def solve(problem: tuple[ReciprocalSet, np.ndarray]) -> SolveReport:
+    """Solve the discrimination SDP of the pair (recips, eta) to guaranteed global optimality.
 
+    The pair is what ``build_sdp`` returns: a ``ReciprocalSet`` and one
+    finite, positive prior per reciprocal column, else ValidationError.
     Status Optimal means the returned pair passes the checks of
     ``verify_certificate`` on the whole problem, the one score the core
     gave it. One loop runs the core on a growing working set of the
@@ -761,10 +748,18 @@ def solve(problem: SdpProblem) -> SolveReport:
     ``trace`` add up every run, stopped runs included, and
     ``certified_by`` is the last run's stage.
     """
-    rs, eta = problem.recips, -problem.cost
-    if eta.min() <= 0.0:
-        raise ValidationError("cost must be the negated vector of positive priors")
+    rs, eta = problem
+    if not isinstance(rs, ReciprocalSet):
+        raise ValidationError("the problem's first element must be a ReciprocalSet")
     recips, m = rs.reciprocals, rs.m
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (m,):
+        raise ValidationError(f"priors must list one probability per reciprocal column, m={m}")
+    # One reduction for both checks; it rejects NaN too.
+    if not ((eta > 0.0) & (eta < np.inf)).all():
+        if not np.isfinite(eta).all():
+            raise ValidationError("priors contain non-finite entries")
+        raise ValidationError("priors must be positive")
     within = np.full(m, m < WORKING_SET_MIN_M)
     if m >= WORKING_SET_MIN_M:
         within[_working_set_seed(recips, eta)] = True
@@ -791,11 +786,11 @@ def solve(problem: SdpProblem) -> SolveReport:
     if status is not SolveStatus.OPTIMAL:
         p, x_mat, z = found
         certificate = _lift(u, DualCertificate(X=x_mat, z=z))
-        found = (p, certificate), _residuals(recips, eta, p, certificate)
-    (p, certificate), (residuals, _, (lower, upper)) = found
+        found = (p, certificate), _residuals(recips, eta, p, certificate.F, z, certificate.dual_psd)
+    (p, certificate), (residuals, _, (lower, upper), _) = found
     # The run's own objective, over the columns it solved: summing over all
     # m columns rounds differently.
-    primal = float(problem.cost[cols] @ p[cols])
+    primal = -float(eta[cols] @ p[cols])
     dual = -float(np.vdot(certificate.F, certificate.F).real)
     return SolveReport(
         p=p,
@@ -845,7 +840,9 @@ def verify_certificate(
         if not np.isfinite(a).all():
             raise ValidationError(f"{name} contains non-finite entries")
 
-    residuals, traces, _ = _residuals(c, ensemble.priors, p, certificate)
+    residuals, traces, _, _ = _residuals(
+        c, ensemble.priors, p, f, certificate.z, certificate.dual_psd
+    )
     checks = _checks(residuals)
     detail = {
         "trace_products": traces,
@@ -863,7 +860,6 @@ def verify_certificate(
 
 __all__ = [
     "SolveStatus",
-    "SdpProblem",
     "DualCertificate",
     "IterateTrace",
     "SolveReport",

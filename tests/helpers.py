@@ -57,9 +57,9 @@ def reference_read_pairs(path, key: str, ndim: int) -> np.ndarray:
 
 
 def f_matrix(problem, p) -> np.ndarray:
-    """The full (r+m) x (r+m) block-diagonal constraint matrix F(p) of an SdpProblem."""
+    """The (r+m) x (r+m) block-diagonal constraint matrix F(p) of a problem (recips, priors)."""
     p = np.asarray(p, dtype=float).ravel()
-    c = problem.recips.reciprocals
+    c = problem[0].reciprocals
     r, m = c.shape
     out = np.zeros((r + m, r + m), dtype=complex)
     block = np.eye(r, dtype=complex) - (c * p) @ c.conj().T

@@ -219,6 +219,7 @@ def false_imaginary_parts(obj):
 # The message of the hostile documents below that one validation raise alone reaches.
 HOSTILE_ERRORS = {
     "top-level-array": "top-level document must be an object",
+    "short-priors": "'priors' must list exactly m=2 probabilities",
     "non-numeric-make-priors": "--make-priors expects comma-separated numbers",
 }
 
@@ -260,6 +261,7 @@ HOSTILE_ERRORS = {
         (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": ["0.3", "0.7"]}),
         (["solve"], {"r": 2, "m": 1, "states": TWO_STATES[:1], "priors": [True]}),
         (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": [10**400, 0.5]}),
+        (["solve"], {"r": 2, "m": 2, "states": TWO_STATES, "priors": [1.0]}),
         (["solve"], [{"r": 2, "m": 2, "states": TWO_STATES}]),
         (["epm", "--make-priors", "a,b"], {"r": 2, "m": 2, "states": TWO_STATES}),
     ],
@@ -290,6 +292,7 @@ HOSTILE_ERRORS = {
         "numeric-string-priors",
         "bool-priors",
         "huge-int-priors",
+        "short-priors",
         "top-level-array",
         "non-numeric-make-priors",
     ],
@@ -341,6 +344,15 @@ def test_readme_cli_commands(monkeypatch, capsys):
     ensemble = load_ensemble("data/near_parallel.json")
     reference = two_state_pd(ensemble.states, ensemble.priors)
     assert doc["measurement"]["detection_probability"] == pytest.approx(reference, rel=1e-6)
+
+
+def test_readme_python_blocks(monkeypatch):
+    # Every ```python block of the README, run from the repository root.
+    monkeypatch.chdir(DATA.parent)
+    blocks = (DATA.parent / "README.md").read_text().split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block.split("\n```", 1)[0], "README.md", "exec"), {})
 
 
 SUBCOMMANDS = [

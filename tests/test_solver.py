@@ -1,4 +1,3 @@
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from uqsd import (
     DualCertificate,
     ReciprocalSet,
-    SdpProblem,
     SolveStatus,
     StateEnsemble,
     SymmetrySpec,
@@ -71,9 +69,10 @@ def solve_ensemble(ensemble):
 
 
 class TestBuildSdp:
+    # The problem is the pair (recips, priors); its cost vector is c = -priors.
     def test_three_state_cost(self, three_states_uniform, three_states_reciprocals):
         problem = build_sdp(three_states_uniform, three_states_reciprocals)
-        assert np.allclose(problem.cost, -np.full(3, 1 / 3))
+        assert np.allclose(problem[1], np.full(3, 1 / 3))
 
     def test_f_at_zero_is_constant_block(self, three_states_uniform, three_states_reciprocals):
         # F(0) is the identity on the operator block plus zero scalar blocks.
@@ -85,21 +84,20 @@ class TestBuildSdp:
     def test_problem_holds_the_reciprocal_set(self, three_states_uniform,
                                               three_states_reciprocals):
         problem = build_sdp(three_states_uniform, three_states_reciprocals)
-        assert problem.recips is three_states_reciprocals
-        assert [f.name for f in fields(SdpProblem)] == ["cost", "recips"]
+        assert len(problem) == 2 and problem[0] is three_states_reciprocals
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_cost_rejected(self, three_states_reciprocals, value):
-        cost = np.array([value, -1 / 3, -1 / 3])
-        with pytest.raises(ValidationError, match="^field 'cost' contains non-finite"):
-            SdpProblem(cost=cost, recips=three_states_reciprocals)
+        priors = np.array([value, 1 / 3, 1 / 3])
+        with pytest.raises(ValidationError, match="^priors contain non-finite entries$"):
+            solve((three_states_reciprocals, priors))
 
     @pytest.mark.parametrize(
         "build, match",
         [
-            (lambda rs: SdpProblem(cost=-np.full(2, 0.5), recips=rs), "^cost length must match"),
-            (lambda rs: solve(SdpProblem(cost=np.full(3, 1 / 3), recips=rs)),
-             "^cost must be the negated vector of positive priors$"),
+            (lambda rs: solve((rs, np.full(2, 0.5))),
+             "^priors must list one probability per reciprocal column, m=3$"),
+            (lambda rs: solve((rs, -np.full(3, 1 / 3))), "^priors must be positive$"),
             (lambda rs: DualCertificate(X=np.zeros((2, 3)), z=np.zeros(3)), "shape mismatch$"),
         ],
         ids=["short-cost", "positive-cost", "non-square-x"],
@@ -109,8 +107,8 @@ class TestBuildSdp:
             build(three_states_reciprocals)
 
     def test_bare_reciprocals_rejected(self, three_states_reciprocals):
-        with pytest.raises(ValidationError, match="^field 'recips' must be a ReciprocalSet"):
-            SdpProblem(cost=-np.full(3, 1 / 3), recips=three_states_reciprocals.reciprocals)
+        with pytest.raises(ValidationError, match="^the problem's first element must be a Recip"):
+            solve((three_states_reciprocals.reciprocals, np.full(3, 1 / 3)))
 
     def test_orthonormal_blocks(self, orthonormal_ensemble):
         rs = reciprocal_states(orthonormal_ensemble)
@@ -400,9 +398,9 @@ class TestSolve:
 
     def test_iterate_certificate_built_only_when_read(self, monkeypatch):
         # The iterate is factored into a DualCertificate only when it is
-        # scored (it reaches _lift) or polished (its factor reaches
-        # _kkt_polish). data/near_parallel.json passes 3 iterates within
-        # the polish gate, and the polish declines all of them.
+        # scored (one that passes reaches _lift) or polished (its factor
+        # reaches _kkt_polish). data/near_parallel.json passes 3 iterates
+        # within the polish gate, and the polish declines all of them.
         built, read = [], []
         init = DualCertificate.__init__
 
@@ -419,7 +417,7 @@ class TestSolve:
             return wrapper
 
         monkeypatch.setattr(DualCertificate, "__init__", counting_init)
-        monkeypatch.setattr("uqsd.solver._lift", reading(_lift, lambda u, cert, *whole: cert.F))
+        monkeypatch.setattr("uqsd.solver._lift", reading(_lift, lambda u, cert, z=None: cert.F))
         monkeypatch.setattr(
             "uqsd.solver._kkt_polish", reading(_kkt_polish, lambda c, p, f, eta, face: f)
         )
@@ -440,7 +438,7 @@ def epm_optimal_set(seed, m):
 def full_core_report(monkeypatch, problem):
     """The report of the full interior-point solve, with the working set switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr("uqsd.solver.WORKING_SET_MIN_M", problem.recips.m + 1)
+        patch.setattr("uqsd.solver.WORKING_SET_MIN_M", problem[0].m + 1)
         return solve(problem)
 
 
@@ -846,7 +844,8 @@ class TestFactoredCertificate:
         lifted = _lift(np.eye(3)[:, :2], cert)
         assert lifted.F.shape == (3, 1) and lifted.dual_psd == 1e-3
         c = np.eye(3)[:, :2].astype(complex)
-        assert _residuals(c, np.full(2, 0.5), np.zeros(2), lifted)[0]["dual_psd"] == 1e-3
+        scores = _residuals(c, np.full(2, 0.5), np.zeros(2), lifted.F, lifted.z, lifted.dual_psd)
+        assert scores[0]["dual_psd"] == 1e-3
 
     def test_takes_exactly_one_of_x_and_f(self):
         with pytest.raises(ValidationError, match="exactly one"):
@@ -1171,7 +1170,7 @@ def test_span_solve_lifts_to_a_verified_certificate():
     span = ReciprocalSet(
         reciprocals=rs.vh / rs.sigma[:, None], u=np.eye(3), sigma=rs.sigma, vh=rs.vh
     )
-    report = solve(SdpProblem(cost=-e.priors, recips=span))
+    report = solve((span, e.priors))
     assert report.status is SolveStatus.OPTIMAL
     assert report.certificate.X.shape == (3, 3)
     assert verify_certificate(e, rs, report.p, _lift(u, report.certificate)).passed
