@@ -41,11 +41,9 @@ from .solver import (
     verify_certificate,
 )
 from .symmetry import (
-    PhaseCommutation,
     SymmetricSolution,
     SymmetrySpec,
     UnitaryGroup,
-    check_commute_phase,
     expand,
     load_symmetry_spec,
     solve_cgu,
@@ -84,10 +82,8 @@ __all__ = [
     "UnitaryGroup",
     "SymmetrySpec",
     "SymmetricSolution",
-    "PhaseCommutation",
     "verify_group",
     "expand",
-    "check_commute_phase",
     "solve_gu",
     "solve_cgu",
     "load_symmetry_spec",

@@ -2,12 +2,11 @@
 
 Subcommands: ``solve`` (SDP pipeline), ``epm`` (equal-probability
 measurement analysis), ``gu`` / ``cgu`` (closed-form symmetric
-pipelines), ``group-verify`` (group axiom check, plus the phase fit
-against a generator group) and ``simulate`` (Monte-Carlo validation of
-the measurement of the pipeline that ``--pipeline`` names). Each pipeline
-(sdp, epm, gu, cgu) has one runner, shared by its subcommand and by
-``simulate``. Reports print as text by default; ``--json`` emits the
-full structured document.
+pipelines), ``group-verify`` (axiom check of the ``group`` field) and
+``simulate`` (Monte-Carlo validation of the measurement of the pipeline
+that ``--pipeline`` names). Each pipeline (sdp, epm, gu, cgu) has one
+runner, shared by its subcommand and by ``simulate``. Reports print as
+text by default; ``--json`` emits the full structured document.
 
 Exit codes: 0 success, 1 stdout closed before the report was written,
 2 validation or input error, 3 solver non-convergence, 4 certificate
@@ -307,12 +306,6 @@ def cmd_group_verify(args) -> int:
         "pipeline": "group-verify",
         "group": dataclasses.asdict(report),
     }
-    if doc_in.get("generator_group") is not None:
-        # Evidence only: the exit code stays the axiom verdict.
-        phase = sym_mod.check_commute_phase(
-            group, sym_mod.decode_group(doc_in["generator_group"], "generator_group")
-        )
-        doc["phase"] = {**dataclasses.asdict(phase), "theta": phase.theta.tolist()}
     _print_report(doc, args.json)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

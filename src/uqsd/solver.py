@@ -21,8 +21,9 @@ of that span, an n x m matrix with n = min(r, m), and any basis will do;
 each candidate's factor is lifted back by U and scored on C, and the one
 that passes becomes a certificate of C (``_lift``). On all columns, U
 and U* C = S^-1 V* are read off the problem's ``ReciprocalSet``, which
-holds the factors of the states U S V*, so no SVD runs here. As every Q_i is rank one, the Newton step reduces to an m x m
-positive definite system ``|G* G|^2 + diag(z / p)`` with
+holds the factors of the states U S V*, so no SVD runs here. As every
+Q_i is rank one, the Newton step reduces to an m x m positive definite
+system ``|G* G|^2 + diag(z / p)`` with
 ``G = T^{-1} U* C``, so one iteration costs O(m^3). T^{-1} comes from the
 Cholesky factor L_x of X and one eigh of L_x* S L_x (``_nt_scaling``). The
 whole Newton step then runs in the NT-scaled space, where X and S are both

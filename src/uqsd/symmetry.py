@@ -10,8 +10,8 @@ generator's identity image. The verdict on the equal-probability
 measurement (EPM) is the exact test's, ``epm_test_lp``. The paper's GU
 result (the EPM is optimal under uniform priors) and its CGU result
 (optimal when the generators are themselves GU under a group commuting
-with the outer group up to phases) are cases of that test, so the solve
-does not fit the phases; ``check_commute_phase`` fits them on request.
+with the outer group up to phases) are cases of that test, so neither
+condition is tested on its own.
 
 Groups are supplied explicitly as matrices. Identity, closure and
 inverses are checked numerically against the nearest group element, one
@@ -26,11 +26,10 @@ and measured the same way, so probe collisions and non-groups report the
 same nearest distances. Rows are formed in generating-set order and the
 check stops as soon as the rows formed so far bound the closure residual
 of the whole table (see ``verify_group``), so a group costs about
-log2(l) rows instead of l. The unitarity, inverse and row passes, and the
-phase fit against a generator group, all run over the same consecutive
-blocks of elements, so memory stays the groups plus a few blocks. Every
-group action on vectors is one batched product of the element stack with
-the vectors.
+log2(l) rows instead of l. The unitarity, inverse and row passes all
+run over the same consecutive blocks of elements, so memory stays the
+group plus a few blocks. Every group action on vectors is one batched
+product of the element stack with the vectors.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from .solver import DualCertificate
 
 UNITARITY_TOL = 1e-10
 GROUP_MATCH_TOL = 1e-8
-PHASE_TOL = 1e-8
 ORBIT_TOL = 1e-8
 # Squared probe-image distance under which two elements may lie within
 # 2 * GROUP_MATCH_TOL of each other, so that a match to either is not
@@ -233,6 +231,7 @@ class UnitaryGroup:
     def dim(self) -> int:
         return self.elements.shape[1]
 
+
 @dataclass(frozen=True)
 class GroupReport:
     """Group-axiom residuals; ``rows`` counts the multiplication-table rows formed.
@@ -247,16 +246,6 @@ class GroupReport:
     inverses: float
     passed: bool
     rows: int
-
-
-@dataclass(frozen=True)
-class PhaseCommutation:
-    """Result of testing U V = V U e^{i theta} across two groups."""
-
-    theta: np.ndarray
-    residual: float
-    commutes: bool
-    phase_free: bool
 
 
 @dataclass(frozen=True)
@@ -433,42 +422,13 @@ def expand(spec: SymmetrySpec) -> StateEnsemble:
     return StateEnsemble(states, np.full(m, 1.0 / m))
 
 
-def check_commute_phase(g: UnitaryGroup, q: UnitaryGroup) -> PhaseCommutation:
-    """Fit phases theta(i, k) with U_i V_k = V_k U_i e^{i theta} and report residuals.
-
-    Each U_i meets the generator group one block of elements at a time, so
-    memory stays the two groups plus a few blocks.
-    """
-    if g.dim != q.dim:
-        raise ValidationError("groups act on different dimensions")
-    theta = np.zeros((g.order, q.order))
-    residual = 0.0
-    rounding = g.dim * np.finfo(float).eps
-    for i, u in enumerate(g.elements):
-        for block, phases in zip(_blocks(q.elements), _blocks(theta[i])):
-            lhs = u @ block
-            rhs = block @ u
-            overlap = np.einsum("kab,kab->k", rhs.conj(), lhs) / g.dim
-            phases[:] = np.where(np.abs(overlap) > 0, np.angle(overlap), 0.0)
-            # Tr(rhs^H lhs) summed elementwise; the sign of a zero imaginary part
-            # depends on the order of summation, so an overlap that is real and
-            # negative within d eps (the rounding of the products) reads +pi.
-            phases[(overlap.real < 0) & (np.abs(overlap.imag) <= rounding)] = np.pi
-            residual = max(residual, _max_norm(lhs - np.exp(1j * phases)[:, None, None] * rhs))
-    commutes = residual <= PHASE_TOL
-    phase_free = commutes and bool(np.max(np.abs(np.exp(1j * theta) - 1.0)) <= PHASE_TOL)
-    return PhaseCommutation(
-        theta=theta, residual=residual, commutes=commutes, phase_free=phase_free
-    )
-
-
 def solve_cgu(spec: SymmetrySpec) -> SymmetricSolution:
     """EPM for a CGU set with the exact test ``epm_test_lp``'s verdict.
 
     The certificate lifts the test's witness A and is present exactly when
     the verdict is Optimal. Callers can fall back to the SDP solver
     whenever it is not. The paper's phase condition on a generator group
-    decides nothing here; ``check_commute_phase`` tests it on its own.
+    is one case of the exact test, so it is not tested on its own.
     """
     ensemble = expand(spec)
     recips = reciprocal_states(ensemble)
@@ -522,12 +482,10 @@ def load_symmetry_spec(source) -> SymmetrySpec:
 __all__ = [
     "UnitaryGroup",
     "GroupReport",
-    "PhaseCommutation",
     "SymmetrySpec",
     "SymmetricSolution",
     "verify_group",
     "expand",
-    "check_commute_phase",
     "solve_gu",
     "solve_cgu",
     "decode_group",
