@@ -2,9 +2,9 @@
 
 The pool holds ``--pool`` random complex Gaussian ensembles of m = ``--dim``
 states in r = ``--rows`` dimensions (default r = m) and priors uniform in
-[0.5, 1.5] before normalisation, drawn from seed 1; ``--rows`` above
-``--dim`` times the r >> m case, where ``solve`` works on the n = m rows of
-the span and scores its answer on the r x m reciprocals.
+[0.5, 1.5] before normalisation, drawn from ``--seed`` (default 1);
+``--rows`` above ``--dim`` times the r >> m case, where ``solve`` works on
+the n = m rows of the span and scores its answer on the r x m reciprocals.
 ``data/degenerate_epm.json`` (smallest singular value of multiplicity two)
 is solved after the pool. Each solve is timed in process CPU
 with one BLAS thread, and one JSON line is printed with:
@@ -63,8 +63,9 @@ flag is off by default.
 
 ``--kernels`` adds ``kernel_ms_per_solve``: the process-CPU ms per solve
 spent in each solver kernel, the NT scaling (``_nt_scaling``), the PSD step
-lengths (``_max_steps_psd``), the Gauss-Newton polish (``_kkt_polish``) and
-the certificate residuals (``_residuals``). The script wraps those functions
+lengths (``_max_steps_psd``), the Gauss-Newton polish (``_kkt_polish``), the
+certificate residuals (``_residuals``) and the working-set seed
+(``_working_set_seed``, 0 below 24 states). The script wraps those functions
 only under this flag, so the default timing runs the kernels unwrapped; the
 wrappers' own cost inflates ``ms_per_iteration`` slightly.
 
@@ -72,7 +73,7 @@ Every answer must be Optimal and pass ``verify_certificate``; the script
 exits 1 otherwise. Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_solver.py [--pool 64] [--dim 32] [--rows R]
-        [--smoke] [--kernels] [--counts]
+        [--seed 1] [--smoke] [--kernels] [--counts]
 
 Point PYTHONPATH at another checkout's ``src`` to time that tree on the same
 instances. ``--smoke`` solves a small pool at m = 6 (r = 6 unless
@@ -107,13 +108,12 @@ from uqsd import (  # noqa: E402
 )
 
 DEGENERATE = Path(__file__).resolve().parents[1] / "data" / "degenerate_epm.json"
-SEED = 1
-KERNELS = ("_nt_scaling", "_max_steps_psd", "_kkt_polish", "_residuals")
+KERNELS = ("_nt_scaling", "_max_steps_psd", "_kkt_polish", "_residuals", "_working_set_seed")
 
 
-def dense_pool(rows: int, dim: int, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def dense_pool(rows: int, dim: int, size: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (states, priors) arrays of the pool; the pipeline builds each ensemble."""
-    rng = np.random.default_rng(SEED)
+    rng = np.random.default_rng(seed)
     pool = []
     for _ in range(size):
         a = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
@@ -241,6 +241,7 @@ def main() -> int:
     parser.add_argument("--pool", type=int, default=64)
     parser.add_argument("--dim", type=int, default=32, help="states per set, m")
     parser.add_argument("--rows", type=int, help="dimension r of the states (default: --dim)")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the pool")
     parser.add_argument("--smoke", action="store_true", help="4 instances at m = 6")
     parser.add_argument("--kernels", action="store_true", help="CPU per solve in each solver kernel")
     parser.add_argument("--counts", action="store_true", help="Python, C and linalg calls per solve")
@@ -251,7 +252,8 @@ def main() -> int:
     if rows < args.dim:
         parser.error("--rows must be at least --dim")
     degenerate = load_ensemble(DEGENERATE)
-    sets = dense_pool(rows, args.dim, args.pool) + [(degenerate.states, degenerate.priors)]
+    sets = dense_pool(rows, args.dim, args.pool, args.seed)
+    sets.append((degenerate.states, degenerate.priors))
     counts = None
     if args.counts:
         ensembles = [StateEnsemble(states, priors) for states, priors in sets]
@@ -295,6 +297,7 @@ def main() -> int:
         "instances": len(sets),
         "dim": args.dim,
         "rows": rows,
+        "seed": args.seed,
         "iterations": iterations,
         "max_iterations": max_iterations,
         "rounds": rounds,

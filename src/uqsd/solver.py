@@ -74,11 +74,23 @@ random set detects few of its states (about 6 of 32 and 7 of 64), and
 complementarity, p_i z_i = 0, puts its X in the span of the detected
 reciprocals, so the problem on any W that holds them has the same
 optimum. Below ``WORKING_SET_MIN_M`` = 24 columns W is all of them.
-Above, W starts as the ``WORKING_SET_SEED`` = 12 states of largest
-eta_i / |c_i|^2, the value of all weight on state i; scores within 1e-12
-relative tie, as on an orbit of a symmetric set up to rounding, and ties
-go to the lower index. A round on fewer than all columns runs on one QR
-of them, C[:, W] = Q R. Each candidate is scored once on all of C, in
+Above, W starts from the states' own optimal duals: state j alone has
+the optimal dual X_j = w_j c_j c_j* with w_j = eta_j / |c_j|^4, the
+least-trace X with c_j* X c_j = eta_j. With T the 2 ``WORKING_SET_SEED``
+= 24 states of largest w_j, each state scores s_i = eta_i / c_i* (sum_T
+X_j) c_i, the factor by which the sum of T's duals misses its trace
+equality, and W is the ``WORKING_SET_SEED`` = 12 states of largest s_i.
+In both rankings scores within 1e-12 relative tie, as on an orbit of a
+symmetric set up to rounding, and ties go to the lower index; T takes
+every state that ties its last, so it splits no orbit. On the seed-1
+r = m = 32 pool of ``scripts/bench_solver.py`` this W holds the support
+of 51 of the 64 optima; the 12 states of largest eta_i / |c_i|^2, the
+value of all weight on state i, held 40 and ranked a support state as
+low as 28th. The score is one r x m x |T| product, about 1 ms of a
+10 ms solve at m = 512; the sum over all states in place of T took a 13 ms solve
+there to 37 ms, and a T of 12 states took the EPM-optimal set of the
+tests one iteration more. A round on fewer than all columns runs on one
+QR of them, C[:, W] = Q R. Each candidate is scored once on all of C, in
 O(r m k), with p = 0 off W and z_i = |F* c_i|^2 - eta_i off W read off
 the traces that the scoring forms from its lifted factor F; as in Blitz,
 that proof of optimality is the stopping rule. The first candidate that
@@ -101,20 +113,24 @@ states join W: primal-dual column generation prices columns so, from
 the well-centred iterate of a master problem stopped early (Gondzio,
 Gonzalez-Brevis and Munari 2013). A stopped run counts in ``rounds`` and
 adds its iterations and trace, and proves nothing. On the seed-1
-r = m = 32 pool of ``scripts/bench_solver.py`` the screen stopped 24 of
-89 runs and took the iterations from 613 to 566 and the polishes from
-100 to 71, with P_D bitwise unchanged. The gate sweep on that pool, in
-iterations: every iterate 532, 1e-1 533, 3e-2 554, 1e-2 566, 1e-3 596
-and sqrt(1e-7) 608. From 1e-1 up, two more polishes failed and one set
-was certified by its iterate instead of its polish; 1e-2 keeps a factor
-10 from there.
+r = m = 32 pool of ``scripts/bench_solver.py`` the screen stopped 14 of
+79 runs and took the iterations from 533 to 509 and the polishes from
+84 to 70, with P_D bitwise unchanged. The gate sweep on that pool, in
+iterations: every iterate 491, 1e-1 493, 3e-2 501, 1e-2 509, 1e-3 527
+and sqrt(1e-7) 533, with the same polishes and ``certified_by`` at every
+gate; screening every iterate stops one run more. The gate was set under
+the earlier seed, the 12 states of largest eta_i / |c_i|^2, where the
+same sweep read 532, 533, 554, 566, 596 and 608: from 1e-1 up two more
+polishes failed and one set was certified by its iterate instead of its
+polish, and 1e-2 kept a factor 10 from there.
 
 The constants come from a sweep over random r = m sets (complex Gaussian
-states, priors uniform in [0.5, 1.5]): process CPU per reciprocal set,
-solve and verification, one BLAS thread, full core -> working set. With
-w = 12, m = 24 went 7.3 -> 4.4 ms, m = 32 11.4 -> 8.1 ms and m = 64
-44 -> 10 ms, in 1.1-1.6 rounds on average and at most 3, and no set fell
-back; w = 8 and 16 were within the noise of 12. At m = 16, 6 sets in 48
+states, priors uniform in [0.5, 1.5]) under that earlier seed: process
+CPU per reciprocal set, solve and verification, one BLAS thread, full
+core -> working set. With w = 12, m = 24 went 7.3 -> 4.4 ms, m = 32
+11.4 -> 8.1 ms and m = 64 44 -> 10 ms, in 1.1-1.6 rounds on average and
+at most 3, and no set fell back; w = 8 and 16 were within the noise of
+12. At m = 16, 6 sets in 48
 fell back, and where r >> m every state tends to be detected: at
 r = 256, m = 16, W grew to all 16 states on every set, and a solve took
 9.0 ms against 5.3.
@@ -722,18 +738,37 @@ def _solve_core(recips, u, c, eta, within):
     return status, found, trace, certified_by, polish_attempts, violated
 
 
-def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The ``WORKING_SET_SEED`` states of largest eta_i / |c_i|^2 (module docstring).
+def _ranked(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices by descending score, and the tie tier of each in that order.
 
-    Scores within 1e-12 relative of the next larger one tie, so that the
-    rounding noise of a symmetric set does not order an orbit, and ties go
-    to the lower index.
+    A score within 1e-12 relative of the next larger one ties with it, so
+    that the rounding noise of a symmetric set does not order an orbit, and
+    ties go to the lower index.
     """
-    score = eta / np.einsum("ri,ri->i", recips.conj(), recips).real
     order = (-score).argsort(kind="stable")
     ranked = score[order]
     tier = np.concatenate(([0], (ranked[1:] < ranked[:-1] * (1.0 - 1e-12)).cumsum()))
-    return order[np.lexsort((order, tier))][:WORKING_SET_SEED]
+    return order[np.lexsort((order, tier))], tier
+
+
+def _working_set_seed(recips: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The ``WORKING_SET_SEED`` states that the sum of the top states' own duals misses most.
+
+    State j alone has the optimal dual X_j = w_j c_j c_j* with
+    w_j = eta_j / |c_j|^4. T is the 2 ``WORKING_SET_SEED`` states of largest
+    w_j, with the states that tie the last of them, and each state scores
+    s_i = eta_i / Tr(Q_i sum_T X_j) = eta_i / sum_T w_j |c_i* c_j|^2, in
+    O(r m |T|); the seed is the states of largest s_i (module docstring).
+    Both rankings are ``_ranked``'s.
+    """
+    # Neither product conjugates all of C: |c_j|^2 sums the squares of its
+    # real and imaginary parts, which are views, and only C_T is conjugated.
+    re, im = recips.real, recips.imag
+    w = eta / (np.einsum("ri,ri->i", re, re) + np.einsum("ri,ri->i", im, im)) ** 2
+    order, tier = _ranked(w)
+    top = order[tier <= tier[min(2 * WORKING_SET_SEED, eta.size) - 1]]
+    score = eta / (w[top] @ np.abs(recips[:, top].conj().T @ recips) ** 2)
+    return _ranked(score)[0][:WORKING_SET_SEED]
 
 
 def solve(problem: tuple[ReciprocalSet, np.ndarray]) -> SolveReport:
