@@ -15,14 +15,15 @@ with:
 * ``share``, the cumulative share of the profiled time spent inside each
   of ``read_document``, ``solve``, ``_kkt_polish``, ``verify_group``,
   ``reciprocal_states``, ``epm_test_lp``, ``_print_report`` and
-  ``json.dumps``, callees included, so the shares overlap and do not sum
-  to one.
+  ``dumps_report``, the ``--json`` writer inside ``_print_report``,
+  callees included, so the shares overlap and do not sum to one.
 
 The profiler keeps its default clock, the cheapest to read. Its per-call
-cost still inflates call-heavy code: on ``small-docs`` it read
-``json.dumps`` at 0.18 of the time, against 0.10 timed unprofiled, and a
-process-CPU clock, one system call per event, read 0.32. So read the
-shares as where to look, and time a candidate with ``benchmark/run.py``.
+cost still inflates call-heavy code: on ``small-docs`` it read the former
+writer, ``json.dumps(indent=2)``, at 0.18 of the time, against 0.10 timed
+unprofiled, and a process-CPU clock, one system call per event, read
+0.32. So read the shares as where to look, and time a candidate with
+``benchmark/run.py``.
 The script exits 1 if an operation fails other than by a miss the
 benchmark itself records as a known defect. Run from the repository root:
 
@@ -60,7 +61,7 @@ FUNCTIONS = {
     "reciprocal_states": ("ensemble.py", "reciprocal_states"),
     "epm_test_lp": ("epm.py", "epm_test_lp"),
     "_print_report": ("cli.py", "_print_report"),
-    "json.dumps": (os.path.join("json", "__init__.py"), "dumps"),
+    "dumps_report": ("formats.py", "dumps_report"),
 }
 
 

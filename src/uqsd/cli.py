@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -37,7 +36,7 @@ from .ensemble import (
     reciprocal_states,
 )
 from .errors import ValidationError
-from .formats import encode_complex, encode_real_vector, read_document
+from .formats import dumps_report, encode_complex, encode_real_vector, read_document
 from .simulate import simulate
 from .solver import (
     OPERATOR_TOL,
@@ -106,7 +105,7 @@ def _verification(doc: dict, ensemble: StateEnsemble, recips, p, certificate) ->
 
 def _print_report(doc: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(dumps_report(doc))
         return
     summary = doc["input"]
     if "priors" in summary:

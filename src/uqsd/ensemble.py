@@ -90,7 +90,7 @@ class StateEnsemble:
             raise ValidationError("priors must be strictly positive")
         if abs(priors.sum() - 1.0) > PRIOR_SUM_TOL:
             raise ValidationError(
-                f"priors must sum to 1 within {PRIOR_SUM_TOL:g} (sum={priors.sum()!r})"
+                f"priors must sum to 1 within {PRIOR_SUM_TOL:g} (sum={float(priors.sum())!r})"
             )
         object.__setattr__(self, "states", _frozen_array(states, complex))
         object.__setattr__(self, "priors", _frozen_array(priors, float))

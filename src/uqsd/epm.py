@@ -191,7 +191,7 @@ def priors_for_epm(analysis: EpmAnalysis, a: np.ndarray) -> np.ndarray:
     a = _witness(analysis, a)
     trace = np.trace(a).real
     if abs(trace - 1.0) > 1e-10:
-        raise ValidationError(f"A must have unit trace within 1e-10 (trace={trace!r})")
+        raise ValidationError(f"A must have unit trace within 1e-10 (trace={float(trace)!r})")
     v = analysis.recips.vh[_last(analysis)]
     return np.einsum("ki,kl,li->i", v.conj(), a, v).real
 

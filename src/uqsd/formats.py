@@ -41,6 +41,11 @@ into one list by extending. The leaves are checked to be real numbers and
 read by one ``np.fromiter``, which on its own would also turn ``"1.5"``,
 ``None`` and ``True`` into floats. This walk is the one source of the
 messages on shapes and entry types.
+
+Writing a report is ``dumps_report``: the text of ``json.dumps(doc,
+indent=2)``, which CPython would build in its pure-Python encoder. Each
+list that holds only floats, such as p or an ``[re, im]`` pair, is one
+join of the floats' reprs.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import re
 from functools import reduce
 from itertools import chain
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -80,6 +86,92 @@ def encode_complex(a: np.ndarray) -> list:
 
 def encode_real_vector(v: np.ndarray) -> list[float]:
     return np.asarray(v, dtype=float).ravel().tolist()
+
+
+def dumps_report(doc: Any) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, byte for byte.
+
+    CPython runs ``json.dumps`` in its pure-Python encoder whenever
+    ``indent`` is set. This writer keeps ``json``'s defaults (ASCII
+    escapes, ``NaN`` and ``Infinity`` for non-finite floats, insertion
+    order) and its type rules: dicts, lists and tuples; ``str`` through
+    ``json``'s own C escaper; ``None`` and booleans; ``int`` and ``float``
+    subclasses through ``int.__repr__`` and ``float.__repr__``; dict keys
+    that are ``str``, ``float``, ``bool``, ``None`` or ``int``. Anything
+    else raises ``json``'s ``TypeError``. Circular references are not
+    detected.
+    """
+    return _dumps(doc, "\n")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True or key is False or key is None:
+        return _encode_str(_dumps(key, ""))
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _dumps(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it on a line opened by ``newline``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if isinstance(value[0], float):
+            # p, z and each [re, im] pair: one join, which raises at the first
+            # item that is not a float. Only nan and inf reprs hold an "n".
+            try:
+                text = sep.join(map(float.__repr__, value))
+            except TypeError:
+                pass
+            else:
+                if "n" in text:
+                    text = sep.join(map(_float_text, value))
+                return f"[{inner}{text}{newline}]"
+        return f"[{inner}{sep.join([_dumps(item, inner) for item in value])}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            # Floats and strings, most of a report's values, take no recursive call.
+            if isinstance(item, float):
+                item = _float_text(item)
+            elif isinstance(item, str):
+                item = _encode_str(item)
+            else:
+                item = _dumps(item, inner)
+            items.append(f"{_key_text(key)}: {item}")
+        return f"{{{inner}{sep.join(items)}{newline}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _is_real(kind: type) -> bool:

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uqsd.cli
 import uqsd.epm
 import uqsd.solver
 import uqsd.symmetry
 from uqsd import load_ensemble
 from uqsd.cli import main
-from uqsd.formats import decode_complex, encode_complex
+from uqsd.formats import decode_complex, dumps_report, encode_complex
 
 from helpers import (
     dense_born,
@@ -520,6 +521,44 @@ def test_simulate_returns_runner_failure_without_simulating(tmp_path, monkeypatc
     assert "simulation" not in out
 
 
+def printed_documents(monkeypatch, capsys, argv) -> tuple[int, list, str]:
+    """Run ``argv`` with ``--json``; the exit code, the documents written and stdout."""
+    docs = []
+
+    def recorded(doc):
+        docs.append(doc)
+        return dumps_report(doc)
+
+    monkeypatch.setattr(uqsd.cli, "dumps_report", recorded)
+    code = main([*argv, "--json"])
+    return code, docs, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [*SUBCOMMANDS, ["epm", "--make-priors", "1.0"]], ids=" ".join)
+@pytest.mark.parametrize("name", sorted(PARITY_INPUTS))
+def test_json_report_is_the_bytes_of_json_dumps(tmp_path, monkeypatch, capsys, name, command):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(PARITY_INPUTS[name]))
+    code, docs, out = printed_documents(monkeypatch, capsys, [command[0], str(path), *command[1:]])
+    if code == 2:
+        assert (docs, out) == ([], "")
+        return
+    assert len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+
+
+def test_non_optimal_cgu_exit_3_report_is_the_bytes_of_json_dumps(tmp_path, monkeypatch, capsys):
+    # The EPM is not optimal, and the SDP fallback stops at its iteration cap.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(non_optimal_cgu_doc()))
+    monkeypatch.setattr(uqsd.solver, "ITERATION_CAP", 2)
+    code, docs, out = printed_documents(monkeypatch, capsys, ["cgu", str(path)])
+    assert code == 3
+    assert docs[0]["symmetry"]["verdict"] == "NotOptimal"
+    assert docs[0]["solve"]["status"] == "MaxIterations"
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+
+
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -648,6 +687,11 @@ class TestEpmCommand:
     def test_make_priors_rejects_non_finite(self, three_states_file, capsys, value):
         assert main(["epm", three_states_file, "--make-priors", value]) == 2
         assert "A must be finite" in capsys.readouterr().err
+
+    def test_make_priors_trace_message_prints_a_plain_float(self, three_states_file, capsys):
+        assert main(["epm", three_states_file, "--make-priors", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: A must have unit trace within 1e-10 (trace=0.0)\n"
 
 
 class TestSymmetryCommands:

@@ -1,5 +1,7 @@
-"""The ``[re, im]`` decoder against the ``np.asarray`` reference, and ``read_document``."""
+"""The ``[re, im]`` decoder against the ``np.asarray`` reference, ``read_document``,
+and ``dumps_report`` against ``json.dumps(indent=2)``."""
 
+import enum
 import gc
 import json
 import time
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 
 from uqsd.ensemble import load_ensemble
 from uqsd.errors import ValidationError
-from uqsd.formats import decode_complex, decode_real_vector, encode_complex, read_document
+from uqsd.formats import (
+    decode_complex,
+    decode_real_vector,
+    dumps_report,
+    encode_complex,
+    read_document,
+)
 from uqsd.symmetry import load_symmetry_spec
 
 from helpers import reference_decode_complex, reference_read_pairs
@@ -426,3 +434,104 @@ def test_spec_loader_runs_no_collection(tmp_path, collector, enabled):
     with pytest.raises(ValidationError, match="not real numbers"):
         load_symmetry_spec(bad)
     assert gc.isenabled() is enabled
+
+
+class Name(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+NAN, INF = float("nan"), float("inf")
+# Documents beyond what the CLI writes, each against json.dumps(indent=2).
+SYNTHETIC = {
+    "non-finite-values": {"nan": NAN, "inf": INF, "-inf": -INF},
+    "nan-in-float-list": [1.0, NAN, 2.5],
+    "infinities-in-float-list": [INF, 0.5, -INF],
+    "signed-zero": [-0.0, 0.0, {"z": -0.0}],
+    "float-extremes": [1e-300, 1e16, 5e-324, 1.7976931348623157e308, 0.1, 123456789.0],
+    "ints-past-2**64": [2**64, -(2**64) - 1, 10**30, {"n": 2**70}],
+    "strings": {
+        "caf\u00e9": "na\u00efve \u2014 \u2603 \U0001d11e",
+        "control": "\x00\x1f\t\n\r\b\f\x7f",
+        "quotes": "\"\\/'",
+        "": "",
+    },
+    "str-subclass": {Name("key"): Name("value \u00e9"), "list": [Name("a"), Name("")]},
+    "tuples": (1.0, (2, 3.5), [(), ("a",), (NAN,)]),
+    "np-float64": {
+        "x": np.float64(0.1),
+        "list": [np.float64(1.5), np.float64(-2.0), 3.0],
+        "nan": np.float64("nan"),
+        "pairs": np.arange(6.0).reshape(3, 2).tolist(),
+    },
+    "mixed-numbers": [1, 2.0, True, None, False, "s", 3, Level.LOW],
+    "float-then-others": [1.0, 2, "x", [3.0, 4], None],
+    "empty": {"list": [], "dict": {}, "nested": [[], [{}], {"e": []}, [[]]], "tuple": ()},
+    "non-str-keys": {1: "a", 2.5: [1.0], True: None, None: {}, False: -0.0, INF: 1,
+                     np.float64(0.5): 2, Level.LOW: 3, 2**65: 4},
+    "report-shape": {
+        "input": {"r": 2, "m": 2, "priors": [0.5, 0.5]},
+        "solve": {"X": [[[1.0, 0.0], [0.0, -0.0]], [[0.0, 0.0], [1.0, 0.0]]], "iterations": 7,
+                  "status": "Optimal", "residuals": {"gap": 1e-12}},
+        "verification": {"passed": False, "checks": {"gap": True}},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", SYNTHETIC.values(), ids=SYNTHETIC.keys())
+def test_writer_matches_json_dumps(doc):
+    assert dumps_report(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, NAN, -INF, np.float64(2.0), 7, 2**80, "x", None, True,
+                                 False, [], {}, ()])
+def test_writer_matches_json_dumps_on_a_bare_value(doc):
+    assert dumps_report(doc) == json.dumps(doc, indent=2)
+
+
+def json_values():
+    scalars = (
+        st.floats() | st.integers() | st.text() | st.booleans() | st.none()
+        | st.floats().map(np.float64)
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: (
+            st.lists(inner, max_size=4)
+            | st.lists(st.floats(), max_size=4)
+            | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        ),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values())
+def test_writer_matches_json_dumps_on_any_value(doc):
+    assert dumps_report(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        np.int64(1),
+        [1.0, np.int64(2)],
+        {"flag": np.bool_(True)},
+        [np.bool_(False)],
+        {"set": {1, 2}},
+        {(1, 2): "tuple key"},
+        {"nested": [{"deep": [object()]}]},
+    ],
+    ids=["np.int64", "np.int64-in-float-list", "np.bool_", "np.bool_-in-list", "set",
+         "tuple-key", "object"],
+)
+def test_writer_raises_the_json_type_error(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps_report(doc)
+    assert str(got.value) == str(expected.value)
